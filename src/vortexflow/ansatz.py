@@ -6,7 +6,9 @@ e1 = (d, 0), e2 = (-d, 0) and w± = rho(ell) e^{±i theta}.  The ring
 ansatz multiplies in a phase correction e^{i phi_d}, phi_d = phi_s +
 phi_r, that cancels the 1/x1-induced singular forcing near the core;
 phi_s is an explicit cutoff-localized expression and phi_r solves a
-linear axisymmetric Poisson problem on the quarter grid.
+linear axisymmetric Poisson problem on the quarter grid.  That problem's
+matrix depends on the grid only, so one SuperLU factor of it (minimum-
+degree ordering on A + A^T) serves every ring ansatz built on that grid.
 """
 
 import enum
@@ -202,16 +204,22 @@ def ring_phase_residual(params: ModelParams, spec: GridSpec):
     return first + second
 
 
+def _phase_mask(spec: GridSpec):
+    """Unknowns of the phase problem: the quarter grid without the x2 = 0
+    row (odd parity pins it to zero) and the outer Dirichlet layer."""
+    mask = np.zeros((spec.n1, spec.n2), dtype=bool)
+    mask[: spec.n1 - 1, 1: spec.n2 - 1] = True
+    return mask
+
+
 def _assemble_axisym_laplacian(spec: GridSpec):
     """Sparse [lap + (1/x1) d1] for an odd-in-x2 scalar on the quarter grid.
 
-    Unknowns exclude the x2 = 0 row (odd parity pins it to zero) and the
-    outer Dirichlet layer.  The x1 = 0 column uses the even-parity axis
-    limit lap_x1 + H1 -> 2 d11 + 2 d11."""
+    Unknowns are those of `_phase_mask`.  The x1 = 0 column uses the
+    even-parity axis limit lap_x1 + H1 -> 2 d11 + 2 d11."""
     n1, n2, h1, h2 = spec.n1, spec.n2, spec.h1, spec.h2
     idx = -np.ones((n1, n2), dtype=int)
-    mask = np.zeros((n1, n2), dtype=bool)
-    mask[: n1 - 1, 1: n2 - 1] = True
+    mask = _phase_mask(spec)
     idx[mask] = np.arange(mask.sum())
     I, J = np.nonzero(mask)
     r = idx[I, J]
@@ -244,26 +252,39 @@ def _assemble_axisym_laplacian(spec: GridSpec):
     couple(np.maximum(I - 1, 0), J, 1.0 / h1**2 - ch, sel=interior)
 
     n = int(mask.sum())
-    A = csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                   shape=(n, n))
-    return A, mask, idx
+    return csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n, n))
 
 
-def build_ring_phase(params: ModelParams, spec: GridSpec):
+def factor_axisym_laplacian(spec: GridSpec):
+    """SuperLU factor of the phase Laplacian on `spec`.
+
+    MMD_AT_PLUS_A (minimum degree on A + A^T) suits this nearly
+    symmetric 5-point stencil: it leaves about half the fill of SuperLU's
+    default COLAMD ordering."""
+    return splu(_assemble_axisym_laplacian(spec), permc_spec="MMD_AT_PLUS_A")
+
+
+def build_ring_phase(params: ModelParams, spec: GridSpec, laplacian_lu=None):
     """Singular phase correction phi_s and regular part phi_r.
 
     phi_s = chi(ell1) * x2 log(ell1^2/ell2^2)/(4 d); phi_r solves
     [lap + H1] phi_r = -[lap + H1](theta_1 - theta_2 + phi_s) with odd
-    x2-parity and homogeneous Dirichlet on the outer boundary."""
+    x2-parity and homogeneous Dirichlet on the outer boundary.
+    `laplacian_lu` is `factor_axisym_laplacian(spec)`; it is computed
+    here when not given."""
     if not params.is_ring:
         raise ValueError("ring phases only exist in RING regimes")
     d = params.d
     phi_s_field = ScalarField(spec, _phi_s_samples(spec, d), x2_parity="odd")
 
     g = ring_forcing(params, spec)
-    A, mask, idx = _assemble_axisym_laplacian(spec)
-    rhs = g[mask]
-    sol = splu(A).solve(rhs)
+    mask = _phase_mask(spec)
+    if laplacian_lu is None:
+        laplacian_lu = factor_axisym_laplacian(spec)
+    elif laplacian_lu.shape != (mask.sum(),) * 2:
+        raise ValueError("laplacian_lu was factored on another grid")
+    sol = laplacian_lu.solve(g[mask])
     if not np.all(np.isfinite(sol)):
         raise RuntimeError("ring phase linear solve did not converge")
     phi_r = np.zeros((spec.n1, spec.n2))
@@ -283,20 +304,24 @@ def build_ring(params: ModelParams, spec: GridSpec, profile: VortexProfile,
     return ComplexField(spec, symmetrize_complex(data))
 
 
-def build_ansatz(params: ModelParams, spec: GridSpec, profile: VortexProfile) -> ComplexField:
-    """Pair or improved-ring ansatz, per regime."""
+def build_ansatz(params: ModelParams, spec: GridSpec, profile: VortexProfile,
+                 laplacian_lu=None) -> ComplexField:
+    """Pair or improved-ring ansatz, per regime.  A ring passes
+    `laplacian_lu` on to `build_ring_phase`; a pair ignores it."""
     if params.is_ring:
-        return build_ring(params, spec, profile, build_ring_phase(params, spec))
+        return build_ring(params, spec, profile,
+                          build_ring_phase(params, spec, laplacian_lu))
     return build_pair(params, spec, profile)
 
 
 def kernel_Zd(params: ModelParams, spec: GridSpec, profile: VortexProfile,
               V_d: ComplexField = None, cutoff_radius=None,
-              delta_rel=1e-3) -> ComplexField:
+              delta_rel=1e-3, laplacian_lu=None) -> ComplexField:
     """Co-kernel Z_d = dV_d/dd * [eta(ell1/R) + eta(ell2/R)].
 
     The d-derivative is a central difference with step delta_rel * d,
-    rebuilding the full ansatz (ring phases included) at d +- delta.
+    rebuilding the full ansatz (ring phases included) at d +- delta;
+    both rebuilds share `laplacian_lu` (see `build_ring_phase`).
     R defaults to 6 core widths, capped at 0.4 d so the cutoff stays
     inside the inter-vortex distance at small separations."""
     if V_d is not None and V_d.spec is not spec and V_d.spec != spec:
@@ -305,8 +330,8 @@ def kernel_Zd(params: ModelParams, spec: GridSpec, profile: VortexProfile,
     if cutoff_radius is None:
         cutoff_radius = min(DEFAULT_CUTOFF_RADIUS, 0.4 * d)
     delta = delta_rel * d
-    plus = build_ansatz(params.with_d(d + delta), spec, profile)
-    minus = build_ansatz(params.with_d(d - delta), spec, profile)
+    plus = build_ansatz(params.with_d(d + delta), spec, profile, laplacian_lu)
+    minus = build_ansatz(params.with_d(d - delta), spec, profile, laplacian_lu)
     dV = (plus.data - minus.data) / (2.0 * delta)
     _, _, ell1, _, ell2, _ = _core_frames(spec, d)
     cut = smoothstep_cutoff(ell1 / cutoff_radius) + smoothstep_cutoff(ell2 / cutoff_radius)

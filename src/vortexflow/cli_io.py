@@ -20,8 +20,8 @@ from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 
-from .ansatz import (ModelParams, Regime, build_ansatz, build_pair,
-                     build_ring, build_ring_phase, error_field, kernel_Zd)
+from .ansatz import (ModelParams, Regime, build_ansatz, error_field,
+                     factor_axisym_laplacian, kernel_Zd)
 from .diagnostics import build_report
 from .fields import ComplexField, GridSpec, ScalarField, Symmetry
 from .profile import solve_profile, profile_integrals
@@ -101,25 +101,6 @@ def write_report(path, sections):
         lines.append("")
     with open(path, "w") as fh:
         fh.write("\n".join(lines))
-
-
-_DEFAULTS = {
-    "regime": "pair_wm",
-    "eps": 0.05,
-    "kappa": 0.0,
-    "d_hat": 1.0,
-    "d_lo": 0.0,
-    "d_hi": 0.0,
-    "h": 0.25,
-    "l": 0.0,           # 0 -> use 2 d per side
-    "ell_max": 30.0,
-    "step": 1e-3,
-    "tol": 1e-10,
-    "newton_max": 50,
-    "newton_tol": 1e-8,
-    "krylov_tol": 1e-10,
-    "points": 6,
-}
 
 
 @dataclass
@@ -213,14 +194,10 @@ def _cmd_profile(cfg, out, args):
 
 def _cmd_build(cfg, out, args):
     params = cfg.params()
-    ring = params.is_ring
     prof = solve_profile(cfg.ell_max, cfg.step, cfg.tol)
     spec = _grid_for(cfg, params.d)
-    if ring:
-        phases = build_ring_phase(params, spec)
-        V = build_ring(params, spec, prof, phases)
-    else:
-        V = build_pair(params, spec, prof)
+    laplacian_lu = factor_axisym_laplacian(spec) if params.is_ring else None
+    V = build_ansatz(params, spec, prof, laplacian_lu)
     sections = [("config", cfg.echo()), ("params", _params_section(params))]
     if args.ansatz_only:
         field_path = out / "ansatz.vsf"
@@ -235,7 +212,8 @@ def _cmd_build(cfg, out, args):
             "vortices": [f"({p[0]:.6g},{p[1]:.6g}):{q:+d}" for p, q in rep.vortices],
         }))
     else:
-        Z = kernel_Zd(params, spec, prof, V)
+        Z = kernel_Zd(params, spec, prof, V, laplacian_lu=laplacian_lu)
+        del laplacian_lu  # free its fill before the bordered factorization
         res = solve_projected(params, V, Z,
                               newton_max=cfg.newton_max,
                               newton_tol=cfg.newton_tol,

@@ -223,26 +223,3 @@ def discrete_norms(f, p, weight=None, region=None):
         raise ValueError("supported exponents: 2, 14, inf")
     cell = spec.h1 * spec.h2
     return float((vals**p).sum() * cell) ** (1.0 / p)
-
-
-def holder_sup(f, order, centers=None, rmax=None):
-    """Sup of |f| and its divided differences up to `order` (<= 2) over
-    the stencil-valid points, optionally restricted to min-distance
-    < rmax from the centers.  Discrete stand-in for Hoelder norms."""
-    spec = f.spec
-    mask = np.ones((spec.n1, spec.n2), dtype=bool)
-    mask[-1, :] = False
-    mask[:, -1] = False
-    if centers is not None and rmax is not None:
-        mask &= region_mask(spec, centers, None, rmax)
-    total = float(np.abs(np.where(mask, f.data, 0.0)).max())
-    if order >= 1:
-        d1, d2, _ = diff_ops(f)
-        for g in (d1, d2):
-            total += float(np.abs(np.where(mask, g.data, 0.0)).max())
-        if order >= 2:
-            for g in (d1, d2):
-                g11, g22, _ = diff_ops(g)
-                total += float(np.abs(np.where(mask, g11.data, 0.0)).max())
-                total += float(np.abs(np.where(mask, g22.data, 0.0)).max())
-    return total

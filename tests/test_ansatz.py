@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from vortexflow.ansatz import (ModelParams, Regime, build_pair, build_ring,
-                               build_ring_phase, kernel_Zd, ring_phase_residual,
-                               smoothstep_cutoff, vortex_geometry)
+                               build_ring_phase, factor_axisym_laplacian, kernel_Zd,
+                               ring_phase_residual, smoothstep_cutoff, vortex_geometry)
 from vortexflow.fields import GridSpec, Symmetry, reflect_full
 from vortexflow.profile import eval_profile
 
@@ -162,6 +162,24 @@ def test_phi_r_decay_bound(profile):
     X1, X2 = spec.mesh()
     r = np.hypot(X1, X2)
     assert np.max(np.abs(phi_r.data) * (1.0 + r)) < 5.0
+
+
+def test_ring_phase_with_supplied_factor_is_bitwise():
+    # one factor serves every separation on its grid, as in kernel_Zd
+    p = ring_params()
+    spec = GridSpec(12.0, 12.0, 0.25, 0.25, Symmetry.RING)
+    lu = factor_axisym_laplacian(spec)
+    for q in (p, p.with_d(1.001 * p.d)):
+        _, own = build_ring_phase(q, spec)
+        _, shared = build_ring_phase(q, spec, lu)
+        assert shared.data.tobytes() == own.data.tobytes()
+
+
+def test_ring_phase_rejects_factor_of_another_grid():
+    spec = GridSpec(12.0, 12.0, 0.25, 0.25, Symmetry.RING)
+    other = GridSpec(12.0, 12.0, 0.5, 0.5, Symmetry.RING)
+    with pytest.raises(ValueError):
+        build_ring_phase(ring_params(), spec, factor_axisym_laplacian(other))
 
 
 def test_ring_requires_ring_regime(profile):

@@ -127,6 +127,25 @@ def test_cli_ring_ansatz(tmp_path):
     assert "ring_wm" in rep and "error_norm_star2" in rep
 
 
+def test_cli_ring_solve_factors_laplacian_once(tmp_path, monkeypatch):
+    from vortexflow import ansatz
+
+    calls = []
+
+    def counted(*args, _splu=ansatz.splu, **kwargs):
+        calls.append(kwargs)
+        return _splu(*args, **kwargs)
+
+    monkeypatch.setattr(ansatz, "splu", counted)
+    reports = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert main(["--out", str(out), "ring", "--eps", "0.05", "--dhat", "0.3"]) == 0
+        reports.append((out / "report.txt").read_bytes())
+    assert len(calls) == 2
+    assert reports[0] == reports[1] and b"c_mult" in reports[0]
+
+
 def test_cli_sweep(tmp_path):
     out = tmp_path / "sweep"
     code = main(["--out", str(out), "sweep", "--eps-list", "0.1"])

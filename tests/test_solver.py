@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from vortexflow.ansatz import ModelParams, Regime, build_pair, kernel_Zd
+from vortexflow import ansatz, solver
+from vortexflow.ansatz import ModelParams, Regime, build_ansatz, build_pair, kernel_Zd
 from vortexflow.fields import ComplexField, GridSpec, Symmetry, symmetrize_complex
 from vortexflow.profile import eval_profile
-from vortexflow.solver import (apply_S, assemble_jacobian, extract_multiplier,
-                               linearize_apply, solve_projected)
+from vortexflow.solver import (_bordered_lu, apply_S, assemble_jacobian,
+                               extract_multiplier, linearize_apply,
+                               solve_at_separation, solve_projected)
 
 
 def pair_params(eps=0.1, kappa=0.0, d_hat=1.0, sch=False):
@@ -136,8 +138,6 @@ def test_assembled_jacobian_matches_directional(profile):
 def test_assembled_jacobian_matches_directional_ring(profile):
     p = ModelParams(Regime.RING_SCH, 0.05, 0.25, 0.3)
     spec = GridSpec(12.0, 12.0, 0.25, 0.25, Symmetry.RING)
-    from vortexflow.ansatz import build_ansatz
-
     V = build_ansatz(p, spec, profile)
     rng = np.random.default_rng(13)
     vdat = rng.standard_normal(V.data.shape) + 1j * rng.standard_normal(V.data.shape)
@@ -192,3 +192,45 @@ def test_solve_projected_small_pair(profile):
     assert abs(c_hat - res.c_mult) <= 1e-8
     # corrector is small
     assert res.corrector_norm_star < 0.5
+
+
+def test_newton_tol_above_acceptance_floor_is_honoured(profile):
+    # stops at its own tolerance, above the 1e-8 floor, and is accepted
+    res = solve_at_separation(pair_params(eps=0.1), 10.0, profile, h=0.5,
+                              newton_tol=1e-4)
+    assert res.converged and 1e-8 < res.final_residual <= 1e-4
+
+
+def test_ring_solve_factors_each_system_once(profile, monkeypatch):
+    calls = []
+    for mod in (ansatz, solver):
+        def counted(*args, _splu=mod.splu, _name=mod.__name__, **kwargs):
+            calls.append((_name, kwargs.get("permc_spec")))
+            return _splu(*args, **kwargs)
+        monkeypatch.setattr(mod, "splu", counted)
+    p = ModelParams(Regime.RING_SCH, 0.05, 0.0, 0.3)
+    res = solve_at_separation(p, p.d, profile, h=0.25)
+    assert res.converged
+    assert calls == [("vortexflow.ansatz", "MMD_AT_PLUS_A"),
+                     ("vortexflow.solver", "MMD_AT_PLUS_A")]
+
+
+@pytest.mark.parametrize("ring", [False, True])
+def test_bordered_lu_solves_bordered_system(profile, ring):
+    if ring:
+        p = ModelParams(Regime.RING_SCH, 0.05, 0.0, 0.3)
+        spec = GridSpec(12.0, 12.0, 0.25, 0.25, Symmetry.RING)
+    else:
+        p = pair_params(eps=0.1)
+        spec = GridSpec(20.0, 20.0, 0.25, 0.25, Symmetry.PAIR)
+    V = build_ansatz(p, spec, profile)
+    Z = kernel_Zd(p, spec, profile, V)
+    P, dm = assemble_jacobian(V, p.tag, p)
+    W = 1.0 / (1.0 + np.abs(V.data) ** 2) ** 2
+    z_col = dm.pack(Z.data)
+    grad_con = dm.pack(W * Z.data * spec.h1 * spec.h2)
+    lu = _bordered_lu(P, dm, z_col, grad_con)
+    b = np.random.default_rng(17).standard_normal(dm.n + 1)
+    x = lu.solve(b)
+    Bx = np.concatenate([P @ x[:-1] - x[-1] * z_col, [grad_con @ x[:-1]]])
+    assert np.linalg.norm(Bx - b) <= 1e-12 * np.linalg.norm(b)

@@ -12,8 +12,8 @@ from .profile import (VortexProfile, eval_profile, ode_residual,
                       profile_integrals, solve_profile)
 from .reconstruct import SpacetimeSample, pde_residual, spacetime_field, unscale
 from .reduction import ReducedCurve, leading_c, numeric_c_curve, predict_d
-from .solver import (SolveResult, apply_S, linearize_apply, solve_at_separation,
-                     solve_balanced, solve_projected)
+from .solver import (SolveResult, apply_S, build_case, linearize_apply,
+                     solve_at_separation, solve_balanced, solve_projected)
 from .stereo import SpherePoint, nonlinearity_F, project, unproject
 
 __all__ = [name for name in dir() if not name.startswith("_")]

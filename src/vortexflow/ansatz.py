@@ -315,21 +315,18 @@ def build_ansatz(params: ModelParams, spec: GridSpec, profile: VortexProfile,
 
 
 def kernel_Zd(params: ModelParams, spec: GridSpec, profile: VortexProfile,
-              V_d: ComplexField = None, cutoff_radius=None,
-              delta_rel=1e-3, laplacian_lu=None) -> ComplexField:
+              cutoff_radius=None, laplacian_lu=None) -> ComplexField:
     """Co-kernel Z_d = dV_d/dd * [eta(ell1/R) + eta(ell2/R)].
 
-    The d-derivative is a central difference with step delta_rel * d,
+    The d-derivative is a central difference with step 1e-3 d,
     rebuilding the full ansatz (ring phases included) at d +- delta;
     both rebuilds share `laplacian_lu` (see `build_ring_phase`).
     R defaults to 6 core widths, capped at 0.4 d so the cutoff stays
     inside the inter-vortex distance at small separations."""
-    if V_d is not None and V_d.spec is not spec and V_d.spec != spec:
-        raise ValueError("V_d grid does not match spec")
     d = params.d
     if cutoff_radius is None:
         cutoff_radius = min(DEFAULT_CUTOFF_RADIUS, 0.4 * d)
-    delta = delta_rel * d
+    delta = 1e-3 * d
     plus = build_ansatz(params.with_d(d + delta), spec, profile, laplacian_lu)
     minus = build_ansatz(params.with_d(d - delta), spec, profile, laplacian_lu)
     dV = (plus.data - minus.data) / (2.0 * delta)

@@ -9,25 +9,26 @@ Config files are flat `key = value` lines with `#` comments; unknown
 keys are rejected.  Reports are deterministic `key: value` lines under
 `[section]` headers, floats rendered with 17 significant digits.
 
-Exit codes: 0 success, 2 invalid config, 3 solver failure, 4 I/O failure.
+Exit codes: 0 success; 2 invalid config (unreadable file, unknown key,
+out-of-range value); 3 solver failure; 4 I/O failure (including a
+malformed field file).
 """
 
 import argparse
-import math
 import struct
 import sys
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields, replace
+from pathlib import Path
 
 import numpy as np
 
-from .ansatz import (ModelParams, Regime, build_ansatz, error_field,
-                     factor_axisym_laplacian, kernel_Zd)
+from .ansatz import ModelParams, Regime, build_ansatz, error_field
 from .diagnostics import build_report
 from .fields import ComplexField, GridSpec, ScalarField, Symmetry
 from .profile import solve_profile, profile_integrals
 from .reconstruct import pde_residual, sample_block, unscale
 from .reduction import curve_to_csv, numeric_c_curve, predict_d
-from .solver import (BracketError, NonConvergenceError, solve_at_separation,
+from .solver import (BracketError, NonConvergenceError, _domain_for, build_case,
                      solve_projected)
 
 MAGIC = b"VSF1"
@@ -73,13 +74,16 @@ def load_field(path):
     if len(blob) != expected:
         raise FieldFormatError(
             f"payload size {len(blob)} does not match header ({expected})")
-    spec = GridSpec(l1, l2, h1, h2, Symmetry(sym))
     raw = blob[4 + _HEADER.size:]
-    if kind == 1:
-        data = np.frombuffer(raw, dtype="<c16").reshape(n1, n2).copy()
-        return ComplexField(spec, data)
-    data = np.frombuffer(raw, dtype="<f8").reshape(n1, n2).copy()
-    return ScalarField(spec, data)
+    try:
+        spec = GridSpec(l1, l2, h1, h2, Symmetry(sym))
+        if kind == 1:
+            data = np.frombuffer(raw, dtype="<c16").reshape(n1, n2).copy()
+            return ComplexField(spec, data)
+        data = np.frombuffer(raw, dtype="<f8").reshape(n1, n2).copy()
+        return ScalarField(spec, data)
+    except ValueError as exc:
+        raise FieldFormatError(str(exc)) from None
 
 
 def _fmt(v):
@@ -124,23 +128,24 @@ class RunConfig:
     @classmethod
     def from_file(cls, path):
         cfg = cls()
-        names = {f.name: f.type for f in dc_fields(cls)}
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"line {lineno}: expected key = value")
-                key, val = (part.strip() for part in line.split("=", 1))
-                if key not in names:
-                    raise ConfigError(f"line {lineno}: unknown key {key!r}")
-                cast = int if key in ("newton_max", "points") else (
-                    str if key == "regime" else float)
-                try:
-                    setattr(cfg, key, cast(val))
-                except ValueError as exc:
-                    raise ConfigError(f"line {lineno}: {exc}") from None
+        types = {f.name: f.type for f in dc_fields(cls)}
+        try:
+            lines = Path(path).read_text().split("\n")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read {path}: {exc}") from None
+        for lineno, raw in enumerate(lines, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"line {lineno}: expected key = value")
+            key, val = (part.strip() for part in line.split("=", 1))
+            if key not in types:
+                raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            try:
+                setattr(cfg, key, types[key](val))
+            except ValueError as exc:
+                raise ConfigError(f"line {lineno}: {exc}") from None
         return cfg
 
     def params(self) -> ModelParams:
@@ -165,22 +170,46 @@ def _params_section(p: ModelParams):
     }
 
 
-def _grid_for(cfg, d):
-    side = cfg.l if cfg.l > 0 else math.ceil(2.0 * d / cfg.h - 1e-9) * cfg.h
-    sym = Symmetry.RING if cfg.regime.startswith("ring") else Symmetry.PAIR
-    return GridSpec(side, side, cfg.h, cfg.h, sym)
+def _grid(cfg, params):
+    """Square quarter grid of spacing h: side l when set, else the
+    solver's default domain for the separation of `params`."""
+    side = cfg.l if cfg.l > 0 else _domain_for(params.d, cfg.h)
+    try:
+        return GridSpec(side, side, cfg.h, cfg.h, params.symmetry)
+    except ValueError as exc:
+        raise ConfigError(f"grid (h = {cfg.h}, l = {cfg.l}): {exc}") from None
+
+
+def _profile(cfg):
+    try:
+        return solve_profile(cfg.ell_max, cfg.step, cfg.tol)
+    except ValueError as exc:
+        raise ConfigError(f"profile: {exc}") from None
+    except RuntimeError as exc:
+        raise NonConvergenceError(f"profile: {exc}") from None
+
+
+def _solve_opts(cfg):
+    return {"newton_max": cfg.newton_max, "newton_tol": cfg.newton_tol,
+            "krylov_tol": cfg.krylov_tol}
+
+
+def _report_entries(rep):
+    return {
+        "energy": rep.energy, "charge": rep.charge,
+        "bogomolny_margin": rep.bogomolny_margin,
+        "vortices": [f"({p[0]:.6g},{p[1]:.6g}):{q:+d}" for p, q in rep.vortices],
+    }
 
 
 def _cmd_profile(cfg, out, args):
-    prof = solve_profile(cfg.ell_max, cfg.step, cfg.tol)
+    prof = _profile(cfg)
     I1, I2 = profile_integrals(prof)
-    csv = out / "profile.csv"
-    with open(csv, "w") as fh:
+    with open(out / "profile.csv", "w") as fh:
         fh.write("ell,rho,drho\n")
         for e, r, dr in zip(prof.knots, prof.rho, prof.drho):
             fh.write(f"{e:.17g},{r:.17g},{dr:.17g}\n")
-        fh.write(f"# I1 = {I1:.17g}\n")
-        fh.write(f"# I2 = {I2:.17g}\n")
+        fh.write(f"# I1 = {I1:.17g}\n# I2 = {I2:.17g}\n")
     write_report(out / "report.txt", [
         ("config", cfg.echo()),
         ("profile", {
@@ -194,42 +223,29 @@ def _cmd_profile(cfg, out, args):
 
 def _cmd_build(cfg, out, args):
     params = cfg.params()
-    prof = solve_profile(cfg.ell_max, cfg.step, cfg.tol)
-    spec = _grid_for(cfg, params.d)
-    laplacian_lu = factor_axisym_laplacian(spec) if params.is_ring else None
-    V = build_ansatz(params, spec, prof, laplacian_lu)
+    spec = _grid(cfg, params)
+    prof = _profile(cfg)
     sections = [("config", cfg.echo()), ("params", _params_section(params))]
     if args.ansatz_only:
+        V = build_ansatz(params, spec, prof)
         field_path = out / "ansatz.vsf"
         save_field(V, field_path)
         _, err_norm = error_field(V, params.tag, params)
-        rep = build_report(V)
         sections.append(("ansatz", {
-            "field": field_path.name,
-            "error_norm_star2": err_norm,
-            "energy": rep.energy, "charge": rep.charge,
-            "bogomolny_margin": rep.bogomolny_margin,
-            "vortices": [f"({p[0]:.6g},{p[1]:.6g}):{q:+d}" for p, q in rep.vortices],
+            "field": field_path.name, "error_norm_star2": err_norm,
+            **_report_entries(build_report(V)),
         }))
     else:
-        Z = kernel_Zd(params, spec, prof, V, laplacian_lu=laplacian_lu)
-        del laplacian_lu  # free its fill before the bordered factorization
-        res = solve_projected(params, V, Z,
-                              newton_max=cfg.newton_max,
-                              newton_tol=cfg.newton_tol,
-                              krylov_tol=cfg.krylov_tol)
+        res = solve_projected(params, *build_case(params, spec, prof), **_solve_opts(cfg))
         field_path = out / "solution.vsf"
         save_field(res.u, field_path)
-        rep = build_report(res.u, params, V)
         sections.append(("solve", {
             "field": field_path.name,
             "c_mult": res.c_mult, "newton_iters": res.newton_iters,
             "final_residual": res.final_residual,
             "corrector_norm_star": res.corrector_norm_star,
             "d_used": res.d_used,
-            "energy": rep.energy, "charge": rep.charge,
-            "bogomolny_margin": rep.bogomolny_margin,
-            "vortices": [f"({p[0]:.6g},{p[1]:.6g}):{q:+d}" for p, q in rep.vortices],
+            **_report_entries(build_report(res.u)),
         }))
     write_report(out / "report.txt", sections)
     return 0
@@ -237,14 +253,16 @@ def _cmd_build(cfg, out, args):
 
 def _cmd_reduce(cfg, out, args):
     params = cfg.params()
-    prof = solve_profile(cfg.ell_max, cfg.step, cfg.tol)
+    if cfg.points < 2:
+        raise ConfigError("points must be at least 2 to bracket a root")
     d_ref = predict_d(params)
     d_lo = cfg.d_lo if cfg.d_lo > 0 else d_ref / 2
     d_hi = cfg.d_hi if cfg.d_hi > 0 else 2 * d_ref
     d_list = np.geomspace(d_lo, d_hi, cfg.points)
-    curve = numeric_c_curve(params, d_list, prof, h=cfg.h,
-                            newton_tol=cfg.newton_tol,
-                            krylov_tol=cfg.krylov_tol)
+    # samples solve on the default domain of their d; the smallest is coarsest
+    _grid(replace(cfg, l=0.0), params.with_d(min(d_list)))
+    prof = _profile(cfg)
+    curve = numeric_c_curve(params, d_list, prof, h=cfg.h, **_solve_opts(cfg))
     curve_to_csv(curve, out / "curve.csv")
     try:
         d_star = curve.empirical_root()
@@ -269,15 +287,9 @@ def _cmd_verify(cfg, out, args):
     f = load_field(args.field)
     if not isinstance(f, ComplexField):
         raise FieldFormatError("verify expects a complex field")
-    rep = build_report(f)
     write_report(out / "report.txt", [
         ("config", cfg.echo()),
-        ("verify", {
-            "field": args.field,
-            "energy": rep.energy, "charge": rep.charge,
-            "bogomolny_margin": rep.bogomolny_margin,
-            "vortices": [f"({p[0]:.6g},{p[1]:.6g}):{q:+d}" for p, q in rep.vortices],
-        }),
+        ("verify", {"field": args.field, **_report_entries(build_report(f))}),
     ])
     return 0
 
@@ -302,23 +314,11 @@ def _cmd_reconstruct(cfg, out, args):
                 np.linspace(-2, 2, 9)]
     m = sample_block(U, params, t_axis, tau_axis, axes)
     with open(out / "samples.csv", "w") as fh:
-        cols = "t,tau," + ("s1,s2,s3" if ring else "s1,s2") + ",m1,m2,m3\n"
-        fh.write(cols)
+        fh.write("t,tau," + "".join(f"s{k + 1}," for k in range(len(axes))) + "m1,m2,m3\n")
         for jt, tau in enumerate(tau_axis):
-            it = 0
-            if ring:
-                for i, a in enumerate(axes[0]):
-                    for j, b in enumerate(axes[1]):
-                        for k, c in enumerate(axes[2]):
-                            mm = m[it, jt, i, j, k]
-                            fh.write(f"0,{tau:.17g},{a:.17g},{b:.17g},{c:.17g},"
-                                     f"{mm[0]:.17g},{mm[1]:.17g},{mm[2]:.17g}\n")
-            else:
-                for i, a in enumerate(axes[0]):
-                    for j, b in enumerate(axes[1]):
-                        mm = m[it, jt, i, j]
-                        fh.write(f"0,{tau:.17g},{a:.17g},{b:.17g},"
-                                 f"{mm[0]:.17g},{mm[1]:.17g},{mm[2]:.17g}\n")
+            for idx in np.ndindex(*(a.size for a in axes)):
+                row = [tau, *(a[i] for a, i in zip(axes, idx)), *m[(0, jt) + idx]]
+                fh.write("0," + ",".join(f"{v:.17g}" for v in row) + "\n")
     write_report(out / "report.txt", [
         ("config", cfg.echo()),
         ("params", _params_section(params)),
@@ -331,26 +331,24 @@ def _cmd_reconstruct(cfg, out, args):
 
 def _cmd_sweep(cfg, out, args):
     eps_list = [float(x) for x in args.eps_list.split(",")]
-    prof = solve_profile(cfg.ell_max, cfg.step, cfg.tol)
+    prof = _profile(cfg)
     rows = []
     for eps in eps_list:
-        c2 = RunConfig(**{**cfg.echo(), "eps": eps})
-        params = c2.params()
-        spec = _grid_for(c2, params.d)
-        V = build_ansatz(params, spec, prof)
+        params = replace(cfg, eps=eps).params()
+        spec = _grid(cfg, params)
+        if args.solve:
+            V, Z = build_case(params, spec, prof)
+        else:
+            V = build_ansatz(params, spec, prof)
         _, err = error_field(V, params.tag, params)
         row = {"eps": eps, "d": params.d, "error_norm_star2": err}
         if args.solve:
-            res = solve_at_separation(params, params.d, prof, h=c2.h,
-                                      newton_tol=c2.newton_tol,
-                                      krylov_tol=c2.krylov_tol)
+            res = solve_projected(params, V, Z, **_solve_opts(cfg))
             row.update(corrector_norm_star=res.corrector_norm_star,
                        c_mult=res.c_mult, newton_iters=res.newton_iters)
         rows.append(row)
-    sections = [("config", cfg.echo())]
-    for k, row in enumerate(rows):
-        sections.append((f"sweep_{k}", row))
-    write_report(out / "report.txt", sections)
+    write_report(out / "report.txt", [("config", cfg.echo())]
+                 + [(f"sweep_{k}", row) for k, row in enumerate(rows)])
     return 0
 
 
@@ -391,44 +389,40 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
-    from pathlib import Path
+def _config(args):
+    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
+    if args.command in ("pair", "ring"):
+        if not cfg.regime.startswith(args.command):
+            cfg.regime = f"{args.command}_wm"
+        if args.eps is not None:
+            cfg.eps = args.eps
+        if args.kappa is not None:
+            cfg.kappa = args.kappa
+            if cfg.kappa > 0 and cfg.regime.endswith("wm"):
+                cfg.regime = cfg.regime.replace("wm", "sch")
+        if args.dhat is not None:
+            cfg.d_hat = args.dhat
+    if args.command in ("pair", "ring", "reduce", "reconstruct"):
+        cfg.params()
+    return cfg
 
+
+def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-        if args.command in ("pair", "ring"):
-            cfg.regime = {"pair": cfg.regime if cfg.regime.startswith("pair") else "pair_wm",
-                          "ring": cfg.regime if cfg.regime.startswith("ring") else "ring_wm"}[args.command]
-            if getattr(args, "eps", None) is not None:
-                cfg.eps = args.eps
-            if getattr(args, "kappa", None) is not None:
-                cfg.kappa = args.kappa
-                if cfg.kappa > 0 and cfg.regime.endswith("wm"):
-                    cfg.regime = cfg.regime.replace("wm", "sch")
-            if getattr(args, "dhat", None) is not None:
-                cfg.d_hat = args.dhat
-        cfg.params() if args.command in ("pair", "ring", "reduce", "reconstruct") else None
-    except (ConfigError, ValueError, OSError) as exc:
+        cfg = _config(args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        return _COMMANDS[args.command](cfg, out, args)
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 4
-    try:
-        return _COMMANDS[args.command](cfg, out, args)
     except (NonConvergenceError, BracketError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
     except (FieldFormatError, OSError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

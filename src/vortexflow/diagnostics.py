@@ -32,7 +32,6 @@ class DiagnosticsReport:
     vortices: list
     bogomolny_margin: float
     weighted_norms: dict = field(default_factory=dict)
-    residuals: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if abs(self.charge - round(self.charge)) > 0.05:
@@ -228,8 +227,8 @@ def corrector_norms(u: ComplexField, V: ComplexField, params: ModelParams):
     }
 
 
-def build_report(u: ComplexField, params: ModelParams = None, V: ComplexField = None,
-                 residuals=None) -> DiagnosticsReport:
+def build_report(u: ComplexField, params: ModelParams = None,
+                 V: ComplexField = None) -> DiagnosticsReport:
     """Assemble the standard report: energy/charge of the reflected
     plane, vortex inventory, Bogomolny margin, corrector norms."""
     _, _, m = full_plane_m(u)
@@ -241,5 +240,5 @@ def build_report(u: ComplexField, params: ModelParams = None, V: ComplexField = 
     return DiagnosticsReport(
         energy=E, charge=Q, vortices=vortices,
         bogomolny_margin=E - EIGHT_PI * abs(Q),
-        weighted_norms=norms, residuals=dict(residuals or {}),
+        weighted_norms=norms,
     )

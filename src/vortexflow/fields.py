@@ -37,8 +37,11 @@ class GridSpec:
     def __post_init__(self):
         if not (0.0 < self.h1 <= 0.5 and 0.0 < self.h2 <= 0.5):
             raise ValueError("spacings must lie in (0, 0.5]")
-        n1 = int(round(self.l1 / self.h1))
-        n2 = int(round(self.l2 / self.h2))
+        r1, r2 = self.l1 / self.h1, self.l2 / self.h2
+        if not (np.isfinite(r1) and np.isfinite(r2)):
+            raise ValueError("extents must be finite multiples of the spacings")
+        n1 = int(round(r1))
+        n2 = int(round(r2))
         if abs(n1 * self.h1 - self.l1) > 1e-9 or abs(n2 * self.h2 - self.l2) > 1e-9:
             raise ValueError("extents must be integer multiples of the spacings")
         if n1 < 4 or n2 < 4:

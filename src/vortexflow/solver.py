@@ -21,10 +21,10 @@ frozen at the ansatz.
 
 Every sparse system is factored once, with SuperLU's MMD_AT_PLUS_A
 ordering (minimum degree on A + A^T), which leaves about half the fill
-of the default COLAMD ordering on these 5-point stencils.  A ring solve
-factors the d-independent phase Laplacian once per grid for the ansatz
-and both co-kernel rebuilds, and releases it before the bordered
-factorization.
+of the default COLAMD ordering on these 5-point stencils.  `build_case`
+is the one construction of (V_d, Z_d): a ring factors its
+d-independent phase Laplacian there once for the ansatz and both
+co-kernel rebuilds, and releases it before the bordered factorization.
 """
 
 import math
@@ -284,12 +284,11 @@ def extract_multiplier(u: ComplexField, V: ComplexField, Z: ComplexField,
 
 
 def solve_projected(params: ModelParams, V_d: ComplexField, Z_d: ComplexField,
-                    tag: str = None, newton_max=50, newton_tol=1e-8,
-                    krylov_tol=1e-10) -> SolveResult:
+                    newton_max=50, newton_tol=1e-8, krylov_tol=1e-10) -> SolveResult:
     """Damped Newton on the bordered system (u, c) from the ansatz guess."""
     from .diagnostics import corrector_norms
 
-    tag = tag or params.tag
+    tag = params.tag
     spec = V_d.spec
     _check_tag(V_d, tag, params)
     dm = _DofMap(spec)
@@ -378,17 +377,22 @@ def _domain_for(d, h):
     return math.ceil(2.0 * d / h - 1e-9) * h
 
 
+def build_case(params: ModelParams, spec: GridSpec, profile: VortexProfile):
+    """Ansatz V_d and co-kernel Z_d of `params` on `spec`.  A ring factors
+    its phase Laplacian once for the ansatz and both co-kernel rebuilds
+    and drops it on return, before any bordered factorization."""
+    laplacian_lu = factor_axisym_laplacian(spec) if params.is_ring else None
+    V = build_ansatz(params, spec, profile, laplacian_lu)
+    return V, kernel_Zd(params, spec, profile, laplacian_lu=laplacian_lu)
+
+
 def solve_at_separation(params: ModelParams, d: float, profile: VortexProfile,
                         h=0.25, **opts) -> SolveResult:
     """Grid (L = 2d per side), ansatz and co-kernel at separation d, then
     the projected solve."""
     p = params.with_d(d)
     L = _domain_for(d, h)
-    spec = GridSpec(L, L, h, h, p.symmetry)
-    laplacian_lu = factor_axisym_laplacian(spec) if p.is_ring else None
-    V = build_ansatz(p, spec, profile, laplacian_lu)
-    Z = kernel_Zd(p, spec, profile, V, laplacian_lu=laplacian_lu)
-    del laplacian_lu  # free its fill before the bordered factorization
+    V, Z = build_case(p, GridSpec(L, L, h, h, p.symmetry), profile)
     return solve_projected(p, V, Z, **opts)
 
 

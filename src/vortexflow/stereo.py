@@ -30,9 +30,6 @@ class SpherePoint:
         if abs(r2 - 1.0) > UNIT_TOL:
             raise ValueError(f"point not on the unit sphere: |m|^2 - 1 = {r2 - 1.0:.3e}")
 
-    def as_array(self):
-        return np.array([self.m1, self.m2, self.m3])
-
 
 def project(m: SpherePoint) -> complex:
     """Stereographic chart psi = (m1 + i m2)/(1 + m3).

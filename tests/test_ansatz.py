@@ -234,7 +234,7 @@ def test_kernel_support_and_parity(profile):
     spec = GridSpec(20.0, 20.0, 0.25, 0.25, Symmetry.PAIR)
     V = build_pair(p, spec, profile)
     R = 4.0
-    Z = kernel_Zd(p, spec, profile, V, cutoff_radius=R)
+    Z = kernel_Zd(p, spec, profile, cutoff_radius=R)
     X1, X2 = spec.mesh()
     ell1 = np.hypot(X1 - p.d, X2)
     ell2 = np.hypot(X1 + p.d, X2)
@@ -248,7 +248,7 @@ def test_kernel_near_core_approximation(profile):
     p = pair_params(eps=0.05, d_hat=1.0)  # d = 20
     spec = GridSpec(40.0, 40.0, 0.25, 0.25, Symmetry.PAIR)
     V = build_pair(p, spec, profile)
-    Z = kernel_Zd(p, spec, profile, V)
+    Z = kernel_Zd(p, spec, profile)
     X1, X2 = spec.mesh()
     ell1 = np.hypot(X1 - p.d, X2)
     th1 = np.arctan2(X2, X1 - p.d)

@@ -5,7 +5,7 @@ from vortexflow import ansatz, solver
 from vortexflow.ansatz import ModelParams, Regime, build_ansatz, build_pair, kernel_Zd
 from vortexflow.fields import ComplexField, GridSpec, Symmetry, symmetrize_complex
 from vortexflow.profile import eval_profile
-from vortexflow.solver import (_bordered_lu, apply_S, assemble_jacobian,
+from vortexflow.solver import (_bordered_lu, apply_S, assemble_jacobian, build_case,
                                extract_multiplier, linearize_apply,
                                solve_at_separation, solve_projected)
 
@@ -178,7 +178,7 @@ def test_solve_projected_small_pair(profile):
     p = pair_params(eps=0.1)
     spec = GridSpec(20.0, 20.0, 0.25, 0.25, Symmetry.PAIR)
     V = build_pair(p, spec, profile)
-    Z = kernel_Zd(p, spec, profile, V)
+    Z = kernel_Zd(p, spec, profile)
     res = solve_projected(p, V, Z, newton_tol=1e-11)
     assert res.converged and res.final_residual <= 1e-8
     assert res.newton_iters <= 15
@@ -215,6 +215,24 @@ def test_ring_solve_factors_each_system_once(profile, monkeypatch):
                      ("vortexflow.solver", "MMD_AT_PLUS_A")]
 
 
+def test_build_case_shares_one_factor_bitwise(profile, monkeypatch):
+    p = ModelParams(Regime.RING_SCH, 0.05, 0.0, 0.3)
+    spec = GridSpec(12.0, 12.0, 0.25, 0.25, Symmetry.RING)
+    V_ref = build_ansatz(p, spec, profile)
+    Z_ref = kernel_Zd(p, spec, profile)
+    calls = []
+
+    def counted(*args, _splu=ansatz.splu, **kwargs):
+        calls.append(kwargs)
+        return _splu(*args, **kwargs)
+
+    monkeypatch.setattr(ansatz, "splu", counted)
+    V, Z = build_case(p, spec, profile)
+    assert len(calls) == 1
+    assert V.data.tobytes() == V_ref.data.tobytes()
+    assert Z.data.tobytes() == Z_ref.data.tobytes()
+
+
 @pytest.mark.parametrize("ring", [False, True])
 def test_bordered_lu_solves_bordered_system(profile, ring):
     if ring:
@@ -224,7 +242,7 @@ def test_bordered_lu_solves_bordered_system(profile, ring):
         p = pair_params(eps=0.1)
         spec = GridSpec(20.0, 20.0, 0.25, 0.25, Symmetry.PAIR)
     V = build_ansatz(p, spec, profile)
-    Z = kernel_Zd(p, spec, profile, V)
+    Z = kernel_Zd(p, spec, profile)
     P, dm = assemble_jacobian(V, p.tag, p)
     W = 1.0 / (1.0 + np.abs(V.data) ** 2) ** 2
     z_col = dm.pack(Z.data)

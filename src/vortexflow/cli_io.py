@@ -255,7 +255,10 @@ def _cmd_reduce(cfg, out, args):
     params = cfg.params()
     if cfg.points < 2:
         raise ConfigError("points must be at least 2 to bracket a root")
-    d_ref = predict_d(params)
+    try:
+        d_ref = predict_d(params)
+    except ValueError as exc:
+        raise ConfigError(f"predict_d: {exc}") from None
     d_lo = cfg.d_lo if cfg.d_lo > 0 else d_ref / 2
     d_hi = cfg.d_hi if cfg.d_hi > 0 else 2 * d_ref
     d_list = np.geomspace(d_lo, d_hi, cfg.points)
@@ -299,11 +302,12 @@ def _cmd_reconstruct(cfg, out, args):
     f = load_field(args.field)
     if not isinstance(f, ComplexField):
         raise FieldFormatError("reconstruct expects a complex field")
+    if not args.ds >= 0:
+        raise ConfigError(f"--ds must be >= 0 (0 means h/2), got {args.ds}")
     U = unscale(f, params, mode="spline")
     ds = args.ds if args.ds else cfg.h / 2
     ring = params.is_ring
     center = (params.d, 0.0, 0.0) if ring else (params.d, 0.0)
-    norms = pde_residual(params, U, center, ds)
     t_axis = [0.0]
     tau_axis = [0.0, 0.5, 1.0]
     if ring:
@@ -312,7 +316,11 @@ def _cmd_reconstruct(cfg, out, args):
     else:
         axes = [np.linspace(params.d - 2, params.d + 2, 9),
                 np.linspace(-2, 2, 9)]
-    m = sample_block(U, params, t_axis, tau_axis, axes)
+    try:
+        norms = pde_residual(params, U, center, ds)
+        m = sample_block(U, params, t_axis, tau_axis, axes)
+    except ValueError as exc:
+        raise ConfigError(f"reconstruct (d = {params.d}, ds = {ds}): {exc}") from None
     with open(out / "samples.csv", "w") as fh:
         fh.write("t,tau," + "".join(f"s{k + 1}," for k in range(len(axes))) + "m1,m2,m3\n")
         for jt, tau in enumerate(tau_axis):
@@ -330,7 +338,11 @@ def _cmd_reconstruct(cfg, out, args):
 
 
 def _cmd_sweep(cfg, out, args):
-    eps_list = [float(x) for x in args.eps_list.split(",")]
+    try:
+        eps_list = [float(x) for x in args.eps_list.split(",")]
+    except ValueError:
+        raise ConfigError(f"--eps-list must be comma-separated numbers, "
+                          f"got {args.eps_list!r}") from None
     prof = _profile(cfg)
     rows = []
     for eps in eps_list:

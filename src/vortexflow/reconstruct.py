@@ -12,6 +12,9 @@ r = sqrt(s_1^2 + s_2^2).  pde_residual checks the wave-map equation
 box m + |Dm|^2 m = 0 or the Schrodinger flow
 d_t m = (box m + |Dm|^2 m) x m by central differences on sampled
 blocks (box m = m_tautau - sum_j m_jj, |Dm|^2 = |m_tau|^2 - sum |m_j|^2).
+Blocks are evaluated on tensor grids: each (t, tau) slice is one
+evaluation of U on the product of its distinct a (s_1 or r) and
+traveling-coordinate values, and each stencil runs on the interior only.
 The cross-product orientation is pinned by the operator convention of
 the planar solve (the S2/S4 drift term): a field with S2[u] = 0
 assembled as U(.., s_N - c tau - omega t) e^{i tau} satisfies exactly
@@ -64,18 +67,32 @@ class UnscaledField:
         elif mode != "bilinear":
             raise ValueError("mode must be 'bilinear' or 'spline'")
 
-    def __call__(self, a, b):
-        """Evaluate at s~ = (a, b); b is the traveling coordinate."""
+    def _stretched(self, a, b):
+        """(a, b / sqrt(1-c^2)), checked against the spline's domain (the
+        bilinear mode's reflect_full checks its own)."""
         a = np.asarray(a, dtype=float)
         bh = np.asarray(b, dtype=float) * self.stretch
+        if self.mode == "spline":
+            lo1, hi1, lo2, hi2 = self._lim
+            if np.any(a < lo1) or np.any(a > hi1) or np.any(bh < lo2) or np.any(bh > hi2):
+                raise ValueError("query outside the covered domain")
+        return a, bh
+
+    def __call__(self, a, b):
+        """Evaluate at s~ = (a, b); b is the traveling coordinate."""
+        a, bh = self._stretched(a, b)
         if self.mode == "bilinear":
             return reflect_full(self.u, a, bh)
-        lo1, hi1, lo2, hi2 = self._lim
-        if np.any(a < lo1) or np.any(a > hi1) or np.any(bh < lo2) or np.any(bh > hi2):
-            raise ValueError("query outside the covered domain")
-        re = self._sre(a, bh, grid=False)
-        im = self._sim(a, bh, grid=False)
-        return re + 1j * im
+        return self._sre(a, bh, grid=False) + 1j * self._sim(a, bh, grid=False)
+
+    def on_grid(self, a_axis, b_axis):
+        """U on the tensor product of two increasing axes, shape
+        (len(a_axis), len(b_axis)): the spline computes each axis's
+        B-spline basis once instead of once per point."""
+        a, bh = self._stretched(a_axis, b_axis)
+        if self.mode == "bilinear":
+            return reflect_full(self.u, *np.meshgrid(a, bh, indexing="ij"))
+        return self._sre(a, bh) + 1j * self._sim(a, bh)
 
 
 def unscale(u: ComplexField, params: ModelParams, mode="bilinear") -> UnscaledField:
@@ -102,53 +119,37 @@ def spacetime_field(U: UnscaledField, params: ModelParams, t, tau, s) -> Spaceti
 def sample_block(U: UnscaledField, params: ModelParams, t_axis, tau_axis, s_axes):
     """Sphere-valued samples on the tensor block t x tau x space.
 
+    Each (t, tau) slice is one tensor-grid evaluation of U over the
+    distinct values of a (s1 for a pair, the radius hypot(s1, s2) for a
+    ring) and of the traveling coordinate, gathered back onto the block.
+
     Returns m with shape (nt, ntau, *spatial, 3)."""
     t_axis = np.atleast_1d(np.asarray(t_axis, dtype=float))
     tau_axis = np.atleast_1d(np.asarray(tau_axis, dtype=float))
-    ring = len(s_axes) == 3
-    if ring:
-        S1, S2, S3 = [np.asarray(a, dtype=float) for a in s_axes]
-        R = np.hypot(S1[:, None], S2[None, :])
-        spatial_shape = (S1.size, S2.size, S3.size)
+    s_axes = [np.asarray(ax, dtype=float) for ax in s_axes]
+    spatial_shape = tuple(ax.size for ax in s_axes)
+    if len(s_axes) == 3:
+        a = np.hypot(s_axes[0][:, None], s_axes[1][None, :]).ravel()
     else:
-        S1, S2 = [np.asarray(a, dtype=float) for a in s_axes]
-        spatial_shape = (S1.size, S2.size)
+        a = s_axes[0]
+    a_axis, a_inv = np.unique(a, return_inverse=True)
     psi = np.empty((t_axis.size, tau_axis.size) + spatial_shape, dtype=complex)
     for it, t in enumerate(t_axis):
         for jt, tau in enumerate(tau_axis):
             shift = params.c * tau + params.omega * t
             phase = complex(math.cos(tau), math.sin(tau))
-            if ring:
-                a = np.broadcast_to(R[:, :, None], spatial_shape).ravel()
-                b = np.broadcast_to((S3 - shift)[None, None, :], spatial_shape).ravel()
-            else:
-                a = np.broadcast_to(S1[:, None], spatial_shape).ravel()
-                b = np.broadcast_to((S2 - shift)[None, :], spatial_shape).ravel()
-            psi[it, jt] = (U(a, b) * phase).reshape(spatial_shape)
+            b_axis, b_inv = np.unique(s_axes[-1] - shift, return_inverse=True)
+            vals = U.on_grid(a_axis, b_axis)[np.ix_(a_inv, b_inv)]
+            psi[it, jt] = (vals * phase).reshape(spatial_shape)
     return unproject_array(psi)
 
 
-def _second_diff(m, axis, h):
-    sl = [slice(None)] * m.ndim
-    lo, mid, hi = list(sl), list(sl), list(sl)
-    lo[axis] = slice(0, -2)
-    mid[axis] = slice(1, -1)
-    hi[axis] = slice(2, None)
-    return (m[tuple(hi)] - 2.0 * m[tuple(mid)] + m[tuple(lo)]) / h**2
-
-
-def _first_diff(m, axis, h):
-    sl = [slice(None)] * m.ndim
-    lo, hi = list(sl), list(sl)
-    lo[axis] = slice(0, -2)
-    hi[axis] = slice(2, None)
-    return (m[tuple(hi)] - m[tuple(lo)]) / (2.0 * h)
-
-
-def _interior(m, axes):
-    sl = [slice(None)] * m.ndim
-    for a in axes:
-        sl[a] = slice(1, -1)
+def _shifted(m, axes, axis, k=0):
+    """m on the interior of `axes` (one cell off each end), displaced by
+    k cells along `axis`: the operands of a stencil centred on the
+    interior, so no difference is taken on the cells it cuts away."""
+    sl = [slice(1, -1) if ax in axes else slice(None) for ax in range(m.ndim)]
+    sl[axis] = slice(1 + k, m.shape[axis] - 1 + k)
     return m[tuple(sl)]
 
 
@@ -185,26 +186,22 @@ def pde_residual(params: ModelParams, U: UnscaledField, center, ds,
     if not wave:
         diff_axes = [0] + diff_axes
 
-    box = _second_diff(m, tau_ax, dtau)
-    box = _interior(box, [a for a in diff_axes if a != tau_ax])
+    def d2(axis, h):
+        return (_shifted(m, diff_axes, axis, 1) - 2.0 * _shifted(m, diff_axes, axis)
+                + _shifted(m, diff_axes, axis, -1)) / h**2
+
+    def d1(axis, h):
+        return (_shifted(m, diff_axes, axis, 1) - _shifted(m, diff_axes, axis, -1)) / (2.0 * h)
+
+    box = d2(tau_ax, dtau)
     for k in range(sdim):
-        d2 = _second_diff(m, s_ax0 + k, ds)
-        box = box - _interior(d2, [a for a in diff_axes if a != s_ax0 + k])
-    dtau_m = _first_diff(m, tau_ax, dtau)
-    dtau_m = _interior(dtau_m, [a for a in diff_axes if a != tau_ax])
-    dm2 = (dtau_m**2).sum(-1)
+        box = box - d2(s_ax0 + k, ds)
+    dm2 = (d1(tau_ax, dtau)**2).sum(-1)
     for k in range(sdim):
-        d1 = _first_diff(m, s_ax0 + k, ds)
-        d1 = _interior(d1, [a for a in diff_axes if a != s_ax0 + k])
-        dm2 = dm2 - (d1**2).sum(-1)
-    mc = _interior(m, diff_axes)
+        dm2 = dm2 - (d1(s_ax0 + k, ds)**2).sum(-1)
+    mc = _shifted(m, diff_axes, tau_ax)
     core_term = box + dm2[..., None] * mc
-    if wave:
-        R = core_term
-    else:
-        dt_m = _first_diff(m, 0, dt)
-        dt_m = _interior(dt_m, [a for a in diff_axes if a != 0])
-        R = dt_m - np.cross(core_term, mc)
+    R = core_term if wave else d1(0, dt) - np.cross(core_term, mc)
 
     # mask out samples near the traveling core(s)
     tau_int = tau_axis[1:-1]

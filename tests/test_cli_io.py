@@ -167,6 +167,8 @@ def test_mutated_field_loads_or_raises_format_error(valid_vsf, tmp_path_factory,
     ("ell_max = 5", ["profile"]),
     ("step = 0.5", ["profile"]),
     ("tol = 0", ["profile"]),
+    ("regime = ring_wm\neps = 0.2", ["reduce"]),  # predict_d has no root
+    ("", ["sweep", "--eps-list", "abc"]),
 ])
 def test_cli_out_of_range_config_exit_2(tmp_path, line, command):
     cfg = tmp_path / "run.cfg"
@@ -301,18 +303,35 @@ def test_cli_sweep(tmp_path):
     assert "[sweep_0]" in rep and "error_norm_star2" in rep
 
 
-def test_cli_reconstruct(tmp_path):
-    src = tmp_path / "src"
-    assert main(["--out", str(src), "pair", "--ansatz-only", "--eps", "0.1"]) == 0
+@pytest.fixture(scope="module")
+def pair_ansatz_file(tmp_path_factory):
+    out = tmp_path_factory.mktemp("pair")
+    assert main(["--out", str(out), "pair", "--ansatz-only", "--eps", "0.1"]) == 0
+    return out / "ansatz.vsf"
+
+
+def test_cli_reconstruct(tmp_path, pair_ansatz_file):
     cfg = tmp_path / "r.cfg"
     cfg.write_text("eps = 0.1\nregime = pair_wm\n")
     out = tmp_path / "rec"
     code = main(["--config", str(cfg), "--out", str(out),
-                 "reconstruct", str(src / "ansatz.vsf")])
+                 "reconstruct", str(pair_ansatz_file)])
     assert code == 0
     assert (out / "samples.csv").exists()
     rep = (out / "report.txt").read_text()
     assert "residual_l2" in rep
+
+
+@pytest.mark.parametrize("config, ds", [
+    ("", "0"),                             # default d = 20 leaves the l1 = 20 field
+    ("eps = 0.1\n", "1.0"),                # coarser than the field's h = 0.25
+    ("eps = 0.1\n", "-0.1"),
+], ids=["default-d", "coarse-ds", "negative-ds"])
+def test_cli_reconstruct_bad_block_exit_2(tmp_path, pair_ansatz_file, config, ds):
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text(config)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "reconstruct",
+                 str(pair_ansatz_file), "--ds", ds]) == 2
 
 
 def test_cli_pair_full_solve(tmp_path):

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from vortexflow.ansatz import ModelParams, Regime, build_pair
+from vortexflow.ansatz import ModelParams, Regime, build_ansatz, build_pair
 from vortexflow.fields import ComplexField, GridSpec, Symmetry
 from vortexflow.reconstruct import (UnscaledField, pde_residual, sample_block,
                                     spacetime_field, unscale)
+from vortexflow.stereo import unproject_array
 
 
 def test_unscale_identity_at_zero_speed(profile):
@@ -146,3 +148,98 @@ def test_ring_block_rotation_invariance(profile, balanced_ring):
                                                np.array([0.0]),
                                                np.array([0.3])])
     assert np.allclose(m[0, 0, 0, 0, 0], m_rot[0, 0, 0, 0, 0], atol=1e-9)
+
+
+# -- tensor-grid sampling -----------------------------------------------------
+
+SMALL_SCH = ModelParams(Regime.PAIR_SCH, eps=0.2, kappa=0.25, d_hat=0.8)  # d = 4
+
+
+@pytest.fixture(scope="module")
+def small_fields(profile):
+    V = build_pair(SMALL_SCH, GridSpec(8.0, 8.0, 0.25, 0.25, Symmetry.PAIR), profile)
+    return {mode: unscale(V, SMALL_SCH, mode=mode) for mode in ("bilinear", "spline")}
+
+
+def _pointwise_block(U, p, t_axis, tau_axis, s_axes):
+    """Reference: U(a, b) at every point of the block, one scattered call
+    per (t, tau) slice."""
+    grids = np.meshgrid(*[np.asarray(ax, dtype=float) for ax in s_axes], indexing="ij")
+    a = (np.hypot(grids[0], grids[1]) if len(s_axes) == 3 else grids[0]).ravel()
+    psi = np.empty((len(t_axis), len(tau_axis)) + grids[0].shape, dtype=complex)
+    for it, t in enumerate(t_axis):
+        for jt, tau in enumerate(tau_axis):
+            b = (grids[-1] - (p.c * tau + p.omega * t)).ravel()
+            phase = complex(math.cos(tau), math.sin(tau))
+            psi[it, jt] = (U(a, b) * phase).reshape(grids[0].shape)
+    return unproject_array(psi)
+
+
+# lattice values repeat and give duplicate radii (s2 = +-k h); the floats
+# land between nodes; lists are unsorted and may have length 1
+_coord = st.sampled_from([0.25 * k for k in range(-12, 13)]) | st.floats(-3.0, 3.0)
+_axis = st.lists(_coord, min_size=1, max_size=6)
+_time = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3)
+
+
+@settings(deadline=None, max_examples=60)
+@given(mode=st.sampled_from(["bilinear", "spline"]), t_axis=_time, tau_axis=_time,
+       s_axes=st.lists(_axis, min_size=2, max_size=3))
+def test_sample_block_matches_pointwise_bitwise(small_fields, mode, t_axis, tau_axis, s_axes):
+    U = small_fields[mode]
+    m = sample_block(U, SMALL_SCH, t_axis, tau_axis, s_axes)
+    ref = _pointwise_block(U, SMALL_SCH, t_axis, tau_axis, s_axes)
+    assert m.shape == ref.shape and np.array_equal(m, ref)
+
+
+@pytest.mark.parametrize("mode", ["bilinear", "spline"])
+def test_tensor_grid_rejects_queries_outside_domain(small_fields, mode):
+    U = small_fields[mode]
+    with pytest.raises(ValueError, match="outside the covered domain"):
+        U.on_grid(np.array([0.0, 8.5]), np.array([0.0]))
+    with pytest.raises(ValueError, match="outside the covered domain"):
+        U.on_grid(np.array([1.0]), np.array([-9.0, 0.0]))
+    with pytest.raises(ValueError, match="outside the covered domain"):
+        sample_block(U, SMALL_SCH, [0.0], [0.0], [np.array([6.0]), np.array([6.0]),
+                                                  np.array([0.0])])
+    with pytest.raises(ValueError, match="outside the covered domain"):
+        sample_block(U, SMALL_SCH, [0.0], [0.0], [np.array([1.0]), np.array([8.5])])
+
+
+def test_sample_block_one_grid_evaluation_per_slice(small_fields):
+    U = small_fields["spline"]
+    calls = []
+    sre = U._sre
+
+    def counting(a, b, **kw):
+        calls.append(np.size(a) * np.size(b) if kw.get("grid", True) else np.size(a))
+        return sre(a, b, **kw)
+
+    ds = 0.25
+    s1 = 3.0 + ds * np.arange(8)
+    s2 = ds * np.arange(-2, 3)
+    s3 = ds * np.arange(-4, 4)
+    radii = np.unique(np.hypot(s1[:, None], s2[None, :]))
+    assert radii.size == 8 * 3
+    try:
+        U._sre = counting
+        sample_block(U, SMALL_SCH, [0.0, 0.5], [0.0, 0.25, 0.5], [s1, s2, s3])
+    finally:
+        U._sre = sre
+    assert calls == [radii.size * s3.size] * (2 * 3)
+
+
+def test_pde_residual_fixed_blocks(profile):
+    # Values of the scattered-point sampler with full-block stencils
+    # (the implementation before tensor-grid sampling); the tensor grid
+    # and interior-only stencils do the same arithmetic per element.
+    p = ModelParams(Regime.PAIR_SCH, 0.2, 0.25, 2.0)
+    U = unscale(build_ansatz(p, GridSpec(20.0, 20.0, 0.25, 0.25, Symmetry.PAIR), profile),
+                p, "spline")
+    assert pde_residual(p, U, (10.0, 0.0), 0.125, nspace=16, ntau=5, nt=5) == {
+        "l2": 0.011460691494805837, "sup": 0.041259095714887443, "n_samples": 1296}
+    p = ModelParams(Regime.RING_SCH, 0.2, 0.0, 1.0)
+    U = unscale(build_ansatz(p, GridSpec(10.0, 10.0, 0.25, 0.25, Symmetry.RING), profile),
+                p, "spline")
+    assert pde_residual(p, U, (5.0, 0.0, 0.0), 0.125, nspace=(12, 5, 12), ntau=5, nt=5) == {
+        "l2": 0.07346434524156115, "sup": 0.6211465571067903, "n_samples": 1296}

@@ -32,6 +32,9 @@ from .solver import (BracketError, NonConvergenceError, _domain_for, build_case,
                      solve_projected)
 
 MAGIC = b"VSF1"
+# `reconstruct` samples a block 11 h / 2 wide per spatial axis; a --ds that
+# would put more than this many points in the block is refused
+RECONSTRUCT_MAX_POINTS = 10**5
 _HEADER = struct.Struct("<IIII dddd")
 
 
@@ -308,6 +311,12 @@ def _cmd_reconstruct(cfg, out, args):
     ds = args.ds if args.ds else cfg.h / 2
     ring = params.is_ring
     center = (params.d, 0.0, 0.0) if ring else (params.d, 0.0)
+    # a fixed physical width, so a refinement keeps the block outside the
+    # excluded core disc (12 points at the default ds = h/2)
+    nspace = round(5.5 * cfg.h / ds) + 1
+    if nspace ** len(center) > RECONSTRUCT_MAX_POINTS:
+        raise ConfigError(f"--ds {ds} puts {nspace} points on each axis of the residual "
+                          f"block (at most {RECONSTRUCT_MAX_POINTS} points in all)")
     t_axis = [0.0]
     tau_axis = [0.0, 0.5, 1.0]
     if ring:
@@ -317,7 +326,7 @@ def _cmd_reconstruct(cfg, out, args):
         axes = [np.linspace(params.d - 2, params.d + 2, 9),
                 np.linspace(-2, 2, 9)]
     try:
-        norms = pde_residual(params, U, center, ds)
+        norms = pde_residual(params, U, center, ds, nspace=nspace)
         m = sample_block(U, params, t_axis, tau_axis, axes)
     except ValueError as exc:
         raise ConfigError(f"reconstruct (d = {params.d}, ds = {ds}): {exc}") from None

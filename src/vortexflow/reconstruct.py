@@ -121,7 +121,8 @@ def sample_block(U: UnscaledField, params: ModelParams, t_axis, tau_axis, s_axes
 
     Each (t, tau) slice is one tensor-grid evaluation of U over the
     distinct values of a (s1 for a pair, the radius hypot(s1, s2) for a
-    ring) and of the traveling coordinate, gathered back onto the block.
+    ring) and of the traveling coordinate; the pointwise sphere map is
+    applied on that grid, and m is gathered back onto the block.
 
     Returns m with shape (nt, ntau, *spatial, 3)."""
     t_axis = np.atleast_1d(np.asarray(t_axis, dtype=float))
@@ -133,15 +134,16 @@ def sample_block(U: UnscaledField, params: ModelParams, t_axis, tau_axis, s_axes
     else:
         a = s_axes[0]
     a_axis, a_inv = np.unique(a, return_inverse=True)
-    psi = np.empty((t_axis.size, tau_axis.size) + spatial_shape, dtype=complex)
+    m = np.empty((t_axis.size, tau_axis.size) + spatial_shape + (3,))
     for it, t in enumerate(t_axis):
         for jt, tau in enumerate(tau_axis):
             shift = params.c * tau + params.omega * t
             phase = complex(math.cos(tau), math.sin(tau))
             b_axis, b_inv = np.unique(s_axes[-1] - shift, return_inverse=True)
-            vals = U.on_grid(a_axis, b_axis)[np.ix_(a_inv, b_inv)]
-            psi[it, jt] = (vals * phase).reshape(spatial_shape)
-    return unproject_array(psi)
+            m_grid = unproject_array(U.on_grid(a_axis, b_axis) * phase)
+            m[it, jt] = m_grid.take(a_inv, axis=0).take(b_inv, axis=1).reshape(
+                spatial_shape + (3,))
+    return m
 
 
 def _shifted(m, axes, axis, k=0):

@@ -326,12 +326,25 @@ def test_cli_reconstruct(tmp_path, pair_ansatz_file):
     ("", "0"),                             # default d = 20 leaves the l1 = 20 field
     ("eps = 0.1\n", "1.0"),                # coarser than the field's h = 0.25
     ("eps = 0.1\n", "-0.1"),
-], ids=["default-d", "coarse-ds", "negative-ds"])
+    ("eps = 0.1\n", "1e-6"),              # a block of 5.5/1e-6 points per axis
+], ids=["default-d", "coarse-ds", "negative-ds", "tiny-ds"])
 def test_cli_reconstruct_bad_block_exit_2(tmp_path, pair_ansatz_file, config, ds):
     cfg = tmp_path / "r.cfg"
     cfg.write_text(config)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "reconstruct",
                  str(pair_ansatz_file), "--ds", ds]) == 2
+
+
+@pytest.mark.parametrize("ds", ["0.0625", "0.03125"], ids=["h/4", "h/8"])
+def test_cli_reconstruct_refines_below_half_h(tmp_path, pair_ansatz_file, ds):
+    # the block keeps its 11 h/2 width, so it reaches past the core disc
+    # (radius 2h) that a 12-point block of spacing h/4 fell inside
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text("eps = 0.1\nregime = pair_wm\n")
+    out = tmp_path / "rec"
+    assert main(["--config", str(cfg), "--out", str(out), "reconstruct",
+                 str(pair_ansatz_file), "--ds", ds]) == 0
+    assert f"ds: {ds}" in (out / "report.txt").read_text()
 
 
 def test_cli_pair_full_solve(tmp_path):

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+from scipy.sparse import csc_matrix
 
 from vortexflow import ansatz, solver
 from vortexflow.ansatz import ModelParams, Regime, build_ansatz, build_pair, kernel_Zd
 from vortexflow.fields import ComplexField, GridSpec, Symmetry, symmetrize_complex
 from vortexflow.profile import eval_profile
-from vortexflow.solver import (_bordered_lu, apply_S, assemble_jacobian, build_case,
-                               extract_multiplier, linearize_apply,
-                               solve_at_separation, solve_projected)
+from vortexflow.solver import (_arm_coefficients, _arms, _bordered_lu, apply_S,
+                               assemble_jacobian, build_case, extract_multiplier,
+                               linearize_apply, solve_at_separation, solve_projected)
 
 
 def pair_params(eps=0.1, kappa=0.0, d_hat=1.0, sch=False):
@@ -252,3 +253,107 @@ def test_bordered_lu_solves_bordered_system(profile, ring):
     x = lu.solve(b)
     Bx = np.concatenate([P @ x[:-1] - x[-1] * z_col, [grad_con @ x[:-1]]])
     assert np.linalg.norm(Bx - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def _tag_case(tag):
+    if tag in solver.RING_TAGS:
+        p = ModelParams(Regime.RING_SCH if tag == "S4" else Regime.RING_WM, 0.05,
+                        0.25 if tag == "S4" else 0.0, 0.3)
+        return p, GridSpec(12.0, 12.0, 0.25, 0.25, Symmetry.RING)
+    return (pair_params(eps=0.1, kappa=0.25 if tag == "S2" else 0.0, sch=tag == "S2"),
+            GridSpec(20.0, 20.0, 0.25, 0.25, Symmetry.PAIR))
+
+
+def _coo_jacobian(gammas, dm, ring):
+    """Reference assembly in coordinate form: every coupling of every arm
+    listed in emission order, duplicates summed by scipy's conversion."""
+    I, J = np.nonzero(dm.re_mask)
+    rows, cols, vals = [], [], []
+    for g, (di, dj, conj_all) in zip(gammas, _arms(ring)):
+        ii, jj = np.abs(I + di), J + dj
+        fold = jj < 0
+        parts = ([(fold, True), (~fold, False)] if fold.any() and not conj_all
+                 else [(np.ones_like(fold), conj_all)])
+        for sel, conj in parts:
+            r_re, r_im = dm.re_idx[I[sel], J[sel]], dm.im_idx[I[sel], J[sel]]
+            c_re = dm.re_idx[ii[sel], np.abs(jj[sel])]
+            c_im = dm.im_idx[ii[sel], np.abs(jj[sel])]
+            gr, gi = g[sel].real, g[sel].imag
+            for r, c, v in ((r_re, c_re, gr), (r_im, c_re, gi),
+                            (r_re, c_im, gi if conj else -gi),
+                            (r_im, c_im, -gr if conj else gr)):
+                ok = (r >= 0) & (c >= 0)
+                rows.append(r[ok])
+                cols.append(c[ok])
+                vals.append(v[ok])
+    return csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(dm.n, dm.n))
+
+
+def _same_bits(A, B):
+    return (np.array_equal(A.indptr, B.indptr) and np.array_equal(A.indices, B.indices)
+            and A.data.tobytes() == B.data.tobytes())
+
+
+@pytest.mark.parametrize("tag", ["S1", "S2", "S3", "S4"])
+def test_reassembly_writes_values_into_one_structure(profile, tag):
+    p, spec = _tag_case(tag)
+    V = build_ansatz(p, spec, profile)
+    P, dm = assemble_jacobian(V, tag, p)
+    rng = np.random.default_rng(19)
+    u = ComplexField(spec, V.data + 0.05 * (rng.standard_normal(V.data.shape)
+                                            + 1j * rng.standard_normal(V.data.shape)))
+    J, dm_again = assemble_jacobian(u, tag, p, dm)
+    assert dm_again is dm
+    assert np.shares_memory(J.indices, P.indices) and np.shares_memory(J.indptr, P.indptr)
+    fresh, _ = assemble_jacobian(u, tag, p)
+    assert _same_bits(J, fresh)
+    ring = tag in solver.RING_TAGS
+    for A, w in ((P, V), (J, u)):
+        assert _same_bits(A, _coo_jacobian(_arm_coefficients(w, tag, p, dm), dm, ring))
+    # the rows that fold across x2 = 0 and the columns of the x1 = 0 axis
+    # were rewritten with the new iterate's values
+    fold_rows = dm.re_idx[:-1, 0]
+    axis_cols = np.concatenate([dm.re_idx[0, :-1], dm.im_idx[0, 1:-1]])
+    for block in (lambda A: A[fold_rows], lambda A: A[:, axis_cols]):
+        old, new, ref = block(P), block(J), block(fresh)
+        assert new.nnz > 0 and (new != old).nnz > 0
+        assert (new != ref).nnz == 0
+
+
+def test_krylov_acceptance_is_counted(profile):
+    # krylov_tol = 1e-30 is out of GMRES's reach: it stops with info != 0
+    # at a true residual far below KRYLOV_ACCEPT_RESIDUAL and is accepted
+    p = pair_params(eps=0.1)
+    opts = dict(newton_max=1, newton_tol=1e-3)
+    plain = solve_at_separation(p, 4.0, profile, h=0.5, **opts)
+    forced = solve_at_separation(p, 4.0, profile, h=0.5, krylov_tol=1e-30, **opts)
+    assert plain.newton_iters == forced.newton_iters == 1
+    assert plain.krylov_accepted == 0
+    assert forced.krylov_accepted == 1
+    assert forced.final_residual <= 1e-3
+
+
+@pytest.mark.parametrize("tag", ["S1", "S4"])
+def test_bordered_matrix_matches_coordinate_form(profile, monkeypatch, tag):
+    # the border appended to P's CSC arrays gives, array for array, the
+    # canonical CSC form of [[P, -z], [g^T, 0]] built from coordinates
+    p, spec = _tag_case(tag)
+    V = build_ansatz(p, spec, profile)
+    Z = kernel_Zd(p, spec, profile)
+    P, dm = assemble_jacobian(V, tag, p)
+    W = 1.0 / (1.0 + np.abs(V.data) ** 2) ** 2
+    z_col = dm.pack(Z.data)
+    grad_con = dm.pack(W * Z.data * spec.h1 * spec.h2)
+    seen = []
+    monkeypatch.setattr(solver, "splu", lambda B, **kw: seen.append((B, kw)))
+    _bordered_lu(P, dm, z_col, grad_con)
+    (B, kw), = seen
+    assert kw == {"permc_spec": "MMD_AT_PLUS_A"}
+    Pc, n = P.tocoo(), dm.n
+    zi, gi = np.flatnonzero(z_col), np.flatnonzero(grad_con)
+    ref = csc_matrix((np.concatenate([Pc.data, -z_col[zi], grad_con[gi], [0.0]]),
+                      (np.concatenate([Pc.row, zi, np.full(gi.size, n), [n]]),
+                       np.concatenate([Pc.col, np.full(zi.size, n), gi, [n]]))),
+                     shape=(n + 1, n + 1))
+    assert _same_bits(B, ref)

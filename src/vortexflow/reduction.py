@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .ansatz import ModelParams
-from .solver import NonConvergenceError, solve_at_separation
+from .solver import NonConvergenceError, balance_x, solve_at_separation
 
 
 @dataclass(frozen=True)
@@ -44,14 +44,15 @@ class ReducedCurve:
 
 
 def leading_c(d, params: ModelParams) -> float:
-    """Leading-order reduced multiplier with the c0 = 1 convention."""
+    """Leading-order reduced multiplier with the c0 = 1 convention; it is
+    affine in X(d) = `balance_x(d, ring)`."""
     if d <= 1.0:
         raise ValueError("reduced equation is only meaningful for d > 1")
     eps, kappa = params.eps, params.kappa
+    x = balance_x(d, params.is_ring)
     if params.is_ring:
-        return math.pi * (-math.log(d) / (8.0 * d)
-                          + (1.0 - 2.0 * kappa) / 4.0 * eps * abs(math.log(eps)))
-    return -math.pi / (4.0 * d) + math.pi * eps / 4.0 - eps * kappa * math.pi / 2.0
+        return math.pi * (-x / 8.0 + (1.0 - 2.0 * kappa) / 4.0 * eps * abs(math.log(eps)))
+    return -math.pi / 4.0 * x + math.pi * eps / 4.0 - eps * kappa * math.pi / 2.0
 
 
 def predict_d(params: ModelParams) -> float:
@@ -68,9 +69,9 @@ def predict_d(params: ModelParams) -> float:
         raise ValueError(
             f"(log d)/d = {rhs:.4f} >= 1/e has no root on the decreasing branch")
     d_hi = 2.0 * math.e
-    while math.log(d_hi) / d_hi > rhs:
+    while balance_x(d_hi, True) > rhs:
         d_hi *= 2.0
-    return float(brentq(lambda d: math.log(d) / d - rhs, math.e, d_hi, xtol=1e-12))
+    return float(brentq(lambda d: balance_x(d, True) - rhs, math.e, d_hi, xtol=1e-12))
 
 
 def numeric_c_curve(params: ModelParams, d_list, profile=None, h=0.25,

@@ -33,12 +33,22 @@ of the default COLAMD ordering on these 5-point stencils.  `build_case`
 is the one construction of (V_d, Z_d): a ring factors its
 d-independent phase Laplacian there once for the ansatz and both
 co-kernel rebuilds, and releases it before the bordered factorization.
+
+`solve_balanced` takes its secant in X(d) = 1/d (pair) or (log d)/d
+(ring), in which the leading-order multiplier is affine, so its solves
+reach the root's grid early.  They share a `_BalanceState`: a solve on
+the grid of the one before it reuses that solve's `_DofMap` and bordered
+LU as its preconditioner, and Newton starts from the last corrector,
+copied onto the new grid, when that start has the smaller residual.  A
+solve that fails on reused state is redone cold.  A solve without the
+state is the cold solve.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
@@ -87,6 +97,12 @@ class SolveResult:
     # Newton steps whose GMRES stopped short of krylov_tol (info != 0) but
     # was accepted at KRYLOV_ACCEPT_RESIDUAL
     krylov_accepted: int = 0
+    # the preconditioner was the bordered LU of the solve before it (same
+    # grid), and Newton started from that solve's corrector
+    lu_reused: bool = False
+    warm_start: bool = False
+    # solve_balanced only: one (d, c, n1, lu_reused, warm_start) per solve
+    balance_history: tuple = ()
 
 
 def _check_tag(u, tag, params):
@@ -375,28 +391,87 @@ def extract_multiplier(u: ComplexField, V: ComplexField, Z: ComplexField,
     return num / den
 
 
+class _BalanceState:
+    """What one solve of a balance hands to the next.  It holds one grid
+    at a time: that grid's `_DofMap` (so its Jacobian structure), the
+    bordered LU factored on it, and the last solve's corrector u - V_d
+    with its multiplier.  It keeps at most one LU: a change of grid or a
+    solve redone cold releases it before the next factorization."""
+
+    def __init__(self):
+        self.spec = None
+        self.dm = None
+        self.lu = None
+        self.corrector = None    # ComplexField u - V_d of the last solve
+        self.c = 0.0
+        self.reused = False      # the solve in progress started from this state
+        self.fallbacks = 0       # solves redone cold after failing on this state
+
+    def on_grid(self, spec):
+        """Hold the `_DofMap` of `spec`; a change of grid releases the LU."""
+        if spec != self.spec:
+            self.dm = self.lu = None  # released before the new grid's map is built
+            self.spec, self.dm = spec, _DofMap(spec)
+
+    def warm_start(self, V):
+        """V plus the last corrector copied onto V's grid over the block
+        both grids share (a balance keeps the spacing and origin), or None."""
+        w_old = self.corrector
+        if w_old is None:
+            return None
+        w = np.zeros_like(V.data)
+        m1, m2 = min(w.shape[0], w_old.spec.n1), min(w.shape[1], w_old.spec.n2)
+        w[:m1, :m2] = w_old.data[:m1, :m2]
+        w[-1, :] = 0.0  # u = V_d on the Dirichlet layer
+        w[:, -1] = 0.0
+        return V.data + w
+
+
 def solve_projected(params: ModelParams, V_d: ComplexField, Z_d: ComplexField,
-                    newton_max=50, newton_tol=1e-8, krylov_tol=1e-10) -> SolveResult:
-    """Damped Newton on the bordered system (u, c) from the ansatz guess."""
+                    newton_max=50, newton_tol=1e-8, krylov_tol=1e-10,
+                    state: _BalanceState = None) -> SolveResult:
+    """Damped Newton on the bordered system (u, c).
+
+    Without `state` (the cold solve) Newton starts from the ansatz and
+    the preconditioner is the bordered Jacobian factored there.  With a
+    `_BalanceState` it reuses the state's LU when the state is on V_d's
+    grid, and starts from the state's corrector when that start has the
+    smaller residual.  A solve that fails on reused state is redone cold
+    and counted in `state.fallbacks`; the state then takes this solve's
+    LU and corrector."""
+    _check_tag(V_d, params.tag, params)
+    opts = dict(newton_max=newton_max, newton_tol=newton_tol, krylov_tol=krylov_tol)
+    if state is None:
+        state = _BalanceState()
+    state.on_grid(V_d.spec)
+    try:
+        res = _newton(params, V_d, Z_d, state, **opts)
+    except NonConvergenceError:
+        if not state.reused:
+            raise
+        res = None
+    if res is None:  # outside the handler, so the failed attempt's frames are gone
+        state.fallbacks += 1
+        state.lu = state.corrector = None
+        res = _newton(params, V_d, Z_d, state, **opts)
+    state.corrector = ComplexField(V_d.spec, res.u.data - V_d.data)
+    state.c = res.c_mult
+    return res
+
+
+def _newton(params, V_d, Z_d, state, newton_max, newton_tol, krylov_tol):
+    """One Newton run of `solve_projected` on the state's grid, from the
+    state's LU and corrector where it has them."""
     from .diagnostics import corrector_norms
 
     tag = params.tag
     spec = V_d.spec
-    _check_tag(V_d, tag, params)
-    dm = _DofMap(spec)
+    dm = state.dm
     cell = spec.h1 * spec.h2
     W = 1.0 / (1.0 + np.abs(V_d.data) ** 2) ** 2
     grad_con = dm.pack(W * Z_d.data * cell)
     z_col = dm.pack(Z_d.data)
-
-    P, _ = assemble_jacobian(V_d, tag, params, dm)
-    lu = _bordered_lu(P, dm, z_col, grad_con)
-    state = {"J": P}  # the first Newton step uses P; later steps replace it
-    del P
     nb = dm.n + 1
-
-    u = np.array(V_d.data)
-    c = 0.0
 
     def residual_vec(u_arr, c_val):
         S = apply_S(ComplexField(spec, u_arr.copy()), tag, params)
@@ -407,10 +482,29 @@ def solve_projected(params: ModelParams, V_d: ComplexField, Z_d: ComplexField,
     def resnorm(vec):
         return math.sqrt(cell * float(np.dot(vec[:-1], vec[:-1])) + vec[-1] ** 2)
 
+    u_w = state.warm_start(V_d)
+    warm = u_w is not None and (resnorm(residual_vec(u_w, state.c))
+                                < resnorm(residual_vec(V_d.data, 0.0)))
+    lu_reused = state.lu is not None
+    state.reused = warm or lu_reused
+
+    J = None
+    if lu_reused:
+        lu = state.lu
+    else:
+        J, _ = assemble_jacobian(V_d, tag, params, dm)
+        lu = state.lu = _bordered_lu(J, dm, z_col, grad_con)
+    u, c = (u_w, state.c) if warm else (np.array(V_d.data), 0.0)
+    if warm or J is None:
+        J = None  # the ansatz Jacobian goes before the start's is assembled
+        J, _ = assemble_jacobian(ComplexField(spec, u.copy()), tag, params, dm)
+    jac = {"J": J}  # the first Newton step uses J; later steps replace it
+    del J
+
     Mop = LinearOperator((nb, nb), matvec=lu.solve)
 
     def matvec(x):
-        top = state["J"] @ x[:-1] - x[-1] * z_col
+        top = jac["J"] @ x[:-1] - x[-1] * z_col
         bot = float(np.dot(grad_con, x[:-1]))
         return np.concatenate([top, [bot]])
 
@@ -422,9 +516,9 @@ def solve_projected(params: ModelParams, V_d: ComplexField, Z_d: ComplexField,
     krylov_accepted = 0
     while iters < newton_max and best > newton_tol:
         if iters > 0:
-            state["J"] = None  # release the old values before assembling the new
-            state["J"], _ = assemble_jacobian(ComplexField(spec, u.copy()),
-                                              tag, params, dm)
+            jac["J"] = None  # release the old values before assembling the new
+            jac["J"], _ = assemble_jacobian(ComplexField(spec, u.copy()),
+                                            tag, params, dm)
         bnorm = float(np.linalg.norm(R))
         sol, info = gmres(Aop, -R, rtol=krylov_tol, atol=0.0,
                           restart=150, maxiter=8, M=Mop)
@@ -466,11 +560,19 @@ def solve_projected(params: ModelParams, V_d: ComplexField, Z_d: ComplexField,
         u=u_field, c_mult=float(c), newton_iters=iters,
         final_residual=float(best), corrector_norm_star=norms["star"],
         d_used=params.d, converged=True, krylov_accepted=krylov_accepted,
+        lu_reused=lu_reused, warm_start=warm,
     )
 
 
 def _domain_for(d, h):
     return math.ceil(2.0 * d / h - 1e-9) * h
+
+
+def balance_x(d, ring):
+    """The variable in which the leading-order reduced multiplier
+    (`reduction.leading_c`) is affine: X = 1/d for a pair, (log d)/d for
+    a ring.  It decreases in d, for a ring only on d > e."""
+    return math.log(d) / d if ring else 1.0 / d
 
 
 def build_case(params: ModelParams, spec: GridSpec, profile: VortexProfile):
@@ -483,32 +585,76 @@ def build_case(params: ModelParams, spec: GridSpec, profile: VortexProfile):
 
 
 def solve_at_separation(params: ModelParams, d: float, profile: VortexProfile,
-                        h=0.25, **opts) -> SolveResult:
+                        h=0.25, *, state: _BalanceState = None, **opts) -> SolveResult:
     """Grid (L = 2d per side), ansatz and co-kernel at separation d, then
-    the projected solve."""
+    the projected solve; `state` carries the solve before it (see
+    `solve_projected`)."""
     p = params.with_d(d)
     L = _domain_for(d, h)
-    V, Z = build_case(p, GridSpec(L, L, h, h, p.symmetry), profile)
-    return solve_projected(p, V, Z, **opts)
+    spec = GridSpec(L, L, h, h, p.symmetry)
+    if state is not None:
+        state.on_grid(spec)  # a new grid drops the last LU before this solve builds
+    V, Z = build_case(p, spec, profile)
+    return solve_projected(p, V, Z, state=state, **opts)
+
+
+def _secant_d(d_prev, c_prev, d_cur, c_cur, d_lo, d_hi, ring):
+    """Zero of the secant through the last two solves, taken in X(d) and
+    mapped back to d in (d_lo, d_hi), or None when it leaves the bracket.
+    Where X is not monotone on the bracket (a ring bracket reaching
+    d <= e) the secant is taken in d."""
+    if c_cur == c_prev:
+        return None
+    if ring and d_lo <= math.e:
+        d_new = d_cur - c_cur * (d_cur - d_prev) / (c_cur - c_prev)
+    else:
+        x_cur, x_prev = balance_x(d_cur, ring), balance_x(d_prev, ring)
+        x_new = x_cur - c_cur * (x_cur - x_prev) / (c_cur - c_prev)
+        if not balance_x(d_hi, ring) < x_new < balance_x(d_lo, ring):
+            return None
+        d_new = brentq(lambda d: balance_x(d, ring) - x_new, d_lo, d_hi,
+                       xtol=1e-14 * d_hi)
+    return d_new if d_lo < d_new < d_hi else None
 
 
 def solve_balanced(params: ModelParams, d_bracket, profile: VortexProfile = None,
                    h=0.25, c_rtol=1e-10, max_iters=60, **opts):
-    """Safeguarded secant on d -> c_mult(d); returns (SolveResult, d_star).
+    """Safeguarded secant for c_mult(d) = 0; returns (SolveResult, d_star).
+
+    The secant is taken in X(d) (`balance_x`), in which the leading-order
+    c is affine, and falls back to bisection when a step leaves the
+    bracket.  It stops when |c| <= c_rtol max(|c(d_lo)|, |c(d_hi)|) or
+    the bracket is narrower than 1e-8 d_hi.  The solves share one
+    `_BalanceState`: a solve on the grid of the one before it reuses its
+    bordered LU, and each starts from the last corrector when that lowers
+    the residual.  The result carries `balance_history`, one record
+    (d, c, n1, lu_reused, warm_start) per solve.
 
     The Newton tolerance is pushed to 1e-11 so the multiplier noise
     floor stays below the |c| stopping scale."""
     if profile is None:
         profile = solve_profile()
     opts.setdefault("newton_tol", 1e-11)
+    ring = params.is_ring
+    state = _BalanceState()
+    history = []
+
+    def solve(d):
+        r = solve_at_separation(params, d, profile, h, state=state, **opts)
+        history.append((d, r.c_mult, r.u.spec.n1, r.lu_reused, r.warm_start))
+        return r
+
+    def done(res, d):
+        return replace(res, balance_history=tuple(history)), d
+
     d_lo, d_hi = d_bracket
-    r_lo = solve_at_separation(params, d_lo, profile, h, **opts)
-    r_hi = solve_at_separation(params, d_hi, profile, h, **opts)
+    r_lo = solve(d_lo)
+    r_hi = solve(d_hi)
     c_lo, c_hi = r_lo.c_mult, r_hi.c_mult
     if c_lo == 0.0:
-        return r_lo, d_lo
+        return done(r_lo, d_lo)
     if c_hi == 0.0:
-        return r_hi, d_hi
+        return done(r_hi, d_hi)
     if c_lo * c_hi > 0.0:
         raise BracketError(
             f"no sign change: c({d_lo}) = {c_lo:.3e}, c({d_hi}) = {c_hi:.3e}")
@@ -519,13 +665,10 @@ def solve_balanced(params: ModelParams, d_bracket, profile: VortexProfile = None
     for _ in range(max_iters):
         if abs(best[0].c_mult) <= c_rtol * scale or (d_hi - d_lo) <= 1e-8 * d_hi:
             break
-        if c_cur != c_prev:
-            d_new = d_cur - c_cur * (d_cur - d_prev) / (c_cur - c_prev)
-        else:
+        d_new = _secant_d(d_prev, c_prev, d_cur, c_cur, d_lo, d_hi, ring)
+        if d_new is None:
             d_new = 0.5 * (d_lo + d_hi)
-        if not (d_lo < d_new < d_hi):
-            d_new = 0.5 * (d_lo + d_hi)
-        r_new = solve_at_separation(params, d_new, profile, h, **opts)
+        r_new = solve(d_new)
         c_new = r_new.c_mult
         if abs(c_new) < abs(best[0].c_mult):
             best = (r_new, d_new)
@@ -535,7 +678,7 @@ def solve_balanced(params: ModelParams, d_bracket, profile: VortexProfile = None
             d_lo, c_lo = d_new, c_new
         d_prev, c_prev = d_cur, c_cur
         d_cur, c_cur = d_new, c_new
-    return best
+    return done(*best)
 
 
 def unprojected_residual_norm(result: SolveResult, tag: str, params: ModelParams) -> float:

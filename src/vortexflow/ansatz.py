@@ -34,7 +34,7 @@ class Regime(enum.Enum):
 _TAGS = {Regime.PAIR_WM: "S1", Regime.PAIR_SCH: "S2",
          Regime.RING_WM: "S3", Regime.RING_SCH: "S4"}
 
-DEFAULT_CUTOFF_RADIUS = 6.0
+CUTOFF_RADIUS = 6.0
 CORE_MODULUS_FLOOR = 0.1
 RHO_WEIGHT = 0.5  # decay exponent 0 < rho < 1 used in all weighted norms
 
@@ -315,17 +315,16 @@ def build_ansatz(params: ModelParams, spec: GridSpec, profile: VortexProfile,
 
 
 def kernel_Zd(params: ModelParams, spec: GridSpec, profile: VortexProfile,
-              cutoff_radius=None, laplacian_lu=None) -> ComplexField:
+              laplacian_lu=None) -> ComplexField:
     """Co-kernel Z_d = dV_d/dd * [eta(ell1/R) + eta(ell2/R)].
 
     The d-derivative is a central difference with step 1e-3 d,
     rebuilding the full ansatz (ring phases included) at d +- delta;
     both rebuilds share `laplacian_lu` (see `build_ring_phase`).
-    R defaults to 6 core widths, capped at 0.4 d so the cutoff stays
-    inside the inter-vortex distance at small separations."""
+    R is 6 core widths, capped at 0.4 d so the cutoff stays inside the
+    inter-vortex distance at small separations."""
     d = params.d
-    if cutoff_radius is None:
-        cutoff_radius = min(DEFAULT_CUTOFF_RADIUS, 0.4 * d)
+    cutoff_radius = min(CUTOFF_RADIUS, 0.4 * d)
     delta = 1e-3 * d
     plus = build_ansatz(params.with_d(d + delta), spec, profile, laplacian_lu)
     minus = build_ansatz(params.with_d(d - delta), spec, profile, laplacian_lu)

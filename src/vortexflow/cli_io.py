@@ -264,9 +264,11 @@ def _cmd_reduce(cfg, out, args):
         raise ConfigError(f"predict_d: {exc}") from None
     d_lo = cfg.d_lo if cfg.d_lo > 0 else d_ref / 2
     d_hi = cfg.d_hi if cfg.d_hi > 0 else 2 * d_ref
-    d_list = np.geomspace(d_lo, d_hi, cfg.points)
+    d_list = np.sort(np.geomspace(d_lo, d_hi, cfg.points))
+    if not (d_list[0] > 1.0 and np.all(np.diff(d_list) > 0.0)):
+        raise ConfigError(f"separations {d_list.tolist()} must be distinct and > 1")
     # samples solve on the default domain of their d; the smallest is coarsest
-    _grid(replace(cfg, l=0.0), params.with_d(min(d_list)))
+    _grid(replace(cfg, l=0.0), params.with_d(d_list[0]))
     prof = _profile(cfg)
     curve = numeric_c_curve(params, d_list, prof, h=cfg.h, **_solve_opts(cfg))
     curve_to_csv(curve, out / "curve.csv")

@@ -28,9 +28,12 @@ import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
 from .ansatz import ModelParams
-from .fields import ComplexField, reflect_full
+from .fields import ComplexField
 from .diagnostics import full_plane_data
 from .stereo import SpherePoint, unproject, unproject_array
+
+RESIDUAL_NT = 5              # time samples of a Schrodinger-flow residual block
+RESIDUAL_CORE_MARGIN = 2.0   # excluded core radius, in cells of max(ds, h)
 
 
 @dataclass(frozen=True)
@@ -46,43 +49,31 @@ class UnscaledField:
     """Evaluator U(s~) = u(s^), with the traveling coordinate stretched
     by 1/sqrt(1-c^2) before sampling the stored quarter-grid field.
 
-    mode='bilinear' matches the plain reflection interpolation;
-    mode='spline' (quintic, built on the reflected plane) provides the
-    C^4 smoothness needed by finite-difference residual blocks."""
+    The field is interpolated by a quintic spline built on the reflected
+    plane, which gives the C^4 smoothness that finite-difference residual
+    blocks need."""
 
-    def __init__(self, u: ComplexField, params: ModelParams = None, mode="bilinear",
-                 c_override=None):
-        c = params.c if c_override is None else c_override
-        if abs(c) >= 1.0:
-            raise ValueError("traveling speed must satisfy |c| < 1")
+    def __init__(self, u: ComplexField, params: ModelParams):
+        c = params.c
         self.u = u
-        self.c = c
         self.stretch = 1.0 / math.sqrt(1.0 - c * c)
-        self.mode = mode
-        if mode == "spline":
-            x1, x2, ext = full_plane_data(u)
-            self._sre = RectBivariateSpline(x1, x2, ext.real, kx=5, ky=5, s=0)
-            self._sim = RectBivariateSpline(x1, x2, ext.imag, kx=5, ky=5, s=0)
-            self._lim = (x1[0], x1[-1], x2[0], x2[-1])
-        elif mode != "bilinear":
-            raise ValueError("mode must be 'bilinear' or 'spline'")
+        x1, x2, ext = full_plane_data(u)
+        self._sre = RectBivariateSpline(x1, x2, ext.real, kx=5, ky=5, s=0)
+        self._sim = RectBivariateSpline(x1, x2, ext.imag, kx=5, ky=5, s=0)
+        self._lim = (x1[0], x1[-1], x2[0], x2[-1])
 
     def _stretched(self, a, b):
-        """(a, b / sqrt(1-c^2)), checked against the spline's domain (the
-        bilinear mode's reflect_full checks its own)."""
+        """(a, b / sqrt(1-c^2)), checked against the spline's domain."""
         a = np.asarray(a, dtype=float)
         bh = np.asarray(b, dtype=float) * self.stretch
-        if self.mode == "spline":
-            lo1, hi1, lo2, hi2 = self._lim
-            if np.any(a < lo1) or np.any(a > hi1) or np.any(bh < lo2) or np.any(bh > hi2):
-                raise ValueError("query outside the covered domain")
+        lo1, hi1, lo2, hi2 = self._lim
+        if np.any(a < lo1) or np.any(a > hi1) or np.any(bh < lo2) or np.any(bh > hi2):
+            raise ValueError("query outside the covered domain")
         return a, bh
 
     def __call__(self, a, b):
         """Evaluate at s~ = (a, b); b is the traveling coordinate."""
         a, bh = self._stretched(a, b)
-        if self.mode == "bilinear":
-            return reflect_full(self.u, a, bh)
         return self._sre(a, bh, grid=False) + 1j * self._sim(a, bh, grid=False)
 
     def on_grid(self, a_axis, b_axis):
@@ -90,14 +81,15 @@ class UnscaledField:
         (len(a_axis), len(b_axis)): the spline computes each axis's
         B-spline basis once instead of once per point."""
         a, bh = self._stretched(a_axis, b_axis)
-        if self.mode == "bilinear":
-            return reflect_full(self.u, *np.meshgrid(a, bh, indexing="ij"))
         return self._sre(a, bh) + 1j * self._sim(a, bh)
 
 
-def unscale(u: ComplexField, params: ModelParams, mode="bilinear") -> UnscaledField:
-    """Evaluator of the traveling profile in unstretched coordinates."""
-    return UnscaledField(u, params, mode=mode)
+def unscale(u: ComplexField, params: ModelParams, mode="spline") -> UnscaledField:
+    """Evaluator of the traveling profile in unstretched coordinates.
+    `mode` accepts only "spline", the one interpolation."""
+    if mode != "spline":
+        raise ValueError(f"unknown interpolation mode {mode!r}; only 'spline' exists")
+    return UnscaledField(u, params)
 
 
 def spacetime_field(U: UnscaledField, params: ModelParams, t, tau, s) -> SpacetimeSample:
@@ -156,26 +148,25 @@ def _shifted(m, axes, axis, k=0):
 
 
 def pde_residual(params: ModelParams, U: UnscaledField, center, ds,
-                 nspace=12, dtau=None, dt=None, ntau=5, nt=5,
-                 t0=0.0, tau0=0.0, core_margin=2.0):
+                 nspace=12, ntau=5, t0=0.0, tau0=0.0):
     """L2 and sup residual of the original equation on a sampled block.
 
     center: spatial window center ((s1, s2) pair / (s1, s2, s3) ring);
-    spacings must resolve the stored field (<= h).  One cell at the
-    block edge is excluded, plus `core_margin` cells of the coarser of
-    (field spacing, sample spacing) around the traveling vortex core,
-    so the excluded disc stays fixed under sampling refinement."""
+    the block has spacing ds in space, tau and t (RESIDUAL_NT times,
+    one for a wave map), and ds must resolve the stored field (<= h).
+    One cell at the block edge is excluded, plus RESIDUAL_CORE_MARGIN
+    cells of the coarser of (field spacing, sample spacing) around the
+    traveling vortex core, so the excluded disc stays fixed under
+    sampling refinement."""
     h = min(U.u.spec.h1, U.u.spec.h2)
-    dtau = ds if dtau is None else dtau
-    dt = ds if dt is None else dt
-    if max(ds, dtau, dt) > h + 1e-12:
+    if ds > h + 1e-12:
         raise ValueError("sample spacings must resolve the field (<= h)")
     wave = params.omega == 0.0 and params.regime.value.endswith("wm")
     ring = len(center) == 3
 
-    tau_axis = tau0 + dtau * (np.arange(ntau) - (ntau - 1) / 2)
+    tau_axis = tau0 + ds * (np.arange(ntau) - (ntau - 1) / 2)
     t_axis = (np.array([t0]) if wave
-              else t0 + dt * (np.arange(max(nt, 3)) - (max(nt, 3) - 1) / 2))
+              else t0 + ds * (np.arange(RESIDUAL_NT) - (RESIDUAL_NT - 1) / 2))
     if np.ndim(nspace) == 0:
         nspace = (nspace,) * len(center)
     s_axes = [c + ds * (np.arange(n) - (n - 1) / 2) for c, n in zip(center, nspace)]
@@ -195,22 +186,22 @@ def pde_residual(params: ModelParams, U: UnscaledField, center, ds,
     def d1(axis, h):
         return (_shifted(m, diff_axes, axis, 1) - _shifted(m, diff_axes, axis, -1)) / (2.0 * h)
 
-    box = d2(tau_ax, dtau)
+    box = d2(tau_ax, ds)
     for k in range(sdim):
         box = box - d2(s_ax0 + k, ds)
-    dm2 = (d1(tau_ax, dtau)**2).sum(-1)
+    dm2 = (d1(tau_ax, ds)**2).sum(-1)
     for k in range(sdim):
         dm2 = dm2 - (d1(s_ax0 + k, ds)**2).sum(-1)
     mc = _shifted(m, diff_axes, tau_ax)
     core_term = box + dm2[..., None] * mc
-    R = core_term if wave else d1(0, dt) - np.cross(core_term, mc)
+    R = core_term if wave else d1(0, ds) - np.cross(core_term, mc)
 
     # mask out samples near the traveling core(s)
     tau_int = tau_axis[1:-1]
     t_int = t_axis if wave else t_axis[1:-1]
     s_int = [ax[1:-1] for ax in s_axes]
     shift = params.c * tau_int[None, :] + params.omega * t_int[:, None]
-    excl = core_margin * max(ds, h)
+    excl = RESIDUAL_CORE_MARGIN * max(ds, h)
     if ring:
         r_int = np.hypot(s_int[0][:, None], s_int[1][None, :])
         dist = np.hypot(
@@ -229,7 +220,7 @@ def pde_residual(params: ModelParams, U: UnscaledField, center, ds,
     kept = rnorm[keep]
     if kept.size == 0:
         raise ValueError("core margin excluded every sample")
-    cell = dtau * ds**sdim * (1.0 if wave else dt)
+    cell = ds * ds**sdim * (1.0 if wave else ds)
     return {
         "l2": float(math.sqrt((kept**2).sum() * cell)),
         "sup": float(kept.max()),

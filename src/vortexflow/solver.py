@@ -69,6 +69,9 @@ ACCEPT_RESIDUAL = 1e-8
 # true residual is at most KRYLOV_ACCEPT_RESIDUAL * ||b||; it is counted
 # in SolveResult.krylov_accepted.
 KRYLOV_ACCEPT_RESIDUAL = 1e-6
+# solve_balanced stops once |c| is this fraction of the larger |c| at the
+# bracket ends
+BALANCE_C_RTOL = 1e-10
 
 
 class NonConvergenceError(RuntimeError):
@@ -618,16 +621,16 @@ def _secant_d(d_prev, c_prev, d_cur, c_cur, d_lo, d_hi, ring):
 
 
 def solve_balanced(params: ModelParams, d_bracket, profile: VortexProfile = None,
-                   h=0.25, c_rtol=1e-10, max_iters=60, **opts):
+                   h=0.25, max_iters=60, **opts):
     """Safeguarded secant for c_mult(d) = 0; returns (SolveResult, d_star).
 
     The secant is taken in X(d) (`balance_x`), in which the leading-order
     c is affine, and falls back to bisection when a step leaves the
-    bracket.  It stops when |c| <= c_rtol max(|c(d_lo)|, |c(d_hi)|) or
-    the bracket is narrower than 1e-8 d_hi.  The solves share one
-    `_BalanceState`: a solve on the grid of the one before it reuses its
-    bordered LU, and each starts from the last corrector when that lowers
-    the residual.  The result carries `balance_history`, one record
+    bracket.  It stops when |c| <= BALANCE_C_RTOL max(|c(d_lo)|,
+    |c(d_hi)|) or the bracket is narrower than 1e-8 d_hi.  The solves
+    share one `_BalanceState`: a solve on the grid of the one before it
+    reuses its bordered LU, and each starts from the last corrector when
+    that lowers the residual.  The result carries `balance_history`, one record
     (d, c, n1, lu_reused, warm_start) per solve.
 
     The Newton tolerance is pushed to 1e-11 so the multiplier noise
@@ -663,7 +666,7 @@ def solve_balanced(params: ModelParams, d_bracket, profile: VortexProfile = None
     d_prev, c_prev = d_lo, c_lo
     d_cur, c_cur = d_hi, c_hi
     for _ in range(max_iters):
-        if abs(best[0].c_mult) <= c_rtol * scale or (d_hi - d_lo) <= 1e-8 * d_hi:
+        if abs(best[0].c_mult) <= BALANCE_C_RTOL * scale or (d_hi - d_lo) <= 1e-8 * d_hi:
             break
         d_new = _secant_d(d_prev, c_prev, d_cur, c_cur, d_lo, d_hi, ring)
         if d_new is None:

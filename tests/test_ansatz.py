@@ -234,7 +234,7 @@ def test_kernel_support_and_parity(profile):
     spec = GridSpec(20.0, 20.0, 0.25, 0.25, Symmetry.PAIR)
     V = build_pair(p, spec, profile)
     R = 4.0
-    Z = kernel_Zd(p, spec, profile, cutoff_radius=R)
+    Z = kernel_Zd(p, spec, profile)  # R = min(6, 0.4 d) = 4
     X1, X2 = spec.mesh()
     ell1 = np.hypot(X1 - p.d, X2)
     ell2 = np.hypot(X1 + p.d, X2)

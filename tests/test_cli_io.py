@@ -169,6 +169,9 @@ def test_mutated_field_loads_or_raises_format_error(valid_vsf, tmp_path_factory,
     ("tol = 0", ["profile"]),
     ("regime = ring_wm\neps = 0.2", ["reduce"]),  # predict_d has no root
     ("", ["sweep", "--eps-list", "abc"]),
+    ("ell_max = 31", ["profile"]),
+    ("d_lo = 10\nd_hi = 10", ["reduce"]),  # separations not distinct
+    ("d_lo = 0.75\nd_hi = 1.0", ["reduce"]),  # separations not all > 1
 ])
 def test_cli_out_of_range_config_exit_2(tmp_path, line, command):
     cfg = tmp_path / "run.cfg"

@@ -4,23 +4,35 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from vortexflow.profile import (ShootingBracketError, _bisect_slope,
-                                eval_profile, ode_residual, profile_integrals,
-                                solve_profile)
+from vortexflow.profile import eval_profile, ode_residual, profile_integrals, solve_profile
 
 
 def test_argument_validation():
     with pytest.raises(ValueError):
         solve_profile(ell_max=10.0)
     with pytest.raises(ValueError):
+        solve_profile(ell_max=31.0)
+    with pytest.raises(ValueError):
         solve_profile(step=0.05)
     with pytest.raises(ValueError):
         solve_profile(tol=1e-6)
 
 
-def test_bracket_failure():
-    with pytest.raises(ShootingBracketError):
-        _bisect_slope(1e-8, math.log(30.0), bracket=(5.0, 10.0))
+def test_default_solution_pinned(profile):
+    # values of the default solve when its Newton iteration started from a
+    # shot of an RK4 bisection on the origin slope: the fixed start must
+    # reach the same discrete solution
+    def close(value, expected):
+        return abs(value - expected) <= 1e-12 * abs(expected)
+
+    assert close(profile.slope_a, 0.5961291714939921)
+    assert close(profile.tail_c0, 2.3347374401659367)
+    I1, I2 = profile_integrals(profile)
+    assert close(I1, 0.24999997547039315) and close(I2, 0.12499996598682579)
+    expected = {0: 0.0005961291714939921, 1000: 0.5322248465688973, 5000: 0.9930258176454393,
+                14999: 0.999999802173802, 29999: 0.9999999999999286}
+    for k, rho in expected.items():
+        assert close(profile.rho[k], rho), k
 
 
 def test_profile_shape_invariants(profile):

@@ -6,26 +6,19 @@ from hypothesis import given, settings, strategies as st
 
 from vortexflow.ansatz import ModelParams, Regime, build_ansatz, build_pair
 from vortexflow.fields import ComplexField, GridSpec, Symmetry
-from vortexflow.reconstruct import (UnscaledField, pde_residual, sample_block,
-                                    spacetime_field, unscale)
+from vortexflow.reconstruct import pde_residual, sample_block, spacetime_field, unscale
 from vortexflow.stereo import unproject_array
 
 
 def test_unscale_identity_at_zero_speed(profile):
+    # the stretch scales only the traveling coordinate, so b = 0 reads the
+    # stored nodes (the spline reproduces them to rounding)
     p = ModelParams(Regime.PAIR_WM, 0.1, 0.0, 1.0)
     spec = GridSpec(20.0, 20.0, 0.25, 0.25, Symmetry.PAIR)
     V = build_pair(p, spec, profile)
-    U0 = UnscaledField(V, c_override=0.0)
+    U = unscale(V, p)
     x = spec.x1()[::7]
-    assert np.array_equal(U0(x, np.zeros_like(x)), V.data[::7, 0])
-
-
-def test_unscale_rejects_superluminal(profile):
-    p = ModelParams(Regime.PAIR_WM, 0.1, 0.0, 1.0)
-    spec = GridSpec(20.0, 20.0, 0.25, 0.25, Symmetry.PAIR)
-    V = build_pair(p, spec, profile)
-    with pytest.raises(ValueError):
-        UnscaledField(V, c_override=1.0)
+    assert np.max(np.abs(U(x, np.zeros_like(x)) - V.data[::7, 0])) <= 1e-12
 
 
 def test_unscale_lattice_alignment(profile):
@@ -112,7 +105,7 @@ def test_residual_zero_on_constant_m():
     p = ModelParams(Regime.PAIR_WM, 0.1, 0.0, 1.0)
     f = ComplexField(spec, np.zeros((spec.n1, spec.n2), dtype=complex))
     U = unscale(f, p, mode="spline")
-    out = pde_residual(p, U, (4.0, 0.0), 0.25, nspace=8, ntau=5, core_margin=0.0)
+    out = pde_residual(p, U, (4.0, 0.0), 0.25, nspace=8, ntau=5)
     assert out["sup"] == 0.0
 
 
@@ -156,9 +149,9 @@ SMALL_SCH = ModelParams(Regime.PAIR_SCH, eps=0.2, kappa=0.25, d_hat=0.8)  # d = 
 
 
 @pytest.fixture(scope="module")
-def small_fields(profile):
+def small_field(profile):
     V = build_pair(SMALL_SCH, GridSpec(8.0, 8.0, 0.25, 0.25, Symmetry.PAIR), profile)
-    return {mode: unscale(V, SMALL_SCH, mode=mode) for mode in ("bilinear", "spline")}
+    return unscale(V, SMALL_SCH)
 
 
 def _pointwise_block(U, p, t_axis, tau_axis, s_axes):
@@ -183,18 +176,21 @@ _time = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3)
 
 
 @settings(deadline=None, max_examples=60)
-@given(mode=st.sampled_from(["bilinear", "spline"]), t_axis=_time, tau_axis=_time,
-       s_axes=st.lists(_axis, min_size=2, max_size=3))
-def test_sample_block_matches_pointwise_bitwise(small_fields, mode, t_axis, tau_axis, s_axes):
-    U = small_fields[mode]
+@given(t_axis=_time, tau_axis=_time, s_axes=st.lists(_axis, min_size=2, max_size=3))
+def test_sample_block_matches_pointwise_bitwise(small_field, t_axis, tau_axis, s_axes):
+    U = small_field
     m = sample_block(U, SMALL_SCH, t_axis, tau_axis, s_axes)
     ref = _pointwise_block(U, SMALL_SCH, t_axis, tau_axis, s_axes)
     assert m.shape == ref.shape and np.array_equal(m, ref)
 
 
-@pytest.mark.parametrize("mode", ["bilinear", "spline"])
-def test_tensor_grid_rejects_queries_outside_domain(small_fields, mode):
-    U = small_fields[mode]
+def test_unscale_accepts_only_spline(small_field):
+    with pytest.raises(ValueError, match="only 'spline'"):
+        unscale(small_field.u, SMALL_SCH, "bilinear")
+
+
+def test_tensor_grid_rejects_queries_outside_domain(small_field):
+    U = small_field
     with pytest.raises(ValueError, match="outside the covered domain"):
         U.on_grid(np.array([0.0, 8.5]), np.array([0.0]))
     with pytest.raises(ValueError, match="outside the covered domain"):
@@ -206,8 +202,8 @@ def test_tensor_grid_rejects_queries_outside_domain(small_fields, mode):
         sample_block(U, SMALL_SCH, [0.0], [0.0], [np.array([1.0]), np.array([8.5])])
 
 
-def test_sample_block_one_grid_evaluation_per_slice(small_fields):
-    U = small_fields["spline"]
+def test_sample_block_one_grid_evaluation_per_slice(small_field):
+    U = small_field
     calls = []
     sre = U._sre
 
@@ -231,15 +227,16 @@ def test_sample_block_one_grid_evaluation_per_slice(small_fields):
 
 def test_pde_residual_fixed_blocks(profile):
     # Values of the scattered-point sampler with full-block stencils
-    # (the implementation before tensor-grid sampling); the tensor grid
-    # and interior-only stencils do the same arithmetic per element.
+    # (the implementation before tensor-grid sampling) on the default
+    # profile; the tensor grid and interior-only stencils do the same
+    # arithmetic per element.
     p = ModelParams(Regime.PAIR_SCH, 0.2, 0.25, 2.0)
     U = unscale(build_ansatz(p, GridSpec(20.0, 20.0, 0.25, 0.25, Symmetry.PAIR), profile),
                 p, "spline")
-    assert pde_residual(p, U, (10.0, 0.0), 0.125, nspace=16, ntau=5, nt=5) == {
+    assert pde_residual(p, U, (10.0, 0.0), 0.125, nspace=16, ntau=5) == {
         "l2": 0.011460691494805837, "sup": 0.041259095714887443, "n_samples": 1296}
     p = ModelParams(Regime.RING_SCH, 0.2, 0.0, 1.0)
     U = unscale(build_ansatz(p, GridSpec(10.0, 10.0, 0.25, 0.25, Symmetry.RING), profile),
                 p, "spline")
-    assert pde_residual(p, U, (5.0, 0.0, 0.0), 0.125, nspace=(12, 5, 12), ntau=5, nt=5) == {
-        "l2": 0.07346434524156115, "sup": 0.6211465571067903, "n_samples": 1296}
+    assert pde_residual(p, U, (5.0, 0.0, 0.0), 0.125, nspace=(12, 5, 12), ntau=5) == {
+        "l2": 0.07346434524156113, "sup": 0.6211465571067903, "n_samples": 1296}

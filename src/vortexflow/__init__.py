@@ -2,8 +2,7 @@
 geometric flows: construction, solving, and verification."""
 
 from .ansatz import (ModelParams, Regime, build_ansatz, build_pair, build_ring,
-                     build_ring_phase, error_field, factor_axisym_laplacian,
-                     kernel_Zd, vortex_geometry)
+                     build_ring_phase, error_field, kernel_Zd, vortex_geometry)
 from .diagnostics import (DiagnosticsReport, build_report, corrector_norms,
                           detect_vortices, energy_charge, winding_number)
 from .fields import (ComplexField, GridSpec, ScalarField, Symmetry, diff_ops,

@@ -6,9 +6,10 @@ e1 = (d, 0), e2 = (-d, 0) and w± = rho(ell) e^{±i theta}.  The ring
 ansatz multiplies in a phase correction e^{i phi_d}, phi_d = phi_s +
 phi_r, that cancels the 1/x1-induced singular forcing near the core;
 phi_s is an explicit cutoff-localized expression and phi_r solves a
-linear axisymmetric Poisson problem on the quarter grid.  That problem's
-matrix depends on the grid only, so one SuperLU factor of it (minimum-
-degree ordering on A + A^T) serves every ring ansatz built on that grid.
+linear axisymmetric Poisson problem on the quarter grid.  That problem
+is separable: a sine transform in x2 leaves one tridiagonal in x1 per
+mode, and SuperLU (minimum-degree ordering on A + A^T) factors their
+block-diagonal sum with fill linear in the unknowns.
 """
 
 import enum
@@ -16,7 +17,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse import csc_matrix
+from scipy.fft import dst
+from scipy.sparse import diags, kronsum
 from scipy.sparse.linalg import splu
 
 from .fields import (ComplexField, GridSpec, ScalarField, Symmetry,
@@ -167,8 +169,9 @@ def _phi_s_samples(spec: GridSpec, d):
     return phi_s
 
 
-def ring_forcing(params: ModelParams, spec: GridSpec):
-    """Source -[lap + (1/x1) d1](theta_1 - theta_2 + phi_s) for phi_r.
+def ring_forcing(params: ModelParams, spec: GridSpec, phi_s: ScalarField):
+    """Source -[lap + (1/x1) d1](theta_1 - theta_2 + phi_s) for phi_r,
+    given the phi_s samples of `build_ring_phase`.
 
     The angle part is closed-form (the angle difference is harmonic and
     its axisymmetric part combines to -4 d x2/(ell1^2 ell2^2), with no
@@ -181,7 +184,6 @@ def ring_forcing(params: ModelParams, spec: GridSpec):
     l1sq = np.where(ell1 > 0, ell1**2, np.inf)
     h1_angles = -4.0 * d * X2 / (l1sq * ell2**2)
 
-    phi_s = ScalarField(spec, _phi_s_samples(spec, d), x2_parity="odd")
     _, _, lap_s = diff_ops(phi_s)
     h1_s = axisym_term(phi_s.data, spec)
     g = -(h1_angles + lap_s.data + h1_s)
@@ -204,92 +206,45 @@ def ring_phase_residual(params: ModelParams, spec: GridSpec):
     return first + second
 
 
-def _phase_mask(spec: GridSpec):
-    """Unknowns of the phase problem: the quarter grid without the x2 = 0
-    row (odd parity pins it to zero) and the outer Dirichlet layer."""
-    mask = np.zeros((spec.n1, spec.n2), dtype=bool)
-    mask[: spec.n1 - 1, 1: spec.n2 - 1] = True
-    return mask
+def _solve_phase(spec: GridSpec, g):
+    """phi with [lap + H1] phi = g, odd in x2 and zero on the outer
+    Dirichlet layer; the unknowns are rows i = 0..n1-2, columns
+    j = 1..n2-2 (odd parity pins j = 0).
 
-
-def _assemble_axisym_laplacian(spec: GridSpec):
-    """Sparse [lap + (1/x1) d1] for an odd-in-x2 scalar on the quarter grid.
-
-    Unknowns are those of `_phase_mask`.  The x1 = 0 column uses the
-    even-parity axis limit lap_x1 + H1 -> 2 d11 + 2 d11."""
+    The x2 part is the constant 3-point Dirichlet stencil, which the
+    DST-I diagonalizes with eigenvalues -(4/h2^2) sin^2(pi k / (2(n2-1))),
+    k = 1..n2-2.  Each mode then leaves an x1 tridiagonal, with the
+    even-parity axis row lap_x1 + H1 -> 4 d11; the modes form one
+    Kronecker sum, each mode's block contiguous, factored by SuperLU
+    (Hockney, J. ACM 12, 1965; Buzbee, Golub & Nielson, SIAM J. Numer.
+    Anal. 7, 1970)."""
     n1, n2, h1, h2 = spec.n1, spec.n2, spec.h1, spec.h2
-    idx = -np.ones((n1, n2), dtype=int)
-    mask = _phase_mask(spec)
-    idx[mask] = np.arange(mask.sum())
-    I, J = np.nonzero(mask)
-    r = idx[I, J]
-    x1 = spec.h1 * I
-
-    rows, cols, vals = [r], [r], [np.full(r.size, -2.0 / h2**2)]
-
-    def couple(ii, jj, v, sel=None):
-        """Add v * phi[ii, jj] to the masked rows; jj = 0 is pinned to zero."""
-        if sel is None:
-            sel = np.ones(r.size, dtype=bool)
-        keep = sel & mask[ii, jj]
-        rows.append(r[keep])
-        cols.append(idx[ii[keep], jj[keep]])
-        vals.append(np.broadcast_to(v, r.size)[keep])
-
-    couple(I, J + 1, 1.0 / h2**2)
-    couple(I, np.maximum(J - 1, 0), 1.0 / h2**2, sel=J - 1 >= 1)
-
-    axis = I == 0
-    interior = ~axis
-    # axis column: lap_x1 + H1 -> 4 d11 (even parity, 1/x1 limit)
-    rows.append(r[axis]); cols.append(r[axis]); vals.append(np.full(axis.sum(), -4.0 / h1**2))
-    couple(np.minimum(I + 1, n1 - 1), J, 4.0 / h1**2, sel=axis)
-    with np.errstate(divide="ignore"):
-        ch = np.where(I > 0, 1.0 / (2.0 * h1 * np.where(x1 > 0, x1, 1.0)), 0.0)
-    rows.append(r[interior]); cols.append(r[interior])
-    vals.append(np.full(interior.sum(), -2.0 / h1**2))
-    couple(np.minimum(I + 1, n1 - 1), J, 1.0 / h1**2 + ch, sel=interior)
-    couple(np.maximum(I - 1, 0), J, 1.0 / h1**2 - ch, sel=interior)
-
-    n = int(mask.sum())
-    return csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n, n))
+    p, m = n1 - 1, n2 - 2
+    ch = 1.0 / (2.0 * h1 * (h1 * np.arange(1, p)))  # 1/(2 h1 x1) off the axis
+    diag = np.full(p, -2.0 / h1**2)
+    diag[0] = -4.0 / h1**2
+    upper = np.concatenate(([4.0 / h1**2], 1.0 / h1**2 + ch[:-1]))
+    x1_op = diags([1.0 / h1**2 - ch, diag, upper], [-1, 0, 1])
+    lam = -(4.0 / h2**2) * np.sin(np.pi * np.arange(1, m + 1) / (2.0 * (n2 - 1)))**2
+    lu = splu(kronsum(x1_op, diags(lam), format="csc"), permc_spec="MMD_AT_PLUS_A")
+    g_hat = dst(g[:p, 1:n2 - 1], type=1, axis=1, norm="ortho")
+    sol = lu.solve(g_hat.T.ravel()).reshape(m, p).T
+    phi = np.zeros((n1, n2))
+    phi[:p, 1:n2 - 1] = dst(sol, type=1, axis=1, norm="ortho")
+    return phi
 
 
-def factor_axisym_laplacian(spec: GridSpec):
-    """SuperLU factor of the phase Laplacian on `spec`.
-
-    MMD_AT_PLUS_A (minimum degree on A + A^T) suits this nearly
-    symmetric 5-point stencil: it leaves about half the fill of SuperLU's
-    default COLAMD ordering."""
-    return splu(_assemble_axisym_laplacian(spec), permc_spec="MMD_AT_PLUS_A")
-
-
-def build_ring_phase(params: ModelParams, spec: GridSpec, laplacian_lu=None):
+def build_ring_phase(params: ModelParams, spec: GridSpec):
     """Singular phase correction phi_s and regular part phi_r.
 
     phi_s = chi(ell1) * x2 log(ell1^2/ell2^2)/(4 d); phi_r solves
     [lap + H1] phi_r = -[lap + H1](theta_1 - theta_2 + phi_s) with odd
-    x2-parity and homogeneous Dirichlet on the outer boundary.
-    `laplacian_lu` is `factor_axisym_laplacian(spec)`; it is computed
-    here when not given."""
+    x2-parity and homogeneous Dirichlet on the outer boundary."""
     if not params.is_ring:
         raise ValueError("ring phases only exist in RING regimes")
-    d = params.d
-    phi_s_field = ScalarField(spec, _phi_s_samples(spec, d), x2_parity="odd")
-
-    g = ring_forcing(params, spec)
-    mask = _phase_mask(spec)
-    if laplacian_lu is None:
-        laplacian_lu = factor_axisym_laplacian(spec)
-    elif laplacian_lu.shape != (mask.sum(),) * 2:
-        raise ValueError("laplacian_lu was factored on another grid")
-    sol = laplacian_lu.solve(g[mask])
-    if not np.all(np.isfinite(sol)):
-        raise RuntimeError("ring phase linear solve did not converge")
-    phi_r = np.zeros((spec.n1, spec.n2))
-    phi_r[mask] = sol
-    return phi_s_field, ScalarField(spec, phi_r, x2_parity="odd")
+    phi_s = ScalarField(spec, _phi_s_samples(spec, params.d), x2_parity="odd")
+    phi_r = _solve_phase(spec, ring_forcing(params, spec, phi_s))
+    return phi_s, ScalarField(spec, phi_r, x2_parity="odd")
 
 
 def build_ring(params: ModelParams, spec: GridSpec, profile: VortexProfile,
@@ -304,30 +259,25 @@ def build_ring(params: ModelParams, spec: GridSpec, profile: VortexProfile,
     return ComplexField(spec, symmetrize_complex(data))
 
 
-def build_ansatz(params: ModelParams, spec: GridSpec, profile: VortexProfile,
-                 laplacian_lu=None) -> ComplexField:
-    """Pair or improved-ring ansatz, per regime.  A ring passes
-    `laplacian_lu` on to `build_ring_phase`; a pair ignores it."""
+def build_ansatz(params: ModelParams, spec: GridSpec, profile: VortexProfile) -> ComplexField:
+    """Pair or improved-ring ansatz, per regime."""
     if params.is_ring:
-        return build_ring(params, spec, profile,
-                          build_ring_phase(params, spec, laplacian_lu))
+        return build_ring(params, spec, profile, build_ring_phase(params, spec))
     return build_pair(params, spec, profile)
 
 
-def kernel_Zd(params: ModelParams, spec: GridSpec, profile: VortexProfile,
-              laplacian_lu=None) -> ComplexField:
+def kernel_Zd(params: ModelParams, spec: GridSpec, profile: VortexProfile) -> ComplexField:
     """Co-kernel Z_d = dV_d/dd * [eta(ell1/R) + eta(ell2/R)].
 
     The d-derivative is a central difference with step 1e-3 d,
-    rebuilding the full ansatz (ring phases included) at d +- delta;
-    both rebuilds share `laplacian_lu` (see `build_ring_phase`).
+    rebuilding the full ansatz (ring phases included) at d +- delta.
     R is 6 core widths, capped at 0.4 d so the cutoff stays inside the
     inter-vortex distance at small separations."""
     d = params.d
     cutoff_radius = min(CUTOFF_RADIUS, 0.4 * d)
     delta = 1e-3 * d
-    plus = build_ansatz(params.with_d(d + delta), spec, profile, laplacian_lu)
-    minus = build_ansatz(params.with_d(d - delta), spec, profile, laplacian_lu)
+    plus = build_ansatz(params.with_d(d + delta), spec, profile)
+    minus = build_ansatz(params.with_d(d - delta), spec, profile)
     dV = (plus.data - minus.data) / (2.0 * delta)
     _, _, ell1, _, ell2, _ = _core_frames(spec, d)
     cut = smoothstep_cutoff(ell1 / cutoff_radius) + smoothstep_cutoff(ell2 / cutoff_radius)

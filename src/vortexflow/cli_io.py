@@ -15,6 +15,7 @@ malformed field file).
 """
 
 import argparse
+import math
 import struct
 import sys
 from dataclasses import dataclass, fields as dc_fields, replace
@@ -193,6 +194,10 @@ def _profile(cfg):
 
 
 def _solve_opts(cfg):
+    for key in ("newton_tol", "krylov_tol"):
+        value = getattr(cfg, key)
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"{key} must be finite and > 0, got {value}")
     return {"newton_max": cfg.newton_max, "newton_tol": cfg.newton_tol,
             "krylov_tol": cfg.krylov_tol}
 
@@ -226,6 +231,7 @@ def _cmd_profile(cfg, out, args):
 
 def _cmd_build(cfg, out, args):
     params = cfg.params()
+    opts = _solve_opts(cfg)
     spec = _grid(cfg, params)
     prof = _profile(cfg)
     sections = [("config", cfg.echo()), ("params", _params_section(params))]
@@ -239,7 +245,7 @@ def _cmd_build(cfg, out, args):
             **_report_entries(build_report(V)),
         }))
     else:
-        res = solve_projected(params, *build_case(params, spec, prof), **_solve_opts(cfg))
+        res = solve_projected(params, *build_case(params, spec, prof), **opts)
         field_path = out / "solution.vsf"
         save_field(res.u, field_path)
         sections.append(("solve", {
@@ -256,6 +262,7 @@ def _cmd_build(cfg, out, args):
 
 def _cmd_reduce(cfg, out, args):
     params = cfg.params()
+    opts = _solve_opts(cfg)
     if cfg.points < 2:
         raise ConfigError("points must be at least 2 to bracket a root")
     try:
@@ -270,7 +277,7 @@ def _cmd_reduce(cfg, out, args):
     # samples solve on the default domain of their d; the smallest is coarsest
     _grid(replace(cfg, l=0.0), params.with_d(d_list[0]))
     prof = _profile(cfg)
-    curve = numeric_c_curve(params, d_list, prof, h=cfg.h, **_solve_opts(cfg))
+    curve = numeric_c_curve(params, d_list, prof, h=cfg.h, **opts)
     curve_to_csv(curve, out / "curve.csv")
     try:
         d_star = curve.empirical_root()
@@ -354,6 +361,7 @@ def _cmd_sweep(cfg, out, args):
     except ValueError:
         raise ConfigError(f"--eps-list must be comma-separated numbers, "
                           f"got {args.eps_list!r}") from None
+    opts = _solve_opts(cfg)
     prof = _profile(cfg)
     rows = []
     for eps in eps_list:
@@ -366,7 +374,7 @@ def _cmd_sweep(cfg, out, args):
         _, err = error_field(V, params.tag, params)
         row = {"eps": eps, "d": params.d, "error_norm_star2": err}
         if args.solve:
-            res = solve_projected(params, V, Z, **_solve_opts(cfg))
+            res = solve_projected(params, V, Z, **opts)
             row.update(corrector_norm_star=res.corrector_norm_star,
                        c_mult=res.c_mult, newton_iters=res.newton_iters)
         rows.append(row)

@@ -27,12 +27,10 @@ bordered matrix appends its row and column to the ansatz Jacobian's CSC
 arrays.  A GMRES solve that stops short of `krylov_tol` is accepted at
 `KRYLOV_ACCEPT_RESIDUAL` relative residual and counted in the result.
 
-Every sparse system is factored once, with SuperLU's MMD_AT_PLUS_A
-ordering (minimum degree on A + A^T), which leaves about half the fill
-of the default COLAMD ordering on these 5-point stencils.  `build_case`
-is the one construction of (V_d, Z_d): a ring factors its
-d-independent phase Laplacian there once for the ansatz and both
-co-kernel rebuilds, and releases it before the bordered factorization.
+A solve factors its bordered system at most once, with SuperLU's
+MMD_AT_PLUS_A ordering (minimum degree on A + A^T), which leaves about
+half the fill of the default COLAMD ordering on these 5-point stencils.
+`build_case` is the one construction of (V_d, Z_d).
 
 `solve_balanced` takes its secant in X(d) = 1/d (pair) or (log d)/d
 (ring), in which the leading-order multiplier is affine, so its solves
@@ -52,7 +50,7 @@ from scipy.optimize import brentq
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
-from .ansatz import ModelParams, build_ansatz, factor_axisym_laplacian, kernel_Zd
+from .ansatz import ModelParams, build_ansatz, kernel_Zd
 from .fields import ComplexField, GridSpec, Symmetry, axisym_term, diff_ops
 from .profile import VortexProfile, solve_profile
 from .stereo import nonlinearity_F
@@ -579,12 +577,8 @@ def balance_x(d, ring):
 
 
 def build_case(params: ModelParams, spec: GridSpec, profile: VortexProfile):
-    """Ansatz V_d and co-kernel Z_d of `params` on `spec`.  A ring factors
-    its phase Laplacian once for the ansatz and both co-kernel rebuilds
-    and drops it on return, before any bordered factorization."""
-    laplacian_lu = factor_axisym_laplacian(spec) if params.is_ring else None
-    V = build_ansatz(params, spec, profile, laplacian_lu)
-    return V, kernel_Zd(params, spec, profile, laplacian_lu=laplacian_lu)
+    """Ansatz V_d and co-kernel Z_d of `params` on `spec`."""
+    return build_ansatz(params, spec, profile), kernel_Zd(params, spec, profile)
 
 
 def solve_at_separation(params: ModelParams, d: float, profile: VortexProfile,

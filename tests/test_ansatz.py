@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import spsolve
 
 from vortexflow.ansatz import (ModelParams, Regime, build_pair, build_ring,
-                               build_ring_phase, factor_axisym_laplacian, kernel_Zd,
+                               build_ring_phase, kernel_Zd, ring_forcing,
                                ring_phase_residual, smoothstep_cutoff, vortex_geometry)
 from vortexflow.fields import GridSpec, Symmetry, reflect_full
 from vortexflow.profile import eval_profile
@@ -164,22 +166,63 @@ def test_phi_r_decay_bound(profile):
     assert np.max(np.abs(phi_r.data) * (1.0 + r)) < 5.0
 
 
-def test_ring_phase_with_supplied_factor_is_bitwise():
-    # one factor serves every separation on its grid, as in kernel_Zd
-    p = ring_params()
-    spec = GridSpec(12.0, 12.0, 0.25, 0.25, Symmetry.RING)
-    lu = factor_axisym_laplacian(spec)
-    for q in (p, p.with_d(1.001 * p.d)):
-        _, own = build_ring_phase(q, spec)
-        _, shared = build_ring_phase(q, spec, lu)
-        assert shared.data.tobytes() == own.data.tobytes()
+def _axisym_laplacian(spec):
+    """Sparse 2-D [lap + (1/x1) d1] for an odd-in-x2 scalar on the phase
+    unknowns: the quarter grid without the x2 = 0 row (odd parity pins it
+    to zero) and the outer Dirichlet layer, in row-major order.  The
+    x1 = 0 column uses the even-parity axis limit lap_x1 + H1 -> 4 d11."""
+    n1, n2, h1, h2 = spec.n1, spec.n2, spec.h1, spec.h2
+    mask = np.zeros((n1, n2), dtype=bool)
+    mask[: n1 - 1, 1: n2 - 1] = True
+    idx = -np.ones((n1, n2), dtype=int)
+    idx[mask] = np.arange(mask.sum())
+    I, J = np.nonzero(mask)
+    r = idx[I, J]
+    x1 = spec.h1 * I
+
+    rows, cols, vals = [r], [r], [np.full(r.size, -2.0 / h2**2)]
+
+    def couple(ii, jj, v, sel=None):
+        """Add v * phi[ii, jj] to the masked rows; jj = 0 is pinned to zero."""
+        if sel is None:
+            sel = np.ones(r.size, dtype=bool)
+        keep = sel & mask[ii, jj]
+        rows.append(r[keep])
+        cols.append(idx[ii[keep], jj[keep]])
+        vals.append(np.broadcast_to(v, r.size)[keep])
+
+    couple(I, J + 1, 1.0 / h2**2)
+    couple(I, np.maximum(J - 1, 0), 1.0 / h2**2, sel=J - 1 >= 1)
+
+    axis = I == 0
+    interior = ~axis
+    rows.append(r[axis]); cols.append(r[axis]); vals.append(np.full(axis.sum(), -4.0 / h1**2))
+    couple(np.minimum(I + 1, n1 - 1), J, 4.0 / h1**2, sel=axis)
+    with np.errstate(divide="ignore"):
+        ch = np.where(I > 0, 1.0 / (2.0 * h1 * np.where(x1 > 0, x1, 1.0)), 0.0)
+    rows.append(r[interior]); cols.append(r[interior])
+    vals.append(np.full(interior.sum(), -2.0 / h1**2))
+    couple(np.minimum(I + 1, n1 - 1), J, 1.0 / h1**2 + ch, sel=interior)
+    couple(np.maximum(I - 1, 0), J, 1.0 / h1**2 - ch, sel=interior)
+
+    n = int(mask.sum())
+    return csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n, n))
 
 
-def test_ring_phase_rejects_factor_of_another_grid():
-    spec = GridSpec(12.0, 12.0, 0.25, 0.25, Symmetry.RING)
-    other = GridSpec(12.0, 12.0, 0.5, 0.5, Symmetry.RING)
-    with pytest.raises(ValueError):
-        build_ring_phase(ring_params(), spec, factor_axisym_laplacian(other))
+@pytest.mark.parametrize("spec", [GridSpec(12.0, 12.0, 0.25, 0.25, Symmetry.RING),
+                                  GridSpec(14.0, 9.0, 0.25, 0.2, Symmetry.RING)],
+                         ids=["square", "rectangular"])
+def test_ring_phase_matches_sparse_oracle(spec):
+    p = ring_params()  # d = 6
+    phi_s, phi_r = build_ring_phase(p, spec)
+    g = ring_forcing(p, spec, phi_s)[:-1, 1:-1].ravel()
+    x = phi_r.data[:-1, 1:-1].ravel()
+    A = _axisym_laplacian(spec)
+    assert np.linalg.norm(A @ x - g) <= 1e-11 * np.linalg.norm(g)
+    ref = spsolve(A, g)
+    assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+    assert np.all(phi_r.data[-1, :] == 0.0) and np.all(phi_r.data[:, [0, -1]] == 0.0)
 
 
 def test_ring_requires_ring_regime(profile):

@@ -35,6 +35,14 @@ def test_default_solution_pinned(profile):
         assert close(profile.rho[k], rho), k
 
 
+def test_loose_tol_still_converges_the_far_tail():
+    # a loose tol on a fine grid: Newton still runs to its own target, so
+    # the tail, where 1 - rho ~ 1e-13, stays below 1
+    p = solve_profile(30.0, 2e-4, 1e-8)
+    assert np.all(p.rho > 0.0) and np.all(p.rho < 1.0) and np.all(p.drho > 0.0)
+    assert np.max(np.abs(ode_residual(p))) <= 1e-7
+
+
 def test_profile_shape_invariants(profile):
     assert np.all(profile.rho > 0.0) and np.all(profile.rho < 1.0)
     assert np.all(profile.drho > 0.0)

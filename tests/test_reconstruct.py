@@ -239,4 +239,4 @@ def test_pde_residual_fixed_blocks(profile):
     U = unscale(build_ansatz(p, GridSpec(10.0, 10.0, 0.25, 0.25, Symmetry.RING), profile),
                 p, "spline")
     assert pde_residual(p, U, (5.0, 0.0, 0.0), 0.125, nspace=(12, 5, 12), ntau=5) == {
-        "l2": 0.07346434524156113, "sup": 0.6211465571067903, "n_samples": 1296}
+        "l2": 0.07346434524156059, "sup": 0.6211465571068013, "n_samples": 1296}

@@ -15,7 +15,6 @@ malformed field file).
 """
 
 import argparse
-import math
 import struct
 import sys
 from dataclasses import dataclass, fields as dc_fields, replace
@@ -30,7 +29,7 @@ from .profile import solve_profile, profile_integrals
 from .reconstruct import pde_residual, sample_block, unscale
 from .reduction import curve_to_csv, numeric_c_curve, predict_d
 from .solver import (BracketError, NonConvergenceError, _domain_for, build_case,
-                     solve_projected)
+                     check_tolerances, solve_projected)
 
 MAGIC = b"VSF1"
 # `reconstruct` samples a block 11 h / 2 wide per spatial axis; a --ds that
@@ -194,10 +193,10 @@ def _profile(cfg):
 
 
 def _solve_opts(cfg):
-    for key in ("newton_tol", "krylov_tol"):
-        value = getattr(cfg, key)
-        if not 0.0 < value < math.inf:
-            raise ConfigError(f"{key} must be finite and > 0, got {value}")
+    try:
+        check_tolerances(cfg.newton_tol, cfg.krylov_tol)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return {"newton_max": cfg.newton_max, "newton_tol": cfg.newton_tol,
             "krylov_tol": cfg.krylov_tol}
 

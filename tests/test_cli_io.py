@@ -178,6 +178,8 @@ def test_mutated_field_loads_or_raises_format_error(valid_vsf, tmp_path_factory,
     ("newton_tol = 0", ["sweep", "--eps-list", "0.1", "--solve"]),
     ("krylov_tol = -1e-10", ["reduce"]),
     ("krylov_tol = inf", ["reduce"]),
+    ("tol = 1e-11", ["profile"]),  # below the rounding floor at step 1e-3
+    ("step = 2e-4\ntol = 1e-10", ["profile"]),
 ])
 def test_cli_out_of_range_config_exit_2(tmp_path, line, command):
     cfg = tmp_path / "run.cfg"

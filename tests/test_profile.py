@@ -16,6 +16,11 @@ def test_argument_validation():
         solve_profile(step=0.05)
     with pytest.raises(ValueError):
         solve_profile(tol=1e-6)
+    # in [1e-11, 1e-8] but below the rounding floor 2e-17 / step^2
+    with pytest.raises(ValueError, match="rounding floor"):
+        solve_profile(step=1e-3, tol=1e-11)
+    with pytest.raises(ValueError, match="rounding floor"):
+        solve_profile(step=2e-4, tol=1e-10)
 
 
 def test_default_solution_pinned(profile):

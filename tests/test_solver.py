@@ -1,13 +1,17 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
 
 from vortexflow import ansatz, solver
 from vortexflow.ansatz import ModelParams, Regime, build_ansatz, build_pair, kernel_Zd
 from vortexflow.fields import ComplexField, GridSpec, Symmetry, symmetrize_complex
 from vortexflow.profile import eval_profile
 from vortexflow.solver import (_arm_coefficients, _arms, _bordered_lu, apply_S,
-                               assemble_jacobian, build_case, extract_multiplier,
+                               assemble_jacobian, build_case, extract_multiplier, gmres,
                                linearize_apply, solve_at_separation, solve_projected)
 
 
@@ -226,27 +230,6 @@ def test_build_case_shares_one_factor_bitwise(profile):
     assert Z.data.tobytes() == Z_ref.data.tobytes()
 
 
-@pytest.mark.parametrize("ring", [False, True])
-def test_bordered_lu_solves_bordered_system(profile, ring):
-    if ring:
-        p = ModelParams(Regime.RING_SCH, 0.05, 0.0, 0.3)
-        spec = GridSpec(12.0, 12.0, 0.25, 0.25, Symmetry.RING)
-    else:
-        p = pair_params(eps=0.1)
-        spec = GridSpec(20.0, 20.0, 0.25, 0.25, Symmetry.PAIR)
-    V = build_ansatz(p, spec, profile)
-    Z = kernel_Zd(p, spec, profile)
-    P, dm = assemble_jacobian(V, p.tag, p)
-    W = 1.0 / (1.0 + np.abs(V.data) ** 2) ** 2
-    z_col = dm.pack(Z.data)
-    grad_con = dm.pack(W * Z.data * spec.h1 * spec.h2)
-    lu = _bordered_lu(P, dm, z_col, grad_con)
-    b = np.random.default_rng(17).standard_normal(dm.n + 1)
-    x = lu.solve(b)
-    Bx = np.concatenate([P @ x[:-1] - x[-1] * z_col, [grad_con @ x[:-1]]])
-    assert np.linalg.norm(Bx - b) <= 1e-12 * np.linalg.norm(b)
-
-
 def _tag_case(tag):
     if tag in solver.RING_TAGS:
         p = ModelParams(Regime.RING_SCH if tag == "S4" else Regime.RING_WM, 0.05,
@@ -326,26 +309,138 @@ def test_krylov_acceptance_is_counted(profile):
     assert forced.final_residual <= 1e-3
 
 
-@pytest.mark.parametrize("tag", ["S1", "S4"])
-def test_bordered_matrix_matches_coordinate_form(profile, monkeypatch, tag):
-    # the border appended to P's CSC arrays gives, array for array, the
-    # canonical CSC form of [[P, -z], [g^T, 0]] built from coordinates
+def _bordered_parts(tag, profile):
+    """The ansatz Jacobian P of `_tag_case(tag)`, its `_DofMap`, and the
+    border column z and row g of the bordered system."""
     p, spec = _tag_case(tag)
     V = build_ansatz(p, spec, profile)
     Z = kernel_Zd(p, spec, profile)
     P, dm = assemble_jacobian(V, tag, p)
     W = 1.0 / (1.0 + np.abs(V.data) ** 2) ** 2
-    z_col = dm.pack(Z.data)
-    grad_con = dm.pack(W * Z.data * spec.h1 * spec.h2)
+    return P, dm, dm.pack(Z.data), dm.pack(W * Z.data * spec.h1 * spec.h2)
+
+
+def _bordered_matvec(P, z_col, grad_con):
+    """x -> [[P, -z], [g^T, 0]] x in float64."""
+    return lambda x: np.concatenate([P @ x[:-1] - x[-1] * z_col, [grad_con @ x[:-1]]])
+
+
+def _coo_bordered(P, dm, z_col, grad_con):
+    """Canonical float64 CSC form of [[P, -z], [g^T, 0]] built from
+    coordinates, with the zero corner kept."""
+    Pc, n = P.tocoo(), dm.n
+    zi, gi = np.flatnonzero(z_col), np.flatnonzero(grad_con)
+    return csc_matrix((np.concatenate([Pc.data, -z_col[zi], grad_con[gi], [0.0]]),
+                       (np.concatenate([Pc.row, zi, np.full(gi.size, n), [n]]),
+                        np.concatenate([Pc.col, np.full(zi.size, n), gi, [n]]))),
+                      shape=(n + 1, n + 1))
+
+
+@pytest.mark.parametrize("tag", ["S1", "S4"])
+def test_bordered_matrix_matches_coordinate_form(profile, monkeypatch, tag):
+    # the border appended to P's CSC arrays gives, array for array, the
+    # canonical CSC form of [[P, -z], [g^T, 0]] built from coordinates,
+    # with its values rounded to single precision for the factor
+    P, dm, z_col, grad_con = _bordered_parts(tag, profile)
     seen = []
     monkeypatch.setattr(solver, "splu", lambda B, **kw: seen.append((B, kw)))
     _bordered_lu(P, dm, z_col, grad_con)
     (B, kw), = seen
     assert kw == {"permc_spec": "MMD_AT_PLUS_A"}
-    Pc, n = P.tocoo(), dm.n
-    zi, gi = np.flatnonzero(z_col), np.flatnonzero(grad_con)
-    ref = csc_matrix((np.concatenate([Pc.data, -z_col[zi], grad_con[gi], [0.0]]),
-                      (np.concatenate([Pc.row, zi, np.full(gi.size, n), [n]]),
-                       np.concatenate([Pc.col, np.full(zi.size, n), gi, [n]]))),
-                     shape=(n + 1, n + 1))
-    assert _same_bits(B, ref)
+    assert B.dtype == np.float32
+    assert _same_bits(B, _coo_bordered(P, dm, z_col, grad_con).astype(np.float32))
+
+
+@pytest.mark.parametrize("ring", [False, True])
+def test_bordered_lu_solves_bordered_system(profile, ring):
+    # the single-precision factor alone solves the bordered system to
+    # about float32 accuracy; as the preconditioner of `gmres` it gives
+    # a float64 solution
+    P, dm, z_col, grad_con = _bordered_parts("S4" if ring else "S1", profile)
+    lu = _bordered_lu(P, dm, z_col, grad_con)
+    A = _bordered_matvec(P, z_col, grad_con)
+    b = np.random.default_rng(17).standard_normal(dm.n + 1)
+    bnorm = np.linalg.norm(b)
+    x = lu.solve(b.astype(np.float32)).astype(np.float64)
+    assert np.linalg.norm(A(x) - b) <= 1e-3 * bnorm
+    x, info = gmres(A, b, M=lambda v: lu.solve(v.astype(np.float32)).astype(np.float64),
+                    rtol=1e-12)
+    assert info == 0
+    assert np.linalg.norm(A(x) - b) <= 1e-12 * bnorm
+
+
+def test_gmres_with_exact_preconditioner_takes_one_step(profile):
+    P, dm, z_col, grad_con = _bordered_parts("S1", profile)
+    exact = splu(_coo_bordered(P, dm, z_col, grad_con), permc_spec="MMD_AT_PLUS_A")
+    applies = []
+
+    def M(v):
+        applies.append(1)
+        return exact.solve(v)
+
+    A = _bordered_matvec(P, z_col, grad_con)
+    b = np.random.default_rng(5).standard_normal(dm.n + 1)
+    x, info = gmres(A, b, M=M, rtol=1e-10)
+    assert info == 0 and len(applies) == 1
+    assert np.linalg.norm(A(x) - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_gmres_holds_at_most_151_krylov_vectors():
+    # identity preconditioning cannot solve this 100-eigenvalue system in
+    # one restart cycle, so that cycle fills V and Z; then M turns exact
+    # (a flexible GMRES allows M to change) and the next cycle ends in
+    # one step.  V and Z are the only n-vector blocks it allocates.
+    n = 20000
+    diag = np.repeat(np.geomspace(1.0, 1e4, 100), n // 100)
+    b = np.random.default_rng(3).standard_normal(n)
+    applies = []
+
+    def M(v):
+        applies.append(1)
+        return v if len(applies) <= solver.GMRES_RESTART else v / diag
+
+    tracemalloc.start()
+    try:
+        x, info = gmres(lambda v: diag * v, b, M=M, rtol=1e-10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert info == 0 and len(applies) == solver.GMRES_RESTART + 1
+    assert np.linalg.norm(diag * x - b) <= 1e-10 * np.linalg.norm(b)
+    assert 2 * solver.GMRES_RESTART + 1 == 151
+    assert solver.GMRES_RESTART * solver.GMRES_MAXITER == 1200
+    assert 151 * 8 * n <= peak <= (151 + 8) * 8 * n
+
+
+def test_krylov_iters_count_every_lu_apply(profile, monkeypatch):
+    solves = []
+
+    class Counted:
+        def __init__(self, lu):
+            self._lu = lu
+
+        def solve(self, v):
+            solves.append(1)
+            return self._lu.solve(v)
+
+    splu_ = solver.splu
+    monkeypatch.setattr(solver, "splu", lambda *a, **kw: Counted(splu_(*a, **kw)))
+    res = solve_at_separation(pair_params(eps=0.1), 10.0, profile, h=0.5, newton_tol=1e-11)
+    assert len(res.krylov_iters) == res.newton_iters >= 2
+    assert all(k >= 1 for k in res.krylov_iters)
+    assert sum(res.krylov_iters) == len(solves)
+
+
+@pytest.mark.parametrize("tols", [dict(newton_tol=math.nan), dict(newton_tol=math.inf),
+                                  dict(newton_tol=0.0), dict(krylov_tol=math.nan),
+                                  dict(krylov_tol=-1e-10), dict(krylov_tol=math.inf)],
+                         ids=lambda tols: ",".join(f"{k}={v}" for k, v in tols.items()))
+def test_unusable_tolerances_are_rejected(profile, tols):
+    # a nan or inf newton_tol used to return the unsolved ansatz as converged
+    p = pair_params(eps=0.1)
+    with pytest.raises(ValueError, match="finite and > 0"):
+        solve_at_separation(p, 10.0, profile, h=0.5, **tols)
+    spec = GridSpec(20.0, 20.0, 0.5, 0.5, Symmetry.PAIR)
+    V, Z = build_case(p.with_d(10.0), spec, profile)
+    with pytest.raises(ValueError, match="finite and > 0"):
+        solve_projected(p.with_d(10.0), V, Z, **tols)

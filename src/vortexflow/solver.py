@@ -32,13 +32,24 @@ structure is built once, on the solve's `_DofMap`, together with int32
 gathers that map the stencil coefficients onto it; every assembly then
 writes values only, into arrays that share that structure, and the
 bordered matrix appends its row and column to the ansatz Jacobian's CSC
-arrays.  A GMRES solve that stops short of `krylov_tol` is accepted at
-`KRYLOV_ACCEPT_RESIDUAL` relative residual and counted in the result;
-`SolveResult.krylov_iters` records the LU applies of each Newton step.
+arrays.  Pair and ring operators share one stencil of six arms: the
+ring's H1 couples the targets of the Laplacian's two x1 arms and is
+added to their coefficients.  A GMRES solve that stops short of
+`krylov_tol` is accepted at `KRYLOV_ACCEPT_RESIDUAL` relative residual
+and counted in the result; `SolveResult.krylov_iters` records the LU
+applies of each Newton step.
 
-A solve factors its bordered system at most once, with SuperLU's
-MMD_AT_PLUS_A ordering (minimum degree on A + A^T), which leaves about
-half the fill of the default COLAMD ordering on these 5-point stencils.
+A solve factors its bordered system at most once, in an elimination
+order taken from the grid (`_DofMap.order`, computed once per grid):
+SuperLU's minimum degree (MMD_AT_PLUS_A) on the 5-point graph of the
+grid points, each point's Re and Im unknowns next to each other, and
+the dense border row and column last, as minimum-degree codes order a
+dense row (Amestoy, Davis & Duff, SIAM J. Matrix Anal. Appl. 17, 1996).
+SuperLU then factors in that order (NATURAL).  On the benchmark's ring
+grid (293k unknowns; the border row and column hold 28,913 entries
+each) the order costs 0.3 s once per grid, and the factor leaves 34.62M
+entries in L + U and takes 1.7 s, where minimum degree on A + A^T of the
+whole bordered matrix left 35.85M and took 3.0 s (traced, 2 CPUs).
 `build_case` is the one construction of (V_d, Z_d).
 
 `solve_balanced` takes its secant in X(d) = 1/d (pair) or (log d)/d
@@ -57,8 +68,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.optimize import brentq
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
+from scipy.sparse import csc_matrix, diags, kronsum
+from scipy.sparse.linalg import spilu, splu
 
 from .ansatz import ModelParams, build_ansatz, kernel_Zd
 from .fields import ComplexField, GridSpec, Symmetry, axisym_term, diff_ops
@@ -119,8 +130,12 @@ class SolveResult:
     # grid), and Newton started from that solve's corrector
     lu_reused: bool = False
     warm_start: bool = False
-    # solve_balanced only: one (d, c, n1, lu_reused, warm_start) per solve
+    # nnz(L+U) of the bordered factor this solve made, 0 when it reused one
+    lu_fill: int = 0
+    # solve_balanced only: one (d, c, n1, lu_reused, warm_start) per solve,
+    # and the count of solves redone cold after failing on reused state
     balance_history: tuple = ()
+    fallbacks: int = 0
 
 
 def _check_tag(u, tag, params):
@@ -176,8 +191,9 @@ class _DofMap:
     Im(u) at non-Dirichlet points off the x2 = 0 row (odd parity pins
     the axis imaginary part to zero, so it is not an unknown).
 
-    It also holds the Jacobian's sparsity (`pattern`), built on first use
-    and shared by every assembly on this grid."""
+    It also holds, each computed on first use and shared by every solve
+    on this grid, the Jacobian's sparsity (`pattern`) and the elimination
+    order of the bordered system (`order`)."""
 
     def __init__(self, spec: GridSpec):
         n1, n2 = spec.n1, spec.n2
@@ -193,7 +209,8 @@ class _DofMap:
         self.re_idx[self.re_mask] = np.arange(self.n_re)
         self.im_idx[self.im_mask] = self.n_re + np.arange(self.n_im)
         self.spec = spec
-        self._patterns = {}
+        self._pattern = None
+        self._order = None
 
     def pack(self, arr):
         return np.concatenate([arr.real[self.re_mask], arr.imag[self.im_mask]])
@@ -204,20 +221,49 @@ class _DofMap:
         out.imag[self.im_mask] = vec[self.n_re:]
         return out
 
-    def pattern(self, ring):
-        """The `_JacobianPattern` of the pair (ring=False) or ring stencil."""
-        if ring not in self._patterns:
-            self._patterns[ring] = _JacobianPattern(self, ring)
-        return self._patterns[ring]
+    def pattern(self):
+        """The `_JacobianPattern` of this grid."""
+        if self._pattern is None:
+            self._pattern = _JacobianPattern(self)
+        return self._pattern
+
+    def order(self):
+        """Elimination order of the bordered system's n + 1 unknowns: the
+        points in SuperLU's minimum-degree order (MMD_AT_PLUS_A) of their
+        5-point graph, each point's Re unknown followed by its Im unknown
+        where it has one, and the border unknown n last.
+
+        The stencil arms that fold across an axis land on neighbours the
+        point already has, so that graph is the Jacobian's point graph and
+        depends on the grid shape alone.  Ordering points, not unknowns,
+        halves the graph, and the dense border row and column stay out of
+        it (Amestoy, Davis & Duff, SIAM J. Matrix Anal. Appl. 17, 1996)."""
+        if self._order is None:
+            m1, m2 = self.spec.n1 - 1, self.spec.n2 - 1
+            # point (i, j) is i*m2 + j, the row-major order of re_mask.
+            # scipy has no call that only orders: an incomplete factor
+            # that keeps almost nothing computes the same order cheaply
+            lap = kronsum(_path(m2), _path(m1), format="csc")
+            perm_c = spilu(lap, drop_tol=1.0, fill_factor=1.0,
+                           permc_spec="MMD_AT_PLUS_A").perm_c
+            pts = np.argsort(perm_c)
+            unk = np.stack([self.re_idx[:m1, :m2].ravel()[pts],
+                            self.im_idx[:m1, :m2].ravel()[pts]], axis=1).ravel()
+            self._order = np.append(unk[unk >= 0], self.n).astype(np.int32)
+        return self._order
 
 
-def _arms(ring):
-    """Stencil arms (di, dj, conj_all) in emission order; `_arm_coefficients`
-    returns their coefficients in the same order."""
-    arms = [(+1, 0, False), (-1, 0, False), (0, +1, False), (0, -1, False)]
-    if ring:
-        arms += [(+1, 0, False), (-1, 0, False), (+1, 0, False)]
-    return arms + [(0, 0, False), (0, 0, True)]
+def _path(m):
+    """Second-difference matrix of a path of m points (the order depends
+    on its sparsity only)."""
+    return diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m))
+
+
+# Stencil arms (di, dj, conj_all) in emission order; `_arm_coefficients`
+# returns their coefficients in the same order.  The x1 arms also carry
+# H1 = (1/x1) d1 of the ring operators, which couples the same targets.
+_ARMS = ((+1, 0, False), (-1, 0, False), (0, +1, False), (0, -1, False),
+         (0, 0, False), (0, 0, True))
 
 
 class _JacobianPattern:
@@ -230,21 +276,21 @@ class _JacobianPattern:
     of every arm as `src` (shape (arms, 4, points)); `first` gathers each
     slot's first contribution from it, and each `(slots, src)` pair of
     `more` adds the next contribution of the slots that have one.  So the
-    duplicates of a slot (up to 5 on the ring axis) are summed left to
-    right in emission order, as the coordinate-format conversion summed
-    them, and the matrix is the same to the bit."""
+    duplicates of a slot (the centre pair v, conj v, and the arms that
+    fold onto a neighbour's other arm) are summed left to right in
+    emission order, as the coordinate-format conversion summed them, and
+    the matrix is the same to the bit."""
 
-    def __init__(self, dm: _DofMap, ring):
+    def __init__(self, dm: _DofMap):
         I, J = np.nonzero(dm.re_mask)
         row_re = dm.re_idx[I, J]
         row_im = dm.im_idx[I, J]
         npts = I.size
-        arms = _arms(ring)
-        src_type = np.int32 if 4 * len(arms) * npts < 2**31 else np.int64
+        src_type = np.int32 if 4 * len(_ARMS) * npts < 2**31 else np.int64
         every = np.arange(npts, dtype=src_type)
         n = dm.n
         keys, srcs = [], []
-        for k, (di, dj, conj_all) in enumerate(arms):
+        for k, (di, dj, conj_all) in enumerate(_ARMS):
             ii = np.abs(I + di)
             jj = J + dj
             fold = jj < 0
@@ -331,12 +377,12 @@ def assemble_jacobian(u: ComplexField, tag: str, params: ModelParams,
     _check_tag(u, tag, params)
     dm = dm or _DofMap(u.spec)
     gammas = _arm_coefficients(u, tag, params, dm)
-    return dm.pattern(tag in RING_TAGS).matrix(gammas), dm
+    return dm.pattern().matrix(gammas), dm
 
 
 def _arm_coefficients(u: ComplexField, tag: str, params: ModelParams, dm: _DofMap):
-    """Per-point coefficients of the stencil arms of `_arms(ring)`, in
-    that order, at the points of `dm.re_mask`."""
+    """Per-point coefficients of the stencil arms of `_ARMS`, in that
+    order, at the points of `dm.re_mask`."""
     spec = u.spec
     h1, h2 = spec.h1, spec.h2
 
@@ -352,7 +398,6 @@ def _arm_coefficients(u: ComplexField, tag: str, params: ModelParams, dm: _DofMa
     A2 = -4.0 * g * cu * d2u
     B = 2.0 * cu**2 * Wq * g2 + (G - 2.0 * r2 * g2)
     C = -2.0 * g * Wq + 2.0 * r2 * Wq * g2 - 2.0 * u.data**2 * g2
-    ring = tag in RING_TAGS
     if tag != "S0":
         q = params.drive
         A2 = A2 + q * 1j * G
@@ -364,41 +409,63 @@ def _arm_coefficients(u: ComplexField, tag: str, params: ModelParams, dm: _DofMa
     I, J = np.nonzero(dm.re_mask)
     inv_h1sq = 1.0 / h1**2
     inv_h2sq = 1.0 / h2**2
-    x1 = h1 * I
-    axis = I == 0
-    with np.errstate(divide="ignore"):
-        h1_inv = np.where(axis, 0.0, 1.0 / (2.0 * h1 * np.where(x1 > 0, x1, 1.0)))
-
     a1 = A1[I, J] / (2.0 * h1)
     a2 = A2[I, J] / (2.0 * h2)
     center = np.full(I.size, -2.0 * (inv_h1sq + inv_h2sq), dtype=complex) + B[I, J]
 
     gammas = [inv_h1sq + a1, inv_h1sq - a1, inv_h2sq + a2, inv_h2sq - a2]
-    if ring:
-        gammas += [h1_inv.astype(complex), -h1_inv.astype(complex),
-                   np.where(axis, 2.0 * inv_h1sq, 0.0).astype(complex)]
+    if tag in RING_TAGS:
+        # H1 = (1/x1) d1 on the x1 arms; on the axis its limit
+        # 2 (u(h1) - u(0)) / h1^2 (the -x1 arm folds onto the +x1 target)
+        axis = I == 0
+        h1_inv = np.where(axis, 0.0, 1.0 / (2.0 * h1 * np.where(axis, 1.0, h1 * I)))
+        gammas[0] = gammas[0] + np.where(axis, 2.0 * inv_h1sq, h1_inv)
+        gammas[1] = gammas[1] - h1_inv
         center = center + np.where(axis, -2.0 * inv_h1sq, 0.0)
     return gammas + [center, C[I, J]]
 
 
 def _bordered_lu(P, dm, z_col, grad_con):
-    """LU of [[P, -z], [g^T, 0]]: the border row and column appended to
-    P's CSC arrays (explicit zero corner kept structural so SuperLU can
-    pivot through it)."""
+    """Single-precision LU of B = [[P, -z], [g^T, 0]] in the elimination
+    order `dm.order()`; returns (M, nnz(L+U)), where M maps a float64
+    vector v to the float64 B^-1 v of that factor.
+
+    The border row and column are appended to P's CSC arrays (explicit
+    zero corner kept structural so SuperLU can pivot through it); the
+    columns are then gathered in the order and the rows relabelled, so
+    SuperLU factors B[q][:, q] with its NATURAL column order."""
     n = dm.n
     zi = np.flatnonzero(z_col)
     gi = np.flatnonzero(grad_con)
     # row n is last, so column j's border entry goes at the end of column j
     ends = P.indptr[gi + 1]
-    data = np.concatenate([np.insert(P.data, ends, grad_con[gi]), -z_col[zi], [0.0]])
-    indices = np.concatenate([np.insert(P.indices, ends, n), zi, [n]]).astype(np.int32)
+    # single precision: the factor only preconditions `gmres`, which
+    # checks its float64 residual; the fill is that of the float64 matrix
+    data = np.concatenate([np.insert(P.data.astype(np.float32), ends, grad_con[gi]),
+                           -z_col[zi], [0.0]], dtype=np.float32)
+    indices = np.concatenate([np.insert(P.indices, ends, n), zi, [n]], dtype=np.int32)
     indptr = np.empty(n + 2, dtype=np.int32)
     indptr[: n + 1] = P.indptr + np.searchsorted(gi, np.arange(n + 1))
     indptr[n + 1] = data.size
-    # single precision: the factor only preconditions `gmres`, which
-    # checks its float64 residual; the fill is that of the float64 matrix
-    B = csc_matrix((data.astype(np.float32), indices, indptr), shape=(n + 1, n + 1))
-    return splu(B, permc_spec="MMD_AT_PLUS_A")
+    # B[q][:, q]: the columns gathered in the order q into new arrays,
+    # then their rows relabelled
+    q = dm.order()
+    cols = csc_matrix((data, indices, indptr), shape=(n + 1, n + 1))[:, q]
+    del data, indices
+    rank = np.empty_like(q)
+    rank[q] = np.arange(n + 1, dtype=q.dtype)
+    B = csc_matrix((cols.data, rank[cols.indices], cols.indptr), shape=(n + 1, n + 1))
+    del cols
+    B.sort_indices()
+    lu = splu(B, permc_spec="NATURAL")
+    del B
+
+    def apply(v):
+        x = np.empty_like(v)
+        x[q] = lu.solve(v[q].astype(np.float32))
+        return x
+
+    return apply, lu.nnz
 
 
 def gmres(A, b, *, M, rtol):
@@ -477,15 +544,16 @@ def extract_multiplier(u: ComplexField, V: ComplexField, Z: ComplexField,
 
 class _BalanceState:
     """What one solve of a balance hands to the next.  It holds one grid
-    at a time: that grid's `_DofMap` (so its Jacobian structure), the
-    bordered LU factored on it, and the last solve's corrector u - V_d
-    with its multiplier.  It keeps at most one LU: a change of grid or a
-    solve redone cold releases it before the next factorization."""
+    at a time: that grid's `_DofMap` (so its Jacobian structure and
+    elimination order), the apply of the bordered LU factored on it, and
+    the last solve's corrector u - V_d with its multiplier.  It keeps at
+    most one LU: a change of grid or a solve redone cold releases it
+    before the next factorization."""
 
     def __init__(self):
         self.spec = None
         self.dm = None
-        self.lu = None
+        self.precond = None      # `_bordered_lu`'s apply
         self.corrector = None    # ComplexField u - V_d of the last solve
         self.c = 0.0
         self.reused = False      # the solve in progress started from this state
@@ -494,7 +562,7 @@ class _BalanceState:
     def on_grid(self, spec):
         """Hold the `_DofMap` of `spec`; a change of grid releases the LU."""
         if spec != self.spec:
-            self.dm = self.lu = None  # released before the new grid's map is built
+            self.dm = self.precond = None  # released before the new grid's map is built
             self.spec, self.dm = spec, _DofMap(spec)
 
     def warm_start(self, V):
@@ -548,7 +616,7 @@ def solve_projected(params: ModelParams, V_d: ComplexField, Z_d: ComplexField,
         res = None
     if res is None:  # outside the handler, so the failed attempt's frames are gone
         state.fallbacks += 1
-        state.lu = state.corrector = None
+        state.precond = state.corrector = None
         res = _newton(params, V_d, Z_d, state, **opts)
     state.corrector = ComplexField(V_d.spec, res.u.data - V_d.data)
     state.c = res.c_mult
@@ -580,15 +648,15 @@ def _newton(params, V_d, Z_d, state, newton_max, newton_tol, krylov_tol):
     u_w = state.warm_start(V_d)
     warm = u_w is not None and (resnorm(residual_vec(u_w, state.c))
                                 < resnorm(residual_vec(V_d.data, 0.0)))
-    lu_reused = state.lu is not None
+    lu_reused = state.precond is not None
     state.reused = warm or lu_reused
 
     J = None
-    if lu_reused:
-        lu = state.lu
-    else:
+    lu_fill = 0
+    if not lu_reused:
         J, _ = assemble_jacobian(V_d, tag, params, dm)
-        lu = state.lu = _bordered_lu(J, dm, z_col, grad_con)
+        state.precond, lu_fill = _bordered_lu(J, dm, z_col, grad_con)
+    lu_apply = state.precond
     u, c = (u_w, state.c) if warm else (np.array(V_d.data), 0.0)
     if warm or J is None:
         J = None  # the ansatz Jacobian goes before the start's is assembled
@@ -601,7 +669,7 @@ def _newton(params, V_d, Z_d, state, newton_max, newton_tol, krylov_tol):
     def precond(v):
         nonlocal applies
         applies += 1
-        return lu.solve(v.astype(np.float32)).astype(np.float64)
+        return lu_apply(v)
 
     def matvec(x):
         top = jac["J"] @ x[:-1] - x[-1] * z_col
@@ -661,6 +729,7 @@ def _newton(params, V_d, Z_d, state, newton_max, newton_tol, krylov_tol):
         final_residual=float(best), corrector_norm_star=norms["star"],
         d_used=params.d, converged=True, krylov_accepted=krylov_accepted,
         krylov_iters=tuple(krylov_iters), lu_reused=lu_reused, warm_start=warm,
+        lu_fill=lu_fill,
     )
 
 
@@ -741,7 +810,7 @@ def solve_balanced(params: ModelParams, d_bracket, profile: VortexProfile = None
         return r
 
     def done(res, d):
-        return replace(res, balance_history=tuple(history)), d
+        return replace(res, balance_history=tuple(history), fallbacks=state.fallbacks), d
 
     d_lo, d_hi = d_bracket
     r_lo = solve(d_lo)

@@ -114,6 +114,7 @@ class _Factor:
     def __init__(self, lu):
         self.lu = lu
         self.solve = lu.solve
+        self.nnz = lu.nnz
 
 
 @pytest.fixture
@@ -142,6 +143,7 @@ def test_same_grid_solve_reuses_the_factor(profile, factors):
     assert not (first.lu_reused or first.warm_start)
     assert again.lu_reused and again.warm_start
     assert len(factors) == 2 and state.fallbacks == 0
+    assert first.lu_fill > 0 and again.lu_fill == 0
     assert abs(again.c_mult - cold.c_mult) <= 1e-9 * abs(cold.c_mult)
     assert again.newton_iters < cold.newton_iters
 
@@ -179,6 +181,31 @@ def test_stagnation_on_reused_state_redoes_the_solve_cold(profile, factors, monk
     assert redone.c_mult == cold.c_mult
 
 
+def test_balance_counts_the_solves_redone_cold(profile, monkeypatch):
+    # the stagnating GMRES above, armed for the first solve of the balance
+    # that starts with the factor of the solve before it
+    solve_at, gmres = solver.solve_at_separation, solver.gmres
+    armed = []
+
+    def fails_once(A, b, **kwargs):
+        if armed == [False]:
+            armed[0] = True
+            return np.zeros_like(b), 1
+        return gmres(A, b, **kwargs)
+
+    def solve(params, d, profile, h, *, state, **opts):
+        L = solver._domain_for(d, h)
+        if (not armed and state.precond is not None
+                and state.spec == GridSpec(L, L, h, h, params.symmetry)):
+            armed.append(False)
+        return solve_at(params, d, profile, h, state=state, **opts)
+
+    monkeypatch.setattr(solver, "gmres", fails_once)
+    monkeypatch.setattr(solver, "solve_at_separation", solve)
+    res, _ = solve_balanced(PAIR, (8.0, 12.0), profile, h=0.5)
+    assert armed == [True] and res.fallbacks == 1
+
+
 def test_cold_solve_is_unchanged_by_the_state_plumbing(profile):
     plain = solve_at_separation(PAIR, 5.95, profile, H)
     p = PAIR.with_d(5.95)
@@ -194,7 +221,7 @@ def test_cold_solve_is_unchanged_by_the_state_plumbing(profile):
 def test_balance_keeps_no_factor_alive(profile, factors):
     res, d_star = solve_balanced(PAIR, (8.0, 12.0), profile, h=0.5)
     history = res.balance_history
-    assert d_star in [rec[0] for rec in history]
+    assert d_star in [rec[0] for rec in history] and res.fallbacks == 0
     assert all(r() is None for r in factors)
     # each solve either factored or reused the factor of the solve before
     # it, on that solve's grid

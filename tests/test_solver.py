@@ -10,7 +10,7 @@ from vortexflow import ansatz, solver
 from vortexflow.ansatz import ModelParams, Regime, build_ansatz, build_pair, kernel_Zd
 from vortexflow.fields import ComplexField, GridSpec, Symmetry, symmetrize_complex
 from vortexflow.profile import eval_profile
-from vortexflow.solver import (_arm_coefficients, _arms, _bordered_lu, apply_S,
+from vortexflow.solver import (_ARMS, _arm_coefficients, _bordered_lu, _DofMap, apply_S,
                                assemble_jacobian, build_case, extract_multiplier, gmres,
                                linearize_apply, solve_at_separation, solve_projected)
 
@@ -217,7 +217,9 @@ def test_ring_solve_factors_each_system_once(profile, monkeypatch):
     res = solve_at_separation(p, p.d, profile, h=0.25)
     assert res.converged
     assert [mod for mod, _ in calls].count("vortexflow.solver") == 1
-    assert {spec for _, spec in calls} == {"MMD_AT_PLUS_A"}
+    # the bordered factor takes its order from `_DofMap.order`
+    assert {(mod, spec) for mod, spec in calls} == {("vortexflow.ansatz", "MMD_AT_PLUS_A"),
+                                                    ("vortexflow.solver", "NATURAL")}
 
 
 def test_build_case_shares_one_factor_bitwise(profile):
@@ -231,6 +233,10 @@ def test_build_case_shares_one_factor_bitwise(profile):
 
 
 def _tag_case(tag):
+    """Parameters and grid of operator `tag`; "rect" is S1 on a grid with
+    n1 != n2."""
+    if tag == "rect":
+        return pair_params(eps=0.1), GridSpec(20.0, 12.0, 0.25, 0.25, Symmetry.PAIR)
     if tag in solver.RING_TAGS:
         p = ModelParams(Regime.RING_SCH if tag == "S4" else Regime.RING_WM, 0.05,
                         0.25 if tag == "S4" else 0.0, 0.3)
@@ -239,12 +245,12 @@ def _tag_case(tag):
             GridSpec(20.0, 20.0, 0.25, 0.25, Symmetry.PAIR))
 
 
-def _coo_jacobian(gammas, dm, ring):
+def _coo_jacobian(gammas, dm):
     """Reference assembly in coordinate form: every coupling of every arm
     listed in emission order, duplicates summed by scipy's conversion."""
     I, J = np.nonzero(dm.re_mask)
     rows, cols, vals = [], [], []
-    for g, (di, dj, conj_all) in zip(gammas, _arms(ring)):
+    for g, (di, dj, conj_all) in zip(gammas, _ARMS):
         ii, jj = np.abs(I + di), J + dj
         fold = jj < 0
         parts = ([(fold, True), (~fold, False)] if fold.any() and not conj_all
@@ -283,9 +289,8 @@ def test_reassembly_writes_values_into_one_structure(profile, tag):
     assert np.shares_memory(J.indices, P.indices) and np.shares_memory(J.indptr, P.indptr)
     fresh, _ = assemble_jacobian(u, tag, p)
     assert _same_bits(J, fresh)
-    ring = tag in solver.RING_TAGS
     for A, w in ((P, V), (J, u)):
-        assert _same_bits(A, _coo_jacobian(_arm_coefficients(w, tag, p, dm), dm, ring))
+        assert _same_bits(A, _coo_jacobian(_arm_coefficients(w, tag, p, dm), dm))
     # the rows that fold across x2 = 0 and the columns of the x1 = 0 axis
     # were rewritten with the new iterate's values
     fold_rows = dm.re_idx[:-1, 0]
@@ -315,7 +320,7 @@ def _bordered_parts(tag, profile):
     p, spec = _tag_case(tag)
     V = build_ansatz(p, spec, profile)
     Z = kernel_Zd(p, spec, profile)
-    P, dm = assemble_jacobian(V, tag, p)
+    P, dm = assemble_jacobian(V, p.tag, p)
     W = 1.0 / (1.0 + np.abs(V.data) ** 2) ** 2
     return P, dm, dm.pack(Z.data), dm.pack(W * Z.data * spec.h1 * spec.h2)
 
@@ -338,17 +343,26 @@ def _coo_bordered(P, dm, z_col, grad_con):
 
 @pytest.mark.parametrize("tag", ["S1", "S4"])
 def test_bordered_matrix_matches_coordinate_form(profile, monkeypatch, tag):
-    # the border appended to P's CSC arrays gives, array for array, the
-    # canonical CSC form of [[P, -z], [g^T, 0]] built from coordinates,
-    # with its values rounded to single precision for the factor
+    # the border appended to P's CSC arrays and permuted by `dm.order()`
+    # gives, array for array, the canonical CSC form of [[P, -z], [g^T, 0]]
+    # built from permuted coordinates, with its values rounded to single
+    # precision for the factor
     P, dm, z_col, grad_con = _bordered_parts(tag, profile)
     seen = []
-    monkeypatch.setattr(solver, "splu", lambda B, **kw: seen.append((B, kw)))
+
+    def recorded(B, **kw):
+        seen.append((B, kw))
+        return splu(B, **kw)
+
+    monkeypatch.setattr(solver, "splu", recorded)
     _bordered_lu(P, dm, z_col, grad_con)
     (B, kw), = seen
-    assert kw == {"permc_spec": "MMD_AT_PLUS_A"}
+    assert kw == {"permc_spec": "NATURAL"}
     assert B.dtype == np.float32
-    assert _same_bits(B, _coo_bordered(P, dm, z_col, grad_con).astype(np.float32))
+    C = _coo_bordered(P, dm, z_col, grad_con).tocoo()
+    rank = np.argsort(dm.order())
+    ref = csc_matrix((C.data, (rank[C.row], rank[C.col])), shape=C.shape)
+    assert _same_bits(B, ref.astype(np.float32))
 
 
 @pytest.mark.parametrize("ring", [False, True])
@@ -357,16 +371,37 @@ def test_bordered_lu_solves_bordered_system(profile, ring):
     # about float32 accuracy; as the preconditioner of `gmres` it gives
     # a float64 solution
     P, dm, z_col, grad_con = _bordered_parts("S4" if ring else "S1", profile)
-    lu = _bordered_lu(P, dm, z_col, grad_con)
+    M, _ = _bordered_lu(P, dm, z_col, grad_con)
     A = _bordered_matvec(P, z_col, grad_con)
     b = np.random.default_rng(17).standard_normal(dm.n + 1)
     bnorm = np.linalg.norm(b)
-    x = lu.solve(b.astype(np.float32)).astype(np.float64)
+    x = M(b)
+    assert x.dtype == np.float64
     assert np.linalg.norm(A(x) - b) <= 1e-3 * bnorm
-    x, info = gmres(A, b, M=lambda v: lu.solve(v.astype(np.float32)).astype(np.float64),
-                    rtol=1e-12)
+    x, info = gmres(A, b, M=M, rtol=1e-12)
     assert info == 0
     assert np.linalg.norm(A(x) - b) <= 1e-12 * bnorm
+
+
+@pytest.mark.parametrize("tag", ["S1", "S4", "rect"])
+def test_order_keeps_each_point_together_and_the_border_last(tag):
+    dm = _DofMap(_tag_case(tag)[1])
+    order = dm.order()
+    assert np.array_equal(np.sort(order), np.arange(dm.n + 1)) and order[-1] == dm.n
+    # each point's Im unknown directly follows its Re unknown
+    pos = np.argsort(order)
+    I, J = np.nonzero(dm.im_mask)
+    assert np.array_equal(pos[dm.im_idx[I, J]], pos[dm.re_idx[I, J]] + 1)
+
+
+@pytest.mark.parametrize("tag", ["S1", "S4", "rect"])
+def test_bordered_order_fills_no_more_than_minimum_degree(profile, tag):
+    # the grid-point order leaves at most the fill of SuperLU's own
+    # minimum degree on A + A^T of the whole bordered matrix
+    P, dm, z_col, grad_con = _bordered_parts(tag, profile)
+    _, fill = _bordered_lu(P, dm, z_col, grad_con)
+    B = _coo_bordered(P, dm, z_col, grad_con).astype(np.float32)
+    assert fill <= 1.02 * splu(B, permc_spec="MMD_AT_PLUS_A").nnz
 
 
 def test_gmres_with_exact_preconditioner_takes_one_step(profile):
@@ -413,11 +448,13 @@ def test_gmres_holds_at_most_151_krylov_vectors():
 
 
 def test_krylov_iters_count_every_lu_apply(profile, monkeypatch):
-    solves = []
+    solves, fills = [], []
 
     class Counted:
         def __init__(self, lu):
             self._lu = lu
+            self.nnz = lu.nnz
+            fills.append(lu.nnz)
 
         def solve(self, v):
             solves.append(1)
@@ -429,6 +466,7 @@ def test_krylov_iters_count_every_lu_apply(profile, monkeypatch):
     assert len(res.krylov_iters) == res.newton_iters >= 2
     assert all(k >= 1 for k in res.krylov_iters)
     assert sum(res.krylov_iters) == len(solves)
+    assert res.lu_fill == fills[0] > 0 and len(fills) == 1
 
 
 @pytest.mark.parametrize("tols", [dict(newton_tol=math.nan), dict(newton_tol=math.inf),

@@ -105,25 +105,6 @@ class ModelParams:
         return [(self.d, 0.0), (-self.d, 0.0)]
 
 
-def vortex_geometry(center, point):
-    """Distance, angle and their gradients relative to a vortex center.
-
-    theta is continuous off the cut along the negative x1-ray from the
-    center; grad_theta = (z - xi)^perp / |z - xi|^2.
-    """
-    cx, cy = center
-    px = np.asarray(point[0], dtype=float)
-    py = np.asarray(point[1], dtype=float)
-    dx, dy = px - cx, py - cy
-    ell = np.hypot(dx, dy)
-    if np.any(ell == 0.0):
-        raise ValueError("point coincides with the vortex center")
-    theta = np.arctan2(dy, dx)
-    grad_ell = (dx / ell, dy / ell)
-    grad_theta = (-dy / ell**2, dx / ell**2)
-    return ell, theta, grad_ell, grad_theta
-
-
 def _core_frames(spec, d):
     X1, X2 = spec.mesh()
     ell1 = np.hypot(X1 - d, X2)

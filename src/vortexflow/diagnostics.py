@@ -1,8 +1,9 @@
 """Topological and energetic verification.
 
-Winding numbers are branch-resolved phase sums around lattice loops;
-vortices are found by a per-plaquette winding sweep over the reflected
-full plane.  Energy and topological charge use the sphere-valued field:
+Winding is counted per plaquette only: the branch-resolved phase sum
+around each lattice cell of the reflected full plane, and vortices are
+the clusters of cells with nonzero winding.  Energy and topological
+charge use the sphere-valued field:
 
     E = int |d1 m|^2 + |d2 m|^2,    Q = (1/4 pi) int m . (d1 m x d2 m),
 
@@ -40,32 +41,6 @@ class DiagnosticsReport:
             raise ValueError("Bogomolny bound violated beyond tolerance")
 
 
-def _phase_increments(values):
-    ratios = values[1:] / values[:-1]
-    return np.angle(ratios)
-
-
-def winding_number(f: ComplexField, loop) -> int:
-    """Branch-resolved phase winding around the lattice rectangle
-    loop = (i_lo, i_hi, j_lo, j_hi), inclusive corners."""
-    i0, i1, j0, j1 = loop
-    d = f.data
-    path = np.concatenate([
-        d[i0:i1 + 1, j0],
-        d[i1, j0 + 1:j1 + 1],
-        d[i1 - 1::-1, j1][: i1 - i0],
-        d[i0, j1 - 1::-1][: j1 - j0],
-    ])
-    path = np.append(path, d[i0, j0])
-    if np.any(np.abs(path) == 0.0):
-        raise ValueError("zero of the field on the loop")
-    total = float(_phase_increments(path).sum()) / (2.0 * math.pi)
-    w = round(total)
-    if abs(total - w) > 0.25:
-        raise ValueError(f"phase sum {total} is not close to an integer")
-    return int(w)
-
-
 def full_plane_data(f: ComplexField):
     """Reflect the stored quarter to the full plane; returns
     (x1 coords, x2 coords, values)."""
@@ -76,12 +51,6 @@ def full_plane_data(f: ComplexField):
     x1 = f.spec.h1 * np.arange(-(n1 - 1), n1)
     x2 = f.spec.h2 * np.arange(-(n2 - 1), n2)
     return x1, x2, ext
-
-
-def full_plane_m(f: ComplexField):
-    """Sphere-valued samples of the full-plane extension."""
-    x1, x2, ext = full_plane_data(f)
-    return x1, x2, unproject_array(ext)
 
 
 def plaquette_windings(values):
@@ -184,8 +153,7 @@ def corrector_norms(u: ComplexField, V: ComplexField, params: ModelParams):
     outer[-1, :] = False
     outer[:, -1] = False
     w1 = combined_weight(spec, centers, rho)
-    w1g = combined_weight(spec, centers, 1.0 + rho)
-    w2 = combined_weight(spec, centers, 1.0 + rho)
+    w1g = w2 = combined_weight(spec, centers, 1.0 + rho)
     w2g = combined_weight(spec, centers, 2.0 + rho)
 
     def wsup(vals, w):
@@ -231,7 +199,7 @@ def build_report(u: ComplexField, params: ModelParams = None,
                  V: ComplexField = None) -> DiagnosticsReport:
     """Assemble the standard report: energy/charge of the reflected
     plane, vortex inventory, Bogomolny margin, corrector norms."""
-    _, _, m = full_plane_m(u)
+    m = unproject_array(full_plane_data(u)[2])
     E, Q = energy_charge(m, u.spec.h1, u.spec.h2)
     vortices = detect_vortices(u)
     norms = {}

@@ -60,21 +60,23 @@ class VortexProfile:
         object.__setattr__(self, "_drho_spline", CubicSpline(self.knots, self.drho))
 
 
-def _ode_terms(ell, rho, d1, d2):
+def _interior_residual(ell, rho, h):
+    """Central-difference residual of the profile equation at the
+    interior knots of spacing h."""
+    # nested second difference keeps cancellation error at the 1e-15 level
+    dplus = rho[2:] - rho[1:-1]
+    dminus = rho[1:-1] - rho[:-2]
+    d2 = (dplus - dminus) / (h * h)
+    d1 = (dplus + dminus) / (2.0 * h)
+    ell, rho = ell[1:-1], rho[1:-1]
     r2 = rho * rho
     onep = 1.0 + r2
     return d2 + d1 / ell - 2.0 * rho * d1 * d1 / onep + (1.0 - 1.0 / ell**2) * (1.0 - r2) / onep * rho
 
 
 def _collocation_residual(ell, rho, h, slope_bc_coef, tail_bc_coef):
-    n = ell.size
-    R = np.empty(n)
-    # nested second difference keeps cancellation error at the 1e-15 level
-    dplus = rho[2:] - rho[1:-1]
-    dminus = rho[1:-1] - rho[:-2]
-    d2 = (dplus - dminus) / (h * h)
-    d1 = (dplus + dminus) / (2.0 * h)
-    R[1:-1] = _ode_terms(ell[1:-1], rho[1:-1], d1, d2)
+    R = np.empty(ell.size)
+    R[1:-1] = _interior_residual(ell, rho, h)
     R[0] = (-3.0 * rho[0] + 4.0 * rho[1] - rho[2]) / (2.0 * h) - slope_bc_coef * rho[0]
     R[-1] = (3.0 * rho[-1] - 4.0 * rho[-2] + rho[-3]) / (2.0 * h) - (1.0 - rho[-1]) * tail_bc_coef
     return R
@@ -181,13 +183,7 @@ def solve_profile(ell_max=30.0, step=1e-3, tol=1e-10) -> VortexProfile:
 
 def ode_residual(p: VortexProfile) -> np.ndarray:
     """Discrete residual of the profile equation at interior knots."""
-    ell, rho = p.knots, p.rho
-    h = ell[1] - ell[0]
-    dplus = rho[2:] - rho[1:-1]
-    dminus = rho[1:-1] - rho[:-2]
-    d2 = (dplus - dminus) / (h * h)
-    d1 = (dplus + dminus) / (2.0 * h)
-    return _ode_terms(ell[1:-1], rho[1:-1], d1, d2)
+    return _interior_residual(p.knots, p.rho, p.knots[1] - p.knots[0])
 
 
 def eval_profile(p: VortexProfile, ell):

@@ -22,7 +22,6 @@ this form, verified by the refinement studies in the test suite.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
@@ -30,19 +29,10 @@ from scipy.interpolate import RectBivariateSpline
 from .ansatz import ModelParams
 from .fields import ComplexField
 from .diagnostics import full_plane_data
-from .stereo import SpherePoint, unproject, unproject_array
+from .stereo import unproject_array
 
 RESIDUAL_NT = 5              # time samples of a Schrodinger-flow residual block
 RESIDUAL_CORE_MARGIN = 2.0   # excluded core radius, in cells of max(ds, h)
-
-
-@dataclass(frozen=True)
-class SpacetimeSample:
-    t: float
-    tau: float
-    s: tuple
-    m: SpherePoint
-    psi: complex
 
 
 class UnscaledField:
@@ -90,22 +80,6 @@ def unscale(u: ComplexField, params: ModelParams, mode="spline") -> UnscaledFiel
     if mode != "spline":
         raise ValueError(f"unknown interpolation mode {mode!r}; only 'spline' exists")
     return UnscaledField(u, params)
-
-
-def spacetime_field(U: UnscaledField, params: ModelParams, t, tau, s) -> SpacetimeSample:
-    """One sample of the assembled soliton; s has 2 (pair) or 3 (ring)
-    components."""
-    shift = params.c * tau + params.omega * t
-    if len(s) == 2:
-        val = U(s[0], s[1] - shift)
-    elif len(s) == 3:
-        r = math.hypot(s[0], s[1])
-        val = U(r, s[2] - shift)
-    else:
-        raise ValueError("s must have 2 or 3 components")
-    psi = complex(val) * complex(math.cos(tau), math.sin(tau))
-    return SpacetimeSample(t=float(t), tau=float(tau), s=tuple(float(x) for x in s),
-                           m=unproject(psi), psi=psi)
 
 
 def sample_block(U: UnscaledField, params: ModelParams, t_axis, tau_axis, s_axes):

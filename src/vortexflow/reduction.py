@@ -24,7 +24,6 @@ class ReducedCurve:
     d_values: np.ndarray
     c_values: np.ndarray      # numeric multipliers from the projected solves
     c_leading: np.ndarray     # leading-order values, sign-matched
-    regime: object
     complete: bool = True
 
     def __post_init__(self):
@@ -97,7 +96,7 @@ def numeric_c_curve(params: ModelParams, d_list, profile=None, h=0.25,
     if np.isfinite(c_num[ref]) and c_num[ref] != 0 and c_lead[ref] != 0:
         if math.copysign(1.0, c_num[ref]) != math.copysign(1.0, c_lead[ref]):
             c_lead = -c_lead
-    return ReducedCurve(d_arr, c_num, c_lead, params.regime, complete)
+    return ReducedCurve(d_arr, c_num, c_lead, complete)
 
 
 def curve_to_csv(curve: ReducedCurve, path):

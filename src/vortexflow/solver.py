@@ -359,8 +359,7 @@ class _JacobianPattern:
                           copy=False)
 
 
-def assemble_jacobian(u: ComplexField, tag: str, params: ModelParams,
-                      dm: _DofMap = None):
+def assemble_jacobian(u: ComplexField, tag: str, params: ModelParams, dm: _DofMap):
     """Sparse real-block Jacobian of S at u on the reduced unknowns.
 
     The analytic linearization is
@@ -375,9 +374,7 @@ def assemble_jacobian(u: ComplexField, tag: str, params: ModelParams,
     values only.
     """
     _check_tag(u, tag, params)
-    dm = dm or _DofMap(u.spec)
-    gammas = _arm_coefficients(u, tag, params, dm)
-    return dm.pattern().matrix(gammas), dm
+    return dm.pattern().matrix(_arm_coefficients(u, tag, params, dm))
 
 
 def _arm_coefficients(u: ComplexField, tag: str, params: ModelParams, dm: _DofMap):
@@ -654,13 +651,13 @@ def _newton(params, V_d, Z_d, state, newton_max, newton_tol, krylov_tol):
     J = None
     lu_fill = 0
     if not lu_reused:
-        J, _ = assemble_jacobian(V_d, tag, params, dm)
+        J = assemble_jacobian(V_d, tag, params, dm)
         state.precond, lu_fill = _bordered_lu(J, dm, z_col, grad_con)
     lu_apply = state.precond
     u, c = (u_w, state.c) if warm else (np.array(V_d.data), 0.0)
     if warm or J is None:
         J = None  # the ansatz Jacobian goes before the start's is assembled
-        J, _ = assemble_jacobian(ComplexField(spec, u.copy()), tag, params, dm)
+        J = assemble_jacobian(ComplexField(spec, u.copy()), tag, params, dm)
     jac = {"J": J}  # the first Newton step uses J; later steps replace it
     del J
 
@@ -684,8 +681,7 @@ def _newton(params, V_d, Z_d, state, newton_max, newton_tol, krylov_tol):
     while iters < newton_max and best > newton_tol:
         if iters > 0:
             jac["J"] = None  # release the old values before assembling the new
-            jac["J"], _ = assemble_jacobian(ComplexField(spec, u.copy()),
-                                            tag, params, dm)
+            jac["J"] = assemble_jacobian(ComplexField(spec, u.copy()), tag, params, dm)
         applies = 0
         sol, info = gmres(matvec, -R, M=precond, rtol=krylov_tol)
         krylov_iters.append(applies)

@@ -7,7 +7,7 @@ from scipy.sparse.linalg import spsolve
 
 from vortexflow.ansatz import (ModelParams, Regime, build_pair, build_ring,
                                build_ring_phase, kernel_Zd, ring_forcing,
-                               ring_phase_residual, smoothstep_cutoff, vortex_geometry)
+                               ring_phase_residual, smoothstep_cutoff)
 from vortexflow.fields import GridSpec, Symmetry, reflect_full
 from vortexflow.profile import eval_profile
 
@@ -43,36 +43,6 @@ def test_params_validation():
         ModelParams(Regime.PAIR_SCH, 0.05, 0.5, 1.0)  # 1 - 2 kappa = 0
     with pytest.raises(ValueError):
         ModelParams(Regime.PAIR_WM, 0.05, 0.1, 1.0)   # wave map needs kappa = 0
-
-
-# -- vortex geometry ----------------------------------------------------------
-
-def test_geometry_basic():
-    ell, theta, ge, gt = vortex_geometry((0.0, 0.0), (1.0, 0.0))
-    assert ell == 1.0 and theta == 0.0
-    assert ge == (1.0, 0.0)
-    assert gt == (0.0, 1.0)
-
-
-def test_geometry_grad_theta_magnitude(rng):
-    pts = rng.uniform(-5, 5, size=(1000, 2))
-    pts = pts[np.hypot(pts[:, 0], pts[:, 1]) > 1e-3]
-    ell, _, _, gt = vortex_geometry((0.0, 0.0), (pts[:, 0], pts[:, 1]))
-    mag = np.hypot(gt[0], gt[1])
-    assert np.max(np.abs(mag * ell - 1.0)) < 1e-12
-
-
-def test_geometry_theta_odd(rng):
-    x = rng.uniform(0.1, 5, 200)
-    y = rng.uniform(0.1, 5, 200)
-    _, th_up, _, _ = vortex_geometry((0.0, 0.0), (x, y))
-    _, th_dn, _, _ = vortex_geometry((0.0, 0.0), (x, -y))
-    assert np.allclose(th_up, -th_dn, atol=0)
-
-
-def test_geometry_coincident_raises():
-    with pytest.raises(ValueError):
-        vortex_geometry((1.0, 2.0), (1.0, 2.0))
 
 
 # -- pair ansatz --------------------------------------------------------------

@@ -6,36 +6,9 @@ import pytest
 from vortexflow.ansatz import ModelParams, Regime, build_pair
 from vortexflow.diagnostics import (DiagnosticsReport, build_report,
                                     corrector_norms, detect_vortices,
-                                    energy_charge, winding_number)
+                                    energy_charge)
 from vortexflow.fields import ComplexField, GridSpec, Symmetry, symmetrize_complex
 from vortexflow.stereo import unproject_array
-
-
-def vortex_like_field(sign=+1):
-    spec = GridSpec(4.0, 4.0, 0.25, 0.25, Symmetry.PAIR)
-    X1, X2 = spec.mesh()
-    z = (X1 - 2.0) + 1j * (X2 - 2.0)
-    z = np.where(z == 0, 1e-30, z)
-    data = (z / np.abs(z)) ** sign
-    return spec, ComplexField(spec, np.ascontiguousarray(data))
-
-
-def test_winding_number_signs():
-    _, f = vortex_like_field(+1)
-    assert winding_number(f, (2, 14, 2, 14)) == 1
-    _, g = vortex_like_field(-1)
-    assert winding_number(g, (2, 14, 2, 14)) == -1
-    # loop not enclosing the zero
-    assert winding_number(f, (10, 14, 10, 14)) == 0
-
-
-def test_winding_zero_on_loop_rejected():
-    spec = GridSpec(4.0, 4.0, 0.25, 0.25, Symmetry.PAIR)
-    data = np.ones((spec.n1, spec.n2), dtype=complex)
-    data[3, 3] = 0.0
-    f = ComplexField(spec, data)
-    with pytest.raises(ValueError):
-        winding_number(f, (3, 5, 3, 5))
 
 
 def test_detect_vortices_on_pair(profile):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from vortexflow.ansatz import ModelParams, Regime, build_ansatz, build_pair
 from vortexflow.fields import ComplexField, GridSpec, Symmetry
-from vortexflow.reconstruct import pde_residual, sample_block, spacetime_field, unscale
+from vortexflow.reconstruct import pde_residual, sample_block, unscale
 from vortexflow.stereo import unproject_array
 
 
@@ -57,13 +57,14 @@ def test_spacetime_tau_periodicity(profile):
     spec = GridSpec(20.0, 20.0, 0.25, 0.25, Symmetry.PAIR)
     U = unscale(build_pair(p, spec, profile), p)
     s = (11.0, 0.5)
-    a = spacetime_field(U, p, 0.0, 0.3, s)
-    b = spacetime_field(U, p, 0.0, 0.3 + 2 * math.pi, s)
+    a = sample_block(U, p, 0.0, 0.3, [[s[0]], [s[1]]])
+    b = sample_block(U, p, 0.0, 0.3 + 2 * math.pi, [[s[0]], [s[1]]])
     # tau enters via e^{i tau} and the c tau drift
     shift = p.c * 2 * math.pi
-    c = spacetime_field(U, p, 0.0, 0.3, (s[0], s[1] - shift))
-    assert abs(b.psi - c.psi) < 1e-10
-    assert a.tau == 0.3 and abs(a.m.m1**2 + a.m.m2**2 + a.m.m3**2 - 1.0) < 1e-12
+    c = sample_block(U, p, 0.0, 0.3, [[s[0]], [s[1] - shift]])
+    assert a.shape == (1, 1, 1, 1, 3)
+    assert np.max(np.abs(b - c)) < 1e-10
+    assert abs(np.sum(a**2) - 1.0) < 1e-12
 
 
 def test_spacetime_at_origin_slice(profile):
@@ -72,8 +73,8 @@ def test_spacetime_at_origin_slice(profile):
     V = build_pair(p, spec, profile)
     U = unscale(V, p)
     s = (5.0, 0.75)
-    samp = spacetime_field(U, p, 0.0, 0.0, s)
-    assert samp.psi == pytest.approx(complex(U(*s)), abs=1e-15)
+    m = sample_block(U, p, 0.0, 0.0, [[s[0]], [s[1]]])
+    assert np.max(np.abs(m[0, 0, 0, 0] - unproject_array(U(*s)))) <= 1e-15
 
 
 def test_vortex_drift_with_time(profile, balanced_pair_sch):

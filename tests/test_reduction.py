@@ -84,11 +84,11 @@ def test_numeric_curve_pair(profile):
 
 def test_curve_validation():
     with pytest.raises(ValueError):
-        ReducedCurve(np.array([1.0, 1.0]), np.zeros(2), np.zeros(2), None)
+        ReducedCurve(np.array([1.0, 1.0]), np.zeros(2), np.zeros(2))
     c = ReducedCurve(np.array([1.0, 2.0]), np.array([-1.0, 2.0]),
-                     np.array([-1.0, 1.0]), None)
+                     np.array([-1.0, 1.0]))
     assert c.empirical_root() == pytest.approx(4.0 / 3.0)
     flat = ReducedCurve(np.array([1.0, 2.0]), np.array([1.0, 2.0]),
-                        np.array([1.0, 1.0]), None)
+                        np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         flat.empirical_root()

@@ -1,39 +1,31 @@
 import numpy as np
 import pytest
 
-from vortexflow.stereo import (SouthPoleError, SpherePoint, nonlinearity_F,
-                               project, project_array, unproject,
+from vortexflow.stereo import (SouthPoleError, nonlinearity_F, project_array,
                                unproject_array)
 
 
 def test_north_pole_projects_to_zero():
-    assert project(SpherePoint(0.0, 0.0, 1.0)) == 0.0
+    assert project_array(np.array([0.0, 0.0, 1.0])) == 0.0
 
 
 def test_equator_point():
-    assert project(SpherePoint(1.0, 0.0, 0.0)) == 1.0
+    assert project_array(np.array([[1.0, 0.0, 0.0]]))[0] == 1.0
 
 
 def test_south_pole_raises():
     with pytest.raises(SouthPoleError):
-        project(SpherePoint(0.0, 0.0, -1.0))
+        project_array(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
 
 
 def test_unproject_trivials():
-    m = unproject(0.0)
-    assert (m.m1, m.m2, m.m3) == (0.0, 0.0, 1.0)
-    m = unproject(1.0)
-    assert abs(m.m1 - 1.0) < 1e-15 and abs(m.m2) < 1e-15 and abs(m.m3) < 1e-15
+    assert unproject_array(np.array([0.0, 1.0])).tolist() == [[0.0, 0.0, 1.0],
+                                                               [1.0, 0.0, 0.0]]
 
 
 def test_unproject_large_modulus_approaches_south_pole():
-    m = unproject(1e6)
-    assert abs(m.m3 - (1.0 - 1e12) / (1.0 + 1e12)) < 1e-11
-
-
-def test_sphere_point_rejects_off_sphere():
-    with pytest.raises(ValueError):
-        SpherePoint(0.5, 0.5, 0.5)
+    m = unproject_array(1e6)
+    assert abs(m[2] - (1.0 - 1e12) / (1.0 + 1e12)) < 1e-11
 
 
 def test_roundtrip_relative_accuracy(rng):

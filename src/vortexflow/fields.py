@@ -19,6 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+# largest grid spacing a GridSpec accepts
+MAX_SPACING = 0.5
+
+
 class Symmetry(enum.Enum):
     PAIR = 0
     RING = 1
@@ -35,8 +39,8 @@ class GridSpec:
     n2: int = field(init=False)
 
     def __post_init__(self):
-        if not (0.0 < self.h1 <= 0.5 and 0.0 < self.h2 <= 0.5):
-            raise ValueError("spacings must lie in (0, 0.5]")
+        if not (0.0 < self.h1 <= MAX_SPACING and 0.0 < self.h2 <= MAX_SPACING):
+            raise ValueError(f"spacings must lie in (0, {MAX_SPACING}]")
         r1, r2 = self.l1 / self.h1, self.l2 / self.h2
         if not (np.isfinite(r1) and np.isfinite(r2)):
             raise ValueError("extents must be finite multiples of the spacings")

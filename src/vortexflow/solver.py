@@ -17,15 +17,31 @@ W = (1+|V_d|^2)^-2) is solved by damped Newton on the bordered system
 (unknowns u on the quarter grid plus the scalar c).  Inner linear
 solves are the module's flexible GMRES (`gmres`) on the analytic
 Jacobian assembled at the current iterate, right-preconditioned by a
-single-precision LU factorization of the bordered Jacobian frozen at
-the ansatz.  The Krylov basis, the Jacobian products and the true
-residual b - A x that ends every restart cycle are float64, so the
-float32 factor sets how fast an inner solve converges, not how far:
-each still reaches `krylov_tol` relative to ||b||, and the factor's
-values take half the memory of a float64 factor with the same fill.
-The benchmark's ring solve (295k unknowns) takes 13 LU applies over its
-3 Newton steps and its pair balance 42 over 10 (scipy's left-
-preconditioned GMRES with a float64 factor took 22 and 67).
+single-precision LU factorization of a bordered Jacobian frozen at the
+ansatz.  The Krylov basis, the Jacobian products and the true residual
+b - A x that ends every restart cycle are float64, so the float32
+factor sets how fast an inner solve converges, not how far: each still
+reaches `krylov_tol` relative to ||b||, and the factor's values take
+half the memory of a float64 factor with the same fill.
+
+Which bordered system is factored depends on the grid alone.  Up to
+TWO_GRID_MIN_UNKNOWNS unknowns it is the solve's own (`_bordered_lu`);
+the benchmark's pair balance takes 42 LU applies over its 10 Newton
+steps.  On larger grids whose spacing can double it is the same case at
+2h, inside a two-grid cycle (`_two_grid`): damped Jacobi sweeps on the
+fine rows around a coarse correction by that factor.  On the
+benchmark's ring grid (293k unknowns) the coarse factor holds 6.90M
+entries in L + U and takes 0.4 s, where the fine one held 34.62M and
+took 2 s.  The solve takes 39 cycles over its 3 Newton steps (13 per
+step, against 13 fine LU solves in all) at about 50 ms each (a fine LU
+solve took 75 ms).  Its peak memory falls from 543 to 383 MiB and its
+time stays about the same.  Single cold solves of the two kinds broke
+even between 100k and 125k unknowns.
+
+`SolveResult.krylov_iters` records the preconditioner applies of each
+Newton step and `lu_n1` the grid the factor was made on.  A GMRES
+solve that stops short of `krylov_tol` is accepted at
+`KRYLOV_ACCEPT_RESIDUAL` relative residual and counted in the result.
 
 The Jacobian's sparsity does not change within a solve.  Its CSC
 structure is built once, on the solve's `_DofMap`, together with int32
@@ -34,29 +50,25 @@ writes values only, into arrays that share that structure, and the
 bordered matrix appends its row and column to the ansatz Jacobian's CSC
 arrays.  Pair and ring operators share one stencil of six arms: the
 ring's H1 couples the targets of the Laplacian's two x1 arms and is
-added to their coefficients.  A GMRES solve that stops short of
-`krylov_tol` is accepted at `KRYLOV_ACCEPT_RESIDUAL` relative residual
-and counted in the result; `SolveResult.krylov_iters` records the LU
-applies of each Newton step.
+added to their coefficients.
 
-A solve factors its bordered system at most once, in an elimination
-order taken from the grid (`_DofMap.order`, computed once per grid):
+A solve factors one bordered system at most once, in an elimination
+order taken from its grid (`_DofMap.order`, computed once per grid):
 SuperLU's minimum degree (MMD_AT_PLUS_A) on the 5-point graph of the
 grid points, each point's Re and Im unknowns next to each other, and
 the dense border row and column last, as minimum-degree codes order a
 dense row (Amestoy, Davis & Duff, SIAM J. Matrix Anal. Appl. 17, 1996).
-SuperLU then factors in that order (NATURAL).  On the benchmark's ring
-grid (293k unknowns; the border row and column hold 28,913 entries
-each) the order costs 0.3 s once per grid, and the factor leaves 34.62M
-entries in L + U and takes 1.7 s, where minimum degree on A + A^T of the
-whole bordered matrix left 35.85M and took 3.0 s (traced, 2 CPUs).
+SuperLU then factors in that order (NATURAL).  For the fine factor of
+the benchmark's ring grid that order left 34.62M entries, where minimum
+degree on A + A^T of the whole bordered matrix left 35.85M.
+
 `build_case` is the one construction of (V_d, Z_d).
 
 `solve_balanced` takes its secant in X(d) = 1/d (pair) or (log d)/d
 (ring), in which the leading-order multiplier is affine, so its solves
 reach the root's grid early.  They share a `_BalanceState`: a solve on
-the grid of the one before it reuses that solve's `_DofMap` and bordered
-LU as its preconditioner, and Newton starts from the last corrector,
+the grid of the one before it reuses that solve's `_DofMap` and
+preconditioner, and Newton starts from the last corrector,
 copied onto the new grid, when that start has the smaller residual.  A
 solve that fails on reused state is redone cold.  A solve without the
 state is the cold solve.
@@ -68,11 +80,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.optimize import brentq
-from scipy.sparse import csc_matrix, diags, kronsum
+from scipy.sparse import block_diag, csc_matrix, csr_matrix, diags, kron, kronsum
 from scipy.sparse.linalg import spilu, splu
 
 from .ansatz import ModelParams, build_ansatz, kernel_Zd
-from .fields import ComplexField, GridSpec, Symmetry, axisym_term, diff_ops
+from .fields import MAX_SPACING, ComplexField, GridSpec, Symmetry, axisym_term, diff_ops
 from .profile import VortexProfile, solve_profile
 from .stereo import nonlinearity_F
 
@@ -93,15 +105,29 @@ KRYLOV_ACCEPT_RESIDUAL = 1e-6
 # makes at most 1200 preconditioner applies
 GMRES_RESTART = 75
 GMRES_MAXITER = 16
+# A solve on a grid of more unknowns than this, whose 2h grid is within
+# MAX_SPACING, is preconditioned by the two-grid cycle (`_two_grid`);
+# other solves by their own bordered factor (`_bordered_lu`), which
+# every grid of spacing over MAX_SPACING / 2 needs
+TWO_GRID_MIN_UNKNOWNS = 120_000
+# damping and sweeps on each side of the two-grid cycle's point-Jacobi
+# smoother
+JACOBI_OMEGA = 0.9
+JACOBI_SWEEPS = 2
 # solve_balanced stops once |c| is this fraction of the larger |c| at the
 # bracket ends
 BALANCE_C_RTOL = 1e-10
 
 
 class NonConvergenceError(RuntimeError):
-    def __init__(self, message, last_residual=None):
+    """A solve that failed: `last_residual` is the best Newton residual
+    reached, and `krylov_iters` the preconditioner applies of each Newton
+    step made before the failure, the failing step's included."""
+
+    def __init__(self, message, last_residual=None, krylov_iters=()):
         super().__init__(message)
         self.last_residual = last_residual
+        self.krylov_iters = tuple(krylov_iters)
 
 
 class KrylovStagnationError(NonConvergenceError):
@@ -124,14 +150,19 @@ class SolveResult:
     # Newton steps whose GMRES stopped short of krylov_tol (info != 0) but
     # was accepted at KRYLOV_ACCEPT_RESIDUAL
     krylov_accepted: int = 0
-    # preconditioner (LU) applies of each Newton step's GMRES solve
+    # preconditioner applies (LU solves or two-grid cycles) of each Newton
+    # step's GMRES solve
     krylov_iters: tuple = ()
-    # the preconditioner was the bordered LU of the solve before it (same
-    # grid), and Newton started from that solve's corrector
+    # the preconditioner was that of the solve before it (same grid), and
+    # Newton started from that solve's corrector
     lu_reused: bool = False
     warm_start: bool = False
     # nnz(L+U) of the bordered factor this solve made, 0 when it reused one
     lu_fill: int = 0
+    # per-side point count of the grid that factor was made on: u.spec.n1
+    # for the direct factor, ceil(n1 / 2) for the two-grid cycle's coarse
+    # one, 0 when the solve reused a factor
+    lu_n1: int = 0
     # solve_balanced only: one (d, c, n1, lu_reused, warm_start) per solve,
     # and the count of solves redone cold after failing on reused state
     balance_history: tuple = ()
@@ -425,7 +456,9 @@ def _arm_coefficients(u: ComplexField, tag: str, params: ModelParams, dm: _DofMa
 def _bordered_lu(P, dm, z_col, grad_con):
     """Single-precision LU of B = [[P, -z], [g^T, 0]] in the elimination
     order `dm.order()`; returns (M, nnz(L+U)), where M maps a float64
-    vector v to the float64 B^-1 v of that factor.
+    vector v to the float64 B^-1 v of that factor.  M also takes the
+    Jacobian of the Newton step it serves, as `_two_grid`'s cycle does,
+    and does not use it.
 
     The border row and column are appended to P's CSC arrays (explicit
     zero corner kept structural so SuperLU can pivot through it); the
@@ -457,12 +490,89 @@ def _bordered_lu(P, dm, z_col, grad_con):
     lu = splu(B, permc_spec="NATURAL")
     del B
 
-    def apply(v):
+    def apply(v, J=None):
         x = np.empty_like(v)
         x[q] = lu.solve(v[q].astype(np.float32))
         return x
 
     return apply, lu.nnz
+
+
+def _coarse_spec(spec):
+    """The 2h grid of `_two_grid`: every other point of `spec` from the
+    axes, ceil(n/2) points per side.  For odd n its Dirichlet layer is
+    the fine one; for even n it lies one fine cell inside."""
+    n1, n2 = -(-spec.n1 // 2), -(-spec.n2 // 2)
+    h1, h2 = 2.0 * spec.h1, 2.0 * spec.h2
+    return GridSpec(n1 * h1, n2 * h2, h1, h2, spec.symmetry)
+
+
+def _interpolation_1d(m_fine, m_coarse):
+    """Linear interpolation from coarse points 0..m_coarse-1 (spacing
+    2h, from the axis) to fine points 0..m_fine-1 (spacing h); a coarse
+    point past m_coarse - 1 is Dirichlet data and counts as zero."""
+    i = np.arange(m_fine)
+    odd = i[i % 2 == 1]
+    rows = np.concatenate([i, odd])
+    cols = np.concatenate([i // 2, odd // 2 + 1])
+    vals = np.concatenate([np.where(i % 2 == 1, 0.5, 1.0), np.full(odd.size, 0.5)])
+    keep = cols < m_coarse
+    return csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(m_fine, m_coarse))
+
+
+def _prolongation(dm, dm_c):
+    """Bilinear interpolation from the packed unknowns of `dm_c` (the 2h
+    grid) to those of `dm`, without the border unknown.  Re and Im are
+    interpolated alike; the Im of the x2 = 0 row is zero (odd parity),
+    and so is the coarse Dirichlet layer."""
+    # the Re unknowns are the (n1-1) x (n2-1) active points in row-major
+    # order, the Im unknowns those of them off the x2 = 0 row
+    m1, m2 = dm.spec.n1 - 1, dm.spec.n2 - 1
+    k1, k2 = dm_c.spec.n1 - 1, dm_c.spec.n2 - 1
+    P_re = kron(_interpolation_1d(m1, k1), _interpolation_1d(m2, k2), format="csr")
+    P_im = P_re[np.arange(m1 * m2) % m2 >= 1][:, np.arange(k1 * k2) % k2 >= 1]
+    return block_diag([P_re, P_im], format="csr")
+
+
+def _two_grid(J, dm, z_col, grad_con, V_d, Z_d, params):
+    """Two-grid cycle for the bordered system B = [[J, -z], [g^T, 0]];
+    returns (M, nnz(L+U)) like `_bordered_lu`, where M(v, J) applies the
+    cycle for the Newton step whose Jacobian is J.
+
+    The cycle makes JACOBI_SWEEPS damped point-Jacobi sweeps on the u
+    rows (none on c), corrects by the bordered LU of the same case at
+    2h, and makes JACOBI_SWEEPS more sweeps (Briggs, Henson & McCormick,
+    A Multigrid Tutorial, 2000).  The coarse case is V_d and Z_d
+    injected onto `_coarse_spec`, with its Jacobian assembled there.  The
+    transfers are the bilinear `_prolongation` P and R = P^T / 4, and c
+    maps to itself: each border row weights Z by its own grid's cell, so
+    the two rows are the same integral.  The sweeps take their products
+    with the step's J and their diagonal from the J given here (the
+    ansatz's), so the cycle keeps no fine matrix of its own."""
+    spec_c = _coarse_spec(dm.spec)
+    dm_c = _DofMap(spec_c)
+    V_c = ComplexField(spec_c, np.ascontiguousarray(V_d.data[::2, ::2]))
+    Z_c = Z_d.data[::2, ::2]
+    W_c = 1.0 / (1.0 + np.abs(V_c.data) ** 2) ** 2
+    coarse, fill = _bordered_lu(assemble_jacobian(V_c, params.tag, params, dm_c), dm_c,
+                                dm_c.pack(Z_c), dm_c.pack(W_c * Z_c * spec_c.h1 * spec_c.h2))
+    P = _prolongation(dm, dm_c)
+    R = (0.25 * P.T).tocsr()
+    dinv = JACOBI_OMEGA / J.diagonal()
+
+    def apply(v, J):
+        b = v[:-1]
+        u = dinv * b  # the first sweep, from u = 0
+        for _ in range(JACOBI_SWEEPS - 1):
+            u += dinv * (b - J @ u)
+        e = coarse(np.append(R @ (b - J @ u), v[-1] - grad_con @ u))
+        u += P @ e[:-1]
+        c = e[-1]
+        for _ in range(JACOBI_SWEEPS):
+            u += dinv * (b - J @ u + c * z_col)
+        return np.append(u, c)
+
+    return apply, fill
 
 
 def gmres(A, b, *, M, rtol):
@@ -542,22 +652,23 @@ def extract_multiplier(u: ComplexField, V: ComplexField, Z: ComplexField,
 class _BalanceState:
     """What one solve of a balance hands to the next.  It holds one grid
     at a time: that grid's `_DofMap` (so its Jacobian structure and
-    elimination order), the apply of the bordered LU factored on it, and
-    the last solve's corrector u - V_d with its multiplier.  It keeps at
-    most one LU: a change of grid or a solve redone cold releases it
-    before the next factorization."""
+    elimination order), the preconditioner built on it (the direct
+    factor or the two-grid cycle), and the last solve's corrector u - V_d
+    with its multiplier.  It keeps at most one LU: a change of grid or a
+    solve redone cold releases it before the next factorization."""
 
     def __init__(self):
         self.spec = None
         self.dm = None
-        self.precond = None      # `_bordered_lu`'s apply
+        self.precond = None      # the apply of `_bordered_lu` or `_two_grid`
         self.corrector = None    # ComplexField u - V_d of the last solve
         self.c = 0.0
         self.reused = False      # the solve in progress started from this state
         self.fallbacks = 0       # solves redone cold after failing on this state
 
     def on_grid(self, spec):
-        """Hold the `_DofMap` of `spec`; a change of grid releases the LU."""
+        """Hold the `_DofMap` of `spec`; a change of grid releases the
+        preconditioner."""
         if spec != self.spec:
             self.dm = self.precond = None  # released before the new grid's map is built
             self.spec, self.dm = spec, _DofMap(spec)
@@ -649,10 +760,15 @@ def _newton(params, V_d, Z_d, state, newton_max, newton_tol, krylov_tol):
     state.reused = warm or lu_reused
 
     J = None
-    lu_fill = 0
+    lu_fill = lu_n1 = 0
     if not lu_reused:
         J = assemble_jacobian(V_d, tag, params, dm)
-        state.precond, lu_fill = _bordered_lu(J, dm, z_col, grad_con)
+        if dm.n > TWO_GRID_MIN_UNKNOWNS and 2.0 * max(spec.h1, spec.h2) <= MAX_SPACING:
+            state.precond, lu_fill = _two_grid(J, dm, z_col, grad_con, V_d, Z_d, params)
+            lu_n1 = _coarse_spec(spec).n1
+        else:
+            state.precond, lu_fill = _bordered_lu(J, dm, z_col, grad_con)
+            lu_n1 = spec.n1
     lu_apply = state.precond
     u, c = (u_w, state.c) if warm else (np.array(V_d.data), 0.0)
     if warm or J is None:
@@ -666,7 +782,7 @@ def _newton(params, V_d, Z_d, state, newton_max, newton_tol, krylov_tol):
     def precond(v):
         nonlocal applies
         applies += 1
-        return lu_apply(v)
+        return lu_apply(v, jac["J"])
 
     def matvec(x):
         top = jac["J"] @ x[:-1] - x[-1] * z_col
@@ -691,7 +807,7 @@ def _newton(params, V_d, Z_d, state, newton_max, newton_tol, krylov_tol):
             if true_res > KRYLOV_ACCEPT_RESIDUAL * bnorm:
                 raise KrylovStagnationError(
                     f"GMRES stagnated (info={info}, rel={true_res / bnorm:.2e})",
-                    last_residual=best)
+                    last_residual=best, krylov_iters=krylov_iters)
             krylov_accepted += 1
         lam = 1.0
         accepted = False
@@ -716,7 +832,7 @@ def _newton(params, V_d, Z_d, state, newton_max, newton_tol, krylov_tol):
     if best > max(newton_tol, ACCEPT_RESIDUAL):
         raise NonConvergenceError(
             f"Newton stopped at residual {best:.3e} after {iters} iterations",
-            last_residual=best)
+            last_residual=best, krylov_iters=krylov_iters)
 
     u_field = ComplexField(spec, u)
     norms = corrector_norms(u_field, V_d, params)
@@ -725,7 +841,7 @@ def _newton(params, V_d, Z_d, state, newton_max, newton_tol, krylov_tol):
         final_residual=float(best), corrector_norm_star=norms["star"],
         d_used=params.d, converged=True, krylov_accepted=krylov_accepted,
         krylov_iters=tuple(krylov_iters), lu_reused=lu_reused, warm_start=warm,
-        lu_fill=lu_fill,
+        lu_fill=lu_fill, lu_n1=lu_n1,
     )
 
 

@@ -10,9 +10,10 @@ from vortexflow import ansatz, solver
 from vortexflow.ansatz import ModelParams, Regime, build_ansatz, build_pair, kernel_Zd
 from vortexflow.fields import ComplexField, GridSpec, Symmetry, symmetrize_complex
 from vortexflow.profile import eval_profile
-from vortexflow.solver import (_ARMS, _arm_coefficients, _bordered_lu, _DofMap, apply_S,
-                               assemble_jacobian, build_case, extract_multiplier, gmres,
-                               linearize_apply, solve_at_separation, solve_projected)
+from vortexflow.solver import (_ARMS, _arm_coefficients, _bordered_lu, _coarse_spec, _DofMap,
+                               _prolongation, _two_grid, apply_S, assemble_jacobian,
+                               build_case, extract_multiplier, gmres, linearize_apply,
+                               solve_at_separation, solve_projected)
 
 
 def pair_params(eps=0.1, kappa=0.0, d_hat=1.0, sch=False):
@@ -316,16 +317,22 @@ def test_krylov_acceptance_is_counted(profile):
     assert forced.final_residual <= 1e-3
 
 
-def _bordered_parts(tag, profile):
-    """The ansatz Jacobian P of `_tag_case(tag)`, its `_DofMap`, and the
-    border column z and row g of the bordered system."""
+def _bordered_case(tag, profile):
+    """The parameters, ansatz V and co-kernel Z of `_tag_case(tag)`, the
+    ansatz Jacobian P, its `_DofMap`, and the border column z and row g
+    of the bordered system."""
     p, spec = _tag_case(tag)
     V = build_ansatz(p, spec, profile)
     Z = kernel_Zd(p, spec, profile)
     dm = _DofMap(spec)
     P = assemble_jacobian(V, p.tag, p, dm)
     W = 1.0 / (1.0 + np.abs(V.data) ** 2) ** 2
-    return P, dm, dm.pack(Z.data), dm.pack(W * Z.data * spec.h1 * spec.h2)
+    return p, V, Z, P, dm, dm.pack(Z.data), dm.pack(W * Z.data * spec.h1 * spec.h2)
+
+
+def _bordered_parts(tag, profile):
+    """P, its `_DofMap`, z and g of `_bordered_case(tag)`."""
+    return _bordered_case(tag, profile)[3:]
 
 
 def _bordered_matvec(P, z_col, grad_con):
@@ -485,3 +492,99 @@ def test_unusable_tolerances_are_rejected(profile, tols):
     V, Z = build_case(p.with_d(10.0), spec, profile)
     with pytest.raises(ValueError, match="finite and > 0"):
         solve_projected(p.with_d(10.0), V, Z, **tols)
+
+
+@pytest.mark.parametrize("l1,l2", [(20.0, 20.0), (20.25, 20.25), (20.0, 12.25)],
+                         ids=["even", "odd", "even-odd"])
+def test_prolongation_reproduces_bilinear_fields(l1, l2):
+    # bilinear fields on the 2h grid, zero on its Dirichlet layer where
+    # they are unknowns, come out exact at the fine points; Im stays an
+    # unknown off the x2 = 0 row only
+    spec = GridSpec(l1, l2, 0.25, 0.25, Symmetry.PAIR)
+    spec_c = _coarse_spec(spec)
+    assert (spec_c.n1, spec_c.n2) == (math.ceil(spec.n1 / 2), math.ceil(spec.n2 / 2))
+    assert spec_c.h1 == 2 * spec.h1
+    dm, dm_c = _DofMap(spec), _DofMap(spec_c)
+    edge1, edge2 = spec_c.x1()[-1], spec_c.x2()[-1]  # the coarse Dirichlet layer
+
+    def field(s):
+        X1, X2 = s.mesh()
+        return (edge1 - X1) * (edge2 - X2) + 1j * X2 * (edge1 - X1)
+
+    P = _prolongation(dm, dm_c)
+    assert P.shape == (dm.n, dm_c.n)
+    got = dm.unpack(P @ dm_c.pack(field(spec_c)))
+    want = field(spec)
+    assert np.all(got[:, 0].imag == 0.0)
+    assert np.allclose(got.real[dm.re_mask], want.real[dm.re_mask], rtol=0, atol=1e-12)
+    # Im is not zero on the coarse Dirichlet row x2 = edge2, which the
+    # interpolation reads as zero: it is exact up to the last coarse unknown
+    inside = dm.im_mask & (spec.x2()[None, :] <= edge2 - spec_c.h2 + 1e-12)
+    assert np.allclose(got.imag[inside], want.imag[inside], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("tag", ["S1", "S4"])
+def test_two_grid_cycle_preconditions_gmres(profile, tag):
+    # the cycle as M takes `gmres` to krylov_tol = 1e-10 on the bordered
+    # system; its factor is that of the 2h case
+    p, V, Z, P, dm, z_col, grad_con = _bordered_case(tag, profile)
+    M, fill = _two_grid(P, dm, z_col, grad_con, V, Z, p)
+    A = _bordered_matvec(P, z_col, grad_con)
+    b = np.random.default_rng(23).standard_normal(dm.n + 1)
+    applies = []
+
+    def cycle(v):
+        applies.append(1)
+        return M(v, P)
+
+    x, info = gmres(A, b, M=cycle, rtol=1e-10)
+    assert info == 0
+    assert np.linalg.norm(A(x) - b) <= 1e-10 * np.linalg.norm(b)
+    assert len(applies) <= 40
+    assert 0 < fill < _bordered_lu(P, dm, z_col, grad_con)[1]
+
+
+def _small_cases():
+    # a pair with odd n1 and a ring with even n1
+    return [(pair_params(eps=0.1), 8.125, 0.25),
+            (ModelParams(Regime.RING_SCH, 0.05, 0.0, 0.3), 6.0, 0.25)]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["pair", "ring"])
+def test_two_grid_solve_matches_direct(profile, monkeypatch, case):
+    p, d, h = _small_cases()[case]
+    direct = solve_at_separation(p, d, profile, h=h, newton_tol=1e-11)
+    n1 = direct.u.spec.n1
+    assert direct.lu_n1 == n1  # small grids keep the direct factor
+    assert direct.u.spec.n1 % 2 == (1 if case == 0 else 0)
+    monkeypatch.setattr(solver, "TWO_GRID_MIN_UNKNOWNS", 0)
+    cycled = solve_at_separation(p, d, profile, h=h, newton_tol=1e-11)
+    assert cycled.lu_n1 == math.ceil(n1 / 2)
+    assert 0 < cycled.lu_fill < direct.lu_fill
+    assert abs(cycled.c_mult - direct.c_mult) <= 1e-9 * abs(direct.c_mult)
+    assert sum(cycled.krylov_iters) > sum(direct.krylov_iters)
+
+
+def test_spacing_cap_keeps_the_direct_factor(profile, monkeypatch):
+    # an h = 0.5 grid has no 2h grid (GridSpec caps h at 0.5)
+    monkeypatch.setattr(solver, "TWO_GRID_MIN_UNKNOWNS", 0)
+    res = solve_at_separation(pair_params(eps=0.1), 10.0, profile, h=0.5)
+    assert res.lu_n1 == res.u.spec.n1
+
+
+def test_failures_carry_the_applies_of_each_step(profile, monkeypatch):
+    # one restart cycle of two applies stops the first GMRES solve far
+    # above KRYLOV_ACCEPT_RESIDUAL
+    p = pair_params(eps=0.1)
+    monkeypatch.setattr(solver, "GMRES_MAXITER", 1)
+    monkeypatch.setattr(solver, "GMRES_RESTART", 2)
+    monkeypatch.setattr(solver, "TWO_GRID_MIN_UNKNOWNS", 0)
+    with pytest.raises(solver.KrylovStagnationError) as err:
+        solve_at_separation(p, 8.125, profile, h=0.25)
+    assert err.value.krylov_iters == (2,)
+    monkeypatch.undo()
+    # Newton stopped after one step, above its tolerance
+    with pytest.raises(solver.NonConvergenceError) as err:
+        solve_at_separation(p, 8.125, profile, h=0.25, newton_max=1, newton_tol=1e-11)
+    assert not isinstance(err.value, solver.KrylovStagnationError)
+    assert len(err.value.krylov_iters) == 1 and err.value.krylov_iters[0] >= 1

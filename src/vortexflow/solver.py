@@ -20,27 +20,40 @@ Jacobian assembled at the current iterate, right-preconditioned by a
 single-precision LU factorization of a bordered Jacobian frozen at the
 ansatz.  The Krylov basis, the Jacobian products and the true residual
 b - A x that ends every restart cycle are float64, so the float32
-factor sets how fast an inner solve converges, not how far: each still
-reaches `krylov_tol` relative to ||b||, and the factor's values take
-half the memory of a float64 factor with the same fill.
+factor sets how fast an inner solve converges, not how far, and the
+factor's values take half the memory of a float64 factor with the same
+fill.
+
+Each inner solve goes only as far as its Newton step needs: step k
+stops at relative residual eta_k = max(krylov_tol, min(KRYLOV_FORCING_MAX,
+||F_k||)), where ||F_k|| is the Newton residual the step starts from
+(Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982; Eisenstat
+& Walker, SIAM J. Sci. Comput. 17, 1996).  A forcing term of order
+||F_k|| keeps Newton's quadratic convergence, so the last step still
+solves to about the final residual and the solution keeps its accuracy;
+`krylov_tol` is the floor, the tightest tolerance any inner solve is
+asked for.  Against every step solved to krylov_tol = 1e-10, the
+benchmark's ring solve takes 18 two-grid cycles over its 3 Newton steps
+instead of 39, and its pair balance 25 LU applies over its 10 steps
+instead of 42.
 
 Which bordered system is factored depends on the grid alone.  Up to
-TWO_GRID_MIN_UNKNOWNS unknowns it is the solve's own (`_bordered_lu`);
-the benchmark's pair balance takes 42 LU applies over its 10 Newton
-steps.  On larger grids whose spacing can double it is the same case at
-2h, inside a two-grid cycle (`_two_grid`): damped Jacobi sweeps on the
-fine rows around a coarse correction by that factor.  On the
-benchmark's ring grid (293k unknowns) the coarse factor holds 6.90M
-entries in L + U and takes 0.4 s, where the fine one held 34.62M and
-took 2 s.  The solve takes 39 cycles over its 3 Newton steps (13 per
-step, against 13 fine LU solves in all) at about 50 ms each (a fine LU
-solve took 75 ms).  Its peak memory falls from 543 to 383 MiB and its
-time stays about the same.  Single cold solves of the two kinds broke
-even between 100k and 125k unknowns.
+TWO_GRID_MIN_UNKNOWNS unknowns it is the solve's own (`_bordered_lu`).
+On larger grids whose spacing can double it is the same case at 2h,
+inside a two-grid cycle (`_two_grid`): damped Jacobi sweeps on the fine
+rows around a coarse correction by that factor.  On the benchmark's
+ring grid (293k unknowns) the coarse factor holds 6.90M entries in
+L + U and takes 0.4 s, where the fine one held 34.62M and took 2 s.
+With every step solved to krylov_tol the cycle took 13 applies per
+step, against 13 fine LU solves in all, at about 50 ms each (a fine LU
+solve took 75 ms); peak memory fell from 543 to 383 MiB and the time
+stayed about the same.  Single cold solves of the two kinds broke even
+between 100k and 125k unknowns.
 
 `SolveResult.krylov_iters` records the preconditioner applies of each
-Newton step and `lu_n1` the grid the factor was made on.  A GMRES
-solve that stops short of `krylov_tol` is accepted at
+Newton step, `newton_residuals` the residual each step starts from and
+the final one, and `lu_n1` the grid the factor was made on.  A GMRES
+solve that stops short of its eta_k is accepted at
 `KRYLOV_ACCEPT_RESIDUAL` relative residual and counted in the result.
 
 The Jacobian's sparsity does not change within a solve.  Its CSC
@@ -96,7 +109,7 @@ ALL_TAGS = ("S0",) + PAIR_TAGS + RING_TAGS
 # a tighter newton_tol that stalls above its target but below this floor
 # still yields a usable solution.
 ACCEPT_RESIDUAL = 1e-8
-# A GMRES solve that stops short of krylov_tol is still accepted when its
+# A GMRES solve that stops short of its eta_k is still accepted when its
 # true residual is at most KRYLOV_ACCEPT_RESIDUAL * ||b||; it is counted
 # in SolveResult.krylov_accepted.
 KRYLOV_ACCEPT_RESIDUAL = 1e-6
@@ -105,6 +118,10 @@ KRYLOV_ACCEPT_RESIDUAL = 1e-6
 # makes at most 1200 preconditioner applies
 GMRES_RESTART = 75
 GMRES_MAXITER = 16
+# Newton step k solves its GMRES to relative residual
+# eta_k = max(krylov_tol, min(KRYLOV_FORCING_MAX, ||F_k||)), ||F_k|| being
+# the residual the step starts from
+KRYLOV_FORCING_MAX = 0.1
 # A solve on a grid of more unknowns than this, whose 2h grid is within
 # MAX_SPACING, is preconditioned by the two-grid cycle (`_two_grid`);
 # other solves by their own bordered factor (`_bordered_lu`), which
@@ -121,13 +138,16 @@ BALANCE_C_RTOL = 1e-10
 
 class NonConvergenceError(RuntimeError):
     """A solve that failed: `last_residual` is the best Newton residual
-    reached, and `krylov_iters` the preconditioner applies of each Newton
-    step made before the failure, the failing step's included."""
+    reached, `krylov_iters` the preconditioner applies of each Newton
+    step made before the failure, the failing step's included, and
+    `newton_residuals` the residual at the start and after each step
+    completed before it, as in `SolveResult`."""
 
-    def __init__(self, message, last_residual=None, krylov_iters=()):
+    def __init__(self, message, last_residual=None, krylov_iters=(), newton_residuals=()):
         super().__init__(message)
         self.last_residual = last_residual
         self.krylov_iters = tuple(krylov_iters)
+        self.newton_residuals = tuple(newton_residuals)
 
 
 class KrylovStagnationError(NonConvergenceError):
@@ -147,12 +167,16 @@ class SolveResult:
     corrector_norm_star: float
     d_used: float
     converged: bool
-    # Newton steps whose GMRES stopped short of krylov_tol (info != 0) but
+    # Newton steps whose GMRES stopped short of eta_k (info != 0) but
     # was accepted at KRYLOV_ACCEPT_RESIDUAL
     krylov_accepted: int = 0
     # preconditioner applies (LU solves or two-grid cycles) of each Newton
     # step's GMRES solve
     krylov_iters: tuple = ()
+    # Newton residual at the start and after each step, newton_iters + 1
+    # values ending at final_residual; a step the line search rejects
+    # leaves it as it was
+    newton_residuals: tuple = ()
     # the preconditioner was that of the solve before it (same grid), and
     # Newton started from that solve's corrector
     lu_reused: bool = False
@@ -700,8 +724,11 @@ def solve_projected(params: ModelParams, V_d: ComplexField, Z_d: ComplexField,
                     state: _BalanceState = None) -> SolveResult:
     """Damped Newton on the bordered system (u, c).
 
-    `newton_tol` bounds the final residual and `krylov_tol` the true
-    relative residual of each inner solve; both must be finite and > 0.
+    `newton_tol` bounds the final residual.  Newton step k solves its
+    GMRES to true relative residual max(krylov_tol, min(KRYLOV_FORCING_MAX,
+    ||F_k||)), ||F_k|| being the residual it starts from, so `krylov_tol`
+    is the tightest any inner solve is asked for.  Both tolerances must
+    be finite and > 0.
 
     Without `state` (the cold solve) Newton starts from the ansatz and
     the preconditioner is the bordered Jacobian factored there.  With a
@@ -791,6 +818,7 @@ def _newton(params, V_d, Z_d, state, newton_max, newton_tol, krylov_tol):
 
     R = residual_vec(u, c)
     best = resnorm(R)
+    residuals = [best]
     iters = 0
     krylov_accepted = 0
     krylov_iters = []
@@ -799,15 +827,18 @@ def _newton(params, V_d, Z_d, state, newton_max, newton_tol, krylov_tol):
             jac["J"] = None  # release the old values before assembling the new
             jac["J"] = assemble_jacobian(ComplexField(spec, u.copy()), tag, params, dm)
         applies = 0
-        sol, info = gmres(matvec, -R, M=precond, rtol=krylov_tol)
+        eta = max(krylov_tol, min(KRYLOV_FORCING_MAX, best))
+        sol, info = gmres(matvec, -R, M=precond, rtol=eta)
         krylov_iters.append(applies)
         if info != 0:
             bnorm = float(np.linalg.norm(R))
             true_res = float(np.linalg.norm(matvec(sol) + R))
             if true_res > KRYLOV_ACCEPT_RESIDUAL * bnorm:
                 raise KrylovStagnationError(
-                    f"GMRES stagnated (info={info}, rel={true_res / bnorm:.2e})",
-                    last_residual=best, krylov_iters=krylov_iters)
+                    f"GMRES stagnated at Newton step {iters + 1} (info={info}, "
+                    f"rel={true_res / bnorm:.2e}, asked for eta={eta:.2e})",
+                    last_residual=best, krylov_iters=krylov_iters,
+                    newton_residuals=residuals)
             krylov_accepted += 1
         lam = 1.0
         accepted = False
@@ -821,18 +852,18 @@ def _newton(params, V_d, Z_d, state, newton_max, newton_tol, krylov_tol):
                 break
             lam *= 0.5
         iters += 1
-        if not accepted:
-            break
-        u, c, R = u_try, c_try, R_try
-        progress = n_try / best
-        best = n_try
-        if progress > 0.95:
-            break  # stalled at the rounding floor of the residual
+        if accepted:
+            u, c, R = u_try, c_try, R_try
+            progress = n_try / best
+            best = n_try
+        residuals.append(best)
+        if not accepted or progress > 0.95:
+            break  # no descent, or stalled at the rounding floor of the residual
 
     if best > max(newton_tol, ACCEPT_RESIDUAL):
         raise NonConvergenceError(
             f"Newton stopped at residual {best:.3e} after {iters} iterations",
-            last_residual=best, krylov_iters=krylov_iters)
+            last_residual=best, krylov_iters=krylov_iters, newton_residuals=residuals)
 
     u_field = ComplexField(spec, u)
     norms = corrector_norms(u_field, V_d, params)
@@ -840,8 +871,8 @@ def _newton(params, V_d, Z_d, state, newton_max, newton_tol, krylov_tol):
         u=u_field, c_mult=float(c), newton_iters=iters,
         final_residual=float(best), corrector_norm_star=norms["star"],
         d_used=params.d, converged=True, krylov_accepted=krylov_accepted,
-        krylov_iters=tuple(krylov_iters), lu_reused=lu_reused, warm_start=warm,
-        lu_fill=lu_fill, lu_n1=lu_n1,
+        krylov_iters=tuple(krylov_iters), newton_residuals=tuple(residuals),
+        lu_reused=lu_reused, warm_start=warm, lu_fill=lu_fill, lu_n1=lu_n1,
     )
 
 

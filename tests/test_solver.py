@@ -304,9 +304,11 @@ def test_reassembly_writes_values_into_one_structure(profile, tag):
         assert (new != ref).nnz == 0
 
 
-def test_krylov_acceptance_is_counted(profile):
+def test_krylov_acceptance_is_counted(profile, monkeypatch):
     # krylov_tol = 1e-30 is out of GMRES's reach: it stops with info != 0
-    # at a true residual far below KRYLOV_ACCEPT_RESIDUAL and is accepted
+    # at a true residual far below KRYLOV_ACCEPT_RESIDUAL and is accepted.
+    # A zero forcing cap makes every step's tolerance krylov_tol itself
+    monkeypatch.setattr(solver, "KRYLOV_FORCING_MAX", 0.0)
     p = pair_params(eps=0.1)
     opts = dict(newton_max=1, newton_tol=1e-3)
     plain = solve_at_separation(p, 4.0, profile, h=0.5, **opts)
@@ -573,18 +575,77 @@ def test_spacing_cap_keeps_the_direct_factor(profile, monkeypatch):
 
 
 def test_failures_carry_the_applies_of_each_step(profile, monkeypatch):
-    # one restart cycle of two applies stops the first GMRES solve far
-    # above KRYLOV_ACCEPT_RESIDUAL
+    # one restart cycle of two applies meets the first step's loose
+    # forcing term, then stops the second step's GMRES solve far above
+    # KRYLOV_ACCEPT_RESIDUAL
     p = pair_params(eps=0.1)
     monkeypatch.setattr(solver, "GMRES_MAXITER", 1)
     monkeypatch.setattr(solver, "GMRES_RESTART", 2)
     monkeypatch.setattr(solver, "TWO_GRID_MIN_UNKNOWNS", 0)
     with pytest.raises(solver.KrylovStagnationError) as err:
         solve_at_separation(p, 8.125, profile, h=0.25)
-    assert err.value.krylov_iters == (2,)
+    assert err.value.krylov_iters == (2, 2)
     monkeypatch.undo()
     # Newton stopped after one step, above its tolerance
     with pytest.raises(solver.NonConvergenceError) as err:
         solve_at_separation(p, 8.125, profile, h=0.25, newton_max=1, newton_tol=1e-11)
     assert not isinstance(err.value, solver.KrylovStagnationError)
     assert len(err.value.krylov_iters) == 1 and err.value.krylov_iters[0] >= 1
+
+
+@pytest.mark.parametrize("krylov_tol", [1e-10, 1e-4])
+def test_each_step_is_forced_to_its_residual(profile, monkeypatch, krylov_tol):
+    # step k asks GMRES for max(krylov_tol, min(KRYLOV_FORCING_MAX, ||F_k||)),
+    # ||F_k|| being the residual the step starts from
+    rtols = []
+
+    def recorded(A, b, *, M, rtol):
+        rtols.append(rtol)
+        return gmres(A, b, M=M, rtol=rtol)
+
+    monkeypatch.setattr(solver, "gmres", recorded)
+    res = solve_at_separation(pair_params(eps=0.1), 10.0, profile, h=0.5, newton_tol=1e-11,
+                              krylov_tol=krylov_tol)
+    assert len(res.newton_residuals) == res.newton_iters + 1 == len(rtols) + 1
+    assert res.newton_residuals[-1] == res.final_residual
+    assert rtols == [max(krylov_tol, min(solver.KRYLOV_FORCING_MAX, r))
+                     for r in res.newton_residuals[:-1]]
+    # loose while the residual is large, down to the floor near the end
+    assert rtols[0] > rtols[-1] >= krylov_tol
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["pair", "ring-two-grid"])
+def test_forcing_cuts_applies_at_the_same_multiplier(profile, monkeypatch, case):
+    # against the fixed forcing (every step to krylov_tol), the forcing
+    # term gives the same multiplier in fewer preconditioner applies, on
+    # the direct factor and on the two-grid cycle alike
+    p, d, h = _small_cases()[case]
+    if case == 1:
+        monkeypatch.setattr(solver, "TWO_GRID_MIN_UNKNOWNS", 0)
+    forced = solve_at_separation(p, d, profile, h=h, newton_tol=1e-11)
+    assert forced.lu_n1 == (forced.u.spec.n1 if case == 0 else math.ceil(forced.u.spec.n1 / 2))
+    monkeypatch.setattr(solver, "KRYLOV_FORCING_MAX", 0.0)
+    fixed = solve_at_separation(p, d, profile, h=h, newton_tol=1e-11)
+    assert forced.final_residual <= 1e-11
+    assert abs(forced.c_mult - fixed.c_mult) <= 1e-9 * abs(fixed.c_mult)
+    assert sum(forced.krylov_iters) < sum(fixed.krylov_iters)
+
+
+def test_failures_carry_the_residual_history(profile, monkeypatch):
+    # a stagnating step names the tolerance it was asked for, and both
+    # errors carry the residuals of the steps made before them
+    p = pair_params(eps=0.1)
+    monkeypatch.setattr(solver, "GMRES_MAXITER", 1)
+    monkeypatch.setattr(solver, "GMRES_RESTART", 2)
+    monkeypatch.setattr(solver, "TWO_GRID_MIN_UNKNOWNS", 0)
+    with pytest.raises(solver.KrylovStagnationError) as err:
+        solve_at_separation(p, 8.125, profile, h=0.25)
+    hist = err.value.newton_residuals
+    assert len(hist) == len(err.value.krylov_iters) and hist[-1] == err.value.last_residual
+    eta = max(1e-10, min(solver.KRYLOV_FORCING_MAX, hist[-1]))
+    assert f"eta={eta:.2e}" in str(err.value)
+    monkeypatch.undo()
+    with pytest.raises(solver.NonConvergenceError) as err:
+        solve_at_separation(p, 8.125, profile, h=0.25, newton_max=1, newton_tol=1e-11)
+    hist = err.value.newton_residuals
+    assert len(hist) == 2 and hist[1] < hist[0] and hist[1] == err.value.last_residual

@@ -15,6 +15,10 @@ blocks (box m = m_tautau - sum_j m_jj, |Dm|^2 = |m_tau|^2 - sum |m_j|^2).
 Blocks are evaluated on tensor grids: each (t, tau) slice is one
 evaluation of U on the product of its distinct a (s_1 or r) and
 traveling-coordinate values, and each stencil runs on the interior only.
+pde_residual never holds a whole block: it walks the interior (t, tau)
+points and keeps only a small window of the slices their stencils read,
+sampling each slice once and dropping it after its last reader; the four
+corner slices, which no stencil reads, are never sampled.
 The cross-product orientation is pinned by the operator convention of
 the planar solve (the S2/S4 drift term): a field with S2[u] = 0
 assembled as U(.., s_N - c tau - omega t) e^{i tau} satisfies exactly
@@ -112,13 +116,39 @@ def sample_block(U: UnscaledField, params: ModelParams, t_axis, tau_axis, s_axes
     return m
 
 
-def _shifted(m, axes, axis, k=0):
-    """m on the interior of `axes` (one cell off each end), displaced by
-    k cells along `axis`: the operands of a stencil centred on the
-    interior, so no difference is taken on the cells it cuts away."""
-    sl = [slice(1, -1) if ax in axes else slice(None) for ax in range(m.ndim)]
+def _interior(m, axis=0, k=0):
+    """The spatial interior of one (t, tau) slice m[s..., 3] (one cell
+    off each end of every spatial axis), displaced by k cells along
+    spatial `axis`: the operands of a stencil centred on the interior."""
+    sl = [slice(1, -1)] * (m.ndim - 1)
     sl[axis] = slice(1 + k, m.shape[axis] - 1 + k)
     return m[tuple(sl)]
+
+
+def _sq3(x):
+    """|x|^2 over the length-3 last axis, summed left to right: the same
+    bits as (x**2).sum(-1), without numpy's slow small-axis reduce."""
+    return x[..., 0]**2 + x[..., 1]**2 + x[..., 2]**2
+
+
+def _slice_residual(ds, m_lo, m, m_hi, m_prev=None, m_next=None):
+    """|R| on the spatial interior of one interior (t, tau) slice m, from
+    its tau neighbours m_lo, m_hi and, for a Schrodinger flow, its t
+    neighbours m_prev, m_next (None for a wave map).  Every step is
+    elementwise, in the order a stencil over the whole block takes."""
+    mc = _interior(m)
+    box = (_interior(m_hi) - 2.0 * mc + _interior(m_lo)) / ds**2
+    for k in range(m.ndim - 1):
+        box = box - (_interior(m, k, 1) - 2.0 * mc + _interior(m, k, -1)) / ds**2
+    dm2 = _sq3((_interior(m_hi) - _interior(m_lo)) / (2.0 * ds))
+    for k in range(m.ndim - 1):
+        dm2 = dm2 - _sq3((_interior(m, k, 1) - _interior(m, k, -1)) / (2.0 * ds))
+    core_term = box + dm2[..., None] * mc
+    if m_prev is None:
+        R = core_term
+    else:
+        R = (_interior(m_next) - _interior(m_prev)) / (2.0 * ds) - np.cross(core_term, mc)
+    return np.sqrt(_sq3(R))
 
 
 def pde_residual(params: ModelParams, U: UnscaledField, center, ds,
@@ -131,44 +161,36 @@ def pde_residual(params: ModelParams, U: UnscaledField, center, ds,
     One cell at the block edge is excluded, plus RESIDUAL_CORE_MARGIN
     cells of the coarser of (field spacing, sample spacing) around the
     traveling vortex core, so the excluded disc stays fixed under
-    sampling refinement."""
+    sampling refinement.
+
+    The block is never held whole.  Its interior (t, tau) points are
+    visited in C order; each reads the slices (t, tau) and (t, tau +- 1)
+    and, for a Schrodinger flow, (t +- 1, tau).  A slice is sampled
+    (one sample_block call) when a point first reads it and dropped once
+    its last reader is done, so at most about two rows of slices are
+    live, and the four corner slices, which no stencil reads, are never
+    sampled.  Each point's residual is the same elementwise arithmetic
+    a full-block stencil does, so the result does not depend on the
+    streaming."""
     h = min(U.u.spec.h1, U.u.spec.h2)
     if ds > h + 1e-12:
         raise ValueError("sample spacings must resolve the field (<= h)")
     wave = params.omega == 0.0 and params.regime.value.endswith("wm")
     ring = len(center) == 3
+    if np.ndim(nspace) == 0:
+        nspace = (nspace,) * len(center)
+    if len(nspace) != len(center):
+        raise ValueError(f"nspace has {len(nspace)} entries for a {len(center)}-D center")
+    for name, n in [("tau", ntau)] + [(f"s{k + 1}", n) for k, n in enumerate(nspace)]:
+        if n < 3:
+            raise ValueError(f"{name} axis has {n} samples; its central differences "
+                             f"need at least 3")
 
     tau_axis = tau0 + ds * (np.arange(ntau) - (ntau - 1) / 2)
     t_axis = (np.array([t0]) if wave
               else t0 + ds * (np.arange(RESIDUAL_NT) - (RESIDUAL_NT - 1) / 2))
-    if np.ndim(nspace) == 0:
-        nspace = (nspace,) * len(center)
     s_axes = [c + ds * (np.arange(n) - (n - 1) / 2) for c, n in zip(center, nspace)]
-    m = sample_block(U, params, t_axis, tau_axis, s_axes)
-
-    sdim = 3 if ring else 2
-    tau_ax = 1
-    s_ax0 = 2
-    diff_axes = [tau_ax] + list(range(s_ax0, s_ax0 + sdim))
-    if not wave:
-        diff_axes = [0] + diff_axes
-
-    def d2(axis, h):
-        return (_shifted(m, diff_axes, axis, 1) - 2.0 * _shifted(m, diff_axes, axis)
-                + _shifted(m, diff_axes, axis, -1)) / h**2
-
-    def d1(axis, h):
-        return (_shifted(m, diff_axes, axis, 1) - _shifted(m, diff_axes, axis, -1)) / (2.0 * h)
-
-    box = d2(tau_ax, ds)
-    for k in range(sdim):
-        box = box - d2(s_ax0 + k, ds)
-    dm2 = (d1(tau_ax, ds)**2).sum(-1)
-    for k in range(sdim):
-        dm2 = dm2 - (d1(s_ax0 + k, ds)**2).sum(-1)
-    mc = _shifted(m, diff_axes, tau_ax)
-    core_term = box + dm2[..., None] * mc
-    R = core_term if wave else d1(0, ds) - np.cross(core_term, mc)
+    sdim = len(s_axes)
 
     # mask out samples near the traveling core(s)
     tau_int = tau_axis[1:-1]
@@ -190,10 +212,36 @@ def pde_residual(params: ModelParams, U: UnscaledField, center, ds,
                      s_int[1][None, None, None, :] - shift[:, :, None, None]),
         )
     keep = dist > excl
-    rnorm = np.sqrt((R**2).sum(-1))
-    kept = rnorm[keep]
-    if kept.size == 0:
+    if not keep.any():
         raise ValueError("core margin excluded every sample")
+
+    # interior points (indices into t_axis, tau_axis) and the slices each reads
+    points = [(it, jt) for it in (range(1) if wave else range(1, t_axis.size - 1))
+              for jt in range(1, ntau - 1)]
+
+    def stencil(it, jt):
+        taus = [(it, jt - 1), (it, jt), (it, jt + 1)]
+        return taus if wave else taus + [(it - 1, jt), (it + 1, jt)]
+
+    last_reader = {key: n for n, p in enumerate(points) for key in stencil(*p)}
+    window = {}
+
+    def slice_at(key):
+        if key not in window:
+            it, jt = key
+            window[key] = sample_block(U, params, t_axis[it:it + 1],
+                                       tau_axis[jt:jt + 1], s_axes)[0, 0]
+        return window[key]
+
+    rnorm = np.empty((t_int.size, tau_int.size) + tuple(ax.size for ax in s_int))
+    for n, (it, jt) in enumerate(points):
+        rnorm[divmod(n, tau_int.size)] = _slice_residual(
+            ds, *(slice_at(key) for key in stencil(it, jt)))
+        for key in stencil(it, jt):
+            if last_reader[key] == n:
+                del window[key]
+
+    kept = rnorm[keep]
     cell = ds * ds**sdim * (1.0 if wave else ds)
     return {
         "l2": float(math.sqrt((kept**2).sum() * cell)),

@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vortexflow import reconstruct
 from vortexflow.ansatz import ModelParams, Regime, build_ansatz, build_pair
 from vortexflow.fields import ComplexField, GridSpec, Symmetry
-from vortexflow.reconstruct import pde_residual, sample_block, unscale
+from vortexflow.reconstruct import (RESIDUAL_CORE_MARGIN, RESIDUAL_NT, pde_residual,
+                                      sample_block, unscale)
 from vortexflow.stereo import unproject_array
 
 
@@ -241,3 +244,167 @@ def test_pde_residual_fixed_blocks(profile):
                 p, "spline")
     assert pde_residual(p, U, (5.0, 0.0, 0.0), 0.125, nspace=(12, 5, 12), ntau=5) == {
         "l2": 0.07346434524156059, "sup": 0.6211465571068013, "n_samples": 1296}
+
+
+# -- streamed space-time residual ---------------------------------------------
+
+def _shifted(m, axes, axis, k=0):
+    """m on the interior of `axes`, displaced by k cells along `axis`."""
+    sl = [slice(1, -1) if ax in axes else slice(None) for ax in range(m.ndim)]
+    sl[axis] = slice(1 + k, m.shape[axis] - 1 + k)
+    return m[tuple(sl)]
+
+
+def _full_block_residual(params, U, center, ds, nspace, ntau, t0=0.0, tau0=0.0):
+    """Reference: pde_residual as it was before streaming, sampling the
+    whole (t, tau, space) block at once and differencing it along each
+    axis."""
+    h = min(U.u.spec.h1, U.u.spec.h2)
+    wave = params.omega == 0.0 and params.regime.value.endswith("wm")
+    ring = len(center) == 3
+    tau_axis = tau0 + ds * (np.arange(ntau) - (ntau - 1) / 2)
+    t_axis = (np.array([t0]) if wave
+              else t0 + ds * (np.arange(RESIDUAL_NT) - (RESIDUAL_NT - 1) / 2))
+    s_axes = [c + ds * (np.arange(n) - (n - 1) / 2) for c, n in zip(center, nspace)]
+    m = sample_block(U, params, t_axis, tau_axis, s_axes)
+
+    sdim = 3 if ring else 2
+    diff_axes = [1] + list(range(2, 2 + sdim)) + ([] if wave else [0])
+
+    def d2(axis):
+        return (_shifted(m, diff_axes, axis, 1) - 2.0 * _shifted(m, diff_axes, axis)
+                + _shifted(m, diff_axes, axis, -1)) / ds**2
+
+    def d1(axis):
+        return (_shifted(m, diff_axes, axis, 1) - _shifted(m, diff_axes, axis, -1)) / (2.0 * ds)
+
+    box = d2(1)
+    for k in range(sdim):
+        box = box - d2(2 + k)
+    dm2 = (d1(1)**2).sum(-1)
+    for k in range(sdim):
+        dm2 = dm2 - (d1(2 + k)**2).sum(-1)
+    mc = _shifted(m, diff_axes, 1)
+    core_term = box + dm2[..., None] * mc
+    R = core_term if wave else d1(0) - np.cross(core_term, mc)
+
+    tau_int = tau_axis[1:-1]
+    t_int = t_axis if wave else t_axis[1:-1]
+    s_int = [ax[1:-1] for ax in s_axes]
+    shift = params.c * tau_int[None, :] + params.omega * t_int[:, None]
+    excl = RESIDUAL_CORE_MARGIN * max(ds, h)
+    if ring:
+        r_int = np.hypot(s_int[0][:, None], s_int[1][None, :])
+        dist = np.hypot((r_int - params.d)[None, None, :, :, None],
+                        s_int[2][None, None, None, None, :] - shift[:, :, None, None, None])
+    else:
+        dist = np.minimum(
+            np.hypot((s_int[0] - params.d)[None, None, :, None],
+                     s_int[1][None, None, None, :] - shift[:, :, None, None]),
+            np.hypot((s_int[0] + params.d)[None, None, :, None],
+                     s_int[1][None, None, None, :] - shift[:, :, None, None]))
+    kept = np.sqrt((R**2).sum(-1))[dist > excl]
+    if kept.size == 0:
+        raise ValueError("core margin excluded every sample")
+    cell = ds * ds**sdim * (1.0 if wave else ds)
+    return {"l2": float(math.sqrt((kept**2).sum() * cell)), "sup": float(kept.max()),
+            "n_samples": int(kept.size)}
+
+
+RESIDUAL_CASES = {
+    # regime: (params, domain half-width)
+    "pair_wm": (ModelParams(Regime.PAIR_WM, 0.2, 0.0, 0.8), 8.0),       # d = 4
+    "pair_sch": (SMALL_SCH, 8.0),
+    "ring_wm": (ModelParams(Regime.RING_WM, 0.2, 0.0, 1.0), 10.0),      # d = 5
+    "ring_sch": (ModelParams(Regime.RING_SCH, 0.2, 0.0, 1.0), 10.0),
+}
+RING_SCH = RESIDUAL_CASES["ring_sch"][0]
+
+
+@pytest.fixture(scope="module")
+def residual_fields(profile):
+    out = {}
+    for name, (p, half) in RESIDUAL_CASES.items():
+        sym = Symmetry.RING if p.is_ring else Symmetry.PAIR
+        out[name] = unscale(build_ansatz(p, GridSpec(half, half, 0.25, 0.25, sym), profile), p)
+    return out
+
+
+@settings(deadline=None, max_examples=80)
+@given(case=st.sampled_from(sorted(RESIDUAL_CASES)), ntau=st.integers(3, 6),
+       nspace=st.tuples(*[st.integers(3, 10)] * 3),
+       ds=st.sampled_from([0.25, 0.125, 0.0625]) | st.floats(0.03, 0.25),
+       offset=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+       t0=st.floats(-1.0, 1.0), tau0=st.floats(-1.0, 1.0))
+def test_pde_residual_matches_full_block_bitwise(residual_fields, case, ntau, nspace, ds,
+                                                 offset, t0, tau0):
+    p = RESIDUAL_CASES[case][0]
+    U = residual_fields[case]
+    if p.is_ring:
+        center = (p.d + offset[0], offset[1] / 2, offset[1])
+    else:
+        center, nspace = (p.d + offset[0], offset[1]), nspace[:2]
+    args = (p, U, center, ds, nspace, ntau, t0, tau0)
+    try:
+        ref = _full_block_residual(*args)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            pde_residual(*args)
+        return
+    assert pde_residual(*args) == ref
+
+
+def test_pde_residual_samples_no_corner_slice(residual_fields, monkeypatch):
+    # a Schrodinger block reads 21 of its 5 x 5 (t, tau) slices, each once
+    seen = []
+
+    def recording(U, p, t_axis, tau_axis, s_axes):
+        seen.append((float(t_axis[0]), float(tau_axis[0])))
+        return sample_block(U, p, t_axis, tau_axis, s_axes)
+
+    monkeypatch.setattr(reconstruct, "sample_block", recording)
+    ds = 0.125
+    pde_residual(RING_SCH, residual_fields["ring_sch"], (6.0, 0.0, 0.0), ds,
+                 nspace=(8, 3, 8), ntau=5)
+    corners = {(t, tau) for t in (-2 * ds, 2 * ds) for tau in (-2 * ds, 2 * ds)}
+    assert len(seen) == len(set(seen)) == 21 and not corners & set(seen)
+
+
+def test_pde_residual_peak_memory_below_full_block(residual_fields):
+    # the full block of 5 x 5 (t, tau) slices of 48 x 5 x 48 points, which
+    # the residual used to sample whole and then hold about twice over in
+    # its difference temporaries (traced peak 2.3 times its size)
+    U = residual_fields["ring_sch"]
+    nspace = (48, 5, 48)
+    full_block = RESIDUAL_NT * 5 * math.prod(nspace) * 3 * 8
+    tracemalloc.start()
+    try:
+        pde_residual(RING_SCH, U, (5.0, 0.0, 0.0), 0.125, nspace=nspace, ntau=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= full_block
+
+
+@pytest.mark.parametrize("ntau, nspace, axis", [
+    (2, (8, 8), "tau"), (5, (2, 8), "s1"), (5, (8, 1), "s2"),
+    (1, (8, 8, 8), "tau"), (5, (8, 2, 8), "s2"), (5, (8, 5, 0), "s3"),
+], ids=["pair-tau", "pair-s1", "pair-s2", "ring-tau", "ring-s2", "ring-s3"])
+def test_pde_residual_rejects_degenerate_block(residual_fields, monkeypatch, ntau, nspace, axis):
+    # an axis without an interior point cannot take a central difference;
+    # the block is refused before anything is sampled
+    case = "ring_sch" if len(nspace) == 3 else "pair_sch"
+    p = RESIDUAL_CASES[case][0]
+    center = (p.d, 0.0, 0.0) if p.is_ring else (p.d, 0.0)
+    monkeypatch.setattr(reconstruct, "sample_block", None)
+    with pytest.raises(ValueError, match=f"{axis} axis has {min(ntau, *nspace)} samples.*"
+                                         "at least 3"):
+        pde_residual(p, residual_fields[case], center, 0.125, nspace=nspace, ntau=ntau)
+
+
+@pytest.mark.parametrize("case, nspace", [("pair_sch", (8, 8, 8)), ("ring_sch", (8, 8))])
+def test_pde_residual_rejects_nspace_of_another_dimension(residual_fields, case, nspace):
+    p = RESIDUAL_CASES[case][0]
+    center = (p.d + 1.0, 0.0, 0.0) if p.is_ring else (p.d + 1.0, 0.0)
+    with pytest.raises(ValueError, match=f"nspace has {len(nspace)} entries"):
+        pde_residual(p, residual_fields[case], center, 0.125, nspace=nspace)

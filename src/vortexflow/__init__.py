@@ -1,8 +1,8 @@
 """Traveling vortex-pair and vortex-ring solitons for sphere-valued
 geometric flows: construction, solving, and verification."""
 
-from .ansatz import (ModelParams, Regime, build_ansatz, build_pair, build_ring,
-                     build_ring_phase, error_field, kernel_Zd)
+from .ansatz import (ModelParams, Regime, build_ansatz, build_case, build_pair,
+                     build_ring, build_ring_phase, error_field, kernel_Zd)
 from .diagnostics import (DiagnosticsReport, build_report, corrector_norms,
                           detect_vortices, energy_charge)
 from .fields import (ComplexField, GridSpec, ScalarField, Symmetry, diff_ops,
@@ -11,7 +11,7 @@ from .profile import (VortexProfile, eval_profile, ode_residual,
                       profile_integrals, solve_profile)
 from .reconstruct import pde_residual, unscale
 from .reduction import ReducedCurve, leading_c, numeric_c_curve, predict_d
-from .solver import (SolveResult, apply_S, build_case, linearize_apply,
+from .solver import (SolveResult, apply_S, linearize_apply,
                      solve_at_separation, solve_balanced, solve_projected)
 from .stereo import nonlinearity_F
 

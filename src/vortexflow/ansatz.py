@@ -10,6 +10,13 @@ linear axisymmetric Poisson problem on the quarter grid.  That problem
 is separable: a sine transform in x2 leaves one tridiagonal in x1 per
 mode, and SuperLU (minimum-degree ordering on A + A^T) factors their
 block-diagonal sum with fill linear in the unknowns.
+
+The phase operator depends on the grid alone, not on d.  `build_case`,
+the one construction of (V_d, Z_d), factors it once per ring case and
+solves the three phase problems of that case with the one factor: V_d's
+and the V_{d +- delta} of the co-kernel difference.  The factor lives
+only as long as that call; `build_ansatz`, `build_ring_phase` and
+`kernel_Zd` called on their own each factor it themselves.
 """
 
 import enum
@@ -187,9 +194,10 @@ def ring_phase_residual(params: ModelParams, spec: GridSpec):
     return first + second
 
 
-def _solve_phase(spec: GridSpec, g):
-    """phi with [lap + H1] phi = g, odd in x2 and zero on the outer
-    Dirichlet layer; the unknowns are rows i = 0..n1-2, columns
+def _phase_factor(spec: GridSpec):
+    """SuperLU factor of the phase operator [lap + H1] on `spec`, odd in
+    x2 and zero on the outer Dirichlet layer, in the sine-mode form that
+    `_solve_phase` solves; the unknowns are rows i = 0..n1-2, columns
     j = 1..n2-2 (odd parity pins j = 0).
 
     The x2 part is the constant 3-point Dirichlet stencil, which the
@@ -207,7 +215,13 @@ def _solve_phase(spec: GridSpec, g):
     upper = np.concatenate(([4.0 / h1**2], 1.0 / h1**2 + ch[:-1]))
     x1_op = diags([1.0 / h1**2 - ch, diag, upper], [-1, 0, 1])
     lam = -(4.0 / h2**2) * np.sin(np.pi * np.arange(1, m + 1) / (2.0 * (n2 - 1)))**2
-    lu = splu(kronsum(x1_op, diags(lam), format="csc"), permc_spec="MMD_AT_PLUS_A")
+    return splu(kronsum(x1_op, diags(lam), format="csc"), permc_spec="MMD_AT_PLUS_A")
+
+
+def _solve_phase(spec: GridSpec, g, lu):
+    """phi with [lap + H1] phi = g on `spec`, by `lu` = `_phase_factor(spec)`."""
+    n1, n2 = spec.n1, spec.n2
+    p, m = n1 - 1, n2 - 2
     g_hat = dst(g[:p, 1:n2 - 1], type=1, axis=1, norm="ortho")
     sol = lu.solve(g_hat.T.ravel()).reshape(m, p).T
     phi = np.zeros((n1, n2))
@@ -223,8 +237,13 @@ def build_ring_phase(params: ModelParams, spec: GridSpec):
     x2-parity and homogeneous Dirichlet on the outer boundary."""
     if not params.is_ring:
         raise ValueError("ring phases only exist in RING regimes")
+    return _ring_phase(params, spec, _phase_factor(spec))
+
+
+def _ring_phase(params, spec, lu):
+    """`build_ring_phase` with the phase factor `lu` of `spec`."""
     phi_s = ScalarField(spec, _phi_s_samples(spec, params.d), x2_parity="odd")
-    phi_r = _solve_phase(spec, ring_forcing(params, spec, phi_s))
+    phi_r = _solve_phase(spec, ring_forcing(params, spec, phi_s), lu)
     return phi_s, ScalarField(spec, phi_r, x2_parity="odd")
 
 
@@ -240,11 +259,22 @@ def build_ring(params: ModelParams, spec: GridSpec, profile: VortexProfile,
     return ComplexField(spec, symmetrize_complex(data))
 
 
+def _phase_lu(params, spec):
+    """The phase factor that builds of `params` on `spec` share; None
+    for a pair, which has no phase."""
+    return _phase_factor(spec) if params.is_ring else None
+
+
+def _ansatz(params, spec, profile, lu):
+    """`build_ansatz` with the phase factor `lu` of `spec`."""
+    if params.is_ring:
+        return build_ring(params, spec, profile, _ring_phase(params, spec, lu))
+    return build_pair(params, spec, profile)
+
+
 def build_ansatz(params: ModelParams, spec: GridSpec, profile: VortexProfile) -> ComplexField:
     """Pair or improved-ring ansatz, per regime."""
-    if params.is_ring:
-        return build_ring(params, spec, profile, build_ring_phase(params, spec))
-    return build_pair(params, spec, profile)
+    return _ansatz(params, spec, profile, _phase_lu(params, spec))
 
 
 def kernel_Zd(params: ModelParams, spec: GridSpec, profile: VortexProfile) -> ComplexField:
@@ -254,15 +284,28 @@ def kernel_Zd(params: ModelParams, spec: GridSpec, profile: VortexProfile) -> Co
     rebuilding the full ansatz (ring phases included) at d +- delta.
     R is 6 core widths, capped at 0.4 d so the cutoff stays inside the
     inter-vortex distance at small separations."""
+    return _kernel_Zd(params, spec, profile, _phase_lu(params, spec))
+
+
+def _kernel_Zd(params, spec, profile, lu):
+    """`kernel_Zd` with the phase factor `lu` of `spec`."""
     d = params.d
     cutoff_radius = min(CUTOFF_RADIUS, 0.4 * d)
     delta = 1e-3 * d
-    plus = build_ansatz(params.with_d(d + delta), spec, profile)
-    minus = build_ansatz(params.with_d(d - delta), spec, profile)
+    plus = _ansatz(params.with_d(d + delta), spec, profile, lu)
+    minus = _ansatz(params.with_d(d - delta), spec, profile, lu)
     dV = (plus.data - minus.data) / (2.0 * delta)
     _, _, ell1, _, ell2, _ = _core_frames(spec, d)
     cut = smoothstep_cutoff(ell1 / cutoff_radius) + smoothstep_cutoff(ell2 / cutoff_radius)
     return ComplexField(spec, symmetrize_complex(dV * cut))
+
+
+def build_case(params: ModelParams, spec: GridSpec, profile: VortexProfile):
+    """Ansatz V_d and co-kernel Z_d of `params` on `spec`, bitwise those of
+    `build_ansatz` and `kernel_Zd`; a ring case factors its phase
+    operator once for its three ansatz builds."""
+    lu = _phase_lu(params, spec)
+    return _ansatz(params, spec, profile, lu), _kernel_Zd(params, spec, profile, lu)
 
 
 def error_field(V: ComplexField, tag: str, params: ModelParams):

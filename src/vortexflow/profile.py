@@ -99,14 +99,12 @@ def _collocation_jacobian(ell, rho, h, slope_bc_coef, tail_bc_coef):
         - 2.0 * d1 * d1 * (1.0 - r2) / onep**2
         + (1.0 - 1.0 / ell[1:-1] ** 2) * (1.0 - 4.0 * r2 - r2 * r2) / onep**2
     )
-    rows = list(range(1, n - 1)) * 3
-    cols = list(range(0, n - 2)) + list(range(1, n - 1)) + list(range(2, n))
-    vals = np.concatenate([lo[1:-1], di[1:-1], up[1:-1]])
+    inner = np.arange(1, n - 1)
     # boundary rows reach two neighbors (one-sided first derivatives)
-    rows += [0, 0, 0, n - 1, n - 1, n - 1]
-    cols += [0, 1, 2, n - 1, n - 2, n - 3]
+    rows = np.concatenate([np.tile(inner, 3), [0, 0, 0, n - 1, n - 1, n - 1]])
+    cols = np.concatenate([inner - 1, inner, inner + 1, [0, 1, 2, n - 1, n - 2, n - 3]])
     vals = np.concatenate([
-        vals,
+        lo[1:-1], di[1:-1], up[1:-1],
         [-3.0 / (2.0 * h) - slope_bc_coef, 2.0 / h, -1.0 / (2.0 * h),
          3.0 / (2.0 * h) + tail_bc_coef, -2.0 / h, 1.0 / (2.0 * h)],
     ])

@@ -26,16 +26,19 @@ fill.
 
 Each inner solve goes only as far as its Newton step needs: step k
 stops at relative residual eta_k = max(krylov_tol, min(KRYLOV_FORCING_MAX,
-||F_k||)), where ||F_k|| is the Newton residual the step starts from
-(Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982; Eisenstat
-& Walker, SIAM J. Sci. Comput. 17, 1996).  A forcing term of order
-||F_k|| keeps Newton's quadratic convergence, so the last step still
-solves to about the final residual and the solution keeps its accuracy;
-`krylov_tol` is the floor, the tightest tolerance any inner solve is
-asked for.  Against every step solved to krylov_tol = 1e-10, the
-benchmark's ring solve takes 18 two-grid cycles over its 3 Newton steps
-instead of 39, and its pair balance 25 LU applies over its 10 steps
-instead of 42.
+max(||F_k||, 0.5 newton_tol / ||F_k||))), where ||F_k|| is the Newton
+residual the step starts from (`_forcing_term`; Dembo, Eisenstat &
+Steihaug, SIAM J. Numer. Anal. 19, 1982; Eisenstat & Walker, SIAM J.
+Sci. Comput. 17, 1996).  A forcing term of order ||F_k|| keeps Newton's
+quadratic convergence.  The safeguard 0.5 newton_tol / ||F_k|| keeps
+the last step from oversolving: it asks only for the reduction that
+brings the residual to about half of newton_tol, so a solve ends at or
+below newton_tol rather than far below it, at the default newton_tol =
+1e-8 too.  `krylov_tol` is the floor, the tightest tolerance any inner
+solve is asked for.  The benchmark's ring solve takes 13 two-grid
+cycles (2, 5, 6) over its 3 Newton steps, against 18 (2, 5, 11) without
+the safeguard and 39 with every step solved to krylov_tol = 1e-10; its
+pair balance takes 18 LU applies over its 10 steps, against 25 and 42.
 
 Which bordered system is factored depends on the grid alone.  Up to
 TWO_GRID_MIN_UNKNOWNS unknowns it is the solve's own (`_bordered_lu`).
@@ -96,7 +99,9 @@ from scipy.optimize import brentq
 from scipy.sparse import block_diag, csc_matrix, csr_matrix, diags, kron, kronsum
 from scipy.sparse.linalg import spilu, splu
 
-from .ansatz import ModelParams, build_ansatz, kernel_Zd
+# build_ansatz stays importable from this module, where
+# bench/test_tracing.py looks for it
+from .ansatz import ModelParams, build_ansatz, build_case  # noqa: F401
 from .fields import MAX_SPACING, ComplexField, GridSpec, Symmetry, axisym_term, diff_ops
 from .profile import VortexProfile, solve_profile
 from .stereo import nonlinearity_F
@@ -118,9 +123,8 @@ KRYLOV_ACCEPT_RESIDUAL = 1e-6
 # makes at most 1200 preconditioner applies
 GMRES_RESTART = 75
 GMRES_MAXITER = 16
-# Newton step k solves its GMRES to relative residual
-# eta_k = max(krylov_tol, min(KRYLOV_FORCING_MAX, ||F_k||)), ||F_k|| being
-# the residual the step starts from
+# ceiling of the forcing term `_forcing_term`, the relative residual a
+# Newton step's GMRES is asked for
 KRYLOV_FORCING_MAX = 0.1
 # A solve on a grid of more unknowns than this, whose 2h grid is within
 # MAX_SPACING, is preconditioned by the two-grid cycle (`_two_grid`);
@@ -711,6 +715,21 @@ class _BalanceState:
         return V.data + w
 
 
+def _forcing_term(residual, newton_tol, krylov_tol):
+    """eta_k, the relative residual that the GMRES of a Newton step
+    starting at residual ||F_k|| = `residual` is asked for:
+
+        max(krylov_tol, min(KRYLOV_FORCING_MAX,
+                            max(||F_k||, 0.5 newton_tol / ||F_k||)))
+
+    ||F_k|| keeps Newton's quadratic convergence; 0.5 newton_tol / ||F_k||
+    stops the last step from solving further than it takes to bring the
+    residual to half of newton_tol (Eisenstat & Walker, SIAM J. Sci.
+    Comput. 17, 1996; Kelley, Iterative Methods for Linear and Nonlinear
+    Equations, SIAM, 1995, sec. 6.3); krylov_tol is the floor."""
+    return max(krylov_tol, min(KRYLOV_FORCING_MAX, max(residual, 0.5 * newton_tol / residual)))
+
+
 def check_tolerances(newton_tol, krylov_tol):
     """ValueError unless both tolerances are finite and > 0 (a nan
     newton_tol would accept the unsolved start)."""
@@ -725,10 +744,12 @@ def solve_projected(params: ModelParams, V_d: ComplexField, Z_d: ComplexField,
     """Damped Newton on the bordered system (u, c).
 
     `newton_tol` bounds the final residual.  Newton step k solves its
-    GMRES to true relative residual max(krylov_tol, min(KRYLOV_FORCING_MAX,
-    ||F_k||)), ||F_k|| being the residual it starts from, so `krylov_tol`
-    is the tightest any inner solve is asked for.  Both tolerances must
-    be finite and > 0.
+    GMRES to true relative residual `_forcing_term(||F_k||, newton_tol,
+    krylov_tol)` = max(krylov_tol, min(KRYLOV_FORCING_MAX, max(||F_k||,
+    0.5 newton_tol / ||F_k||))), ||F_k|| being the residual it starts
+    from: no step solves further than a residual of about half of
+    newton_tol needs, and `krylov_tol` is the tightest any inner solve is
+    asked for.  Both tolerances must be finite and > 0.
 
     Without `state` (the cold solve) Newton starts from the ansatz and
     the preconditioner is the bordered Jacobian factored there.  With a
@@ -827,7 +848,7 @@ def _newton(params, V_d, Z_d, state, newton_max, newton_tol, krylov_tol):
             jac["J"] = None  # release the old values before assembling the new
             jac["J"] = assemble_jacobian(ComplexField(spec, u.copy()), tag, params, dm)
         applies = 0
-        eta = max(krylov_tol, min(KRYLOV_FORCING_MAX, best))
+        eta = _forcing_term(best, newton_tol, krylov_tol)
         sol, info = gmres(matvec, -R, M=precond, rtol=eta)
         krylov_iters.append(applies)
         if info != 0:
@@ -885,11 +906,6 @@ def balance_x(d, ring):
     (`reduction.leading_c`) is affine: X = 1/d for a pair, (log d)/d for
     a ring.  It decreases in d, for a ring only on d > e."""
     return math.log(d) / d if ring else 1.0 / d
-
-
-def build_case(params: ModelParams, spec: GridSpec, profile: VortexProfile):
-    """Ansatz V_d and co-kernel Z_d of `params` on `spec`."""
-    return build_ansatz(params, spec, profile), kernel_Zd(params, spec, profile)
 
 
 def solve_at_separation(params: ModelParams, d: float, profile: VortexProfile,

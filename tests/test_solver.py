@@ -220,17 +220,27 @@ def test_ring_solve_factors_each_system_once(profile, monkeypatch):
     res = solve_at_separation(p, p.d, profile, h=0.25)
     assert res.converged
     assert [mod for mod, _ in calls].count("vortexflow.solver") == 1
+    # V_d and the two rebuilds of Z_d share one phase factor
+    assert [mod for mod, _ in calls].count("vortexflow.ansatz") == 1
     # the bordered factor takes its order from `_DofMap.order`
     assert {(mod, spec) for mod, spec in calls} == {("vortexflow.ansatz", "MMD_AT_PLUS_A"),
                                                     ("vortexflow.solver", "NATURAL")}
 
 
-def test_build_case_shares_one_factor_bitwise(profile):
+def test_build_case_shares_one_factor_bitwise(profile, monkeypatch):
     p = ModelParams(Regime.RING_SCH, 0.05, 0.0, 0.3)
     spec = GridSpec(12.0, 12.0, 0.25, 0.25, Symmetry.RING)
     V_ref = build_ansatz(p, spec, profile)
     Z_ref = kernel_Zd(p, spec, profile)
+    factors = []
+
+    def counted(*args, _splu=ansatz.splu, **kwargs):
+        factors.append(_splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(ansatz, "splu", counted)
     V, Z = build_case(p, spec, profile)
+    assert len(factors) == 1
     assert V.data.tobytes() == V_ref.data.tobytes()
     assert Z.data.tobytes() == Z_ref.data.tobytes()
 
@@ -593,10 +603,22 @@ def test_failures_carry_the_applies_of_each_step(profile, monkeypatch):
     assert len(err.value.krylov_iters) == 1 and err.value.krylov_iters[0] >= 1
 
 
+@pytest.mark.parametrize("residual, krylov_tol, eta", [
+    (0.5, 1e-10, 0.1),     # KRYLOV_FORCING_MAX caps a large residual
+    (1e-5, 1e-10, 1e-5),   # ||F_k|| keeps the convergence quadratic
+    (1e-5, 1e-4, 1e-4),    # krylov_tol is the floor
+    (6e-8, 1e-10, 0.5 * 1e-11 / 6e-8),  # the last step goes only to newton_tol / 2
+    (2e-11, 1e-10, 0.1),   # the safeguard is capped too
+])
+def test_forcing_term(residual, krylov_tol, eta):
+    assert solver._forcing_term(residual, 1e-11, krylov_tol) == eta
+
+
 @pytest.mark.parametrize("krylov_tol", [1e-10, 1e-4])
 def test_each_step_is_forced_to_its_residual(profile, monkeypatch, krylov_tol):
-    # step k asks GMRES for max(krylov_tol, min(KRYLOV_FORCING_MAX, ||F_k||)),
+    # step k asks GMRES for _forcing_term(||F_k||, newton_tol, krylov_tol),
     # ||F_k|| being the residual the step starts from
+    newton_tol = 1e-11
     rtols = []
 
     def recorded(A, b, *, M, rtol):
@@ -604,14 +626,19 @@ def test_each_step_is_forced_to_its_residual(profile, monkeypatch, krylov_tol):
         return gmres(A, b, M=M, rtol=rtol)
 
     monkeypatch.setattr(solver, "gmres", recorded)
-    res = solve_at_separation(pair_params(eps=0.1), 10.0, profile, h=0.5, newton_tol=1e-11,
-                              krylov_tol=krylov_tol)
+    res = solve_at_separation(pair_params(eps=0.1), 10.0, profile, h=0.5,
+                              newton_tol=newton_tol, krylov_tol=krylov_tol)
     assert len(res.newton_residuals) == res.newton_iters + 1 == len(rtols) + 1
-    assert res.newton_residuals[-1] == res.final_residual
-    assert rtols == [max(krylov_tol, min(solver.KRYLOV_FORCING_MAX, r))
+    assert res.newton_residuals[-1] == res.final_residual <= newton_tol
+    assert rtols == [solver._forcing_term(r, newton_tol, krylov_tol)
                      for r in res.newton_residuals[:-1]]
-    # loose while the residual is large, down to the floor near the end
-    assert rtols[0] > rtols[-1] >= krylov_tol
+    assert min(rtols) >= krylov_tol
+    # the last step starts near newton_tol, where the safeguard is the
+    # largest term: it solves only as far as newton_tol / 2 needs
+    last = res.newton_residuals[-2]
+    guard = 0.5 * newton_tol / last
+    assert guard > max(krylov_tol, last)
+    assert rtols[-1] == min(solver.KRYLOV_FORCING_MAX, guard) > rtols[-2]
 
 
 @pytest.mark.parametrize("case", [0, 1], ids=["pair", "ring-two-grid"])
@@ -642,7 +669,7 @@ def test_failures_carry_the_residual_history(profile, monkeypatch):
         solve_at_separation(p, 8.125, profile, h=0.25)
     hist = err.value.newton_residuals
     assert len(hist) == len(err.value.krylov_iters) and hist[-1] == err.value.last_residual
-    eta = max(1e-10, min(solver.KRYLOV_FORCING_MAX, hist[-1]))
+    eta = solver._forcing_term(hist[-1], 1e-8, 1e-10)  # solve_projected's default tolerances
     assert f"eta={eta:.2e}" in str(err.value)
     monkeypatch.undo()
     with pytest.raises(solver.NonConvergenceError) as err:

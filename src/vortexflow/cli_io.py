@@ -28,8 +28,8 @@ from .fields import ComplexField, GridSpec, ScalarField, Symmetry
 from .profile import solve_profile, profile_integrals
 from .reconstruct import pde_residual, sample_block, unscale
 from .reduction import curve_to_csv, numeric_c_curve, predict_d
-from .solver import (BracketError, NonConvergenceError, _domain_for, build_case,
-                     check_tolerances, solve_projected)
+from .solver import (NEWTON_TOL, BracketError, NonConvergenceError, _domain_for,
+                     build_case, check_tolerances, solve_projected)
 
 MAGIC = b"VSF1"
 # `reconstruct` samples a block 11 h / 2 wide per spatial axis; a --ds that
@@ -124,7 +124,7 @@ class RunConfig:
     step: float = 1e-3
     tol: float = 1e-10
     newton_max: int = 50
-    newton_tol: float = 1e-8
+    newton_tol: float = NEWTON_TOL
     krylov_tol: float = 1e-10
     points: int = 6
 
@@ -176,6 +176,8 @@ def _params_section(p: ModelParams):
 def _grid(cfg, params):
     """Square quarter grid of spacing h: side l when set, else the
     solver's default domain for the separation of `params`."""
+    if not cfg.l >= 0:
+        raise ConfigError(f"l must be >= 0 (0 means the default domain), got {cfg.l}")
     side = cfg.l if cfg.l > 0 else _domain_for(params.d, cfg.h)
     try:
         return GridSpec(side, side, cfg.h, cfg.h, params.symmetry)
@@ -194,7 +196,7 @@ def _profile(cfg):
 
 def _solve_opts(cfg):
     try:
-        check_tolerances(cfg.newton_tol, cfg.krylov_tol)
+        check_tolerances(cfg.newton_tol, cfg.krylov_tol, cfg.newton_max)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return {"newton_max": cfg.newton_max, "newton_tol": cfg.newton_tol,
@@ -264,6 +266,9 @@ def _cmd_reduce(cfg, out, args):
     opts = _solve_opts(cfg)
     if cfg.points < 2:
         raise ConfigError("points must be at least 2 to bracket a root")
+    if not (cfg.d_lo >= 0 and cfg.d_hi >= 0):
+        raise ConfigError(f"d_lo and d_hi must be >= 0 (0 means the default), "
+                          f"got {cfg.d_lo} and {cfg.d_hi}")
     try:
         d_ref = predict_d(params)
     except ValueError as exc:

@@ -33,12 +33,12 @@ Sci. Comput. 17, 1996).  A forcing term of order ||F_k|| keeps Newton's
 quadratic convergence.  The safeguard 0.5 newton_tol / ||F_k|| keeps
 the last step from oversolving: it asks only for the reduction that
 brings the residual to about half of newton_tol, so a solve ends at or
-below newton_tol rather than far below it, at the default newton_tol =
-1e-8 too.  `krylov_tol` is the floor, the tightest tolerance any inner
-solve is asked for.  The benchmark's ring solve takes 13 two-grid
-cycles (2, 5, 6) over its 3 Newton steps, against 18 (2, 5, 11) without
-the safeguard and 39 with every step solved to krylov_tol = 1e-10; its
-pair balance takes 18 LU applies over its 10 steps, against 25 and 42.
+below newton_tol rather than far below it.  `krylov_tol` is the floor,
+the tightest tolerance any inner solve is asked for.  The benchmark's
+ring solve takes 13 two-grid cycles (2, 5, 6) over its 3 Newton steps,
+against 18 (2, 5, 11) without the safeguard and 39 with every step
+solved to krylov_tol = 1e-10; its pair balance takes 18 LU applies over
+its 10 steps, against 25 and 42.
 
 Which bordered system is factored depends on the grid alone.  Up to
 TWO_GRID_MIN_UNKNOWNS unknowns it is the solve's own (`_bordered_lu`).
@@ -53,11 +53,13 @@ solve took 75 ms); peak memory fell from 543 to 383 MiB and the time
 stayed about the same.  Single cold solves of the two kinds broke even
 between 100k and 125k unknowns.
 
-`SolveResult.krylov_iters` records the preconditioner applies of each
-Newton step, `newton_residuals` the residual each step starts from and
-the final one, and `lu_n1` the grid the factor was made on.  A GMRES
-solve that stops short of its eta_k is accepted at
-`KRYLOV_ACCEPT_RESIDUAL` relative residual and counted in the result.
+A solve is accepted iff its Newton residual ends at or below
+newton_tol (default NEWTON_TOL); otherwise it raises
+`NonConvergenceError`, and `KrylovStagnationError` when a step's GMRES
+stops short of its eta_k.  `SolveResult.krylov_iters` records the
+preconditioner applies of each Newton step, `newton_residuals` the
+residual each step starts from and the final one, and `lu_n1` the grid
+the factor was made on.
 
 The Jacobian's sparsity does not change within a solve.  Its CSC
 structure is built once, on the solve's `_DofMap`, together with int32
@@ -110,14 +112,10 @@ PAIR_TAGS = ("S1", "S2")
 RING_TAGS = ("S3", "S4")
 ALL_TAGS = ("S0",) + PAIR_TAGS + RING_TAGS
 
-# A Newton solve is accepted at residual max(newton_tol, ACCEPT_RESIDUAL):
-# a tighter newton_tol that stalls above its target but below this floor
-# still yields a usable solution.
-ACCEPT_RESIDUAL = 1e-8
-# A GMRES solve that stops short of its eta_k is still accepted when its
-# true residual is at most KRYLOV_ACCEPT_RESIDUAL * ||b||; it is counted
-# in SolveResult.krylov_accepted.
-KRYLOV_ACCEPT_RESIDUAL = 1e-6
+# default newton_tol of every solve, the one residual at which a solve is
+# accepted: the multiplier's noise floor must stay below the |c| scale at
+# which solve_balanced stops (BALANCE_C_RTOL)
+NEWTON_TOL = 1e-11
 # restart length and restart cycles of `gmres`: its V (restart + 1
 # vectors) and Z (restart) hold at most 151 Krylov vectors, and a solve
 # makes at most 1200 preconditioner applies
@@ -171,9 +169,6 @@ class SolveResult:
     corrector_norm_star: float
     d_used: float
     converged: bool
-    # Newton steps whose GMRES stopped short of eta_k (info != 0) but
-    # was accepted at KRYLOV_ACCEPT_RESIDUAL
-    krylov_accepted: int = 0
     # preconditioner applies (LU solves or two-grid cycles) of each Newton
     # step's GMRES solve
     krylov_iters: tuple = ()
@@ -730,26 +725,32 @@ def _forcing_term(residual, newton_tol, krylov_tol):
     return max(krylov_tol, min(KRYLOV_FORCING_MAX, max(residual, 0.5 * newton_tol / residual)))
 
 
-def check_tolerances(newton_tol, krylov_tol):
+def check_tolerances(newton_tol, krylov_tol, newton_max):
     """ValueError unless both tolerances are finite and > 0 (a nan
-    newton_tol would accept the unsolved start)."""
+    newton_tol would accept the unsolved start) and newton_max >= 1."""
     for name, tol in (("newton_tol", newton_tol), ("krylov_tol", krylov_tol)):
         if not 0.0 < tol < math.inf:
             raise ValueError(f"{name} must be finite and > 0, got {tol}")
+    if not newton_max >= 1:
+        raise ValueError(f"newton_max must be >= 1, got {newton_max}")
 
 
 def solve_projected(params: ModelParams, V_d: ComplexField, Z_d: ComplexField,
-                    newton_max=50, newton_tol=1e-8, krylov_tol=1e-10,
+                    newton_max=50, newton_tol=NEWTON_TOL, krylov_tol=1e-10,
                     state: _BalanceState = None) -> SolveResult:
     """Damped Newton on the bordered system (u, c).
 
-    `newton_tol` bounds the final residual.  Newton step k solves its
+    The solve is accepted iff its final residual is at most `newton_tol`
+    (default NEWTON_TOL); otherwise it raises `NonConvergenceError`, or
+    `KrylovStagnationError` when a step's GMRES stops short of its
+    forcing term.  Newton step k solves its
     GMRES to true relative residual `_forcing_term(||F_k||, newton_tol,
     krylov_tol)` = max(krylov_tol, min(KRYLOV_FORCING_MAX, max(||F_k||,
     0.5 newton_tol / ||F_k||))), ||F_k|| being the residual it starts
     from: no step solves further than a residual of about half of
     newton_tol needs, and `krylov_tol` is the tightest any inner solve is
-    asked for.  Both tolerances must be finite and > 0.
+    asked for.  Both tolerances must be finite and > 0, and newton_max
+    at least 1.
 
     Without `state` (the cold solve) Newton starts from the ansatz and
     the preconditioner is the bordered Jacobian factored there.  With a
@@ -759,7 +760,7 @@ def solve_projected(params: ModelParams, V_d: ComplexField, Z_d: ComplexField,
     and counted in `state.fallbacks`; the state then takes this solve's
     LU and corrector."""
     _check_tag(V_d, params.tag, params)
-    check_tolerances(newton_tol, krylov_tol)
+    check_tolerances(newton_tol, krylov_tol, newton_max)
     opts = dict(newton_max=newton_max, newton_tol=newton_tol, krylov_tol=krylov_tol)
     if state is None:
         state = _BalanceState()
@@ -841,7 +842,6 @@ def _newton(params, V_d, Z_d, state, newton_max, newton_tol, krylov_tol):
     best = resnorm(R)
     residuals = [best]
     iters = 0
-    krylov_accepted = 0
     krylov_iters = []
     while iters < newton_max and best > newton_tol:
         if iters > 0:
@@ -852,15 +852,11 @@ def _newton(params, V_d, Z_d, state, newton_max, newton_tol, krylov_tol):
         sol, info = gmres(matvec, -R, M=precond, rtol=eta)
         krylov_iters.append(applies)
         if info != 0:
-            bnorm = float(np.linalg.norm(R))
-            true_res = float(np.linalg.norm(matvec(sol) + R))
-            if true_res > KRYLOV_ACCEPT_RESIDUAL * bnorm:
-                raise KrylovStagnationError(
-                    f"GMRES stagnated at Newton step {iters + 1} (info={info}, "
-                    f"rel={true_res / bnorm:.2e}, asked for eta={eta:.2e})",
-                    last_residual=best, krylov_iters=krylov_iters,
-                    newton_residuals=residuals)
-            krylov_accepted += 1
+            rel = float(np.linalg.norm(matvec(sol) + R)) / float(np.linalg.norm(R))
+            raise KrylovStagnationError(
+                f"GMRES stagnated at Newton step {iters + 1} (info={info}, "
+                f"rel={rel:.2e}, asked for eta={eta:.2e})",
+                last_residual=best, krylov_iters=krylov_iters, newton_residuals=residuals)
         lam = 1.0
         accepted = False
         for _ in range(11):
@@ -881,7 +877,7 @@ def _newton(params, V_d, Z_d, state, newton_max, newton_tol, krylov_tol):
         if not accepted or progress > 0.95:
             break  # no descent, or stalled at the rounding floor of the residual
 
-    if best > max(newton_tol, ACCEPT_RESIDUAL):
+    if best > newton_tol:
         raise NonConvergenceError(
             f"Newton stopped at residual {best:.3e} after {iters} iterations",
             last_residual=best, krylov_iters=krylov_iters, newton_residuals=residuals)
@@ -891,7 +887,7 @@ def _newton(params, V_d, Z_d, state, newton_max, newton_tol, krylov_tol):
     return SolveResult(
         u=u_field, c_mult=float(c), newton_iters=iters,
         final_residual=float(best), corrector_norm_star=norms["star"],
-        d_used=params.d, converged=True, krylov_accepted=krylov_accepted,
+        d_used=params.d, converged=True,
         krylov_iters=tuple(krylov_iters), newton_residuals=tuple(residuals),
         lu_reused=lu_reused, warm_start=warm, lu_fill=lu_fill, lu_n1=lu_n1,
     )
@@ -952,13 +948,11 @@ def solve_balanced(params: ModelParams, d_bracket, profile: VortexProfile = None
     share one `_BalanceState`: a solve on the grid of the one before it
     reuses its bordered LU, and each starts from the last corrector when
     that lowers the residual.  The result carries `balance_history`, one record
-    (d, c, n1, lu_reused, warm_start) per solve.
-
-    The Newton tolerance is pushed to 1e-11 so the multiplier noise
-    floor stays below the |c| stopping scale."""
+    (d, c, n1, lu_reused, warm_start) per solve.  Each solve is accepted
+    only at its `newton_tol`, by default NEWTON_TOL (see
+    `solve_projected`)."""
     if profile is None:
         profile = solve_profile()
-    opts.setdefault("newton_tol", 1e-11)
     ring = params.is_ring
     state = _BalanceState()
     history = []

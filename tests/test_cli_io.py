@@ -181,6 +181,12 @@ def test_mutated_field_loads_or_raises_format_error(valid_vsf, tmp_path_factory,
     ("krylov_tol = inf", ["reduce"]),
     ("tol = 1e-11", ["profile"]),  # below the rounding floor at step 1e-3
     ("step = 2e-4\ntol = 1e-10", ["profile"]),
+    ("newton_max = 0", ["pair"]),
+    ("newton_max = -3", ["reduce"]),
+    ("l = -4", ["pair"]),  # 0 means the default domain, a negative side nothing
+    ("l = -4", ["sweep", "--eps-list", "0.1"]),
+    ("d_lo = -5", ["reduce"]),
+    ("d_hi = -40", ["reduce"]),
 ])
 def test_cli_out_of_range_config_exit_2(tmp_path, line, command):
     cfg = tmp_path / "run.cfg"
@@ -357,6 +363,13 @@ def test_cli_pair_full_solve(tmp_path):
     assert (out / "solution.vsf").exists()
     rep = (out / "report.txt").read_text()
     assert "c_mult" in rep and "newton_iters" in rep and "corrector_norm_star" in rep
+
+
+def test_cli_residual_above_newton_tol_exit_3(tmp_path):
+    # two Newton steps end near 2e-10, above newton_tol: a solver failure
+    cfg = tmp_path / "two_steps.cfg"
+    cfg.write_text("h = 0.5\nnewton_max = 2\nnewton_tol = 1e-11\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "x"), "pair", "--eps", "0.1"]) == 3
 
 
 def test_cli_solver_failure_exit_3(tmp_path):

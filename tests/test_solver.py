@@ -188,7 +188,7 @@ def test_solve_projected_small_pair(profile):
     V = build_pair(p, spec, profile)
     Z = kernel_Zd(p, spec, profile)
     res = solve_projected(p, V, Z, newton_tol=1e-11)
-    assert res.converged and res.final_residual <= 1e-8
+    assert res.converged and res.final_residual <= 1e-11
     assert res.newton_iters <= 15
     # parity of the solution is exact
     assert np.all(res.u.data[:, 0].imag == 0.0)
@@ -202,11 +202,21 @@ def test_solve_projected_small_pair(profile):
     assert res.corrector_norm_star < 0.5
 
 
-def test_newton_tol_above_acceptance_floor_is_honoured(profile):
-    # stops at its own tolerance, above the 1e-8 floor, and is accepted
+def test_loose_newton_tol_is_honoured(profile):
+    # stops at its own tolerance, far above the default, and is accepted
     res = solve_at_separation(pair_params(eps=0.1), 10.0, profile, h=0.5,
                               newton_tol=1e-4)
     assert res.converged and 1e-8 < res.final_residual <= 1e-4
+
+
+def test_residual_above_newton_tol_is_not_accepted(profile):
+    # two steps end near 2e-10: above newton_tol, so the solve fails
+    # rather than being accepted at a looser floor
+    with pytest.raises(solver.NonConvergenceError) as err:
+        solve_at_separation(pair_params(eps=0.1), 10.0, profile, h=0.5,
+                            newton_tol=1e-11, newton_max=2)
+    assert err.value.last_residual > 1e-11
+    assert len(err.value.krylov_iters) == 2
 
 
 def test_ring_solve_factors_each_system_once(profile, monkeypatch):
@@ -314,19 +324,20 @@ def test_reassembly_writes_values_into_one_structure(profile, tag):
         assert (new != ref).nnz == 0
 
 
-def test_krylov_acceptance_is_counted(profile, monkeypatch):
-    # krylov_tol = 1e-30 is out of GMRES's reach: it stops with info != 0
-    # at a true residual far below KRYLOV_ACCEPT_RESIDUAL and is accepted.
+def test_short_krylov_solve_raises(profile, monkeypatch):
+    # krylov_tol = 1e-30 is out of GMRES's reach: it stops with info != 0,
+    # and a GMRES that stops short of its forcing term fails the solve.
     # A zero forcing cap makes every step's tolerance krylov_tol itself
     monkeypatch.setattr(solver, "KRYLOV_FORCING_MAX", 0.0)
     p = pair_params(eps=0.1)
     opts = dict(newton_max=1, newton_tol=1e-3)
     plain = solve_at_separation(p, 4.0, profile, h=0.5, **opts)
-    forced = solve_at_separation(p, 4.0, profile, h=0.5, krylov_tol=1e-30, **opts)
-    assert plain.newton_iters == forced.newton_iters == 1
-    assert plain.krylov_accepted == 0
-    assert forced.krylov_accepted == 1
-    assert forced.final_residual <= 1e-3
+    assert plain.newton_iters == 1 and plain.final_residual <= 1e-3
+    with pytest.raises(solver.KrylovStagnationError, match="eta=1.00e-30") as err:
+        solve_at_separation(p, 4.0, profile, h=0.5, krylov_tol=1e-30, **opts)
+    assert len(err.value.krylov_iters) == 1 and err.value.krylov_iters[0] >= 1
+    assert err.value.newton_residuals == (err.value.last_residual,)
+    assert err.value.newton_residuals[0] == plain.newton_residuals[0]
 
 
 def _bordered_case(tag, profile):
@@ -493,16 +504,19 @@ def test_krylov_iters_count_every_lu_apply(profile, monkeypatch):
 
 @pytest.mark.parametrize("tols", [dict(newton_tol=math.nan), dict(newton_tol=math.inf),
                                   dict(newton_tol=0.0), dict(krylov_tol=math.nan),
-                                  dict(krylov_tol=-1e-10), dict(krylov_tol=math.inf)],
+                                  dict(krylov_tol=-1e-10), dict(krylov_tol=math.inf),
+                                  dict(newton_max=0), dict(newton_max=-3)],
                          ids=lambda tols: ",".join(f"{k}={v}" for k, v in tols.items()))
 def test_unusable_tolerances_are_rejected(profile, tols):
-    # a nan or inf newton_tol used to return the unsolved ansatz as converged
+    # a nan or inf newton_tol used to return the unsolved ansatz as converged,
+    # and newton_max < 1 made no Newton step and failed as non-convergence
     p = pair_params(eps=0.1)
-    with pytest.raises(ValueError, match="finite and > 0"):
+    match = "newton_max must be >= 1" if "newton_max" in tols else "finite and > 0"
+    with pytest.raises(ValueError, match=match):
         solve_at_separation(p, 10.0, profile, h=0.5, **tols)
     spec = GridSpec(20.0, 20.0, 0.5, 0.5, Symmetry.PAIR)
     V, Z = build_case(p.with_d(10.0), spec, profile)
-    with pytest.raises(ValueError, match="finite and > 0"):
+    with pytest.raises(ValueError, match=match):
         solve_projected(p.with_d(10.0), V, Z, **tols)
 
 
@@ -586,8 +600,8 @@ def test_spacing_cap_keeps_the_direct_factor(profile, monkeypatch):
 
 def test_failures_carry_the_applies_of_each_step(profile, monkeypatch):
     # one restart cycle of two applies meets the first step's loose
-    # forcing term, then stops the second step's GMRES solve far above
-    # KRYLOV_ACCEPT_RESIDUAL
+    # forcing term, then stops the second step's GMRES solve short of its
+    # own
     p = pair_params(eps=0.1)
     monkeypatch.setattr(solver, "GMRES_MAXITER", 1)
     monkeypatch.setattr(solver, "GMRES_RESTART", 2)
@@ -669,7 +683,7 @@ def test_failures_carry_the_residual_history(profile, monkeypatch):
         solve_at_separation(p, 8.125, profile, h=0.25)
     hist = err.value.newton_residuals
     assert len(hist) == len(err.value.krylov_iters) and hist[-1] == err.value.last_residual
-    eta = solver._forcing_term(hist[-1], 1e-8, 1e-10)  # solve_projected's default tolerances
+    eta = solver._forcing_term(hist[-1], solver.NEWTON_TOL, 1e-10)  # the default tolerances
     assert f"eta={eta:.2e}" in str(err.value)
     monkeypatch.undo()
     with pytest.raises(solver.NonConvergenceError) as err:

@@ -28,8 +28,8 @@ from .fields import ComplexField, GridSpec, ScalarField, Symmetry
 from .profile import solve_profile, profile_integrals
 from .reconstruct import pde_residual, sample_block, unscale
 from .reduction import curve_to_csv, numeric_c_curve, predict_d
-from .solver import (NEWTON_TOL, BracketError, NonConvergenceError, _domain_for,
-                     build_case, check_tolerances, solve_projected)
+from .solver import (KRYLOV_TOL, NEWTON_MAX, NEWTON_TOL, BracketError, NonConvergenceError,
+                     _domain_for, build_case, check_tolerances, solve_projected)
 
 MAGIC = b"VSF1"
 # `reconstruct` samples a block 11 h / 2 wide per spatial axis; a --ds that
@@ -123,9 +123,9 @@ class RunConfig:
     ell_max: float = 30.0
     step: float = 1e-3
     tol: float = 1e-10
-    newton_max: int = 50
+    newton_max: int = NEWTON_MAX
     newton_tol: float = NEWTON_TOL
-    krylov_tol: float = 1e-10
+    krylov_tol: float = KRYLOV_TOL
     points: int = 6
 
     @classmethod

@@ -16,7 +16,7 @@ The projected problem S[u] = c Z_d with Re<u - V_d, Z_d>_W = 0 (weight
 W = (1+|V_d|^2)^-2) is solved by damped Newton on the bordered system
 (unknowns u on the quarter grid plus the scalar c).  Inner linear
 solves are the module's flexible GMRES (`gmres`) on the analytic
-Jacobian assembled at the current iterate, right-preconditioned by a
+Jacobian at the current iterate, right-preconditioned by a
 single-precision LU factorization of a bordered Jacobian frozen at the
 ansatz.  The Krylov basis, the Jacobian products and the true residual
 b - A x that ends every restart cycle are float64, so the float32
@@ -61,14 +61,18 @@ preconditioner applies of each Newton step, `newton_residuals` the
 residual each step starts from and the final one, and `lu_n1` the grid
 the factor was made on.
 
-The Jacobian's sparsity does not change within a solve.  Its CSC
-structure is built once, on the solve's `_DofMap`, together with int32
-gathers that map the stencil coefficients onto it; every assembly then
-writes values only, into arrays that share that structure, and the
-bordered matrix appends its row and column to the ansatz Jacobian's CSC
-arrays.  Pair and ring operators share one stencil of six arms: the
-ring's H1 couples the targets of the Laplacian's two x1 arms and is
-added to their coefficients.
+Pair and ring operators share one stencil of six arms: the ring's H1
+couples the targets of the Laplacian's two x1 arms and is added to
+their coefficients.  Newton applies the Jacobian matrix-free from the
+arm coefficients (`_Jacobian`), for every GMRES product and for the
+two-grid smoother's sweeps and diagonal (Knoll & Keyes, J. Comput.
+Phys. 193, 2004).  A sparse matrix is assembled only to be factored
+(`assemble_jacobian`, one coordinate-format build): the direct factor
+at V_d, once per grid, or the two-grid cycle's 2h case.  The bordered
+matrix appends its row and column to that matrix's CSC arrays.  On the
+benchmark's ring grid a stencil product takes about 6.5 ms against the
+fine CSC matrix's 5.3 ms, and the fine matrix (34.6 MiB) and its build
+(0.47 s) are gone.
 
 A solve factors one bordered system at most once, in an elimination
 order taken from its grid (`_DofMap.order`, computed once per grid):
@@ -116,6 +120,9 @@ ALL_TAGS = ("S0",) + PAIR_TAGS + RING_TAGS
 # accepted: the multiplier's noise floor must stay below the |c| scale at
 # which solve_balanced stops (BALANCE_C_RTOL)
 NEWTON_TOL = 1e-11
+# default krylov_tol (the floor of the forcing term) and newton_max
+KRYLOV_TOL = 1e-10
+NEWTON_MAX = 50
 # restart length and restart cycles of `gmres`: its V (restart + 1
 # vectors) and Z (restart) hold at most 151 Krylov vectors, and a solve
 # makes at most 1200 preconditioner applies
@@ -245,9 +252,8 @@ class _DofMap:
     Im(u) at non-Dirichlet points off the x2 = 0 row (odd parity pins
     the axis imaginary part to zero, so it is not an unknown).
 
-    It also holds, each computed on first use and shared by every solve
-    on this grid, the Jacobian's sparsity (`pattern`) and the elimination
-    order of the bordered system (`order`)."""
+    It also holds the elimination order of the bordered system (`order`),
+    computed on first use and shared by every solve on this grid."""
 
     def __init__(self, spec: GridSpec):
         n1, n2 = spec.n1, spec.n2
@@ -263,7 +269,6 @@ class _DofMap:
         self.re_idx[self.re_mask] = np.arange(self.n_re)
         self.im_idx[self.im_mask] = self.n_re + np.arange(self.n_im)
         self.spec = spec
-        self._pattern = None
         self._order = None
 
     def pack(self, arr):
@@ -274,12 +279,6 @@ class _DofMap:
         out.real[self.re_mask] = vec[: self.n_re]
         out.imag[self.im_mask] = vec[self.n_re:]
         return out
-
-    def pattern(self):
-        """The `_JacobianPattern` of this grid."""
-        if self._pattern is None:
-            self._pattern = _JacobianPattern(self)
-        return self._pattern
 
     def order(self):
         """Elimination order of the bordered system's n + 1 unknowns: the
@@ -320,115 +319,86 @@ _ARMS = ((+1, 0, False), (-1, 0, False), (0, +1, False), (0, -1, False),
          (0, 0, False), (0, 0, True))
 
 
-class _JacobianPattern:
-    """Fixed CSC structure of the real-block Jacobian on one grid, and the
-    int32 gathers that fill its values.
+class _Jacobian:
+    """Real-block Jacobian of S at an iterate on `dm`'s unknowns, applied
+    matrix-free from the six arm coefficients (`_arm_coefficients`).
 
-    Arm k at point p couples gamma * v(target) (or gamma * conj v) into
-    the Re and Im rows of p, which gives up to four entries with values
-    Re g, Im g, -Im g or -Re g.  An assembly stacks these four variants
-    of every arm as `src` (shape (arms, 4, points)); `first` gathers each
-    slot's first contribution from it, and each `(slots, src)` pair of
-    `more` adds the next contribution of the slots that have one.  So the
-    duplicates of a slot (the centre pair v, conj v, and the arms that
-    fold onto a neighbour's other arm) are summed left to right in
-    emission order, as the coordinate-format conversion summed them, and
-    the matrix is the same to the bit."""
+    `J @ x` unpacks x onto the grid, closes the axes with the ghost rows
+    of `fields.diff_ops` (even across x1 = 0, conjugated across x2 = 0;
+    the Dirichlet layer is zero), applies the six-arm stencil and packs
+    the result: the product of `assemble_jacobian`'s matrix, up to
+    rounding.  `diagonal()` is that matrix's diagonal, to the bit."""
 
-    def __init__(self, dm: _DofMap):
-        I, J = np.nonzero(dm.re_mask)
-        row_re = dm.re_idx[I, J]
-        row_im = dm.im_idx[I, J]
-        npts = I.size
-        src_type = np.int32 if 4 * len(_ARMS) * npts < 2**31 else np.int64
-        every = np.arange(npts, dtype=src_type)
-        n = dm.n
-        keys, srcs = [], []
-        for k, (di, dj, conj_all) in enumerate(_ARMS):
-            ii = np.abs(I + di)
-            jj = J + dj
-            fold = jj < 0
-            jj = np.abs(jj)
-            if fold.any() and not conj_all:
-                # folding across x2 = 0 conjugates
-                parts = [(every[fold], True), (every[~fold], False)]
-            else:
-                parts = [(every, conj_all)]
-            for pts, conj in parts:
-                tgt_re = dm.re_idx[ii[pts], jj[pts]]
-                tgt_im = dm.im_idx[ii[pts], jj[pts]]
-                r_re, r_im = row_re[pts], row_im[pts]
-                ok = tgt_re >= 0
-                okr = ok & (r_im >= 0)
-                oki = ok & (tgt_im >= 0)
-                okb = oki & (r_im >= 0)
-                # (mask, row, col, variant): Re-row/Re(v) takes Re g, Im-row/Re(v)
-                # Im g, Re-row/Im(v) -Im g (Im g if conj), Im-row/Im(v) Re g
-                # (-Re g if conj)
-                for mask, r, c, var in ((ok, r_re, tgt_re, 0), (okr, r_im, tgt_re, 1),
-                                        (oki, r_re, tgt_im, 1 if conj else 2),
-                                        (okb, r_im, tgt_im, 3 if conj else 0)):
-                    keys.append(c[mask].astype(np.int64) * n + r[mask])
-                    srcs.append((4 * k + var) * npts + pts[mask])
-        # CSC order (column, then row); the stable sort keeps emission order
-        # among the contributions to one slot
-        key = np.concatenate(keys)
-        del keys
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        src = np.concatenate(srcs)[order]
-        del srcs, order
-        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        slot_key = key[starts]
-        del key
-        self.indices = (slot_key % n).astype(np.int32)
-        self.indptr = np.searchsorted(slot_key, np.arange(n + 1, dtype=np.int64) * n
-                                      ).astype(np.int32)
-        del slot_key
-        counts = np.diff(starts, append=src.size)
-        self.first = src[starts]
-        self.more = []
-        for r in range(1, int(counts.max())):
-            slots = np.flatnonzero(counts > r).astype(np.int32)
-            self.more.append((slots, src[starts[slots] + r]))
-        for arr in (self.indices, self.indptr):  # shared by every matrix built here
-            arr.flags.writeable = False
-        self.n = n
-        self.npts = npts
+    def __init__(self, u: ComplexField, tag: str, params: ModelParams, dm: _DofMap):
+        self.gammas = _arm_coefficients(u, tag, params, dm)
+        self.dm = dm
 
-    def matrix(self, gammas):
-        """CSC matrix with the arm coefficients `gammas` (complex, one row
-        per arm) on this structure; it shares `indices` and `indptr`."""
-        src = np.empty((len(gammas), 4, self.npts))
-        for k, g in enumerate(gammas):
-            src[k, 0] = g.real
-            src[k, 1] = g.imag
-            np.negative(src[k, 1], out=src[k, 2])
-            np.negative(src[k, 0], out=src[k, 3])
-        src = src.ravel()
-        data = src[self.first]
-        for slots, more in self.more:
-            data[slots] += src[more]
-        return csc_matrix((data, self.indices, self.indptr), shape=(self.n, self.n),
-                          copy=False)
+    def _blocks(self):
+        m1, m2 = self.dm.spec.n1 - 1, self.dm.spec.n2 - 1
+        return [g.reshape(m1, m2) for g in self.gammas]
+
+    def __matmul__(self, x):
+        dm = self.dm
+        m1, m2 = dm.spec.n1 - 1, dm.spec.n2 - 1
+        # the unknowns at [1:-1, 1:-1], ghost rows at 0, Dirichlet at -1
+        v = np.zeros((m1 + 2, m2 + 2), dtype=complex)
+        v.real[1:-1, 1:-1] = x[: dm.n_re].reshape(m1, m2)
+        v.imag[1:-1, 2:-1] = x[dm.n_re:].reshape(m1, m2 - 1)
+        v[0, 1:-1] = v[2, 1:-1]
+        v[1:-1, 0] = np.conj(v[1:-1, 2])
+        xp, xm, yp, ym, centre, C = self._blocks()
+        mid = v[1:-1, 1:-1]
+        out = centre * mid
+        out += C * np.conj(mid)
+        out += xp * v[2:, 1:-1]
+        out += xm * v[:-2, 1:-1]
+        out += yp * v[1:-1, 2:]
+        out += ym * v[1:-1, :-2]
+        return np.concatenate([out.real.ravel(), out.imag[:, 1:].ravel()])
+
+    def diagonal(self):
+        """Re(centre + C) on the Re rows, Re(centre - C) on the Im rows."""
+        centre, C = self._blocks()[4:]
+        return np.concatenate([(centre + C).real.ravel(), (centre - C).real[:, 1:].ravel()])
 
 
-def assemble_jacobian(u: ComplexField, tag: str, params: ModelParams, dm: _DofMap):
-    """Sparse real-block Jacobian of S at u on the reduced unknowns.
+def assemble_jacobian(u: ComplexField, tag: str, params: ModelParams, dm: _DofMap,
+                      gammas=None):
+    """Sparse real-block Jacobian of S at u on the reduced unknowns, for a
+    factor; Newton's products use `_Jacobian`.
 
     The analytic linearization is
 
         L[v] = lap v + A1 d1 v + A2 d2 v + B v + C conj(v)  (+ H1 v),
 
-    with per-point coefficients from `_arm_coefficients`.  Stencil arms
-    that cross an axis fold back into the quarter; folding across x2 = 0
-    conjugates, which turns a gamma*v coupling into gamma*conj(v) at the
-    mirror node.  The sparsity is `dm`'s, built on its first assembly;
-    later assemblies on the same `dm` compute the coefficients and write
-    values only.
+    with per-point coefficients from `_arm_coefficients` (`gammas`, when
+    the caller has computed them at u already).  Stencil arms that cross
+    an axis fold back into the quarter; folding across x2 = 0 conjugates,
+    which turns a gamma*v coupling into gamma*conj(v) at the mirror node.
+    Arm k at point p couples gamma * v(target) into the Re and Im rows of
+    p, up to four entries; the matrix is built from these coordinates,
+    and the conversion sums the entries that land on one slot.
     """
     _check_tag(u, tag, params)
-    return dm.pattern().matrix(_arm_coefficients(u, tag, params, dm))
+    if gammas is None:
+        gammas = _arm_coefficients(u, tag, params, dm)
+    I, J = np.nonzero(dm.re_mask)
+    r_re, r_im = dm.re_idx[I, J], dm.im_idx[I, J]
+    rows, cols, vals = [], [], []
+    for g, (di, dj, conj_all) in zip(gammas, _ARMS):
+        ii, jj = np.abs(I + di), J + dj
+        conj = conj_all | (jj < 0)  # folding across x2 = 0 conjugates
+        jj = np.abs(jj)
+        c_re, c_im = dm.re_idx[ii, jj], dm.im_idx[ii, jj]
+        for r, c, v in ((r_re, c_re, g.real), (r_im, c_re, g.imag),
+                        (r_re, c_im, np.where(conj, g.imag, -g.imag)),
+                        (r_im, c_im, np.where(conj, -g.real, g.real))):
+            ok = (r >= 0) & (c >= 0)
+            rows.append(r[ok])
+            cols.append(c[ok])
+            vals.append(v[ok])
+    return csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(dm.n, dm.n))
 
 
 def _arm_coefficients(u: ComplexField, tag: str, params: ModelParams, dm: _DofMap):
@@ -486,7 +456,8 @@ def _bordered_lu(P, dm, z_col, grad_con):
     The border row and column are appended to P's CSC arrays (explicit
     zero corner kept structural so SuperLU can pivot through it); the
     columns are then gathered in the order and the rows relabelled, so
-    SuperLU factors B[q][:, q] with its NATURAL column order."""
+    SuperLU factors B[q][:, q] with its NATURAL column order.  P is
+    released before the factorization."""
     n = dm.n
     zi = np.flatnonzero(z_col)
     gi = np.flatnonzero(grad_con)
@@ -500,6 +471,7 @@ def _bordered_lu(P, dm, z_col, grad_con):
     indptr = np.empty(n + 2, dtype=np.int32)
     indptr[: n + 1] = P.indptr + np.searchsorted(gi, np.arange(n + 1))
     indptr[n + 1] = data.size
+    del P  # a caller that passes the matrix it does not keep frees it here
     # B[q][:, q]: the columns gathered in the order q into new arrays,
     # then their rows relabelled
     q = dm.order()
@@ -571,7 +543,7 @@ def _two_grid(J, dm, z_col, grad_con, V_d, Z_d, params):
     maps to itself: each border row weights Z by its own grid's cell, so
     the two rows are the same integral.  The sweeps take their products
     with the step's J and their diagonal from the J given here (the
-    ansatz's), so the cycle keeps no fine matrix of its own."""
+    ansatz's `_Jacobian`), so no fine matrix is ever assembled."""
     spec_c = _coarse_spec(dm.spec)
     dm_c = _DofMap(spec_c)
     V_c = ComplexField(spec_c, np.ascontiguousarray(V_d.data[::2, ::2]))
@@ -674,11 +646,12 @@ def extract_multiplier(u: ComplexField, V: ComplexField, Z: ComplexField,
 
 class _BalanceState:
     """What one solve of a balance hands to the next.  It holds one grid
-    at a time: that grid's `_DofMap` (so its Jacobian structure and
-    elimination order), the preconditioner built on it (the direct
-    factor or the two-grid cycle), and the last solve's corrector u - V_d
-    with its multiplier.  It keeps at most one LU: a change of grid or a
-    solve redone cold releases it before the next factorization."""
+    at a time: that grid's `_DofMap` (so its elimination order), the
+    preconditioner built on it (the direct factor or the two-grid cycle),
+    and the last solve's corrector u - V_d with its multiplier; a solve
+    that reuses the preconditioner assembles no matrix.  It keeps at most
+    one LU: a change of grid or a solve redone cold releases it before
+    the next factorization."""
 
     def __init__(self):
         self.spec = None
@@ -725,7 +698,7 @@ def _forcing_term(residual, newton_tol, krylov_tol):
     return max(krylov_tol, min(KRYLOV_FORCING_MAX, max(residual, 0.5 * newton_tol / residual)))
 
 
-def check_tolerances(newton_tol, krylov_tol, newton_max):
+def check_tolerances(newton_tol=NEWTON_TOL, krylov_tol=KRYLOV_TOL, newton_max=NEWTON_MAX):
     """ValueError unless both tolerances are finite and > 0 (a nan
     newton_tol would accept the unsolved start) and newton_max >= 1."""
     for name, tol in (("newton_tol", newton_tol), ("krylov_tol", krylov_tol)):
@@ -736,7 +709,7 @@ def check_tolerances(newton_tol, krylov_tol, newton_max):
 
 
 def solve_projected(params: ModelParams, V_d: ComplexField, Z_d: ComplexField,
-                    newton_max=50, newton_tol=NEWTON_TOL, krylov_tol=1e-10,
+                    newton_max=NEWTON_MAX, newton_tol=NEWTON_TOL, krylov_tol=KRYLOV_TOL,
                     state: _BalanceState = None) -> SolveResult:
     """Damped Newton on the bordered system (u, c).
 
@@ -811,18 +784,19 @@ def _newton(params, V_d, Z_d, state, newton_max, newton_tol, krylov_tol):
     J = None
     lu_fill = lu_n1 = 0
     if not lu_reused:
-        J = assemble_jacobian(V_d, tag, params, dm)
+        J = _Jacobian(V_d, tag, params, dm)
         if dm.n > TWO_GRID_MIN_UNKNOWNS and 2.0 * max(spec.h1, spec.h2) <= MAX_SPACING:
             state.precond, lu_fill = _two_grid(J, dm, z_col, grad_con, V_d, Z_d, params)
             lu_n1 = _coarse_spec(spec).n1
         else:
-            state.precond, lu_fill = _bordered_lu(J, dm, z_col, grad_con)
+            state.precond, lu_fill = _bordered_lu(
+                assemble_jacobian(V_d, tag, params, dm, J.gammas), dm, z_col, grad_con)
             lu_n1 = spec.n1
     lu_apply = state.precond
     u, c = (u_w, state.c) if warm else (np.array(V_d.data), 0.0)
     if warm or J is None:
-        J = None  # the ansatz Jacobian goes before the start's is assembled
-        J = assemble_jacobian(ComplexField(spec, u.copy()), tag, params, dm)
+        J = None  # the ansatz's coefficients go before the start's are computed
+        J = _Jacobian(ComplexField(spec, u.copy()), tag, params, dm)
     jac = {"J": J}  # the first Newton step uses J; later steps replace it
     del J
 
@@ -845,8 +819,8 @@ def _newton(params, V_d, Z_d, state, newton_max, newton_tol, krylov_tol):
     krylov_iters = []
     while iters < newton_max and best > newton_tol:
         if iters > 0:
-            jac["J"] = None  # release the old values before assembling the new
-            jac["J"] = assemble_jacobian(ComplexField(spec, u.copy()), tag, params, dm)
+            jac["J"] = None  # release the old coefficients before computing the new
+            jac["J"] = _Jacobian(ComplexField(spec, u.copy()), tag, params, dm)
         applies = 0
         eta = _forcing_term(best, newton_tol, krylov_tol)
         sol, info = gmres(matvec, -R, M=precond, rtol=eta)
@@ -908,7 +882,9 @@ def solve_at_separation(params: ModelParams, d: float, profile: VortexProfile,
                         h=0.25, *, state: _BalanceState = None, **opts) -> SolveResult:
     """Grid (L = 2d per side), ansatz and co-kernel at separation d, then
     the projected solve; `state` carries the solve before it (see
-    `solve_projected`)."""
+    `solve_projected`).  The options are checked before the case is
+    built."""
+    check_tolerances(**opts)
     p = params.with_d(d)
     L = _domain_for(d, h)
     spec = GridSpec(L, L, h, h, p.symmetry)

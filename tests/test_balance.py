@@ -232,6 +232,23 @@ def test_balance_keeps_no_factor_alive(profile, factors):
         assert rec[2] == prev[2] or not rec[3]
 
 
+def test_a_reused_factor_assembles_nothing(profile, monkeypatch):
+    # a matrix is assembled only to be factored: once by each solve that
+    # factors its grid, never by a solve that reuses the factor before it
+    grids = []
+    assemble = solver.assemble_jacobian
+
+    def counted(u, *args):
+        grids.append(u.spec.n1)
+        return assemble(u, *args)
+
+    monkeypatch.setattr(solver, "assemble_jacobian", counted)
+    res, _ = solve_balanced(PAIR, (8.0, 12.0), profile, h=0.5)
+    history = res.balance_history
+    assert any(rec[3] for rec in history) and res.fallbacks == 0
+    assert grids == [rec[2] for rec in history if not rec[3]]
+
+
 def test_worse_warm_start_is_not_taken(profile):
     # a corrector that raises the residual above the ansatz's is ignored:
     # on a new grid the solve is then the cold solve, bit for bit

@@ -11,7 +11,7 @@ from vortexflow.ansatz import ModelParams, Regime, build_ansatz, build_pair, ker
 from vortexflow.fields import ComplexField, GridSpec, Symmetry, symmetrize_complex
 from vortexflow.profile import eval_profile
 from vortexflow.solver import (_ARMS, _arm_coefficients, _bordered_lu, _coarse_spec, _DofMap,
-                               _prolongation, _two_grid, apply_S, assemble_jacobian,
+                               _Jacobian, _prolongation, _two_grid, apply_S, assemble_jacobian,
                                build_case, extract_multiplier, gmres, linearize_apply,
                                solve_at_separation, solve_projected)
 
@@ -309,19 +309,34 @@ def test_reassembly_writes_values_into_one_structure(profile, tag):
     u = ComplexField(spec, V.data + 0.05 * (rng.standard_normal(V.data.shape)
                                             + 1j * rng.standard_normal(V.data.shape)))
     J = assemble_jacobian(u, tag, p, dm)
-    assert np.shares_memory(J.indices, P.indices) and np.shares_memory(J.indptr, P.indptr)
     fresh = assemble_jacobian(u, tag, p, _DofMap(spec))
     assert _same_bits(J, fresh)
     for A, w in ((P, V), (J, u)):
         assert _same_bits(A, _coo_jacobian(_arm_coefficients(w, tag, p, dm), dm))
-    # the rows that fold across x2 = 0 and the columns of the x1 = 0 axis
-    # were rewritten with the new iterate's values
+
+
+@pytest.mark.parametrize("tag", ["S1", "S2", "S3", "S4", "rect"])
+def test_stencil_product_matches_the_assembled_matrix(profile, tag):
+    # `_Jacobian` applies the six arms matrix-free, closing the axes with
+    # ghost rows: its product is the coordinate-form matrix's up to
+    # rounding, on the x1 = 0 axis rows and the rows that fold across
+    # x2 = 0 as elsewhere, and its diagonal is that matrix's to the bit
+    p, spec = _tag_case(tag)
+    V = build_ansatz(p, spec, profile)
+    rng = np.random.default_rng(29)
+    u = ComplexField(spec, V.data + 0.05 * (rng.standard_normal(V.data.shape)
+                                            + 1j * rng.standard_normal(V.data.shape)))
+    dm = _DofMap(spec)
+    axis_rows = np.concatenate([dm.re_idx[0, :-1], dm.im_idx[0, 1:-1]])
     fold_rows = dm.re_idx[:-1, 0]
-    axis_cols = np.concatenate([dm.re_idx[0, :-1], dm.im_idx[0, 1:-1]])
-    for block in (lambda A: A[fold_rows], lambda A: A[:, axis_cols]):
-        old, new, ref = block(P), block(J), block(fresh)
-        assert new.nnz > 0 and (new != old).nnz > 0
-        assert (new != ref).nnz == 0
+    for w in (V, u):
+        J = _Jacobian(w, p.tag, p, dm)
+        A = _coo_jacobian(_arm_coefficients(w, p.tag, p, dm), dm)
+        x = rng.standard_normal(dm.n)
+        got, want = J @ x, A @ x
+        for rows in (slice(None), axis_rows, fold_rows):
+            assert np.abs(got[rows] - want[rows]).max() <= 1e-13 * np.abs(want[rows]).max()
+        assert J.diagonal().tobytes() == A.diagonal().tobytes()
 
 
 def test_short_krylov_solve_raises(profile, monkeypatch):
@@ -520,6 +535,18 @@ def test_unusable_tolerances_are_rejected(profile, tols):
         solve_projected(p.with_d(10.0), V, Z, **tols)
 
 
+@pytest.mark.parametrize("tols", [dict(newton_tol=math.nan), dict(newton_tol=0.0),
+                                  dict(krylov_tol=-1e-10), dict(newton_max=0)],
+                         ids=lambda tols: ",".join(f"{k}={v}" for k, v in tols.items()))
+def test_unusable_tolerances_are_rejected_before_the_case_is_built(profile, monkeypatch,
+                                                                   tols):
+    built = []
+    monkeypatch.setattr(solver, "build_case", lambda *args: built.append(args))
+    with pytest.raises(ValueError):
+        solve_at_separation(pair_params(eps=0.1), 10.0, profile, h=0.5, **tols)
+    assert not built
+
+
 @pytest.mark.parametrize("l1,l2", [(20.0, 20.0), (20.25, 20.25), (20.0, 12.25)],
                          ids=["even", "odd", "even-odd"])
 def test_prolongation_reproduces_bilinear_fields(l1, l2):
@@ -589,6 +616,28 @@ def test_two_grid_solve_matches_direct(profile, monkeypatch, case):
     assert 0 < cycled.lu_fill < direct.lu_fill
     assert abs(cycled.c_mult - direct.c_mult) <= 1e-9 * abs(direct.c_mult)
     assert sum(cycled.krylov_iters) > sum(direct.krylov_iters)
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["pair-direct", "ring-two-grid"])
+def test_a_cold_solve_assembles_only_the_grid_it_factors(profile, monkeypatch, case):
+    # Newton's products and the smoother's diagonal come from `_Jacobian`;
+    # a matrix is assembled once, for the factor: the solve's own grid on
+    # the direct path, the 2h grid in the two-grid cycle
+    p, d, h = _small_cases()[case]
+    if case == 1:
+        monkeypatch.setattr(solver, "TWO_GRID_MIN_UNKNOWNS", 0)
+    grids = []
+    assemble = solver.assemble_jacobian
+
+    def counted(u, *args):
+        grids.append(u.spec.n1)
+        return assemble(u, *args)
+
+    monkeypatch.setattr(solver, "assemble_jacobian", counted)
+    res = solve_at_separation(p, d, profile, h=h)
+    assert res.newton_iters >= 2
+    assert grids == [res.lu_n1]
+    assert res.lu_n1 == (res.u.spec.n1 if case == 0 else math.ceil(res.u.spec.n1 / 2))
 
 
 def test_spacing_cap_keeps_the_direct_factor(profile, monkeypatch):

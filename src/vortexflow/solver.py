@@ -37,21 +37,30 @@ below newton_tol rather than far below it.  `krylov_tol` is the floor,
 the tightest tolerance any inner solve is asked for.  The benchmark's
 ring solve takes 13 two-grid cycles (2, 5, 6) over its 3 Newton steps,
 against 18 (2, 5, 11) without the safeguard and 39 with every step
-solved to krylov_tol = 1e-10; its pair balance takes 18 LU applies over
-its 10 steps, against 25 and 42.
+solved to krylov_tol = 1e-10; its pair balance takes 46 cycles over its
+10 steps.
 
-Which bordered system is factored depends on the grid alone.  Up to
-TWO_GRID_MIN_UNKNOWNS unknowns it is the solve's own (`_bordered_lu`).
-On larger grids whose spacing can double it is the same case at 2h,
-inside a two-grid cycle (`_two_grid`): damped Jacobi sweeps on the fine
-rows around a coarse correction by that factor.  On the benchmark's
-ring grid (293k unknowns) the coarse factor holds 6.90M entries in
-L + U and takes 0.4 s, where the fine one held 34.62M and took 2 s.
-With every step solved to krylov_tol the cycle took 13 applies per
-step, against 13 fine LU solves in all, at about 50 ms each (a fine LU
-solve took 75 ms); peak memory fell from 543 to 383 MiB and the time
-stayed about the same.  Single cold solves of the two kinds broke even
-between 100k and 125k unknowns.
+Which bordered system is factored depends on the grid alone.  A grid
+whose spacing can double (2 max(h1, h2) <= MAX_SPACING) factors the
+same case at 2h, inside a two-grid cycle (`_two_grid`): damped Jacobi
+sweeps on the fine rows around a coarse correction by that factor.
+Only a grid whose spacing cannot double factors its own bordered system
+(`_bordered_lu`), which is also the cycle's coarse solve.  On the
+benchmark's ring grid (293k unknowns) the coarse factor holds 6.90M
+entries in L + U and takes 0.4 s, where the fine one held 34.62M and
+took 2 s.  Under the forcing term a Newton step takes 1 to 7 cycles, so
+the cheap coarse factor wins at every grid size; single cold solves
+(2 CPUs, one BLAS thread, best of 3), direct factor -> two-grid cycle:
+
+    pair d 8.125 (n1 65)                         0.083 -> 0.061 s
+    pair d 12 (n1 96)                            0.187 -> 0.090 s
+    pair d 16 (n1 128)                           0.220 -> 0.134 s
+    pair d 26 (n1 208)                           0.791 -> 0.545 s
+    pair_sch eps 0.2, kappa 0.25, h 0.125 (n1 160)  0.520 -> 0.311 s
+    ring d 6 (n1 48)                             0.056 -> 0.049 s
+    ring d 22.75 (n1 182)                        0.741 -> 0.461 s
+
+with the same Newton steps and c_mult within 2.1e-8 relative.
 
 A solve is accepted iff its Newton residual ends at or below
 newton_tol (default NEWTON_TOL); otherwise it raises
@@ -96,6 +105,7 @@ solve that fails on reused state is redone cold.  A solve without the
 state is the cold solve.
 """
 
+import ctypes
 import math
 from dataclasses import dataclass, replace
 
@@ -131,15 +141,17 @@ GMRES_MAXITER = 16
 # ceiling of the forcing term `_forcing_term`, the relative residual a
 # Newton step's GMRES is asked for
 KRYLOV_FORCING_MAX = 0.1
-# A solve on a grid of more unknowns than this, whose 2h grid is within
-# MAX_SPACING, is preconditioned by the two-grid cycle (`_two_grid`);
-# other solves by their own bordered factor (`_bordered_lu`), which
-# every grid of spacing over MAX_SPACING / 2 needs
-TWO_GRID_MIN_UNKNOWNS = 120_000
 # damping and sweeps on each side of the two-grid cycle's point-Jacobi
 # smoother
 JACOBI_OMEGA = 0.9
 JACOBI_SWEEPS = 2
+# glibc's malloc_trim (see `_release_freed_memory`), None where the C
+# library has none
+try:
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+    _MALLOC_TRIM.argtypes = [ctypes.c_size_t]
+except (AttributeError, OSError, TypeError):
+    _MALLOC_TRIM = None
 # solve_balanced stops once |c| is this fraction of the larger |c| at the
 # bracket ends
 BALANCE_C_RTOL = 1e-10
@@ -189,9 +201,10 @@ class SolveResult:
     warm_start: bool = False
     # nnz(L+U) of the bordered factor this solve made, 0 when it reused one
     lu_fill: int = 0
-    # per-side point count of the grid that factor was made on: u.spec.n1
-    # for the direct factor, ceil(n1 / 2) for the two-grid cycle's coarse
-    # one, 0 when the solve reused a factor
+    # per-side point count of the grid that factor was made on:
+    # ceil(n1 / 2) for the two-grid cycle's coarse one (every grid whose
+    # spacing can double), u.spec.n1 for the direct factor (a grid whose
+    # spacing cannot), 0 when the solve reused a factor
     lu_n1: int = 0
     # solve_balanced only: one (d, c, n1, lu_reused, warm_start) per solve,
     # and the count of solves redone cold after failing on reused state
@@ -403,47 +416,50 @@ def assemble_jacobian(u: ComplexField, tag: str, params: ModelParams, dm: _DofMa
 
 def _arm_coefficients(u: ComplexField, tag: str, params: ModelParams, dm: _DofMap):
     """Per-point coefficients of the stencil arms of `_ARMS`, in that
-    order, at the points of `dm.re_mask`."""
+    order, at the points of `dm.re_mask`: the (n1-1) x (n2-1) block
+    [:-1, :-1] in row-major order."""
     spec = u.spec
     h1, h2 = spec.h1, spec.h2
 
     d1f, d2f, _ = diff_ops(u)
-    d1u, d2u = d1f.data, d2f.data
-    r2 = u.data.real**2 + u.data.imag**2
+    # every coefficient is pointwise, so it is computed on the block alone
+    ud = u.data[:-1, :-1]
+    d1u, d2u = d1f.data[:-1, :-1], d2f.data[:-1, :-1]
+    r2 = ud.real**2 + ud.imag**2
     g = 1.0 / (1.0 + r2)
     g2 = g * g
     G = (1.0 - r2) * g
     Wq = d1u**2 + d2u**2
-    cu = np.conj(u.data)
+    cu = np.conj(ud)
     A1 = -4.0 * g * cu * d1u
     A2 = -4.0 * g * cu * d2u
     B = 2.0 * cu**2 * Wq * g2 + (G - 2.0 * r2 * g2)
-    C = -2.0 * g * Wq + 2.0 * r2 * Wq * g2 - 2.0 * u.data**2 * g2
+    C = -2.0 * g * Wq + 2.0 * r2 * Wq * g2 - 2.0 * ud**2 * g2
     if tag != "S0":
         q = params.drive
         A2 = A2 + q * 1j * G
         B = B - 2.0 * q * 1j * g2 * cu * d2u
-        C = C - 2.0 * q * 1j * g2 * u.data * d2u
+        C = C - 2.0 * q * 1j * g2 * ud * d2u
         if tag in ("S2", "S4"):
             A2 = A2 - 1j * params.kappa * q
 
-    I, J = np.nonzero(dm.re_mask)
     inv_h1sq = 1.0 / h1**2
     inv_h2sq = 1.0 / h2**2
-    a1 = A1[I, J] / (2.0 * h1)
-    a2 = A2[I, J] / (2.0 * h2)
-    center = np.full(I.size, -2.0 * (inv_h1sq + inv_h2sq), dtype=complex) + B[I, J]
+    a1 = A1 / (2.0 * h1)
+    a2 = A2 / (2.0 * h2)
+    center = np.full(B.shape, -2.0 * (inv_h1sq + inv_h2sq), dtype=complex) + B
 
     gammas = [inv_h1sq + a1, inv_h1sq - a1, inv_h2sq + a2, inv_h2sq - a2]
     if tag in RING_TAGS:
         # H1 = (1/x1) d1 on the x1 arms; on the axis its limit
         # 2 (u(h1) - u(0)) / h1^2 (the -x1 arm folds onto the +x1 target)
+        I = np.arange(spec.n1 - 1)[:, None]
         axis = I == 0
         h1_inv = np.where(axis, 0.0, 1.0 / (2.0 * h1 * np.where(axis, 1.0, h1 * I)))
         gammas[0] = gammas[0] + np.where(axis, 2.0 * inv_h1sq, h1_inv)
         gammas[1] = gammas[1] - h1_inv
         center = center + np.where(axis, -2.0 * inv_h1sq, 0.0)
-    return gammas + [center, C[I, J]]
+    return [a.ravel() for a in gammas + [center, C]]
 
 
 def _bordered_lu(P, dm, z_col, grad_con):
@@ -726,7 +742,10 @@ def solve_projected(params: ModelParams, V_d: ComplexField, Z_d: ComplexField,
     at least 1.
 
     Without `state` (the cold solve) Newton starts from the ansatz and
-    the preconditioner is the bordered Jacobian factored there.  With a
+    the preconditioner is built there: the two-grid cycle, or on a grid
+    whose spacing cannot double the bordered Jacobian's factor, and the
+    solve ends by giving the heap it freed back to the OS
+    (`_release_freed_memory`).  With a
     `_BalanceState` it reuses the state's LU when the state is on V_d's
     grid, and starts from the state's corrector when that start has the
     smaller residual.  A solve that fails on reused state is redone cold
@@ -736,7 +755,9 @@ def solve_projected(params: ModelParams, V_d: ComplexField, Z_d: ComplexField,
     check_tolerances(newton_tol, krylov_tol, newton_max)
     opts = dict(newton_max=newton_max, newton_tol=newton_tol, krylov_tol=krylov_tol)
     if state is None:
-        state = _BalanceState()
+        res = solve_projected(params, V_d, Z_d, state=_BalanceState(), **opts)
+        _release_freed_memory()  # the solve's state and preconditioner are gone
+        return res
     state.on_grid(V_d.spec)
     try:
         res = _newton(params, V_d, Z_d, state, **opts)
@@ -751,6 +772,22 @@ def solve_projected(params: ModelParams, V_d: ComplexField, Z_d: ComplexField,
     state.corrector = ComplexField(V_d.spec, res.u.data - V_d.data)
     state.c = res.c_mult
     return res
+
+
+def _release_freed_memory():
+    """Give the heap memory that a finished solve freed back to the OS.
+
+    glibc raises its mmap threshold to the size of each large block it
+    frees (up to 32 MiB), so after a solve's first Krylov basis most of
+    its arrays come from the heap, and freeing them keeps up to twice
+    that threshold at the top of the heap and every hole below a live
+    block.  Where those lie depends on the order of allocations, so the
+    resident memory a caller goes on from varied by tens of MiB between
+    identical runs: 100 to 155 MiB after the benchmark's verify set-up
+    solves, against 94 MiB trimmed.  malloc_trim(0) releases the free
+    pages of the whole heap; without glibc this does nothing."""
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
 
 
 def _newton(params, V_d, Z_d, state, newton_max, newton_tol, krylov_tol):
@@ -785,7 +822,7 @@ def _newton(params, V_d, Z_d, state, newton_max, newton_tol, krylov_tol):
     lu_fill = lu_n1 = 0
     if not lu_reused:
         J = _Jacobian(V_d, tag, params, dm)
-        if dm.n > TWO_GRID_MIN_UNKNOWNS and 2.0 * max(spec.h1, spec.h2) <= MAX_SPACING:
+        if 2.0 * max(spec.h1, spec.h2) <= MAX_SPACING:
             state.precond, lu_fill = _two_grid(J, dm, z_col, grad_con, V_d, Z_d, params)
             lu_n1 = _coarse_spec(spec).n1
         else:

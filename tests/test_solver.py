@@ -1,5 +1,7 @@
 import math
+import platform
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -606,26 +608,41 @@ def _small_cases():
 @pytest.mark.parametrize("case", [0, 1], ids=["pair", "ring"])
 def test_two_grid_solve_matches_direct(profile, monkeypatch, case):
     p, d, h = _small_cases()[case]
-    direct = solve_at_separation(p, d, profile, h=h, newton_tol=1e-11)
-    n1 = direct.u.spec.n1
-    assert direct.lu_n1 == n1  # small grids keep the direct factor
-    assert direct.u.spec.n1 % 2 == (1 if case == 0 else 0)
-    monkeypatch.setattr(solver, "TWO_GRID_MIN_UNKNOWNS", 0)
     cycled = solve_at_separation(p, d, profile, h=h, newton_tol=1e-11)
+    n1 = cycled.u.spec.n1
+    assert n1 % 2 == (1 if case == 0 else 0)
     assert cycled.lu_n1 == math.ceil(n1 / 2)
+    # the reference takes the direct factor: with the cap at h, the grid
+    # has no 2h grid
+    monkeypatch.setattr(solver, "MAX_SPACING", h)
+    direct = solve_at_separation(p, d, profile, h=h, newton_tol=1e-11)
+    assert direct.lu_n1 == n1
     assert 0 < cycled.lu_fill < direct.lu_fill
     assert abs(cycled.c_mult - direct.c_mult) <= 1e-9 * abs(direct.c_mult)
     assert sum(cycled.krylov_iters) > sum(direct.krylov_iters)
 
 
-@pytest.mark.parametrize("case", [0, 1], ids=["pair-direct", "ring-two-grid"])
+@pytest.mark.parametrize("case", [0, 1, 2], ids=["pair-odd", "ring-even", "pair-small"])
+def test_a_cold_solve_is_cycled_wherever_the_spacing_can_double(profile, case):
+    # the preconditioner depends on the grid alone: every h = 0.25 grid,
+    # however few its unknowns, factors only its 2h grid
+    p, d, h = (_small_cases() + [(pair_params(eps=0.1), 4.0, 0.25)])[case]
+    res = solve_at_separation(p, d, profile, h=h)
+    assert res.lu_n1 == math.ceil(res.u.spec.n1 / 2)
+
+
+def _direct_case():
+    # a pair on h = 0.5, whose spacing cannot double (GridSpec caps h at
+    # MAX_SPACING): the direct factor
+    return pair_params(eps=0.1), 10.0, 0.5
+
+
+@pytest.mark.parametrize("case", ["pair-direct", "ring-two-grid"])
 def test_a_cold_solve_assembles_only_the_grid_it_factors(profile, monkeypatch, case):
     # Newton's products and the smoother's diagonal come from `_Jacobian`;
     # a matrix is assembled once, for the factor: the solve's own grid on
     # the direct path, the 2h grid in the two-grid cycle
-    p, d, h = _small_cases()[case]
-    if case == 1:
-        monkeypatch.setattr(solver, "TWO_GRID_MIN_UNKNOWNS", 0)
+    p, d, h = _direct_case() if case == "pair-direct" else _small_cases()[1]
     grids = []
     assemble = solver.assemble_jacobian
 
@@ -637,14 +654,36 @@ def test_a_cold_solve_assembles_only_the_grid_it_factors(profile, monkeypatch, c
     res = solve_at_separation(p, d, profile, h=h)
     assert res.newton_iters >= 2
     assert grids == [res.lu_n1]
-    assert res.lu_n1 == (res.u.spec.n1 if case == 0 else math.ceil(res.u.spec.n1 / 2))
+    assert res.lu_n1 == (res.u.spec.n1 if case == "pair-direct"
+                         else math.ceil(res.u.spec.n1 / 2))
 
 
-def test_spacing_cap_keeps_the_direct_factor(profile, monkeypatch):
-    # an h = 0.5 grid has no 2h grid (GridSpec caps h at 0.5)
-    monkeypatch.setattr(solver, "TWO_GRID_MIN_UNKNOWNS", 0)
-    res = solve_at_separation(pair_params(eps=0.1), 10.0, profile, h=0.5)
+def test_spacing_cap_keeps_the_direct_factor(profile):
+    p, d, h = _direct_case()
+    res = solve_at_separation(p, d, profile, h=h)
     assert res.lu_n1 == res.u.spec.n1
+
+
+def test_a_cold_solve_trims_the_heap_once_its_state_is_gone(profile, monkeypatch):
+    # the cold solve trims after its state (and the preconditioner in it)
+    # is freed; a solve on a caller's state leaves that to the caller
+    if platform.libc_ver()[0] == "glibc":
+        assert solver._MALLOC_TRIM is not None
+    states, live_at_trim = [], []
+    init = solver._BalanceState.__init__
+
+    def tracked(self):
+        init(self)
+        states.append(weakref.ref(self))
+
+    monkeypatch.setattr(solver._BalanceState, "__init__", tracked)
+    monkeypatch.setattr(solver, "_release_freed_memory",
+                        lambda: live_at_trim.append(sum(r() is not None for r in states)))
+    p, d, h = _small_cases()[0]
+    solve_at_separation(p, d, profile, h=h)
+    assert len(states) == 1 and live_at_trim == [0]
+    solve_at_separation(p, d, profile, h=h, state=solver._BalanceState())
+    assert live_at_trim == [0]
 
 
 def test_failures_carry_the_applies_of_each_step(profile, monkeypatch):
@@ -654,7 +693,6 @@ def test_failures_carry_the_applies_of_each_step(profile, monkeypatch):
     p = pair_params(eps=0.1)
     monkeypatch.setattr(solver, "GMRES_MAXITER", 1)
     monkeypatch.setattr(solver, "GMRES_RESTART", 2)
-    monkeypatch.setattr(solver, "TWO_GRID_MIN_UNKNOWNS", 0)
     with pytest.raises(solver.KrylovStagnationError) as err:
         solve_at_separation(p, 8.125, profile, h=0.25)
     assert err.value.krylov_iters == (2, 2)
@@ -704,16 +742,15 @@ def test_each_step_is_forced_to_its_residual(profile, monkeypatch, krylov_tol):
     assert rtols[-1] == min(solver.KRYLOV_FORCING_MAX, guard) > rtols[-2]
 
 
-@pytest.mark.parametrize("case", [0, 1], ids=["pair", "ring-two-grid"])
+@pytest.mark.parametrize("case", ["pair", "ring-two-grid"])
 def test_forcing_cuts_applies_at_the_same_multiplier(profile, monkeypatch, case):
     # against the fixed forcing (every step to krylov_tol), the forcing
     # term gives the same multiplier in fewer preconditioner applies, on
     # the direct factor and on the two-grid cycle alike
-    p, d, h = _small_cases()[case]
-    if case == 1:
-        monkeypatch.setattr(solver, "TWO_GRID_MIN_UNKNOWNS", 0)
+    p, d, h = _direct_case() if case == "pair" else _small_cases()[1]
     forced = solve_at_separation(p, d, profile, h=h, newton_tol=1e-11)
-    assert forced.lu_n1 == (forced.u.spec.n1 if case == 0 else math.ceil(forced.u.spec.n1 / 2))
+    assert forced.lu_n1 == (forced.u.spec.n1 if case == "pair"
+                            else math.ceil(forced.u.spec.n1 / 2))
     monkeypatch.setattr(solver, "KRYLOV_FORCING_MAX", 0.0)
     fixed = solve_at_separation(p, d, profile, h=h, newton_tol=1e-11)
     assert forced.final_residual <= 1e-11
@@ -727,7 +764,6 @@ def test_failures_carry_the_residual_history(profile, monkeypatch):
     p = pair_params(eps=0.1)
     monkeypatch.setattr(solver, "GMRES_MAXITER", 1)
     monkeypatch.setattr(solver, "GMRES_RESTART", 2)
-    monkeypatch.setattr(solver, "TWO_GRID_MIN_UNKNOWNS", 0)
     with pytest.raises(solver.KrylovStagnationError) as err:
         solve_at_separation(p, 8.125, profile, h=0.25)
     hist = err.value.newton_residuals

@@ -95,18 +95,20 @@ degree on A + A^T of the whole bordered matrix left 35.85M.
 
 `build_case` is the one construction of (V_d, Z_d).
 
-`solve_balanced` takes its secant in X(d) = 1/d (pair) or (log d)/d
-(ring), in which the leading-order multiplier is affine, so its solves
-reach the root's grid early.  They share a `_BalanceState`: a solve on
-the grid of the one before it reuses that solve's `_DofMap` and
-preconditioner, and Newton starts from the last corrector,
-copied onto the new grid, when that start has the smaller residual.  A
-solve that fails on reused state is redone cold.  A solve without the
-state is the cold solve.
+`solve_projected` is the cold solve: Newton from the ansatz, on a
+preconditioner built at V_d.  `solve_balanced` takes its secant in
+X(d) = 1/d (pair) or (log d)/d (ring), in which the leading-order
+multiplier is affine, so its solves reach the root's grid early.  Its
+`_BalanceState` is the one place a solve hands anything on: a solve on
+the grid of the one before it reuses that solve's preconditioner, and
+Newton starts from the last corrector when that lowers the residual.
+Each of its solves still enters `solve_at_separation` and
+`solve_projected`, which hands the Newton run to the balance in progress.
 """
 
 import ctypes
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -187,7 +189,6 @@ class SolveResult:
     final_residual: float
     corrector_norm_star: float
     d_used: float
-    converged: bool
     # preconditioner applies (LU solves or two-grid cycles) of each Newton
     # step's GMRES solve
     krylov_iters: tuple = ()
@@ -660,45 +661,6 @@ def extract_multiplier(u: ComplexField, V: ComplexField, Z: ComplexField,
     return num / den
 
 
-class _BalanceState:
-    """What one solve of a balance hands to the next.  It holds one grid
-    at a time: that grid's `_DofMap` (so its elimination order), the
-    preconditioner built on it (the direct factor or the two-grid cycle),
-    and the last solve's corrector u - V_d with its multiplier; a solve
-    that reuses the preconditioner assembles no matrix.  It keeps at most
-    one LU: a change of grid or a solve redone cold releases it before
-    the next factorization."""
-
-    def __init__(self):
-        self.spec = None
-        self.dm = None
-        self.precond = None      # the apply of `_bordered_lu` or `_two_grid`
-        self.corrector = None    # ComplexField u - V_d of the last solve
-        self.c = 0.0
-        self.reused = False      # the solve in progress started from this state
-        self.fallbacks = 0       # solves redone cold after failing on this state
-
-    def on_grid(self, spec):
-        """Hold the `_DofMap` of `spec`; a change of grid releases the
-        preconditioner."""
-        if spec != self.spec:
-            self.dm = self.precond = None  # released before the new grid's map is built
-            self.spec, self.dm = spec, _DofMap(spec)
-
-    def warm_start(self, V):
-        """V plus the last corrector copied onto V's grid over the block
-        both grids share (a balance keeps the spacing and origin), or None."""
-        w_old = self.corrector
-        if w_old is None:
-            return None
-        w = np.zeros_like(V.data)
-        m1, m2 = min(w.shape[0], w_old.spec.n1), min(w.shape[1], w_old.spec.n2)
-        w[:m1, :m2] = w_old.data[:m1, :m2]
-        w[-1, :] = 0.0  # u = V_d on the Dirichlet layer
-        w[:, -1] = 0.0
-        return V.data + w
-
-
 def _forcing_term(residual, newton_tol, krylov_tol):
     """eta_k, the relative residual that the GMRES of a Newton step
     starting at residual ||F_k|| = `residual` is asked for:
@@ -725,52 +687,33 @@ def check_tolerances(newton_tol=NEWTON_TOL, krylov_tol=KRYLOV_TOL, newton_max=NE
 
 
 def solve_projected(params: ModelParams, V_d: ComplexField, Z_d: ComplexField,
-                    newton_max=NEWTON_MAX, newton_tol=NEWTON_TOL, krylov_tol=KRYLOV_TOL,
-                    state: _BalanceState = None) -> SolveResult:
-    """Damped Newton on the bordered system (u, c).
+                    newton_max=NEWTON_MAX, newton_tol=NEWTON_TOL,
+                    krylov_tol=KRYLOV_TOL) -> SolveResult:
+    """Damped Newton on the bordered system (u, c): the cold solve.
 
-    The solve is accepted iff its final residual is at most `newton_tol`
-    (default NEWTON_TOL); otherwise it raises `NonConvergenceError`, or
-    `KrylovStagnationError` when a step's GMRES stops short of its
-    forcing term.  Newton step k solves its
-    GMRES to true relative residual `_forcing_term(||F_k||, newton_tol,
-    krylov_tol)` = max(krylov_tol, min(KRYLOV_FORCING_MAX, max(||F_k||,
-    0.5 newton_tol / ||F_k||))), ||F_k|| being the residual it starts
-    from: no step solves further than a residual of about half of
-    newton_tol needs, and `krylov_tol` is the tightest any inner solve is
-    asked for.  Both tolerances must be finite and > 0, and newton_max
-    at least 1.
+    Newton starts from the ansatz, on a preconditioner built there (the
+    two-grid cycle, or on a grid whose spacing cannot double the bordered
+    Jacobian's factor); the solve lets it go and then gives the heap it
+    freed back to the OS (`_release_freed_memory`).  Step k solves its
+    GMRES to `_forcing_term(||F_k||, newton_tol, krylov_tol)`, ||F_k||
+    being the residual it starts from.  The solve is accepted iff its
+    final residual is at most `newton_tol`; otherwise it raises
+    `NonConvergenceError`, or `KrylovStagnationError` when a step's GMRES
+    stops short of its forcing term.  Both tolerances must be finite and
+    > 0, and newton_max at least 1.
 
-    Without `state` (the cold solve) Newton starts from the ansatz and
-    the preconditioner is built there: the two-grid cycle, or on a grid
-    whose spacing cannot double the bordered Jacobian's factor, and the
-    solve ends by giving the heap it freed back to the OS
-    (`_release_freed_memory`).  With a
-    `_BalanceState` it reuses the state's LU when the state is on V_d's
-    grid, and starts from the state's corrector when that start has the
-    smaller residual.  A solve that fails on reused state is redone cold
-    and counted in `state.fallbacks`; the state then takes this solve's
-    LU and corrector."""
+    A solve of `solve_balanced` comes here too, and the balance runs its
+    Newton instead (`_BalanceState.run`), with what the solve before it
+    handed on."""
     _check_tag(V_d, params.tag, params)
     check_tolerances(newton_tol, krylov_tol, newton_max)
     opts = dict(newton_max=newton_max, newton_tol=newton_tol, krylov_tol=krylov_tol)
-    if state is None:
-        res = solve_projected(params, V_d, Z_d, state=_BalanceState(), **opts)
-        _release_freed_memory()  # the solve's state and preconditioner are gone
-        return res
-    state.on_grid(V_d.spec)
-    try:
-        res = _newton(params, V_d, Z_d, state, **opts)
-    except NonConvergenceError:
-        if not state.reused:
-            raise
-        res = None
-    if res is None:  # outside the handler, so the failed attempt's frames are gone
-        state.fallbacks += 1
-        state.precond = state.corrector = None
-        res = _newton(params, V_d, Z_d, state, **opts)
-    state.corrector = ComplexField(V_d.spec, res.u.data - V_d.data)
-    state.c = res.c_mult
+    balance = _BALANCE.get()
+    if balance is not None:
+        return balance.run(params, V_d, Z_d, **opts)
+    # indexed, so no name holds the preconditioner past this line
+    res = _newton(params, V_d, Z_d, _DofMap(V_d.spec), **opts)[0]
+    _release_freed_memory()
     return res
 
 
@@ -790,47 +733,56 @@ def _release_freed_memory():
         _MALLOC_TRIM(0)
 
 
-def _newton(params, V_d, Z_d, state, newton_max, newton_tol, krylov_tol):
-    """One Newton run of `solve_projected` on the state's grid, from the
-    state's LU and corrector where it has them."""
-    from .diagnostics import corrector_norms
-
+def _residual(params, V_d, Z_d, dm):
+    """(residual, norm, grad_con): the bordered residual at (u array, c),
+    packed by `dm` as (S[u] - c Z_d, Re<u - V_d, Z_d>_W), its norm, and
+    the gradient of its constraint row."""
     tag = params.tag
     spec = V_d.spec
-    dm = state.dm
     cell = spec.h1 * spec.h2
     W = 1.0 / (1.0 + np.abs(V_d.data) ** 2) ** 2
     grad_con = dm.pack(W * Z_d.data * cell)
-    z_col = dm.pack(Z_d.data)
 
-    def residual_vec(u_arr, c_val):
+    def residual(u_arr, c_val):
         S = apply_S(ComplexField(spec, u_arr.copy()), tag, params)
         pde = S.data - c_val * Z_d.data
         con = float(np.sum(((u_arr - V_d.data) * np.conj(Z_d.data)).real * W) * cell)
         return np.concatenate([dm.pack(pde), [con]])
 
-    def resnorm(vec):
+    def norm(vec):
         return math.sqrt(cell * float(np.dot(vec[:-1], vec[:-1])) + vec[-1] ** 2)
 
-    u_w = state.warm_start(V_d)
-    warm = u_w is not None and (resnorm(residual_vec(u_w, state.c))
-                                < resnorm(residual_vec(V_d.data, 0.0)))
-    lu_reused = state.precond is not None
-    state.reused = warm or lu_reused
+    return residual, norm, grad_con
+
+
+def _newton(params, V_d, Z_d, dm, precond=None, start=None, R=None, *,
+            newton_max=NEWTON_MAX, newton_tol=NEWTON_TOL, krylov_tol=KRYLOV_TOL):
+    """One Newton run on the grid of `dm`; returns (SolveResult, the
+    preconditioner it used: `precond`, or one built at V_d when that is
+    None).  Newton starts from `start`, a (u array, c), or from the
+    ansatz when that is None; `R` is the `_residual` of that start when
+    the caller has it."""
+    from .diagnostics import corrector_norms
+
+    tag = params.tag
+    spec = V_d.spec
+    residual_vec, resnorm, grad_con = _residual(params, V_d, Z_d, dm)
+    z_col = dm.pack(Z_d.data)
+    warm = start is not None
+    lu_reused = precond is not None
 
     J = None
     lu_fill = lu_n1 = 0
     if not lu_reused:
         J = _Jacobian(V_d, tag, params, dm)
         if 2.0 * max(spec.h1, spec.h2) <= MAX_SPACING:
-            state.precond, lu_fill = _two_grid(J, dm, z_col, grad_con, V_d, Z_d, params)
+            precond, lu_fill = _two_grid(J, dm, z_col, grad_con, V_d, Z_d, params)
             lu_n1 = _coarse_spec(spec).n1
         else:
-            state.precond, lu_fill = _bordered_lu(
+            precond, lu_fill = _bordered_lu(
                 assemble_jacobian(V_d, tag, params, dm, J.gammas), dm, z_col, grad_con)
             lu_n1 = spec.n1
-    lu_apply = state.precond
-    u, c = (u_w, state.c) if warm else (np.array(V_d.data), 0.0)
+    u, c = start if warm else (np.array(V_d.data), 0.0)
     if warm or J is None:
         J = None  # the ansatz's coefficients go before the start's are computed
         J = _Jacobian(ComplexField(spec, u.copy()), tag, params, dm)
@@ -839,17 +791,18 @@ def _newton(params, V_d, Z_d, state, newton_max, newton_tol, krylov_tol):
 
     applies = 0
 
-    def precond(v):
+    def apply_M(v):
         nonlocal applies
         applies += 1
-        return lu_apply(v, jac["J"])
+        return precond(v, jac["J"])
 
     def matvec(x):
         top = jac["J"] @ x[:-1] - x[-1] * z_col
         bot = float(np.dot(grad_con, x[:-1]))
         return np.concatenate([top, [bot]])
 
-    R = residual_vec(u, c)
+    if R is None:
+        R = residual_vec(u, c)
     best = resnorm(R)
     residuals = [best]
     iters = 0
@@ -860,7 +813,7 @@ def _newton(params, V_d, Z_d, state, newton_max, newton_tol, krylov_tol):
             jac["J"] = _Jacobian(ComplexField(spec, u.copy()), tag, params, dm)
         applies = 0
         eta = _forcing_term(best, newton_tol, krylov_tol)
-        sol, info = gmres(matvec, -R, M=precond, rtol=eta)
+        sol, info = gmres(matvec, -R, M=apply_M, rtol=eta)
         krylov_iters.append(applies)
         if info != 0:
             rel = float(np.linalg.norm(matvec(sol) + R)) / float(np.linalg.norm(R))
@@ -898,14 +851,20 @@ def _newton(params, V_d, Z_d, state, newton_max, newton_tol, krylov_tol):
     return SolveResult(
         u=u_field, c_mult=float(c), newton_iters=iters,
         final_residual=float(best), corrector_norm_star=norms["star"],
-        d_used=params.d, converged=True,
+        d_used=params.d,
         krylov_iters=tuple(krylov_iters), newton_residuals=tuple(residuals),
         lu_reused=lu_reused, warm_start=warm, lu_fill=lu_fill, lu_n1=lu_n1,
-    )
+    ), precond
 
 
 def _domain_for(d, h):
     return math.ceil(2.0 * d / h - 1e-9) * h
+
+
+def _grid_for(d, h, symmetry):
+    """The grid of the case at separation d: L = ceil(2d/h) h per side."""
+    L = _domain_for(d, h)
+    return GridSpec(L, L, h, h, symmetry)
 
 
 def balance_x(d, ring):
@@ -916,19 +875,14 @@ def balance_x(d, ring):
 
 
 def solve_at_separation(params: ModelParams, d: float, profile: VortexProfile,
-                        h=0.25, *, state: _BalanceState = None, **opts) -> SolveResult:
+                        h=0.25, **opts) -> SolveResult:
     """Grid (L = 2d per side), ansatz and co-kernel at separation d, then
-    the projected solve; `state` carries the solve before it (see
-    `solve_projected`).  The options are checked before the case is
-    built."""
+    the cold projected solve (`solve_projected`).  The options are checked
+    before the case is built."""
     check_tolerances(**opts)
     p = params.with_d(d)
-    L = _domain_for(d, h)
-    spec = GridSpec(L, L, h, h, p.symmetry)
-    if state is not None:
-        state.on_grid(spec)  # a new grid drops the last LU before this solve builds
-    V, Z = build_case(p, spec, profile)
-    return solve_projected(p, V, Z, state=state, **opts)
+    V, Z = build_case(p, _grid_for(d, h, p.symmetry), profile)
+    return solve_projected(p, V, Z, **opts)
 
 
 def _secant_d(d_prev, c_prev, d_cur, c_cur, d_lo, d_hi, ring):
@@ -950,6 +904,85 @@ def _secant_d(d_prev, c_prev, d_cur, c_cur, d_lo, d_hi, ring):
     return d_new if d_lo < d_new < d_hi else None
 
 
+class _BalanceState:
+    """What one solve of `solve_balanced` hands to the next: one grid's
+    `_DofMap` (so its elimination order), the preconditioner built on it
+    (the direct factor or the two-grid cycle; a solve that reuses it
+    assembles no matrix), and the last corrector u - V_d with its c.  It
+    keeps at most one LU: a change of grid or a solve redone cold releases
+    it before the next factorization."""
+
+    def __init__(self):
+        self.spec = self.dm = None  # the grid held and its `_DofMap`
+        self.precond = None      # the apply of `_bordered_lu` or `_two_grid`
+        self.corrector = None    # ComplexField u - V_d of the last solve
+        self.c = 0.0
+        self.fallbacks = 0       # solves redone cold after failing on reused state
+
+    def solve(self, params, d, profile, h, **opts):
+        """The solve at separation d: `solve_at_separation`, whose
+        `solve_projected` hands its Newton run to `run` while this state
+        is the balance in progress.  A change of grid drops the held
+        preconditioner before the case is built."""
+        spec = _grid_for(d, h, params.symmetry)
+        if spec != self.spec:
+            self.dm = self.precond = None  # released before the new grid's map and case
+            self.spec, self.dm = spec, _DofMap(spec)
+        token = _BALANCE.set(self)
+        try:
+            return solve_at_separation(params, d, profile, h, **opts)
+        finally:
+            _BALANCE.reset(token)
+
+    def run(self, params, V, Z, **opts):
+        """Newton on the case (V, Z) of the held grid, with the held
+        preconditioner and from the last corrector when that start has
+        the smaller residual.  A run that fails on either is redone cold."""
+        start, R = self._warm_start(params, V, Z)
+        try:
+            res, self.precond = _newton(params, V, Z, self.dm, self.precond, start, R,
+                                        **opts)
+        except NonConvergenceError:
+            if self.precond is None and start is None:
+                raise  # the run was already the cold one
+            res = None
+        if res is None:  # outside the handler, so the failed attempt's frames are gone
+            start = R = None
+            self.fallbacks += 1
+            self.precond = self.corrector = None
+            res, self.precond = _newton(params, V, Z, self.dm, **opts)
+        self.corrector = ComplexField(V.spec, res.u.data - V.data)
+        self.c = res.c_mult
+        return res
+
+    def _warm_start(self, params, V, Z):
+        """(start, R): the start (u array, c) of V plus the last corrector
+        over the block both grids share and the last c when its residual
+        is below the ansatz's, else None; R the `_residual` of the start
+        Newton takes.  (None, None) before the first solve.  A balance
+        keeps the spacing and origin."""
+        w_old = self.corrector
+        if w_old is None:
+            return None, None
+        w = np.zeros_like(V.data)
+        m1, m2 = min(w.shape[0], w_old.spec.n1), min(w.shape[1], w_old.spec.n2)
+        w[:m1, :m2] = w_old.data[:m1, :m2]
+        w[-1, :] = 0.0  # u = V_d on the Dirichlet layer
+        w[:, -1] = 0.0
+        w += V.data  # in place, so the start is the one array made
+        residual, norm, _ = _residual(params, V, Z, self.dm)
+        R_w, R_0 = residual(w, self.c), residual(V.data, 0.0)
+        if norm(R_w) < norm(R_0):
+            return (w, self.c), R_w
+        return None, R_0
+
+
+# the balance in progress: `_BalanceState.solve` sets it around its call of
+# `solve_at_separation`, so a balance's solves take the public path and
+# `solve_projected` hands their Newton runs to the balance
+_BALANCE = ContextVar("vortexflow_balance", default=None)
+
+
 def solve_balanced(params: ModelParams, d_bracket, profile: VortexProfile = None,
                    h=0.25, max_iters=60, **opts):
     """Safeguarded secant for c_mult(d) = 0; returns (SolveResult, d_star).
@@ -957,13 +990,16 @@ def solve_balanced(params: ModelParams, d_bracket, profile: VortexProfile = None
     The secant is taken in X(d) (`balance_x`), in which the leading-order
     c is affine, and falls back to bisection when a step leaves the
     bracket.  It stops when |c| <= BALANCE_C_RTOL max(|c(d_lo)|,
-    |c(d_hi)|) or the bracket is narrower than 1e-8 d_hi.  The solves
-    share one `_BalanceState`: a solve on the grid of the one before it
-    reuses its bordered LU, and each starts from the last corrector when
-    that lowers the residual.  The result carries `balance_history`, one record
-    (d, c, n1, lu_reused, warm_start) per solve.  Each solve is accepted
-    only at its `newton_tol`, by default NEWTON_TOL (see
-    `solve_projected`)."""
+    |c(d_hi)|) or the bracket is narrower than 1e-8 d_hi.  Each solve is
+    a `solve_at_separation`, and the solves share one `_BalanceState`, the
+    one place a solve hands anything to the next: a solve on the grid of
+    the one before it reuses its preconditioner, each starts from the last
+    corrector when that lowers the residual, and a solve that fails on
+    that reuse is redone cold.  The result carries `balance_history`, one record (d, c, n1,
+    lu_reused, warm_start) per solve, and `fallbacks`, the solves redone
+    cold.  Each solve is accepted only at its `newton_tol`, by default
+    NEWTON_TOL (see `solve_projected`)."""
+    check_tolerances(**opts)
     if profile is None:
         profile = solve_profile()
     ring = params.is_ring
@@ -971,7 +1007,7 @@ def solve_balanced(params: ModelParams, d_bracket, profile: VortexProfile = None
     history = []
 
     def solve(d):
-        r = solve_at_separation(params, d, profile, h, state=state, **opts)
+        r = state.solve(params, d, profile, h, **opts)
         history.append((d, r.c_mult, r.u.spec.n1, r.lu_reused, r.warm_start))
         return r
 

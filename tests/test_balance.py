@@ -1,5 +1,6 @@
 """The separation balance: the safeguarded secant of `solve_balanced` on
-synthetic c(d), and the state one solve hands to the next on real grids."""
+synthetic c(d), and the state one of its solves hands to the next on real
+grids (`_BalanceState.solve`, the balance's per-d solve)."""
 
 import math
 import weakref
@@ -11,28 +12,28 @@ from scipy.special import lambertw
 from vortexflow import solver
 from vortexflow.ansatz import ModelParams, Regime
 from vortexflow.fields import ComplexField, GridSpec
-from vortexflow.solver import (BracketError, SolveResult, _BalanceState, balance_x,
-                               build_case, solve_at_separation, solve_balanced,
-                               solve_projected)
+from vortexflow.solver import (BracketError, KrylovStagnationError, SolveResult,
+                               _BalanceState, balance_x, build_case, solve_at_separation,
+                               solve_balanced, solve_projected)
 
 PAIR = ModelParams(Regime.PAIR_WM, 0.1, 0.0, 1.0)
 RING = ModelParams(Regime.RING_SCH, 0.1, 0.0, 2.4)
 
 
 def fake_solves(monkeypatch, c_of_d):
-    """Replace the per-d solve by c(d) on a placeholder field; returns the
-    list of separations solved, in order."""
+    """Replace the balance's per-d solve by c(d) on a placeholder field;
+    returns the list of separations solved, in order."""
     calls = []
 
-    def fake(params, d, profile, h=0.25, *, state=None, **opts):
+    def fake(state, params, d, profile, h, **opts):
         calls.append(d)
         L = solver._domain_for(d, h)
         spec = GridSpec(L, L, h, h, params.symmetry)
         u = ComplexField(spec, np.zeros((spec.n1, spec.n2), dtype=complex))
         return SolveResult(u=u, c_mult=c_of_d(d), newton_iters=0, final_residual=0.0,
-                           corrector_norm_star=0.0, d_used=d, converged=True)
+                           corrector_norm_star=0.0, d_used=d)
 
-    monkeypatch.setattr(solver, "solve_at_separation", fake)
+    monkeypatch.setattr(_BalanceState, "solve", fake)
     return calls
 
 
@@ -138,8 +139,8 @@ def test_same_grid_solve_reuses_the_factor(profile, factors):
     assert solver._domain_for(5.9, H) == solver._domain_for(5.95, H)
     cold = solve_at_separation(PAIR, 5.95, profile, H, **TOL)
     state = _BalanceState()
-    first = solve_at_separation(PAIR, 5.9, profile, H, state=state, **TOL)
-    again = solve_at_separation(PAIR, 5.95, profile, H, state=state, **TOL)
+    first = state.solve(PAIR, 5.9, profile, H, **TOL)
+    again = state.solve(PAIR, 5.95, profile, H, **TOL)
     assert not (first.lu_reused or first.warm_start)
     assert again.lu_reused and again.warm_start
     assert len(factors) == 2 and state.fallbacks == 0
@@ -150,16 +151,16 @@ def test_same_grid_solve_reuses_the_factor(profile, factors):
 
 def test_grid_change_factors_again_and_releases(profile, factors):
     state = _BalanceState()
-    solve_at_separation(PAIR, 5.9, profile, H, state=state, **TOL)
+    state.solve(PAIR, 5.9, profile, H, **TOL)
     old = factors[0]
-    moved = solve_at_separation(PAIR, 6.5, profile, H, state=state, **TOL)
+    moved = state.solve(PAIR, 6.5, profile, H, **TOL)
     assert old() is None and len(factors) == 2  # `factors` checked it at the new splu
     assert not moved.lu_reused
 
 
 def test_stagnation_on_reused_state_redoes_the_solve_cold(profile, factors, monkeypatch):
     state = _BalanceState()
-    solve_at_separation(PAIR, 5.9, profile, H, state=state, **TOL)
+    state.solve(PAIR, 5.9, profile, H, **TOL)
     gmres = solver.gmres
     failed = []
 
@@ -170,7 +171,7 @@ def test_stagnation_on_reused_state_redoes_the_solve_cold(profile, factors, monk
         return gmres(A, b, **kwargs)
 
     monkeypatch.setattr(solver, "gmres", fails_once)
-    redone = solve_at_separation(PAIR, 5.95, profile, H, state=state, **TOL)
+    redone = state.solve(PAIR, 5.95, profile, H, **TOL)
     assert failed and state.fallbacks == 1
     assert not (redone.lu_reused or redone.warm_start)
     assert len(factors) == 2
@@ -184,7 +185,7 @@ def test_stagnation_on_reused_state_redoes_the_solve_cold(profile, factors, monk
 def test_balance_counts_the_solves_redone_cold(profile, monkeypatch):
     # the stagnating GMRES above, armed for the first solve of the balance
     # that starts with the factor of the solve before it
-    solve_at, gmres = solver.solve_at_separation, solver.gmres
+    balance_solve, gmres = _BalanceState.solve, solver.gmres
     armed = []
 
     def fails_once(A, b, **kwargs):
@@ -193,15 +194,15 @@ def test_balance_counts_the_solves_redone_cold(profile, monkeypatch):
             return np.zeros_like(b), 1
         return gmres(A, b, **kwargs)
 
-    def solve(params, d, profile, h, *, state, **opts):
+    def solve(state, params, d, profile, h, **opts):
         L = solver._domain_for(d, h)
         if (not armed and state.precond is not None
                 and state.spec == GridSpec(L, L, h, h, params.symmetry)):
             armed.append(False)
-        return solve_at(params, d, profile, h, state=state, **opts)
+        return balance_solve(state, params, d, profile, h, **opts)
 
     monkeypatch.setattr(solver, "gmres", fails_once)
-    monkeypatch.setattr(solver, "solve_at_separation", solve)
+    monkeypatch.setattr(_BalanceState, "solve", solve)
     res, _ = solve_balanced(PAIR, (8.0, 12.0), profile, h=0.5)
     assert armed == [True] and res.fallbacks == 1
 
@@ -211,11 +212,31 @@ def test_cold_solve_is_unchanged_by_the_state_plumbing(profile):
     p = PAIR.with_d(5.95)
     L = solver._domain_for(5.95, H)
     direct = solve_projected(p, *build_case(p, GridSpec(L, L, H, H, p.symmetry), profile))
-    fresh = solve_at_separation(PAIR, 5.95, profile, H, state=_BalanceState())
+    fresh = _BalanceState().solve(PAIR, 5.95, profile, H)
     for res in (direct, fresh):
         assert res.u.data.tobytes() == plain.u.data.tobytes()
         assert res.c_mult == plain.c_mult
         assert not (res.lu_reused or res.warm_start)
+
+
+def test_each_solve_enters_solve_projected_once(profile, monkeypatch):
+    # the cold solve does not call itself, so a wrapper on the module's
+    # solve_projected (the benchmark's tracer is one) sees each cold solve
+    # once, and each solve of a balance once
+    entries = []
+    projected = solver.solve_projected
+
+    def counted(*args, **kwargs):
+        entries.append(args[0].d)
+        return projected(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_projected", counted)
+    solve_at_separation(PAIR, 5.95, profile, H)
+    assert entries == [5.95]
+    entries.clear()
+    res, _ = solve_balanced(PAIR, (8.0, 12.0), profile, h=0.5)
+    assert entries == pytest.approx([rec[0] for rec in res.balance_history], rel=1e-15)
+    assert any(rec[3] for rec in res.balance_history)
 
 
 def test_balance_keeps_no_factor_alive(profile, factors):
@@ -253,11 +274,30 @@ def test_worse_warm_start_is_not_taken(profile):
     # a corrector that raises the residual above the ansatz's is ignored:
     # on a new grid the solve is then the cold solve, bit for bit
     state = _BalanceState()
-    solve_at_separation(PAIR, 5.9, profile, H, state=state)
+    state.solve(PAIR, 5.9, profile, H)
     noise = np.random.default_rng(3).standard_normal(state.corrector.data.shape)
     state.corrector = ComplexField(state.corrector.spec, noise.astype(complex))
-    moved = solve_at_separation(PAIR, 6.5, profile, H, state=state)
+    moved = state.solve(PAIR, 6.5, profile, H)
     cold = solve_at_separation(PAIR, 6.5, profile, H)
     assert not (moved.warm_start or moved.lu_reused) and state.fallbacks == 0
     assert moved.u.data.tobytes() == cold.u.data.tobytes()
     assert moved.c_mult == cold.c_mult
+
+
+def test_a_failed_cold_run_on_a_new_grid_is_not_redone(profile, monkeypatch):
+    # on a new grid, with the worse warm start above not taken, the failed
+    # run was the cold one: it raises at once, with no redo to count
+    state = _BalanceState()
+    state.solve(PAIR, 5.9, profile, H)
+    noise = np.random.default_rng(3).standard_normal(state.corrector.data.shape)
+    state.corrector = ComplexField(state.corrector.spec, noise.astype(complex))
+    runs = []
+
+    def stagnates(A, b, **kwargs):
+        runs.append(b.size)
+        return np.zeros_like(b), 1
+
+    monkeypatch.setattr(solver, "gmres", stagnates)
+    with pytest.raises(KrylovStagnationError):
+        state.solve(PAIR, 6.5, profile, H)
+    assert len(runs) == 1 and state.fallbacks == 0

@@ -190,7 +190,7 @@ def test_solve_projected_small_pair(profile):
     V = build_pair(p, spec, profile)
     Z = kernel_Zd(p, spec, profile)
     res = solve_projected(p, V, Z, newton_tol=1e-11)
-    assert res.converged and res.final_residual <= 1e-11
+    assert res.final_residual <= 1e-11
     assert res.newton_iters <= 15
     # parity of the solution is exact
     assert np.all(res.u.data[:, 0].imag == 0.0)
@@ -208,7 +208,7 @@ def test_loose_newton_tol_is_honoured(profile):
     # stops at its own tolerance, far above the default, and is accepted
     res = solve_at_separation(pair_params(eps=0.1), 10.0, profile, h=0.5,
                               newton_tol=1e-4)
-    assert res.converged and 1e-8 < res.final_residual <= 1e-4
+    assert 1e-8 < res.final_residual <= 1e-4
 
 
 def test_residual_above_newton_tol_is_not_accepted(profile):
@@ -229,8 +229,7 @@ def test_ring_solve_factors_each_system_once(profile, monkeypatch):
             return _splu(*args, **kwargs)
         monkeypatch.setattr(mod, "splu", counted)
     p = ModelParams(Regime.RING_SCH, 0.05, 0.0, 0.3)
-    res = solve_at_separation(p, p.d, profile, h=0.25)
-    assert res.converged
+    solve_at_separation(p, p.d, profile, h=0.25)
     assert [mod for mod, _ in calls].count("vortexflow.solver") == 1
     # V_d and the two rebuilds of Z_d share one phase factor
     assert [mod for mod, _ in calls].count("vortexflow.ansatz") == 1
@@ -302,7 +301,7 @@ def _same_bits(A, B):
 
 
 @pytest.mark.parametrize("tag", ["S1", "S2", "S3", "S4"])
-def test_reassembly_writes_values_into_one_structure(profile, tag):
+def test_assembly_is_the_coordinate_form_on_any_dof_map(profile, tag):
     p, spec = _tag_case(tag)
     V = build_ansatz(p, spec, profile)
     dm = _DofMap(spec)
@@ -546,6 +545,8 @@ def test_unusable_tolerances_are_rejected_before_the_case_is_built(profile, monk
     monkeypatch.setattr(solver, "build_case", lambda *args: built.append(args))
     with pytest.raises(ValueError):
         solve_at_separation(pair_params(eps=0.1), 10.0, profile, h=0.5, **tols)
+    with pytest.raises(ValueError):
+        solver.solve_balanced(pair_params(eps=0.1), (8.0, 12.0), profile, h=0.5, **tols)
     assert not built
 
 
@@ -665,25 +666,32 @@ def test_spacing_cap_keeps_the_direct_factor(profile):
 
 
 def test_a_cold_solve_trims_the_heap_once_its_state_is_gone(profile, monkeypatch):
-    # the cold solve trims after its state (and the preconditioner in it)
-    # is freed; a solve on a caller's state leaves that to the caller
+    # the cold solve trims once its preconditioner, the two-grid cycle or
+    # (h = 0.5) the direct factor, is freed; a balance's solve, whose state
+    # keeps the preconditioner for the next, does not
     if platform.libc_ver()[0] == "glibc":
         assert solver._MALLOC_TRIM is not None
-    states, live_at_trim = [], []
-    init = solver._BalanceState.__init__
+    preconds, live_at_trim = [], []
 
-    def tracked(self):
-        init(self)
-        states.append(weakref.ref(self))
+    def tracked(build):
+        def built(*args):
+            M, fill = build(*args)
+            preconds.append((build.__name__, weakref.ref(M)))
+            return M, fill
+        return built
 
-    monkeypatch.setattr(solver._BalanceState, "__init__", tracked)
-    monkeypatch.setattr(solver, "_release_freed_memory",
-                        lambda: live_at_trim.append(sum(r() is not None for r in states)))
-    p, d, h = _small_cases()[0]
-    solve_at_separation(p, d, profile, h=h)
-    assert len(states) == 1 and live_at_trim == [0]
-    solve_at_separation(p, d, profile, h=h, state=solver._BalanceState())
-    assert live_at_trim == [0]
+    for name in ("_two_grid", "_bordered_lu"):
+        monkeypatch.setattr(solver, name, tracked(getattr(solver, name)))
+    monkeypatch.setattr(solver, "_release_freed_memory", lambda: live_at_trim.append(
+        sum(r() is not None for _, r in preconds)))
+    p, d, _ = _small_cases()[0]
+    for h in (0.25, 0.5):
+        solve_at_separation(p, d, profile, h=h)
+    # the cycle's coarse solve is a `_bordered_lu` of its own
+    assert [name for name, _ in preconds] == ["_bordered_lu", "_two_grid", "_bordered_lu"]
+    assert live_at_trim == [0, 0]
+    solver._BalanceState().solve(p, d, profile, 0.25)
+    assert len(preconds) == 5 and live_at_trim == [0, 0]
 
 
 def test_failures_carry_the_applies_of_each_step(profile, monkeypatch):

@@ -15,6 +15,11 @@ blocks (box m = m_tautau - sum_j m_jj, |Dm|^2 = |m_tau|^2 - sum |m_j|^2).
 Blocks are evaluated on tensor grids: each (t, tau) slice is one
 evaluation of U on the product of its distinct a (s_1 or r) and
 traveling-coordinate values, and each stencil runs on the interior only.
+U's tensor-product spline is evaluated separably (de Boor, A Practical
+Guide to Splines, ch. XVII): the slices of a block share their a-axis
+and differ only by the shift of the traveling coordinate, so the spline
+is contracted along a once per block, and each slice is then one complex
+1-D spline evaluation along the traveling coordinate.
 pde_residual never holds a whole block: it walks the interior (t, tau)
 points and keeps only a small window of the slices their stencils read,
 sampling each slice once and dropping it after its last reader; the four
@@ -28,7 +33,7 @@ this form, verified by the refinement studies in the test suite.
 import math
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
+from scipy.interpolate import BSpline, RectBivariateSpline
 
 from .ansatz import ModelParams
 from .fields import ComplexField
@@ -37,6 +42,8 @@ from .stereo import unproject_array
 
 RESIDUAL_NT = 5              # time samples of a Schrodinger-flow residual block
 RESIDUAL_CORE_MARGIN = 2.0   # excluded core radius, in cells of max(ds, h)
+RESIDUAL_PIECE = 8192        # points of the slice interior per _slice_residual call
+SPLINE_K = 5                 # degree of the field's spline on both axes
 
 
 class UnscaledField:
@@ -45,16 +52,24 @@ class UnscaledField:
 
     The field is interpolated by a quintic spline built on the reflected
     plane, which gives the C^4 smoothness that finite-difference residual
-    blocks need."""
+    blocks need.  FITPACK fits the real and imaginary parts on the same
+    knots; the evaluator keeps their coefficients as one complex array C
+    and evaluates the tensor product in two contractions with
+    scipy.interpolate.BSpline: C along the a-axis (the first argument),
+    then the result along the stretched traveling coordinate."""
 
     def __init__(self, u: ComplexField, params: ModelParams):
         c = params.c
         self.u = u
         self.stretch = 1.0 / math.sqrt(1.0 - c * c)
         x1, x2, ext = full_plane_data(u)
-        self._sre = RectBivariateSpline(x1, x2, ext.real, kx=5, ky=5, s=0)
-        self._sim = RectBivariateSpline(x1, x2, ext.imag, kx=5, ky=5, s=0)
+        # with s = 0 the knots depend only on the axes, so both parts share them
+        fit = dict(kx=SPLINE_K, ky=SPLINE_K, s=0)
+        self._ta, self._tb, c_re = RectBivariateSpline(x1, x2, ext.real, **fit).tck
+        c_im = RectBivariateSpline(x1, x2, ext.imag, **fit).tck[2]
+        self._coef = (c_re + 1j * c_im).reshape(self._ta.size - SPLINE_K - 1, -1)
         self._lim = (x1[0], x1[-1], x2[0], x2[-1])
+        self._kept = None   # (a_axis, its contraction) of the last on_grid call
 
     def _stretched(self, a, b):
         """(a, b / sqrt(1-c^2)), checked against the spline's domain."""
@@ -65,17 +80,40 @@ class UnscaledField:
             raise ValueError("query outside the covered domain")
         return a, bh
 
+    def _contract_a(self, a_axis):
+        """C contracted along the a-axis at each of a_axis: the traveling
+        coordinate's spline coefficients of U(a, .), one column per a,
+        shape (n_b coefficients, len(a_axis))."""
+        rows = BSpline.construct_fast(self._ta, self._coef, SPLINE_K)(a_axis)
+        return np.ascontiguousarray(rows.T)
+
     def __call__(self, a, b):
-        """Evaluate at s~ = (a, b); b is the traveling coordinate."""
-        a, bh = self._stretched(a, b)
-        return self._sre(a, bh, grid=False) + 1j * self._sim(a, bh, grid=False)
+        """Evaluate at s~ = (a, b); b is the traveling coordinate.  The
+        same two contractions as on_grid (one column per distinct a), with
+        the traveling coordinate's taps summed in BSpline's order, so a
+        point has the bits of its on_grid value."""
+        a, bh = np.broadcast_arrays(*self._stretched(a, b))
+        a_axis, a_inv = np.unique(a, return_inverse=True)
+        coef_b = self._contract_a(a_axis)
+        basis = BSpline.design_matrix(bh.ravel(), self._tb, SPLINE_K)
+        taps = basis.indices.reshape(-1, SPLINE_K + 1)
+        weights = basis.data.reshape(-1, SPLINE_K + 1)
+        cols = a_inv.ravel()
+        out = np.zeros(bh.size, dtype=complex)
+        for k in range(SPLINE_K + 1):
+            out = out + coef_b[taps[:, k], cols] * weights[:, k]
+        return out.reshape(a.shape)
 
     def on_grid(self, a_axis, b_axis):
         """U on the tensor product of two increasing axes, shape
-        (len(a_axis), len(b_axis)): the spline computes each axis's
-        B-spline basis once instead of once per point."""
+        (len(a_axis), len(b_axis)).  The a-axis contraction is kept, so
+        the slices of a block, which share their a-axis, contract it
+        once; each call is one complex 1-D spline evaluation along the
+        traveling coordinate."""
         a, bh = self._stretched(a_axis, b_axis)
-        return self._sre(a, bh) + 1j * self._sim(a, bh)
+        if self._kept is None or not np.array_equal(self._kept[0], a):
+            self._kept = (a.copy(), self._contract_a(a))
+        return BSpline.construct_fast(self._tb, self._kept[1], SPLINE_K)(bh).T
 
 
 def unscale(u: ComplexField, params: ModelParams, mode="spline") -> UnscaledField:
@@ -92,7 +130,8 @@ def sample_block(U: UnscaledField, params: ModelParams, t_axis, tau_axis, s_axes
     Each (t, tau) slice is one tensor-grid evaluation of U over the
     distinct values of a (s1 for a pair, the radius hypot(s1, s2) for a
     ring) and of the traveling coordinate; the pointwise sphere map is
-    applied on that grid, and m is gathered back onto the block.
+    applied on that grid, and m is gathered back onto the block along
+    each axis whose values are not already sorted and distinct.
 
     Returns m with shape (nt, ntau, *spatial, 3)."""
     t_axis = np.atleast_1d(np.asarray(t_axis, dtype=float))
@@ -104,16 +143,26 @@ def sample_block(U: UnscaledField, params: ModelParams, t_axis, tau_axis, s_axes
     else:
         a = s_axes[0]
     a_axis, a_inv = np.unique(a, return_inverse=True)
-    m = np.empty((t_axis.size, tau_axis.size) + spatial_shape + (3,))
+    a_gather = not np.array_equal(a_axis, a)
+    shape = (t_axis.size, tau_axis.size) + spatial_shape + (3,)
+    m = None   # allocated once the first slice's temporaries are freed
     for it, t in enumerate(t_axis):
         for jt, tau in enumerate(tau_axis):
             shift = params.c * tau + params.omega * t
             phase = complex(math.cos(tau), math.sin(tau))
-            b_axis, b_inv = np.unique(s_axes[-1] - shift, return_inverse=True)
+            b = s_axes[-1] - shift
+            b_axis, b_inv = np.unique(b, return_inverse=True)
             m_grid = unproject_array(U.on_grid(a_axis, b_axis) * phase)
-            m[it, jt] = m_grid.take(a_inv, axis=0).take(b_inv, axis=1).reshape(
-                spatial_shape + (3,))
-    return m
+            if not np.array_equal(b_axis, b):
+                m_grid = m_grid.take(b_inv, axis=1)
+            if m is None:
+                m = np.empty(shape)
+            m_slice = m[it, jt].reshape(a.size, b.size, 3)
+            if a_gather:
+                np.take(m_grid, a_inv, axis=0, out=m_slice, mode="clip")
+            else:
+                m_slice[...] = m_grid
+    return np.empty(shape) if m is None else m
 
 
 def _interior(m, axis=0, k=0):
@@ -125,30 +174,69 @@ def _interior(m, axis=0, k=0):
     return m[tuple(sl)]
 
 
-def _sq3(x):
-    """|x|^2 over the length-3 last axis, summed left to right: the same
-    bits as (x**2).sum(-1), without numpy's slow small-axis reduce."""
-    return x[..., 0]**2 + x[..., 1]**2 + x[..., 2]**2
+def _residual_buffers(shape):
+    """Work arrays of _slice_residual for an interior piece of at most
+    `shape`: three (..., 3) vectors and three scalars."""
+    return tuple(np.empty(shape + (3,)) for _ in range(3)) + tuple(
+        np.empty(shape) for _ in range(3))
 
 
-def _slice_residual(ds, m_lo, m, m_hi, m_prev=None, m_next=None):
-    """|R| on the spatial interior of one interior (t, tau) slice m, from
-    its tau neighbours m_lo, m_hi and, for a Schrodinger flow, its t
-    neighbours m_prev, m_next (None for a wave map).  Every step is
-    elementwise, in the order a stencil over the whole block takes."""
+def _sq3(x, out, tmp):
+    """|x|^2 over the length-3 last axis into `out`, summed left to right
+    through the work array `tmp`: the same bits as (x**2).sum(-1),
+    without numpy's slow small-axis reduce or its temporaries."""
+    np.multiply(x[..., 0], x[..., 0], out=out)
+    np.multiply(x[..., 1], x[..., 1], out=tmp)
+    np.add(out, tmp, out=out)
+    np.multiply(x[..., 2], x[..., 2], out=tmp)
+    np.add(out, tmp, out=out)
+    return out
+
+
+def _slice_residual(ds, bufs, out, m_lo, m, m_hi, m_prev=None, m_next=None):
+    """|R| into `out` on the spatial interior of one interior (t, tau)
+    slice m, from its tau neighbours m_lo, m_hi and, for a Schrodinger
+    flow, its t neighbours m_prev, m_next (None for a wave map).  The
+    slices may be a run of rows of the first spatial axis (with one halo
+    row on each side), so `out` is a piece of the interior; `bufs`
+    (_residual_buffers) holds at least its rows.  Every step is
+    elementwise, in the order a stencil over the whole block takes
+    (np.cross's order for the cross product), so the bits depend neither
+    on the buffers nor on the pieces."""
+    ds2, two_ds = ds**2, 2.0 * ds
+    two_mc, box, vec, dm2, sq, tmp = (b[:out.shape[0]] for b in bufs)
     mc = _interior(m)
-    box = (_interior(m_hi) - 2.0 * mc + _interior(m_lo)) / ds**2
+    np.multiply(2.0, mc, out=two_mc)
+    np.subtract(_interior(m_hi), two_mc, out=box)
+    np.add(box, _interior(m_lo), out=box)
+    np.divide(box, ds2, out=box)
     for k in range(m.ndim - 1):
-        box = box - (_interior(m, k, 1) - 2.0 * mc + _interior(m, k, -1)) / ds**2
-    dm2 = _sq3((_interior(m_hi) - _interior(m_lo)) / (2.0 * ds))
+        np.subtract(_interior(m, k, 1), two_mc, out=vec)
+        np.add(vec, _interior(m, k, -1), out=vec)
+        np.divide(vec, ds2, out=vec)
+        np.subtract(box, vec, out=box)
+    np.subtract(_interior(m_hi), _interior(m_lo), out=vec)
+    np.divide(vec, two_ds, out=vec)
+    _sq3(vec, dm2, tmp)
     for k in range(m.ndim - 1):
-        dm2 = dm2 - _sq3((_interior(m, k, 1) - _interior(m, k, -1)) / (2.0 * ds))
-    core_term = box + dm2[..., None] * mc
+        np.subtract(_interior(m, k, 1), _interior(m, k, -1), out=vec)
+        np.divide(vec, two_ds, out=vec)
+        np.subtract(dm2, _sq3(vec, sq, tmp), out=dm2)
+    np.multiply(dm2[..., None], mc, out=vec)
+    core = np.add(box, vec, out=box)
     if m_prev is None:
-        R = core_term
+        R = core
     else:
-        R = (_interior(m_next) - _interior(m_prev)) / (2.0 * ds) - np.cross(core_term, mc)
-    return np.sqrt(_sq3(R))
+        # R = dm/dt - core x mc
+        R = vec
+        np.subtract(_interior(m_next), _interior(m_prev), out=R)
+        np.divide(R, two_ds, out=R)
+        for j, (p, q) in enumerate(((1, 2), (2, 0), (0, 1))):
+            np.multiply(core[..., p], mc[..., q], out=sq)
+            np.multiply(core[..., q], mc[..., p], out=tmp)
+            np.subtract(sq, tmp, out=sq)
+            np.subtract(R[..., j], sq, out=R[..., j])
+    return np.sqrt(_sq3(R, out, tmp), out=out)
 
 
 def pde_residual(params: ModelParams, U: UnscaledField, center, ds,
@@ -234,9 +322,15 @@ def pde_residual(params: ModelParams, U: UnscaledField, center, ds,
         return window[key]
 
     rnorm = np.empty((t_int.size, tau_int.size) + tuple(ax.size for ax in s_int))
+    # |R| in pieces of whole rows of the first spatial axis, small enough
+    # that the work arrays stay in cache
+    rows = max(1, RESIDUAL_PIECE // math.prod(rnorm.shape[3:]))
+    bufs = _residual_buffers((min(rows, rnorm.shape[2]),) + rnorm.shape[3:])
     for n, (it, jt) in enumerate(points):
-        rnorm[divmod(n, tau_int.size)] = _slice_residual(
-            ds, *(slice_at(key) for key in stencil(it, jt)))
+        out = rnorm[divmod(n, tau_int.size)]
+        ms = [slice_at(key) for key in stencil(it, jt)]
+        for r in range(0, out.shape[0], rows):
+            _slice_residual(ds, bufs, out[r:r + rows], *(m[r:r + rows + 2] for m in ms))
         for key in stencil(it, jt):
             if last_reader[key] == n:
                 del window[key]

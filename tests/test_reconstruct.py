@@ -3,7 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.interpolate import BSpline
 
 from vortexflow import reconstruct
 from vortexflow.ansatz import ModelParams, Regime, build_ansatz, build_pair
@@ -181,6 +182,8 @@ _time = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3)
 
 @settings(deadline=None, max_examples=60)
 @given(t_axis=_time, tau_axis=_time, s_axes=st.lists(_axis, min_size=2, max_size=3))
+# an unsorted traveling axis of distinct values, which still needs its gather
+@example(t_axis=[0.0], tau_axis=[0.0], s_axes=[[-3.0], [-2.75, -3.0]])
 def test_sample_block_matches_pointwise_bitwise(small_field, t_axis, tau_axis, s_axes):
     U = small_field
     m = sample_block(U, SMALL_SCH, t_axis, tau_axis, s_axes)
@@ -206,27 +209,46 @@ def test_tensor_grid_rejects_queries_outside_domain(small_field):
         sample_block(U, SMALL_SCH, [0.0], [0.0], [np.array([1.0]), np.array([8.5])])
 
 
-def test_sample_block_one_grid_evaluation_per_slice(small_field):
-    U = small_field
+class _CountingBSpline(BSpline):
+    """BSpline that records, for each evaluation, which of U's knot
+    vectors it runs on ("a" or "b") and the shape of its output."""
+    knots = {}
     calls = []
-    sre = U._sre
 
-    def counting(a, b, **kw):
-        calls.append(np.size(a) * np.size(b) if kw.get("grid", True) else np.size(a))
-        return sre(a, b, **kw)
+    def __call__(self, x, *args, **kwargs):
+        out = super().__call__(x, *args, **kwargs)
+        axis = [name for name, t in self.knots.items() if self.t is t]
+        self.calls.append((*axis, out.shape))
+        return out
 
+
+@pytest.fixture
+def counting_bspline(monkeypatch):
+    """Install _CountingBSpline in reconstruct; returns a function that
+    names the knots of a given evaluator and returns the list of calls."""
+    monkeypatch.setattr(reconstruct, "BSpline", _CountingBSpline)
+    monkeypatch.setattr(_CountingBSpline, "calls", [])
+
+    def watch(U):
+        monkeypatch.setattr(_CountingBSpline, "knots", {"a": U._ta, "b": U._tb})
+        return _CountingBSpline.calls
+    return watch
+
+
+def test_sample_block_one_grid_evaluation_per_slice(small_field, counting_bspline):
+    # the block's radii are contracted once; each (t, tau) slice is one
+    # complex spline evaluation along the traveling coordinate
+    U = unscale(small_field.u, SMALL_SCH)
+    calls = counting_bspline(U)
     ds = 0.25
     s1 = 3.0 + ds * np.arange(8)
     s2 = ds * np.arange(-2, 3)
     s3 = ds * np.arange(-4, 4)
     radii = np.unique(np.hypot(s1[:, None], s2[None, :]))
     assert radii.size == 8 * 3
-    try:
-        U._sre = counting
-        sample_block(U, SMALL_SCH, [0.0, 0.5], [0.0, 0.25, 0.5], [s1, s2, s3])
-    finally:
-        U._sre = sre
-    assert calls == [radii.size * s3.size] * (2 * 3)
+    sample_block(U, SMALL_SCH, [0.0, 0.5], [0.0, 0.25, 0.5], [s1, s2, s3])
+    assert calls == ([("a", (radii.size, U._coef.shape[1]))]
+                     + [("b", (s3.size, radii.size))] * (2 * 3))
 
 
 def test_pde_residual_fixed_blocks(profile):
@@ -237,13 +259,20 @@ def test_pde_residual_fixed_blocks(profile):
     p = ModelParams(Regime.PAIR_SCH, 0.2, 0.25, 2.0)
     U = unscale(build_ansatz(p, GridSpec(20.0, 20.0, 0.25, 0.25, Symmetry.PAIR), profile),
                 p, "spline")
-    assert pde_residual(p, U, (10.0, 0.0), 0.125, nspace=16, ntau=5) == {
-        "l2": 0.011460691494805837, "sup": 0.041259095714887443, "n_samples": 1296}
+    # The pinned bits are those of the BSpline evaluation; the approx
+    # values are FITPACK's bispev on the same coefficients, which rounds
+    # differently (at most 7.4e-13 relative here).
+    pair = pde_residual(p, U, (10.0, 0.0), 0.125, nspace=16, ntau=5)
+    assert pair == {"l2": 0.011460691494805877, "sup": 0.0412590957148571, "n_samples": 1296}
+    assert pair == {"l2": pytest.approx(0.011460691494805837, rel=1e-12),
+                    "sup": pytest.approx(0.041259095714887443, rel=1e-12), "n_samples": 1296}
     p = ModelParams(Regime.RING_SCH, 0.2, 0.0, 1.0)
     U = unscale(build_ansatz(p, GridSpec(10.0, 10.0, 0.25, 0.25, Symmetry.RING), profile),
                 p, "spline")
-    assert pde_residual(p, U, (5.0, 0.0, 0.0), 0.125, nspace=(12, 5, 12), ntau=5) == {
-        "l2": 0.07346434524156059, "sup": 0.6211465571068013, "n_samples": 1296}
+    ring = pde_residual(p, U, (5.0, 0.0, 0.0), 0.125, nspace=(12, 5, 12), ntau=5)
+    assert ring == {"l2": 0.07346434524156106, "sup": 0.6211465571068082, "n_samples": 1296}
+    assert ring == {"l2": pytest.approx(0.07346434524156059, rel=1e-12),
+                    "sup": pytest.approx(0.6211465571068013, rel=1e-12), "n_samples": 1296}
 
 
 # -- streamed space-time residual ---------------------------------------------
@@ -354,6 +383,20 @@ def test_pde_residual_matches_full_block_bitwise(residual_fields, case, ntau, ns
     assert pde_residual(*args) == ref
 
 
+@pytest.mark.parametrize("case", ["pair_wm", "pair_sch", "ring_sch"])
+def test_pde_residual_pieces_keep_the_bits(residual_fields, monkeypatch, case):
+    # |R| computed one row at a time, or in pieces of rows that do not
+    # divide the interior, has the bits of one piece per slice
+    p = RESIDUAL_CASES[case][0]
+    center, nspace = ((p.d + 1.0, 0.0, 0.0), (10, 4, 10)) if p.is_ring else ((p.d + 1.0, 0.0), 12)
+    ref = pde_residual(p, residual_fields[case], center, 0.125, nspace=nspace, ntau=5)
+    row = 2 * 8 if p.is_ring else 10
+    for piece in (1, 3 * row):
+        monkeypatch.setattr(reconstruct, "RESIDUAL_PIECE", piece)
+        assert pde_residual(p, residual_fields[case], center, 0.125, nspace=nspace,
+                            ntau=5) == ref
+
+
 def test_pde_residual_samples_no_corner_slice(residual_fields, monkeypatch):
     # a Schrodinger block reads 21 of its 5 x 5 (t, tau) slices, each once
     seen = []
@@ -368,6 +411,14 @@ def test_pde_residual_samples_no_corner_slice(residual_fields, monkeypatch):
                  nspace=(8, 3, 8), ntau=5)
     corners = {(t, tau) for t in (-2 * ds, 2 * ds) for tau in (-2 * ds, 2 * ds)}
     assert len(seen) == len(set(seen)) == 21 and not corners & set(seen)
+
+
+def test_pde_residual_contracts_its_a_axis_once(residual_fields, counting_bspline):
+    # the 21 slices of a Schrodinger block share one a-axis contraction
+    U = unscale(residual_fields["ring_sch"].u, RING_SCH)
+    calls = counting_bspline(U)
+    pde_residual(RING_SCH, U, (6.0, 0.0, 0.0), 0.125, nspace=(8, 3, 8), ntau=5)
+    assert [axis for axis, _ in calls] == ["a"] + ["b"] * 21
 
 
 def test_pde_residual_peak_memory_below_full_block(residual_fields):

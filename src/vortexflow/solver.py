@@ -16,13 +16,14 @@ The projected problem S[u] = c Z_d with Re<u - V_d, Z_d>_W = 0 (weight
 W = (1+|V_d|^2)^-2) is solved by damped Newton on the bordered system
 (unknowns u on the quarter grid plus the scalar c).  Inner linear
 solves are the module's flexible GMRES (`gmres`) on the analytic
-Jacobian at the current iterate, right-preconditioned by a
-single-precision LU factorization of a bordered Jacobian frozen at the
-ansatz.  The Krylov basis, the Jacobian products and the true residual
-b - A x that ends every restart cycle are float64, so the float32
-factor sets how fast an inner solve converges, not how far, and the
-factor's values take half the memory of a float64 factor with the same
-fill.
+Jacobian at the current iterate, right-preconditioned in single
+precision: by a V-cycle whose coarsest level is the LU factorization of
+a bordered Jacobian frozen at the ansatz, or by that factor alone.  The
+Krylov basis, the Jacobian products and the true residual b - A x that
+ends every restart cycle are float64, so the float32 preconditioner
+sets how fast an inner solve converges, not how far, and its arrays
+take half the memory of float64 ones (Abdelfattah et al., Int. J. High
+Perform. Comput. Appl. 35, 2021).
 
 Each inner solve goes only as far as its Newton step needs: step k
 stops at relative residual eta_k = max(krylov_tol, min(KRYLOV_FORCING_MAX,
@@ -35,32 +36,41 @@ the last step from oversolving: it asks only for the reduction that
 brings the residual to about half of newton_tol, so a solve ends at or
 below newton_tol rather than far below it.  `krylov_tol` is the floor,
 the tightest tolerance any inner solve is asked for.  The benchmark's
-ring solve takes 13 two-grid cycles (2, 5, 6) over its 3 Newton steps,
-against 18 (2, 5, 11) without the safeguard and 39 with every step
-solved to krylov_tol = 1e-10; its pair balance takes 46 cycles over its
-10 steps.
+ring solve takes 17 V-cycles (2, 5, 10) over its 3 Newton steps; with
+the two-grid cycle it took 13 (2, 5, 6), against 18 (2, 5, 11) without
+the safeguard and 39 with every step solved to krylov_tol = 1e-10.  Its
+pair balance takes 46 cycles over its 10 steps.
 
 Which bordered system is factored depends on the grid alone.  A grid
-whose spacing can double (2 max(h1, h2) <= MAX_SPACING) factors the
-same case at 2h, inside a two-grid cycle (`_two_grid`): damped Jacobi
-sweeps on the fine rows around a coarse correction by that factor.
-Only a grid whose spacing cannot double factors its own bordered system
-(`_bordered_lu`), which is also the cycle's coarse solve.  On the
-benchmark's ring grid (293k unknowns) the coarse factor holds 6.90M
-entries in L + U and takes 0.4 s, where the fine one held 34.62M and
-took 2 s.  Under the forcing term a Newton step takes 1 to 7 cycles, so
-the cheap coarse factor wins at every grid size; single cold solves
-(2 CPUs, one BLAS thread, best of 3), direct factor -> two-grid cycle:
+whose spacing can double (2 max(h1, h2) <= MAX_SPACING) is
+preconditioned by a V-cycle (`_two_grid`): damped Jacobi sweeps on the
+fine rows around a coarse correction by the same case at 2h, which is
+the same cycle again wherever that grid's spacing can double too.  So
+every solve factors one bordered system (`_bordered_lu`), on the grid
+whose spacing cannot double (`_coarsest_spec`, h = 0.5): the cycle's
+coarsest level, or the solve's own grid.  Every level of the cycle runs
+in float32.  On the benchmark's ring grid (h = 0.125, 293k unknowns) the
+factor holds 1.30M entries in L + U and takes 0.08 s; the two-grid
+cycle's h = 0.25 factor held 6.90M and took 0.4 s, and the fine grid's
+own held 34.62M and took 2 s.  Under the forcing term a Newton step
+takes 1 to 10 cycles, so the cheap factor wins at every grid size;
+single cold solves (2 CPUs, one BLAS thread, best of 3; the two
+smallest, best of 18), direct factor -> float64 two-grid cycle (h = 0.25
+factor) -> float32 V-cycle:
 
-    pair d 8.125 (n1 65)                         0.083 -> 0.061 s
-    pair d 12 (n1 96)                            0.187 -> 0.090 s
-    pair d 16 (n1 128)                           0.220 -> 0.134 s
-    pair d 26 (n1 208)                           0.791 -> 0.545 s
-    pair_sch eps 0.2, kappa 0.25, h 0.125 (n1 160)  0.520 -> 0.311 s
-    ring d 6 (n1 48)                             0.056 -> 0.049 s
-    ring d 22.75 (n1 182)                        0.741 -> 0.461 s
+    pair d 8.125 (n1 65)                            0.066 -> 0.070 -> 0.053 s
+    pair d 12 (n1 96)                               0.163 -> 0.145 -> 0.108 s
+    pair d 16 (n1 128)                              0.365 -> 0.244 -> 0.165 s
+    pair d 26 (n1 208)                              1.057 -> 0.609 -> 0.512 s
+    pair_sch eps 0.2, kappa 0.25, h 0.125 (n1 160)  0.588 -> 0.418 -> 0.331 s
+    ring d 6 (n1 48)                                0.075 -> 0.068 -> 0.059 s
+    ring d 22.75 (n1 182)                           0.899 -> 0.513 -> 0.428 s
+    ring d 24, h 0.125 (n1 384)                     4.514 -> 2.586 -> 1.944 s
 
-with the same Newton steps and c_mult within 2.1e-8 relative.
+with c_mult within 2.1e-8 relative.  Every row takes the same Newton
+steps on all three but pair_sch, whose V-cycle solve takes 4 where the
+others take 3: its third step starts at 4.5e-5, where the forcing term
+asks for ||F_k||, and ends at 1.5e-9.
 
 A solve is accepted iff its Newton residual ends at or below
 newton_tol (default NEWTON_TOL); otherwise it raises
@@ -73,11 +83,11 @@ the factor was made on.
 Pair and ring operators share one stencil of six arms: the ring's H1
 couples the targets of the Laplacian's two x1 arms and is added to
 their coefficients.  Newton applies the Jacobian matrix-free from the
-arm coefficients (`_Jacobian`), for every GMRES product and for the
-two-grid smoother's sweeps and diagonal (Knoll & Keyes, J. Comput.
+arm coefficients (`_Jacobian`), for every GMRES product and, from a
+complex64 copy, for the V-cycle's sweeps (Knoll & Keyes, J. Comput.
 Phys. 193, 2004).  A sparse matrix is assembled only to be factored
 (`assemble_jacobian`, one coordinate-format build): the direct factor
-at V_d, once per grid, or the two-grid cycle's 2h case.  The bordered
+at V_d, once per grid, or the V-cycle's h = 0.5 case.  The bordered
 matrix appends its row and column to that matrix's CSC arrays.  On the
 benchmark's ring grid a stencil product takes about 6.5 ms against the
 fine CSC matrix's 5.3 ms, and the fine matrix (34.6 MiB) and its build
@@ -109,7 +119,8 @@ Each of its solves still enters `solve_at_separation` and
 import ctypes
 import math
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -143,8 +154,8 @@ GMRES_MAXITER = 16
 # ceiling of the forcing term `_forcing_term`, the relative residual a
 # Newton step's GMRES is asked for
 KRYLOV_FORCING_MAX = 0.1
-# damping and sweeps on each side of the two-grid cycle's point-Jacobi
-# smoother
+# damping and sweeps on each side of the V-cycle's point-Jacobi smoother
+# (`_two_grid`), at every level
 JACOBI_OMEGA = 0.9
 JACOBI_SWEEPS = 2
 # glibc's malloc_trim (see `_release_freed_memory`), None where the C
@@ -187,10 +198,12 @@ class SolveResult:
     c_mult: float
     newton_iters: int
     final_residual: float
-    corrector_norm_star: float
     d_used: float
-    # preconditioner applies (LU solves or two-grid cycles) of each Newton
-    # step's GMRES solve
+    # the case's ansatz and parameters, which `corrector_norm_star` reads
+    V_d: ComplexField = field(repr=False, compare=False)
+    params: ModelParams = field(repr=False, compare=False)
+    # preconditioner applies (LU solves or V-cycles) of each Newton step's
+    # GMRES solve
     krylov_iters: tuple = ()
     # Newton residual at the start and after each step, newton_iters + 1
     # values ending at final_residual; a step the line search rejects
@@ -202,15 +215,24 @@ class SolveResult:
     warm_start: bool = False
     # nnz(L+U) of the bordered factor this solve made, 0 when it reused one
     lu_fill: int = 0
-    # per-side point count of the grid that factor was made on:
-    # ceil(n1 / 2) for the two-grid cycle's coarse one (every grid whose
-    # spacing can double), u.spec.n1 for the direct factor (a grid whose
-    # spacing cannot), 0 when the solve reused a factor
+    # per-side point count of the grid that factor was made on: the
+    # V-cycle's coarsest grid (`_coarsest_spec`, h = 0.5) where the solve's
+    # spacing can double, u.spec.n1 for the direct factor where it cannot,
+    # 0 when the solve reused a factor
     lu_n1: int = 0
     # solve_balanced only: one (d, c, n1, lu_reused, warm_start) per solve,
     # and the count of solves redone cold after failing on reused state
     balance_history: tuple = ()
     fallbacks: int = 0
+
+    @cached_property
+    def corrector_norm_star(self):
+        """`diagnostics.corrector_norms(u, V_d, params)["star"]`, computed
+        on the first read: a balance returns one of its solves, and most
+        callers never read it."""
+        from .diagnostics import corrector_norms
+
+        return corrector_norms(self.u, self.V_d, self.params)["star"]
 
 
 def _check_tag(u, tag, params):
@@ -341,11 +363,27 @@ class _Jacobian:
     of `fields.diff_ops` (even across x1 = 0, conjugated across x2 = 0;
     the Dirichlet layer is zero), applies the six-arm stencil and packs
     the result: the product of `assemble_jacobian`'s matrix, up to
-    rounding.  `diagonal()` is that matrix's diagonal, to the bit."""
+    rounding, in the precision of the coefficients.  `diagonal()` is
+    that matrix's diagonal, to the bit.  `single()` is the same Jacobian
+    with complex64 coefficients, for the sweeps of `_two_grid`."""
 
     def __init__(self, u: ComplexField, tag: str, params: ModelParams, dm: _DofMap):
         self.gammas = _arm_coefficients(u, tag, params, dm)
         self.dm = dm
+        self._single = None
+
+    def single(self):
+        """This Jacobian with complex64 coefficients: made on the first
+        call and kept by this one, so it is freed with it; itself when its
+        coefficients are complex64 already."""
+        if self.gammas[0].dtype == np.complex64:
+            return self
+        if self._single is None:
+            J = object.__new__(_Jacobian)
+            J.gammas = [g.astype(np.complex64) for g in self.gammas]
+            J.dm, J._single = self.dm, None
+            self._single = J
+        return self._single
 
     def _blocks(self):
         m1, m2 = self.dm.spec.n1 - 1, self.dm.spec.n2 - 1
@@ -355,7 +393,7 @@ class _Jacobian:
         dm = self.dm
         m1, m2 = dm.spec.n1 - 1, dm.spec.n2 - 1
         # the unknowns at [1:-1, 1:-1], ghost rows at 0, Dirichlet at -1
-        v = np.zeros((m1 + 2, m2 + 2), dtype=complex)
+        v = np.zeros((m1 + 2, m2 + 2), dtype=self.gammas[0].dtype)
         v.real[1:-1, 1:-1] = x[: dm.n_re].reshape(m1, m2)
         v.imag[1:-1, 2:-1] = x[dm.n_re:].reshape(m1, m2 - 1)
         v[0, 1:-1] = v[2, 1:-1]
@@ -465,8 +503,8 @@ def _arm_coefficients(u: ComplexField, tag: str, params: ModelParams, dm: _DofMa
 
 def _bordered_lu(P, dm, z_col, grad_con):
     """Single-precision LU of B = [[P, -z], [g^T, 0]] in the elimination
-    order `dm.order()`; returns (M, nnz(L+U)), where M maps a float64
-    vector v to the float64 B^-1 v of that factor.  M also takes the
+    order `dm.order()`; returns (M, nnz(L+U)), where M maps a vector v
+    to the B^-1 v of that factor in v's precision.  M also takes the
     Jacobian of the Newton step it serves, as `_two_grid`'s cycle does,
     and does not use it.
 
@@ -546,43 +584,78 @@ def _prolongation(dm, dm_c):
     return block_diag([P_re, P_im], format="csr")
 
 
+def _preconditioner(J, dm, z_col, grad_con, V_d, Z_d, params):
+    """(M, nnz(L+U)) for the bordered system of the case (V_d, Z_d) on
+    `dm`, whose Jacobian at V_d is J: the cycle `_two_grid` where the
+    grid's spacing can double (`_can_double`: 2 max(h1, h2) <=
+    MAX_SPACING), else the direct `_bordered_lu`."""
+    if _can_double(dm.spec):
+        return _two_grid(J, dm, z_col, grad_con, V_d, Z_d, params)
+    return _bordered_lu(assemble_jacobian(V_d, params.tag, params, dm, J.gammas),
+                        dm, z_col, grad_con)
+
+
+def _can_double(spec):
+    return 2.0 * max(spec.h1, spec.h2) <= MAX_SPACING
+
+
+def _coarsest_spec(spec):
+    """The grid `_preconditioner` factors for `spec`: its spacing doubled
+    while it can double."""
+    while _can_double(spec):
+        spec = _coarse_spec(spec)
+    return spec
+
+
 def _two_grid(J, dm, z_col, grad_con, V_d, Z_d, params):
-    """Two-grid cycle for the bordered system B = [[J, -z], [g^T, 0]];
-    returns (M, nnz(L+U)) like `_bordered_lu`, where M(v, J) applies the
-    cycle for the Newton step whose Jacobian is J.
+    """One level of the V-cycle for the bordered system
+    B = [[J, -z], [g^T, 0]]; returns (M, nnz(L+U)) like `_bordered_lu`,
+    where M(v, J) applies the cycle for the Newton step whose Jacobian
+    is J, in v's precision.
 
     The cycle makes JACOBI_SWEEPS damped point-Jacobi sweeps on the u
-    rows (none on c), corrects by the bordered LU of the same case at
-    2h, and makes JACOBI_SWEEPS more sweeps (Briggs, Henson & McCormick,
-    A Multigrid Tutorial, 2000).  The coarse case is V_d and Z_d
-    injected onto `_coarse_spec`, with its Jacobian assembled there.  The
-    transfers are the bilinear `_prolongation` P and R = P^T / 4, and c
-    maps to itself: each border row weights Z by its own grid's cell, so
-    the two rows are the same integral.  The sweeps take their products
-    with the step's J and their diagonal from the J given here (the
-    ansatz's `_Jacobian`), so no fine matrix is ever assembled."""
+    rows (none on c), corrects by the same case at 2h, and makes
+    JACOBI_SWEEPS more sweeps (Briggs, Henson & McCormick, A Multigrid
+    Tutorial, 2000, ch. 3).  The coarse case is V_d and Z_d injected onto
+    `_coarse_spec`, solved by `_preconditioner`: the same cycle where
+    that grid's spacing can double again, so a solve factors only its
+    `_coarsest_spec` grid, at h = 0.5.  Each coarse level sweeps with the
+    `_Jacobian` of its injected ansatz.  The transfers are the bilinear
+    `_prolongation` P and R = P^T / 4, and c maps to itself: each border
+    row weights Z by its own grid's cell, so the two rows are the same
+    integral.  The fine sweeps take their products with the step's J and
+    their diagonal from the J given here (the ansatz's `_Jacobian`), so
+    no fine matrix is ever assembled.
+
+    Every level runs in single precision: the sweeps use `J.single()`,
+    and the diagonal, border, P and R are float32.  M only preconditions
+    `gmres`, whose products, basis and true residual are float64."""
     spec_c = _coarse_spec(dm.spec)
     dm_c = _DofMap(spec_c)
     V_c = ComplexField(spec_c, np.ascontiguousarray(V_d.data[::2, ::2]))
-    Z_c = Z_d.data[::2, ::2]
+    Z_c = ComplexField(spec_c, np.ascontiguousarray(Z_d.data[::2, ::2]))
     W_c = 1.0 / (1.0 + np.abs(V_c.data) ** 2) ** 2
-    coarse, fill = _bordered_lu(assemble_jacobian(V_c, params.tag, params, dm_c), dm_c,
-                                dm_c.pack(Z_c), dm_c.pack(W_c * Z_c * spec_c.h1 * spec_c.h2))
-    P = _prolongation(dm, dm_c)
+    z_c, g_c = dm_c.pack(Z_c.data), dm_c.pack(W_c * Z_c.data * spec_c.h1 * spec_c.h2)
+    J_c = _Jacobian(V_c, params.tag, params, dm_c)
+    coarse, fill = _preconditioner(J_c, dm_c, z_c, g_c, V_c, Z_c, params)
+    J_c = J_c.single()  # the coarse level's sweeps; its float64 coefficients go
+    P = _prolongation(dm, dm_c).astype(np.float32)
     R = (0.25 * P.T).tocsr()
-    dinv = JACOBI_OMEGA / J.diagonal()
+    dinv = (JACOBI_OMEGA / J.diagonal()).astype(np.float32)
+    z_col, grad_con = z_col.astype(np.float32), grad_con.astype(np.float32)
 
     def apply(v, J):
-        b = v[:-1]
+        J = J.single()
+        b = v[:-1].astype(np.float32)
         u = dinv * b  # the first sweep, from u = 0
         for _ in range(JACOBI_SWEEPS - 1):
             u += dinv * (b - J @ u)
-        e = coarse(np.append(R @ (b - J @ u), v[-1] - grad_con @ u))
+        e = coarse(np.append(R @ (b - J @ u), np.float32(v[-1]) - grad_con @ u), J_c)
         u += P @ e[:-1]
         c = e[-1]
         for _ in range(JACOBI_SWEEPS):
             u += dinv * (b - J @ u + c * z_col)
-        return np.append(u, c)
+        return np.append(u, c).astype(v.dtype)
 
     return apply, fill
 
@@ -593,8 +666,9 @@ def gmres(A, b, *, M, rtol):
     float64 vectors.
 
     It keeps the preconditioned vectors Z and updates x = x0 + Z y, so M
-    need not be the same linear map at every apply: an inexact M (a
-    single-precision factor) slows convergence but does not limit it.
+    need not be the same linear map at every apply: an inexact M (the
+    V-cycle, whose sweeps, transfers and factor are all single
+    precision) slows convergence but does not limit it.
     Each restart cycle (GMRES_RESTART steps, at most GMRES_MAXITER
     cycles) ends on the true residual b - A x.  Returns (x, info): info
     is 0 when ||b - A x|| <= rtol ||b||, else the number of M applies
@@ -692,7 +766,7 @@ def solve_projected(params: ModelParams, V_d: ComplexField, Z_d: ComplexField,
     """Damped Newton on the bordered system (u, c): the cold solve.
 
     Newton starts from the ansatz, on a preconditioner built there (the
-    two-grid cycle, or on a grid whose spacing cannot double the bordered
+    V-cycle, or on a grid whose spacing cannot double the bordered
     Jacobian's factor); the solve lets it go and then gives the heap it
     freed back to the OS (`_release_freed_memory`).  Step k solves its
     GMRES to `_forcing_term(||F_k||, newton_tol, krylov_tol)`, ||F_k||
@@ -718,7 +792,8 @@ def solve_projected(params: ModelParams, V_d: ComplexField, Z_d: ComplexField,
 
 
 def _release_freed_memory():
-    """Give the heap memory that a finished solve freed back to the OS.
+    """Give the heap memory that a case build or a finished solve freed
+    back to the OS.
 
     glibc raises its mmap threshold to the size of each large block it
     frees (up to 32 MiB), so after a solve's first Krylov basis most of
@@ -727,7 +802,9 @@ def _release_freed_memory():
     block.  Where those lie depends on the order of allocations, so the
     resident memory a caller goes on from varied by tens of MiB between
     identical runs: 100 to 155 MiB after the benchmark's verify set-up
-    solves, against 94 MiB trimmed.  malloc_trim(0) releases the free
+    solves, against 94 MiB trimmed.  The benchmark's ring case build
+    left 26 MiB of them under its first solve and 77 MiB under its
+    second, in one process.  malloc_trim(0) releases the free
     pages of the whole heap; without glibc this does nothing."""
     if _MALLOC_TRIM is not None:
         _MALLOC_TRIM(0)
@@ -762,8 +839,6 @@ def _newton(params, V_d, Z_d, dm, precond=None, start=None, R=None, *,
     None).  Newton starts from `start`, a (u array, c), or from the
     ansatz when that is None; `R` is the `_residual` of that start when
     the caller has it."""
-    from .diagnostics import corrector_norms
-
     tag = params.tag
     spec = V_d.spec
     residual_vec, resnorm, grad_con = _residual(params, V_d, Z_d, dm)
@@ -775,13 +850,8 @@ def _newton(params, V_d, Z_d, dm, precond=None, start=None, R=None, *,
     lu_fill = lu_n1 = 0
     if not lu_reused:
         J = _Jacobian(V_d, tag, params, dm)
-        if 2.0 * max(spec.h1, spec.h2) <= MAX_SPACING:
-            precond, lu_fill = _two_grid(J, dm, z_col, grad_con, V_d, Z_d, params)
-            lu_n1 = _coarse_spec(spec).n1
-        else:
-            precond, lu_fill = _bordered_lu(
-                assemble_jacobian(V_d, tag, params, dm, J.gammas), dm, z_col, grad_con)
-            lu_n1 = spec.n1
+        precond, lu_fill = _preconditioner(J, dm, z_col, grad_con, V_d, Z_d, params)
+        lu_n1 = _coarsest_spec(spec).n1
     u, c = start if warm else (np.array(V_d.data), 0.0)
     if warm or J is None:
         J = None  # the ansatz's coefficients go before the start's are computed
@@ -846,12 +916,9 @@ def _newton(params, V_d, Z_d, dm, precond=None, start=None, R=None, *,
             f"Newton stopped at residual {best:.3e} after {iters} iterations",
             last_residual=best, krylov_iters=krylov_iters, newton_residuals=residuals)
 
-    u_field = ComplexField(spec, u)
-    norms = corrector_norms(u_field, V_d, params)
     return SolveResult(
-        u=u_field, c_mult=float(c), newton_iters=iters,
-        final_residual=float(best), corrector_norm_star=norms["star"],
-        d_used=params.d,
+        u=ComplexField(spec, u), c_mult=float(c), newton_iters=iters,
+        final_residual=float(best), d_used=params.d, V_d=V_d, params=params,
         krylov_iters=tuple(krylov_iters), newton_residuals=tuple(residuals),
         lu_reused=lu_reused, warm_start=warm, lu_fill=lu_fill, lu_n1=lu_n1,
     ), precond
@@ -878,10 +945,12 @@ def solve_at_separation(params: ModelParams, d: float, profile: VortexProfile,
                         h=0.25, **opts) -> SolveResult:
     """Grid (L = 2d per side), ansatz and co-kernel at separation d, then
     the cold projected solve (`solve_projected`).  The options are checked
-    before the case is built."""
+    before the case is built, and the heap the build freed is given back
+    to the OS before the solve (`_release_freed_memory`)."""
     check_tolerances(**opts)
     p = params.with_d(d)
     V, Z = build_case(p, _grid_for(d, h, p.symmetry), profile)
+    _release_freed_memory()
     return solve_projected(p, V, Z, **opts)
 
 
@@ -907,7 +976,7 @@ def _secant_d(d_prev, c_prev, d_cur, c_cur, d_lo, d_hi, ring):
 class _BalanceState:
     """What one solve of `solve_balanced` hands to the next: one grid's
     `_DofMap` (so its elimination order), the preconditioner built on it
-    (the direct factor or the two-grid cycle; a solve that reuses it
+    (the direct factor or the V-cycle; a solve that reuses it
     assembles no matrix), and the last corrector u - V_d with its c.  It
     keeps at most one LU: a change of grid or a solve redone cold releases
     it before the next factorization."""

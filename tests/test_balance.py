@@ -31,7 +31,7 @@ def fake_solves(monkeypatch, c_of_d):
         spec = GridSpec(L, L, h, h, params.symmetry)
         u = ComplexField(spec, np.zeros((spec.n1, spec.n2), dtype=complex))
         return SolveResult(u=u, c_mult=c_of_d(d), newton_iters=0, final_residual=0.0,
-                           corrector_norm_star=0.0, d_used=d)
+                           d_used=d, V_d=u, params=params.with_d(d))
 
     monkeypatch.setattr(_BalanceState, "solve", fake)
     return calls

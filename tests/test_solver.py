@@ -584,14 +584,17 @@ def test_two_grid_cycle_preconditions_gmres(profile, tag):
     # the cycle as M takes `gmres` to krylov_tol = 1e-10 on the bordered
     # system; its factor is that of the 2h case
     p, V, Z, P, dm, z_col, grad_con = _bordered_case(tag, profile)
-    M, fill = _two_grid(P, dm, z_col, grad_con, V, Z, p)
+    J = _Jacobian(V, p.tag, p, dm)
+    M, fill = _two_grid(J, dm, z_col, grad_con, V, Z, p)
     A = _bordered_matvec(P, z_col, grad_con)
     b = np.random.default_rng(23).standard_normal(dm.n + 1)
     applies = []
 
     def cycle(v):
         applies.append(1)
-        return M(v, P)
+        x = M(v, J)
+        assert x.dtype == np.float64
+        return x
 
     x, info = gmres(A, b, M=cycle, rtol=1e-10)
     assert info == 0
@@ -659,6 +662,107 @@ def test_a_cold_solve_assembles_only_the_grid_it_factors(profile, monkeypatch, c
                          else math.ceil(res.u.spec.n1 / 2))
 
 
+def test_a_fine_ring_factors_only_its_coarsest_grid(profile, monkeypatch):
+    # on an h = 0.125 grid the V-cycle has three levels, and the one
+    # matrix assembled and factored is that of its h = 0.5 grid
+    p = ModelParams(Regime.RING_SCH, 0.05, 0.0, 0.3)
+    grids, factors = [], []
+    assemble, factor = solver.assemble_jacobian, solver.splu
+
+    def assembled(u, *args):
+        grids.append(u.spec)
+        return assemble(u, *args)
+
+    def factored(B, **kw):
+        factors.append(B.shape[0])
+        return factor(B, **kw)
+
+    monkeypatch.setattr(solver, "assemble_jacobian", assembled)
+    monkeypatch.setattr(solver, "splu", factored)
+    res = solve_at_separation(p, p.d, profile, h=0.125)
+    spec = res.u.spec
+    coarsest = _coarse_spec(_coarse_spec(spec))
+    assert (spec.h1, coarsest.h1) == (0.125, 0.5)
+    assert solver._coarsest_spec(spec) == coarsest
+    assert grids == [coarsest] and res.lu_n1 == coarsest.n1
+    assert factors == [_DofMap(coarsest).n + 1]
+    assert res.lu_fill > 0 and res.final_residual <= solver.NEWTON_TOL
+
+
+def test_a_steps_single_precision_copy_goes_with_its_jacobian(profile, monkeypatch):
+    # each Newton step makes one float32 copy of its Jacobian for the
+    # cycle's sweeps, and that copy is gone once the next step's Jacobian
+    # replaces the step's own
+    p, d, h = _small_cases()[1]
+    copies, dead_at_new = [], []
+    init, single = _Jacobian.__init__, _Jacobian.single
+
+    def made(self, u, *args):
+        dead_at_new.append([r() is None for n1, r in copies if n1 == u.spec.n1])
+        init(self, u, *args)
+
+    def copied(self):
+        if self._single is None and self.gammas[0].dtype == np.complex128:
+            J = single(self)
+            copies.append((self.dm.spec.n1, weakref.ref(J.gammas[0])))
+            return J
+        return single(self)
+
+    monkeypatch.setattr(_Jacobian, "__init__", made)
+    monkeypatch.setattr(_Jacobian, "single", copied)
+    res = solve_at_separation(p, d, profile, h=h)
+    n1 = res.u.spec.n1
+    assert res.newton_iters >= 2
+    # one copy of the fine Jacobian per step (the coarse level's copy, on
+    # its own grid, is made once for the whole solve)
+    assert [m for m, _ in copies].count(n1) == res.newton_iters
+    # after the ansatz's Jacobian (also the first step's) and the coarse
+    # level's, each later step's Jacobian is made once every earlier
+    # step's copy is dead
+    later = [dead for dead in dead_at_new if dead]
+    assert [len(dead) for dead in later] == list(range(1, res.newton_iters))
+    assert all(all(dead) for dead in later)
+
+
+@pytest.mark.parametrize("tag", ["S1", "S4"])
+def test_single_precision_product_agrees_to_float32_rounding(profile, tag):
+    # one stencil code serves both precisions: the complex64 Jacobian's
+    # product is the complex128 one's up to float32 rounding of its terms
+    p, spec = _tag_case(tag)
+    V = build_ansatz(p, spec, profile)
+    dm = _DofMap(spec)
+    J = _Jacobian(V, p.tag, p, dm)
+    S = J.single()
+    assert S is J.single() and S.single() is S
+    assert all(g.dtype == np.complex64 for g in S.gammas)
+    x = np.random.default_rng(31).standard_normal(dm.n)
+    want, got = J @ x, S @ x.astype(np.float32)
+    assert got.dtype == np.float32 and want.dtype == np.float64
+    scale = sum(np.abs(g) for g in J.gammas).max() * np.abs(x).max()
+    err = np.abs(got - want).max()
+    assert err <= 8 * np.finfo(np.float32).eps * scale
+    assert err > np.finfo(np.float64).eps * scale  # computed in single precision
+
+
+def test_a_solve_computes_corrector_norms_only_when_read(profile, monkeypatch):
+    # the corrector norm is computed on its first read, from the solution
+    # and the case's ansatz, and then kept
+    from vortexflow import diagnostics
+
+    calls = []
+    norms = diagnostics.corrector_norms
+    monkeypatch.setattr(diagnostics, "corrector_norms",
+                        lambda *args: calls.append(args) or norms(*args))
+    p, d, h = _direct_case()
+    res = solve_at_separation(p, d, profile, h=h)
+    assert calls == []
+    star = res.corrector_norm_star
+    assert res.corrector_norm_star == star and len(calls) == 1
+    pd = p.with_d(d)
+    V, _ = build_case(pd, res.u.spec, profile)
+    assert star == norms(res.u, V, pd)["star"]
+
+
 def test_spacing_cap_keeps_the_direct_factor(profile):
     p, d, h = _direct_case()
     res = solve_at_separation(p, d, profile, h=h)
@@ -666,9 +770,10 @@ def test_spacing_cap_keeps_the_direct_factor(profile):
 
 
 def test_a_cold_solve_trims_the_heap_once_its_state_is_gone(profile, monkeypatch):
-    # the cold solve trims once its preconditioner, the two-grid cycle or
-    # (h = 0.5) the direct factor, is freed; a balance's solve, whose state
-    # keeps the preconditioner for the next, does not
+    # a solve at a separation trims once its case is built, before any
+    # preconditioner; the cold solve trims again once its preconditioner,
+    # the cycle or (h = 0.5) the direct factor, is freed; a balance's
+    # solve, whose state keeps the preconditioner for the next, does not
     if platform.libc_ver()[0] == "glibc":
         assert solver._MALLOC_TRIM is not None
     preconds, live_at_trim = [], []
@@ -689,9 +794,9 @@ def test_a_cold_solve_trims_the_heap_once_its_state_is_gone(profile, monkeypatch
         solve_at_separation(p, d, profile, h=h)
     # the cycle's coarse solve is a `_bordered_lu` of its own
     assert [name for name, _ in preconds] == ["_bordered_lu", "_two_grid", "_bordered_lu"]
-    assert live_at_trim == [0, 0]
+    assert live_at_trim == [0, 0, 0, 0]
     solver._BalanceState().solve(p, d, profile, 0.25)
-    assert len(preconds) == 5 and live_at_trim == [0, 0]
+    assert len(preconds) == 5 and live_at_trim == [0, 0, 0, 0, 0]
 
 
 def test_failures_carry_the_applies_of_each_step(profile, monkeypatch):

@@ -88,20 +88,16 @@ complex64 copy, for the V-cycle's sweeps (Knoll & Keyes, J. Comput.
 Phys. 193, 2004).  A sparse matrix is assembled only to be factored
 (`assemble_jacobian`, one coordinate-format build): the direct factor
 at V_d, once per grid, or the V-cycle's h = 0.5 case.  The bordered
-matrix appends its row and column to that matrix's CSC arrays.  On the
-benchmark's ring grid a stencil product takes about 6.5 ms against the
-fine CSC matrix's 5.3 ms, and the fine matrix (34.6 MiB) and its build
-(0.47 s) are gone.
+matrix is built from that matrix's coordinates and the border's.  On
+the benchmark's ring grid a stencil product takes about 6.5 ms against
+the fine CSC matrix's 5.3 ms, and the fine matrix (34.6 MiB) and its
+build (0.47 s) are gone.
 
-A solve factors one bordered system at most once, in an elimination
-order taken from its grid (`_DofMap.order`, computed once per grid):
-SuperLU's minimum degree (MMD_AT_PLUS_A) on the 5-point graph of the
-grid points, each point's Re and Im unknowns next to each other, and
-the dense border row and column last, as minimum-degree codes order a
-dense row (Amestoy, Davis & Duff, SIAM J. Matrix Anal. Appl. 17, 1996).
-SuperLU then factors in that order (NATURAL).  For the fine factor of
-the benchmark's ring grid that order left 34.62M entries, where minimum
-degree on A + A^T of the whole bordered matrix left 35.85M.
+A solve factors one bordered system at most once, in SuperLU's own
+column order (minimum degree on A + A^T, MMD_AT_PLUS_A) of the whole
+bordered matrix.  On the h = 0.5 grids, the only ones factored, a
+grid-point order (the border last) left fill within 7% of that order's
+either way and factored no faster.
 
 `build_case` is the one construction of (V_d, Z_d).
 
@@ -125,8 +121,8 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.optimize import brentq
-from scipy.sparse import block_diag, csc_matrix, csr_matrix, diags, kron, kronsum
-from scipy.sparse.linalg import spilu, splu
+from scipy.sparse import block_diag, csc_matrix, csr_matrix, kron
+from scipy.sparse.linalg import splu
 
 # build_ansatz stays importable from this module, where
 # bench/test_tracing.py looks for it
@@ -168,6 +164,9 @@ except (AttributeError, OSError, TypeError):
 # solve_balanced stops once |c| is this fraction of the larger |c| at the
 # bracket ends
 BALANCE_C_RTOL = 1e-10
+# most secant or bisection steps solve_balanced takes past its two bracket
+# solves
+BALANCE_MAX_ITERS = 60
 
 
 class NonConvergenceError(RuntimeError):
@@ -286,10 +285,7 @@ def linearize_apply(u: ComplexField, v: ComplexField, tag: str,
 class _DofMap:
     """Real unknowns on the quarter grid: Re(u) at non-Dirichlet points,
     Im(u) at non-Dirichlet points off the x2 = 0 row (odd parity pins
-    the axis imaginary part to zero, so it is not an unknown).
-
-    It also holds the elimination order of the bordered system (`order`),
-    computed on first use and shared by every solve on this grid."""
+    the axis imaginary part to zero, so it is not an unknown)."""
 
     def __init__(self, spec: GridSpec):
         n1, n2 = spec.n1, spec.n2
@@ -305,7 +301,6 @@ class _DofMap:
         self.re_idx[self.re_mask] = np.arange(self.n_re)
         self.im_idx[self.im_mask] = self.n_re + np.arange(self.n_im)
         self.spec = spec
-        self._order = None
 
     def pack(self, arr):
         return np.concatenate([arr.real[self.re_mask], arr.imag[self.im_mask]])
@@ -315,37 +310,6 @@ class _DofMap:
         out.real[self.re_mask] = vec[: self.n_re]
         out.imag[self.im_mask] = vec[self.n_re:]
         return out
-
-    def order(self):
-        """Elimination order of the bordered system's n + 1 unknowns: the
-        points in SuperLU's minimum-degree order (MMD_AT_PLUS_A) of their
-        5-point graph, each point's Re unknown followed by its Im unknown
-        where it has one, and the border unknown n last.
-
-        The stencil arms that fold across an axis land on neighbours the
-        point already has, so that graph is the Jacobian's point graph and
-        depends on the grid shape alone.  Ordering points, not unknowns,
-        halves the graph, and the dense border row and column stay out of
-        it (Amestoy, Davis & Duff, SIAM J. Matrix Anal. Appl. 17, 1996)."""
-        if self._order is None:
-            m1, m2 = self.spec.n1 - 1, self.spec.n2 - 1
-            # point (i, j) is i*m2 + j, the row-major order of re_mask.
-            # scipy has no call that only orders: an incomplete factor
-            # that keeps almost nothing computes the same order cheaply
-            lap = kronsum(_path(m2), _path(m1), format="csc")
-            perm_c = spilu(lap, drop_tol=1.0, fill_factor=1.0,
-                           permc_spec="MMD_AT_PLUS_A").perm_c
-            pts = np.argsort(perm_c)
-            unk = np.stack([self.re_idx[:m1, :m2].ravel()[pts],
-                            self.im_idx[:m1, :m2].ravel()[pts]], axis=1).ravel()
-            self._order = np.append(unk[unk >= 0], self.n).astype(np.int32)
-        return self._order
-
-
-def _path(m):
-    """Second-difference matrix of a path of m points (the order depends
-    on its sparsity only)."""
-    return diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m))
 
 
 # Stencil arms (di, dj, conj_all) in emission order; `_arm_coefficients`
@@ -501,49 +465,33 @@ def _arm_coefficients(u: ComplexField, tag: str, params: ModelParams, dm: _DofMa
     return [a.ravel() for a in gammas + [center, C]]
 
 
-def _bordered_lu(P, dm, z_col, grad_con):
-    """Single-precision LU of B = [[P, -z], [g^T, 0]] in the elimination
-    order `dm.order()`; returns (M, nnz(L+U)), where M maps a vector v
-    to the B^-1 v of that factor in v's precision.  M also takes the
-    Jacobian of the Newton step it serves, as `_two_grid`'s cycle does,
-    and does not use it.
+def _bordered_lu(P, z_col, grad_con):
+    """Single-precision LU of B = [[P, -z], [g^T, 0]]; returns (M,
+    nnz(L+U)), where M maps a vector v to the B^-1 v of that factor in
+    v's precision.  M also takes the Jacobian of the Newton step it
+    serves, as `_two_grid`'s cycle does, and does not use it.
 
-    The border row and column are appended to P's CSC arrays (explicit
-    zero corner kept structural so SuperLU can pivot through it); the
-    columns are then gathered in the order and the rows relabelled, so
-    SuperLU factors B[q][:, q] with its NATURAL column order.  P is
+    B is built from P's coordinates and the border's, with the zero
+    corner kept structural so SuperLU can pivot through it, and factored
+    in SuperLU's minimum-degree order on A + A^T (MMD_AT_PLUS_A).  P is
     released before the factorization."""
-    n = dm.n
-    zi = np.flatnonzero(z_col)
-    gi = np.flatnonzero(grad_con)
-    # row n is last, so column j's border entry goes at the end of column j
-    ends = P.indptr[gi + 1]
-    # single precision: the factor only preconditions `gmres`, which
-    # checks its float64 residual; the fill is that of the float64 matrix
-    data = np.concatenate([np.insert(P.data.astype(np.float32), ends, grad_con[gi]),
-                           -z_col[zi], [0.0]], dtype=np.float32)
-    indices = np.concatenate([np.insert(P.indices, ends, n), zi, [n]], dtype=np.int32)
-    indptr = np.empty(n + 2, dtype=np.int32)
-    indptr[: n + 1] = P.indptr + np.searchsorted(gi, np.arange(n + 1))
-    indptr[n + 1] = data.size
+    n = P.shape[0]
+    Pc = P.tocoo()
     del P  # a caller that passes the matrix it does not keep frees it here
-    # B[q][:, q]: the columns gathered in the order q into new arrays,
-    # then their rows relabelled
-    q = dm.order()
-    cols = csc_matrix((data, indices, indptr), shape=(n + 1, n + 1))[:, q]
-    del data, indices
-    rank = np.empty_like(q)
-    rank[q] = np.arange(n + 1, dtype=q.dtype)
-    B = csc_matrix((cols.data, rank[cols.indices], cols.indptr), shape=(n + 1, n + 1))
-    del cols
-    B.sort_indices()
-    lu = splu(B, permc_spec="NATURAL")
+    zi, gi = np.flatnonzero(z_col), np.flatnonzero(grad_con)
+    # single precision: the factor only preconditions `gmres`, which
+    # checks its float64 residual
+    B = csc_matrix((np.concatenate([Pc.data, -z_col[zi], grad_con[gi], [0.0]],
+                                   dtype=np.float32),
+                    (np.concatenate([Pc.row, zi, np.full(gi.size, n), [n]]),
+                     np.concatenate([Pc.col, np.full(zi.size, n), gi, [n]]))),
+                   shape=(n + 1, n + 1))
+    del Pc
+    lu = splu(B, permc_spec="MMD_AT_PLUS_A")
     del B
 
     def apply(v, J=None):
-        x = np.empty_like(v)
-        x[q] = lu.solve(v[q].astype(np.float32))
-        return x
+        return lu.solve(v.astype(np.float32, copy=False)).astype(v.dtype, copy=False)
 
     return apply, lu.nnz
 
@@ -592,7 +540,7 @@ def _preconditioner(J, dm, z_col, grad_con, V_d, Z_d, params):
     if _can_double(dm.spec):
         return _two_grid(J, dm, z_col, grad_con, V_d, Z_d, params)
     return _bordered_lu(assemble_jacobian(V_d, params.tag, params, dm, J.gammas),
-                        dm, z_col, grad_con)
+                        z_col, grad_con)
 
 
 def _can_double(spec):
@@ -786,7 +734,7 @@ def solve_projected(params: ModelParams, V_d: ComplexField, Z_d: ComplexField,
     if balance is not None:
         return balance.run(params, V_d, Z_d, **opts)
     # indexed, so no name holds the preconditioner past this line
-    res = _newton(params, V_d, Z_d, _DofMap(V_d.spec), **opts)[0]
+    res = _newton(params, V_d, Z_d, **opts)[0]
     _release_freed_memory()
     return res
 
@@ -832,15 +780,16 @@ def _residual(params, V_d, Z_d, dm):
     return residual, norm, grad_con
 
 
-def _newton(params, V_d, Z_d, dm, precond=None, start=None, R=None, *,
+def _newton(params, V_d, Z_d, precond=None, start=None, R=None, *,
             newton_max=NEWTON_MAX, newton_tol=NEWTON_TOL, krylov_tol=KRYLOV_TOL):
-    """One Newton run on the grid of `dm`; returns (SolveResult, the
+    """One Newton run on the grid of V_d; returns (SolveResult, the
     preconditioner it used: `precond`, or one built at V_d when that is
     None).  Newton starts from `start`, a (u array, c), or from the
     ansatz when that is None; `R` is the `_residual` of that start when
     the caller has it."""
     tag = params.tag
     spec = V_d.spec
+    dm = _DofMap(spec)
     residual_vec, resnorm, grad_con = _residual(params, V_d, Z_d, dm)
     z_col = dm.pack(Z_d.data)
     warm = start is not None
@@ -974,15 +923,14 @@ def _secant_d(d_prev, c_prev, d_cur, c_cur, d_lo, d_hi, ring):
 
 
 class _BalanceState:
-    """What one solve of `solve_balanced` hands to the next: one grid's
-    `_DofMap` (so its elimination order), the preconditioner built on it
-    (the direct factor or the V-cycle; a solve that reuses it
-    assembles no matrix), and the last corrector u - V_d with its c.  It
-    keeps at most one LU: a change of grid or a solve redone cold releases
-    it before the next factorization."""
+    """What one solve of `solve_balanced` hands to the next: one grid, the
+    preconditioner built on it (the direct factor or the V-cycle; a solve
+    that reuses it assembles no matrix), and the last corrector u - V_d
+    with its c.  It keeps at most one LU: a change of grid or a solve
+    redone cold releases it before the next factorization."""
 
     def __init__(self):
-        self.spec = self.dm = None  # the grid held and its `_DofMap`
+        self.spec = None         # the grid held
         self.precond = None      # the apply of `_bordered_lu` or `_two_grid`
         self.corrector = None    # ComplexField u - V_d of the last solve
         self.c = 0.0
@@ -995,8 +943,8 @@ class _BalanceState:
         preconditioner before the case is built."""
         spec = _grid_for(d, h, params.symmetry)
         if spec != self.spec:
-            self.dm = self.precond = None  # released before the new grid's map and case
-            self.spec, self.dm = spec, _DofMap(spec)
+            self.precond = None  # released before the new grid's case
+            self.spec = spec
         token = _BALANCE.set(self)
         try:
             return solve_at_separation(params, d, profile, h, **opts)
@@ -1009,8 +957,7 @@ class _BalanceState:
         the smaller residual.  A run that fails on either is redone cold."""
         start, R = self._warm_start(params, V, Z)
         try:
-            res, self.precond = _newton(params, V, Z, self.dm, self.precond, start, R,
-                                        **opts)
+            res, self.precond = _newton(params, V, Z, self.precond, start, R, **opts)
         except NonConvergenceError:
             if self.precond is None and start is None:
                 raise  # the run was already the cold one
@@ -1019,7 +966,7 @@ class _BalanceState:
             start = R = None
             self.fallbacks += 1
             self.precond = self.corrector = None
-            res, self.precond = _newton(params, V, Z, self.dm, **opts)
+            res, self.precond = _newton(params, V, Z, **opts)
         self.corrector = ComplexField(V.spec, res.u.data - V.data)
         self.c = res.c_mult
         return res
@@ -1039,7 +986,7 @@ class _BalanceState:
         w[-1, :] = 0.0  # u = V_d on the Dirichlet layer
         w[:, -1] = 0.0
         w += V.data  # in place, so the start is the one array made
-        residual, norm, _ = _residual(params, V, Z, self.dm)
+        residual, norm, _ = _residual(params, V, Z, _DofMap(V.spec))
         R_w, R_0 = residual(w, self.c), residual(V.data, 0.0)
         if norm(R_w) < norm(R_0):
             return (w, self.c), R_w
@@ -1053,13 +1000,14 @@ _BALANCE = ContextVar("vortexflow_balance", default=None)
 
 
 def solve_balanced(params: ModelParams, d_bracket, profile: VortexProfile = None,
-                   h=0.25, max_iters=60, **opts):
+                   h=0.25, **opts):
     """Safeguarded secant for c_mult(d) = 0; returns (SolveResult, d_star).
 
     The secant is taken in X(d) (`balance_x`), in which the leading-order
     c is affine, and falls back to bisection when a step leaves the
     bracket.  It stops when |c| <= BALANCE_C_RTOL max(|c(d_lo)|,
-    |c(d_hi)|) or the bracket is narrower than 1e-8 d_hi.  Each solve is
+    |c(d_hi)|), the bracket is narrower than 1e-8 d_hi, or after
+    BALANCE_MAX_ITERS steps past the bracket's two solves.  Each solve is
     a `solve_at_separation`, and the solves share one `_BalanceState`, the
     one place a solve hands anything to the next: a solve on the grid of
     the one before it reuses its preconditioner, each starts from the last
@@ -1098,7 +1046,7 @@ def solve_balanced(params: ModelParams, d_bracket, profile: VortexProfile = None
     best = (r_lo, d_lo) if abs(c_lo) < abs(c_hi) else (r_hi, d_hi)
     d_prev, c_prev = d_lo, c_lo
     d_cur, c_cur = d_hi, c_hi
-    for _ in range(max_iters):
+    for _ in range(BALANCE_MAX_ITERS):
         if abs(best[0].c_mult) <= BALANCE_C_RTOL * scale or (d_hi - d_lo) <= 1e-8 * d_hi:
             break
         d_new = _secant_d(d_prev, c_prev, d_cur, c_cur, d_lo, d_hi, ring)

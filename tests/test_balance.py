@@ -87,7 +87,8 @@ def test_narrow_bracket_stops(monkeypatch):
     # |c| never falls below the stopping scale, so only the bracket width
     # can end the loop
     calls = fake_solves(monkeypatch, lambda d: -1.0 if d < 20.3 else 1.0)
-    solve_balanced(PAIR, (16.0, 26.0), profile=object(), h=0.5, max_iters=500)
+    monkeypatch.setattr(solver, "BALANCE_MAX_ITERS", 500)
+    solve_balanced(PAIR, (16.0, 26.0), profile=object(), h=0.5)
     assert len(calls) < 100
     assert abs(calls[-1] - 20.3) <= 1e-8 * 26.0
 

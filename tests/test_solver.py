@@ -233,9 +233,9 @@ def test_ring_solve_factors_each_system_once(profile, monkeypatch):
     assert [mod for mod, _ in calls].count("vortexflow.solver") == 1
     # V_d and the two rebuilds of Z_d share one phase factor
     assert [mod for mod, _ in calls].count("vortexflow.ansatz") == 1
-    # the bordered factor takes its order from `_DofMap.order`
+    # both factors take SuperLU's minimum-degree order
     assert {(mod, spec) for mod, spec in calls} == {("vortexflow.ansatz", "MMD_AT_PLUS_A"),
-                                                    ("vortexflow.solver", "NATURAL")}
+                                                    ("vortexflow.solver", "MMD_AT_PLUS_A")}
 
 
 def test_build_case_shares_one_factor_bitwise(profile, monkeypatch):
@@ -392,10 +392,9 @@ def _coo_bordered(P, dm, z_col, grad_con):
 
 @pytest.mark.parametrize("tag", ["S1", "S4"])
 def test_bordered_matrix_matches_coordinate_form(profile, monkeypatch, tag):
-    # the border appended to P's CSC arrays and permuted by `dm.order()`
-    # gives, array for array, the canonical CSC form of [[P, -z], [g^T, 0]]
-    # built from permuted coordinates, with its values rounded to single
-    # precision for the factor
+    # the matrix factored is, array for array, the canonical CSC form of
+    # [[P, -z], [g^T, 0]] built from coordinates, its zero corner stored,
+    # with its values rounded to single precision for the factor
     P, dm, z_col, grad_con = _bordered_parts(tag, profile)
     seen = []
 
@@ -404,14 +403,14 @@ def test_bordered_matrix_matches_coordinate_form(profile, monkeypatch, tag):
         return splu(B, **kw)
 
     monkeypatch.setattr(solver, "splu", recorded)
-    _bordered_lu(P, dm, z_col, grad_con)
+    _bordered_lu(P, z_col, grad_con)
     (B, kw), = seen
-    assert kw == {"permc_spec": "NATURAL"}
+    assert kw == {"permc_spec": "MMD_AT_PLUS_A"}
     assert B.dtype == np.float32
-    C = _coo_bordered(P, dm, z_col, grad_con).tocoo()
-    rank = np.argsort(dm.order())
-    ref = csc_matrix((C.data, (rank[C.row], rank[C.col])), shape=C.shape)
-    assert _same_bits(B, ref.astype(np.float32))
+    assert _same_bits(B, _coo_bordered(P, dm, z_col, grad_con).astype(np.float32))
+    n = dm.n
+    corner = B.indices[B.indptr[n]:B.indptr[n + 1]] == n
+    assert corner.sum() == 1 and B.data[B.indptr[n]:B.indptr[n + 1]][corner] == 0.0
 
 
 @pytest.mark.parametrize("ring", [False, True])
@@ -420,7 +419,7 @@ def test_bordered_lu_solves_bordered_system(profile, ring):
     # about float32 accuracy; as the preconditioner of `gmres` it gives
     # a float64 solution
     P, dm, z_col, grad_con = _bordered_parts("S4" if ring else "S1", profile)
-    M, _ = _bordered_lu(P, dm, z_col, grad_con)
+    M, _ = _bordered_lu(P, z_col, grad_con)
     A = _bordered_matvec(P, z_col, grad_con)
     b = np.random.default_rng(17).standard_normal(dm.n + 1)
     bnorm = np.linalg.norm(b)
@@ -430,27 +429,6 @@ def test_bordered_lu_solves_bordered_system(profile, ring):
     x, info = gmres(A, b, M=M, rtol=1e-12)
     assert info == 0
     assert np.linalg.norm(A(x) - b) <= 1e-12 * bnorm
-
-
-@pytest.mark.parametrize("tag", ["S1", "S4", "rect"])
-def test_order_keeps_each_point_together_and_the_border_last(tag):
-    dm = _DofMap(_tag_case(tag)[1])
-    order = dm.order()
-    assert np.array_equal(np.sort(order), np.arange(dm.n + 1)) and order[-1] == dm.n
-    # each point's Im unknown directly follows its Re unknown
-    pos = np.argsort(order)
-    I, J = np.nonzero(dm.im_mask)
-    assert np.array_equal(pos[dm.im_idx[I, J]], pos[dm.re_idx[I, J]] + 1)
-
-
-@pytest.mark.parametrize("tag", ["S1", "S4", "rect"])
-def test_bordered_order_fills_no_more_than_minimum_degree(profile, tag):
-    # the grid-point order leaves at most the fill of SuperLU's own
-    # minimum degree on A + A^T of the whole bordered matrix
-    P, dm, z_col, grad_con = _bordered_parts(tag, profile)
-    _, fill = _bordered_lu(P, dm, z_col, grad_con)
-    B = _coo_bordered(P, dm, z_col, grad_con).astype(np.float32)
-    assert fill <= 1.02 * splu(B, permc_spec="MMD_AT_PLUS_A").nnz
 
 
 def test_gmres_with_exact_preconditioner_takes_one_step(profile):
@@ -600,7 +578,7 @@ def test_two_grid_cycle_preconditions_gmres(profile, tag):
     assert info == 0
     assert np.linalg.norm(A(x) - b) <= 1e-10 * np.linalg.norm(b)
     assert len(applies) <= 40
-    assert 0 < fill < _bordered_lu(P, dm, z_col, grad_con)[1]
+    assert 0 < fill < _bordered_lu(P, z_col, grad_con)[1]
 
 
 def _small_cases():

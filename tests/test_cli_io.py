@@ -110,12 +110,14 @@ def _malformed(blob, case):
         struct.pack_into("<dddd", blob, _F64_AT[0], 0.75, 0.75, n1 * 0.75, n2 * 0.75)
     elif case == "nan":
         struct.pack_into("<d", blob, _PAYLOAD_AT, float("nan"))
+    elif case == "huge":  # finite, but |u|^2 overflows
+        struct.pack_into("<d", blob, _PAYLOAD_AT, 1e200)
     else:
         struct.pack_into("<d", blob, _F64_AT[2], n1 * h1 + 1.0)
     return bytes(blob)
 
 
-@pytest.mark.parametrize("case", ["spacing", "nan", "extent"])
+@pytest.mark.parametrize("case", ["spacing", "nan", "extent", "huge"])
 def test_malformed_field_exit_4(tmp_path, rng, case):
     path = tmp_path / "f.vsf"
     save_field(random_complex_field(rng), path)
@@ -123,6 +125,7 @@ def test_malformed_field_exit_4(tmp_path, rng, case):
     with pytest.raises(FieldFormatError):
         load_field(path)
     assert main(["--out", str(tmp_path / "out"), "verify", str(path)]) == 4
+    assert main(["--out", str(tmp_path / "out"), "reconstruct", str(path)]) == 4
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +190,8 @@ def test_mutated_field_loads_or_raises_format_error(valid_vsf, tmp_path_factory,
     ("l = -4", ["sweep", "--eps-list", "0.1"]),
     ("d_lo = -5", ["reduce"]),
     ("d_hi = -40", ["reduce"]),
+    ("h = 0", ["pair", "--ansatz-only"]),  # no default domain at h = 0 or nan
+    ("h = nan", ["ring", "--ansatz-only"]),
 ])
 def test_cli_out_of_range_config_exit_2(tmp_path, line, command):
     cfg = tmp_path / "run.cfg"

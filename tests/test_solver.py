@@ -12,10 +12,41 @@ from vortexflow import ansatz, solver
 from vortexflow.ansatz import ModelParams, Regime, build_ansatz, build_pair, kernel_Zd
 from vortexflow.fields import ComplexField, GridSpec, Symmetry, symmetrize_complex
 from vortexflow.profile import eval_profile
-from vortexflow.solver import (_ARMS, _arm_coefficients, _bordered_lu, _coarse_spec, _DofMap,
-                               _Jacobian, _prolong, _restrict, _two_grid, apply_S,
-                               assemble_jacobian, build_case, extract_multiplier, gmres,
-                               linearize_apply, solve_at_separation, solve_projected)
+from vortexflow.solver import (_ARMS, _arm_coefficients, _border, _bordered_lu, _coarse_spec,
+                               _Jacobian, _on_grid, _packed, _preconditioner, _prolong,
+                               _restrict, _unknown_index, apply_S, assemble_jacobian,
+                               build_case, extract_multiplier, gmres, linearize_apply,
+                               solve_at_separation, solve_projected)
+
+
+class _DofMap:
+    """The layout oracle: the packed unknowns as boolean masks and index
+    tables over the whole grid.  Re(u) at non-Dirichlet points, Im(u) at
+    non-Dirichlet points off the x2 = 0 row, in row-major order."""
+
+    def __init__(self, spec: GridSpec):
+        n1, n2 = spec.n1, spec.n2
+        act = np.zeros((n1, n2), dtype=bool)
+        act[: n1 - 1, : n2 - 1] = True
+        self.re_mask = act
+        self.im_mask = act & (np.arange(n2)[None, :] >= 1)
+        self.n_re = int(self.re_mask.sum())
+        self.n_im = int(self.im_mask.sum())
+        self.n = self.n_re + self.n_im
+        self.re_idx = -np.ones((n1, n2), dtype=np.int32)
+        self.im_idx = -np.ones((n1, n2), dtype=np.int32)
+        self.re_idx[self.re_mask] = np.arange(self.n_re)
+        self.im_idx[self.im_mask] = self.n_re + np.arange(self.n_im)
+        self.spec = spec
+
+    def pack(self, arr):
+        return np.concatenate([arr.real[self.re_mask], arr.imag[self.im_mask]])
+
+    def unpack(self, vec):
+        out = np.zeros((self.spec.n1, self.spec.n2), dtype=complex)
+        out.real[self.re_mask] = vec[: self.n_re]
+        out.imag[self.im_mask] = vec[self.n_re:]
+        return out
 
 
 def pair_params(eps=0.1, kappa=0.0, d_hat=1.0, sch=False):
@@ -50,6 +81,18 @@ def test_tag_grid_mismatch():
         apply_S(v, "S4", ModelParams(Regime.RING_SCH, 0.05, 0.0, 0.3))
     with pytest.raises(ValueError):
         apply_S(v, "S9", p)
+
+
+def test_jacobian_rejects_a_tag_its_grid_or_params_do_not_admit():
+    pair, ring = pair_params(), ModelParams(Regime.RING_SCH, 0.05, 0.0, 0.3)
+    fields = {s: ComplexField(GridSpec(4.0, 4.0, 0.25, 0.25, s), np.ones((16, 16), complex))
+              for s in Symmetry}
+    for sym, tag, p in ((Symmetry.RING, "S1", pair), (Symmetry.PAIR, "S4", ring),
+                        (Symmetry.RING, "S3", pair), (Symmetry.PAIR, "S1", ring),
+                        (Symmetry.PAIR, "S9", pair)):
+        with pytest.raises(ValueError):
+            _Jacobian(fields[sym], tag, p)
+    assert _Jacobian(fields[Symmetry.RING], "S3", ring).spec == fields[Symmetry.RING].spec
 
 
 def test_T2_on_plane_wave():
@@ -137,7 +180,7 @@ def test_assembled_jacobian_matches_directional(profile):
         vdat[-1, :] = 0
         vdat[:, -1] = 0
         dm = _DofMap(V.spec)
-        A = assemble_jacobian(V, p.tag, p, dm)
+        A = assemble_jacobian(_Jacobian(V, p.tag, p))
         lhs = A @ dm.pack(vdat)
         rhs = dm.pack(linearize_apply(V, ComplexField(spec, vdat), p.tag, p).data)
         rel = np.abs(lhs - rhs).max() / np.abs(lhs).max()
@@ -154,7 +197,7 @@ def test_assembled_jacobian_matches_directional_ring(profile):
     vdat[-1, :] = 0
     vdat[:, -1] = 0
     dm = _DofMap(V.spec)
-    A = assemble_jacobian(V, "S4", p, dm)
+    A = assemble_jacobian(_Jacobian(V, "S4", p))
     lhs = A @ dm.pack(vdat)
     rhs = dm.pack(linearize_apply(V, ComplexField(spec, vdat), "S4", p).data)
     assert np.abs(lhs - rhs).max() / np.abs(lhs).max() < 1e-6
@@ -302,18 +345,49 @@ def _same_bits(A, B):
 
 @pytest.mark.parametrize("tag", ["S1", "S2", "S3", "S4"])
 def test_assembly_is_the_coordinate_form_on_any_dof_map(profile, tag):
+    # the matrix of a `_Jacobian`, indexed by the packed layout, is the
+    # coordinate form indexed by the oracle's masks, at the ansatz and off it
     p, spec = _tag_case(tag)
     V = build_ansatz(p, spec, profile)
-    dm = _DofMap(spec)
-    P = assemble_jacobian(V, tag, p, dm)
     rng = np.random.default_rng(19)
     u = ComplexField(spec, V.data + 0.05 * (rng.standard_normal(V.data.shape)
                                             + 1j * rng.standard_normal(V.data.shape)))
-    J = assemble_jacobian(u, tag, p, dm)
-    fresh = assemble_jacobian(u, tag, p, _DofMap(spec))
-    assert _same_bits(J, fresh)
-    for A, w in ((P, V), (J, u)):
-        assert _same_bits(A, _coo_jacobian(_arm_coefficients(w, tag, p, dm), dm))
+    dm = _DofMap(spec)
+    for w in (V, u):
+        A = assemble_jacobian(_Jacobian(w, tag, p))
+        assert _same_bits(A, _coo_jacobian(_arm_coefficients(w, tag, p), dm))
+
+
+@pytest.mark.parametrize("l1,l2,symmetry", [(20.0, 20.0, Symmetry.PAIR),
+                                            (12.0, 12.0, Symmetry.RING),
+                                            (20.0, 12.0, Symmetry.PAIR),
+                                            (20.25, 12.25, Symmetry.RING)],
+                         ids=["pair", "ring", "rect", "odd"])
+def test_packed_layout_is_the_dof_maps(l1, l2, symmetry):
+    # packing, unpacking, the assembly's index tables and the border are,
+    # bit for bit, those of the mask-based oracle
+    spec = GridSpec(l1, l2, 0.25, 0.25, symmetry)
+    dm = _DofMap(spec)
+    rng = np.random.default_rng(41)
+
+    def field():
+        shape = (spec.n1, spec.n2)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    a = field()
+    assert _packed(a[:-1, :-1]).tobytes() == dm.pack(a).tobytes()
+    x = rng.standard_normal(dm.n)
+    grid = np.zeros((spec.n1, spec.n2), complex)
+    assert _on_grid(x, grid[:-1, :-1]).base is grid
+    assert grid.tobytes() == dm.unpack(x).tobytes()
+    re_idx, im_idx = _unknown_index(spec)
+    assert re_idx.dtype == im_idx.dtype == dm.re_idx.dtype
+    assert re_idx.tobytes() == dm.re_idx.tobytes() and im_idx.tobytes() == dm.im_idx.tobytes()
+    V, Z = ComplexField(spec, field()), ComplexField(spec, field())
+    z_col, grad_con, W = _border(V, Z)
+    assert W.tobytes() == (1.0 / (1.0 + np.abs(V.data) ** 2) ** 2).tobytes()
+    assert z_col.tobytes() == dm.pack(Z.data).tobytes()
+    assert grad_con.tobytes() == dm.pack(W * Z.data * (spec.h1 * spec.h2)).tobytes()
 
 
 @pytest.mark.parametrize("tag", ["S1", "S2", "S3", "S4", "rect"])
@@ -331,8 +405,8 @@ def test_stencil_product_matches_the_assembled_matrix(profile, tag):
     axis_rows = np.concatenate([dm.re_idx[0, :-1], dm.im_idx[0, 1:-1]])
     fold_rows = dm.re_idx[:-1, 0]
     for w in (V, u):
-        J = _Jacobian(w, p.tag, p, dm)
-        A = _coo_jacobian(_arm_coefficients(w, p.tag, p, dm), dm)
+        J = _Jacobian(w, p.tag, p)
+        A = _coo_jacobian(_arm_coefficients(w, p.tag, p), dm)
         x = rng.standard_normal(dm.n)
         got, want = J @ x, A @ x
         for rows in (slice(None), axis_rows, fold_rows):
@@ -358,19 +432,20 @@ def test_short_krylov_solve_raises(profile, monkeypatch):
 
 def _bordered_case(tag, profile):
     """The parameters, ansatz V and co-kernel Z of `_tag_case(tag)`, the
-    ansatz Jacobian P, its `_DofMap`, and the border column z and row g
-    of the bordered system."""
+    ansatz Jacobian's matrix P, the layout oracle `_DofMap`, and the
+    border column z and row g of the bordered system, packed by the
+    oracle."""
     p, spec = _tag_case(tag)
     V = build_ansatz(p, spec, profile)
     Z = kernel_Zd(p, spec, profile)
     dm = _DofMap(spec)
-    P = assemble_jacobian(V, p.tag, p, dm)
+    P = assemble_jacobian(_Jacobian(V, p.tag, p))
     W = 1.0 / (1.0 + np.abs(V.data) ** 2) ** 2
     return p, V, Z, P, dm, dm.pack(Z.data), dm.pack(W * Z.data * spec.h1 * spec.h2)
 
 
 def _bordered_parts(tag, profile):
-    """P, its `_DofMap`, z and g of `_bordered_case(tag)`."""
+    """P, the `_DofMap`, z and g of `_bordered_case(tag)`."""
     return _bordered_case(tag, profile)[3:]
 
 
@@ -609,7 +684,7 @@ def test_prolongation_reproduces_bilinear_fields(l1, l2):
         return (edge1 - X1) * (edge2 - X2) + 1j * X2 * (edge1 - X1)
 
     e = dm_c.pack(field(spec_c))
-    got = dm.unpack(_prolong(dm, e))
+    got = dm.unpack(_prolong(spec, e))
     want = field(spec)
     assert np.all(got[:, 0].imag == 0.0)
     assert np.allclose(got.real[dm.re_mask], want.real[dm.re_mask], rtol=0, atol=1e-12)
@@ -622,7 +697,7 @@ def test_prolongation_reproduces_bilinear_fields(l1, l2):
     P = _kron_prolongation(dm, dm_c)
     for x in (e, np.random.default_rng(29).standard_normal(dm_c.n)):
         want = P @ x
-        assert np.abs(_prolong(dm, x) - want).max() <= 1e-15 * np.abs(want).max()
+        assert np.abs(_prolong(spec, x) - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def _interpolation_1d(m_fine, m_coarse):
@@ -658,24 +733,25 @@ def test_restriction_is_a_quarter_of_the_adjoint(symmetry, l1, l2):
     dm, dm_c = _DofMap(spec), _DofMap(_coarse_spec(spec))
     rng = np.random.default_rng(31)
     f, e = rng.standard_normal(dm.n), rng.standard_normal(dm_c.n)
-    Rf, Pe = _restrict(dm, f), _prolong(dm, e)
+    Rf, Pe = _restrict(spec, f), _prolong(spec, e)
     assert Rf.shape == (dm_c.n,) and Pe.shape == (dm.n,)
     assert abs(Rf @ e - 0.25 * (f @ Pe)) <= 1e-13 * np.abs(f).sum()
     want = 0.25 * (_kron_prolongation(dm, dm_c).T @ f)
     assert np.abs(Rf - want).max() <= 1e-15 * np.abs(want).max()
     f32, e32 = f.astype(np.float32), e.astype(np.float32)
-    assert _restrict(dm, f32).dtype == _prolong(dm, e32).dtype == np.float32
-    R32, P32 = _restrict(dm, f32).astype(np.float64), _prolong(dm, e32).astype(np.float64)
+    assert _restrict(spec, f32).dtype == _prolong(spec, e32).dtype == np.float32
+    R32, P32 = _restrict(spec, f32).astype(np.float64), _prolong(spec, e32).astype(np.float64)
     assert abs(R32 @ e32 - 0.25 * (f32 @ P32)) <= np.finfo(np.float32).eps * np.abs(f).sum()
 
 
 @pytest.mark.parametrize("tag", ["S1", "S4"])
 def test_two_grid_cycle_preconditions_gmres(profile, tag):
     # the cycle as M takes `gmres` to krylov_tol = 1e-10 on the bordered
-    # system; its factor is that of the 2h case
+    # system; its factor is that of the 2h case, h = 0.5
     p, V, Z, P, dm, z_col, grad_con = _bordered_case(tag, profile)
-    J = _Jacobian(V, p.tag, p, dm)
-    M, fill = _two_grid(J, dm, z_col, grad_con, V, Z, p)
+    J = _Jacobian(V, p.tag, p)
+    M, fill, n1 = _preconditioner(J, V, Z, p)
+    assert n1 == _coarse_spec(V.spec).n1
     A = _bordered_matvec(P, z_col, grad_con)
     b = np.random.default_rng(23).standard_normal(dm.n + 1)
     applies = []
@@ -740,9 +816,9 @@ def test_a_cold_solve_assembles_only_the_grid_it_factors(profile, monkeypatch, c
     grids = []
     assemble = solver.assemble_jacobian
 
-    def counted(u, *args):
-        grids.append(u.spec.n1)
-        return assemble(u, *args)
+    def counted(J):
+        grids.append(J.spec.n1)
+        return assemble(J)
 
     monkeypatch.setattr(solver, "assemble_jacobian", counted)
     res = solve_at_separation(p, d, profile, h=h)
@@ -752,16 +828,15 @@ def test_a_cold_solve_assembles_only_the_grid_it_factors(profile, monkeypatch, c
                          else math.ceil(res.u.spec.n1 / 2))
 
 
-def test_a_fine_ring_factors_only_its_coarsest_grid(profile, monkeypatch):
-    # on an h = 0.125 grid the V-cycle has three levels, and the one
-    # matrix assembled and factored is that of its h = 0.5 grid
-    p = ModelParams(Regime.RING_SCH, 0.05, 0.0, 0.3)
+def _factored_grids(monkeypatch):
+    """Record the grid of every matrix assembled and the order of every
+    bordered matrix factored."""
     grids, factors = [], []
     assemble, factor = solver.assemble_jacobian, solver.splu
 
-    def assembled(u, *args):
-        grids.append(u.spec)
-        return assemble(u, *args)
+    def assembled(J):
+        grids.append(J.spec)
+        return assemble(J)
 
     def factored(B, **kw):
         factors.append(B.shape[0])
@@ -769,13 +844,34 @@ def test_a_fine_ring_factors_only_its_coarsest_grid(profile, monkeypatch):
 
     monkeypatch.setattr(solver, "assemble_jacobian", assembled)
     monkeypatch.setattr(solver, "splu", factored)
+    return grids, factors
+
+
+def test_a_fine_ring_factors_only_its_coarsest_grid(profile, monkeypatch):
+    # on an h = 0.125 grid the V-cycle has three levels, and the one
+    # matrix assembled and factored is that of its h = 0.5 grid, the grid
+    # lu_n1 names
+    p = ModelParams(Regime.RING_SCH, 0.05, 0.0, 0.3)
+    grids, factors = _factored_grids(monkeypatch)
     res = solve_at_separation(p, p.d, profile, h=0.125)
     spec = res.u.spec
     coarsest = _coarse_spec(_coarse_spec(spec))
     assert (spec.h1, coarsest.h1) == (0.125, 0.5)
-    assert solver._coarsest_spec(spec) == coarsest
     assert grids == [coarsest] and res.lu_n1 == coarsest.n1
     assert factors == [_DofMap(coarsest).n + 1]
+    assert res.lu_fill > 0 and res.final_residual <= solver.NEWTON_TOL
+
+
+def test_a_coarse_pair_factors_its_own_grid(profile, monkeypatch):
+    # on an h = 0.5 grid there is no cycle: the one matrix assembled and
+    # factored is the solve's own, the grid lu_n1 names
+    p, d, h = _direct_case()
+    grids, factors = _factored_grids(monkeypatch)
+    res = solve_at_separation(p, d, profile, h=h)
+    spec = res.u.spec
+    assert spec.h1 == 0.5
+    assert grids == [spec] and res.lu_n1 == spec.n1
+    assert factors == [_DofMap(spec).n + 1]
     assert res.lu_fill > 0 and res.final_residual <= solver.NEWTON_TOL
 
 
@@ -794,7 +890,7 @@ def test_a_steps_single_precision_copy_goes_with_its_jacobian(profile, monkeypat
     def copied(self):
         if self._single is None and self.gammas[0].dtype == np.complex128:
             J = single(self)
-            copies.append((self.dm.spec.n1, weakref.ref(J.gammas[0])))
+            copies.append((self.spec.n1, weakref.ref(J.gammas[0])))
             return J
         return single(self)
 
@@ -821,7 +917,7 @@ def test_single_precision_product_agrees_to_float32_rounding(profile, tag):
     p, spec = _tag_case(tag)
     V = build_ansatz(p, spec, profile)
     dm = _DofMap(spec)
-    J = _Jacobian(V, p.tag, p, dm)
+    J = _Jacobian(V, p.tag, p)
     S = J.single()
     assert S is J.single() and S.single() is S
     assert all(g.dtype == np.complex64 for g in S.gammas)
@@ -870,23 +966,26 @@ def test_a_cold_solve_trims_the_heap_once_its_state_is_gone(profile, monkeypatch
 
     def tracked(build):
         def built(*args):
-            M, fill = build(*args)
-            preconds.append((build.__name__, weakref.ref(M)))
-            return M, fill
+            out = build(*args)
+            preconds.append((build.__name__, weakref.ref(out[0])))
+            return out
         return built
 
-    for name in ("_two_grid", "_bordered_lu"):
+    for name in ("_preconditioner", "_bordered_lu"):
         monkeypatch.setattr(solver, name, tracked(getattr(solver, name)))
     monkeypatch.setattr(solver, "_release_freed_memory", lambda: live_at_trim.append(
         sum(r() is not None for _, r in preconds)))
     p, d, _ = _small_cases()[0]
     for h in (0.25, 0.5):
         solve_at_separation(p, d, profile, h=h)
-    # the cycle's coarse solve is a `_bordered_lu` of its own
-    assert [name for name, _ in preconds] == ["_bordered_lu", "_two_grid", "_bordered_lu"]
+    # the cycle's coarse level is a `_preconditioner` of its own, whose M
+    # is its `_bordered_lu`; on h = 0.5 the one level is that factor
+    assert [name for name, _ in preconds] == ["_bordered_lu", "_preconditioner",
+                                              "_preconditioner", "_bordered_lu",
+                                              "_preconditioner"]
     assert live_at_trim == [0, 0, 0, 0]
     solver._BalanceState().solve(p, d, profile, 0.25)
-    assert len(preconds) == 5 and live_at_trim == [0, 0, 0, 0, 0]
+    assert len(preconds) == 8 and live_at_trim == [0, 0, 0, 0, 0]
 
 
 def test_failures_carry_the_applies_of_each_step(profile, monkeypatch):

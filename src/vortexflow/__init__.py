@@ -2,11 +2,11 @@
 geometric flows: construction, solving, and verification."""
 
 from .ansatz import (ModelParams, Regime, build_ansatz, build_case, build_pair,
-                     build_ring, build_ring_phase, error_field, kernel_Zd)
+                     build_ring, build_ring_phase, kernel_Zd)
 from .diagnostics import (DiagnosticsReport, build_report, corrector_norms,
-                          detect_vortices, energy_charge)
+                          detect_vortices, energy_charge, error_field)
 from .fields import (ComplexField, GridSpec, ScalarField, Symmetry, diff_ops,
-                     discrete_norms, reflect_full)
+                     reflect_full)
 from .profile import (VortexProfile, eval_profile, ode_residual,
                       profile_integrals, solve_profile)
 from .reconstruct import pde_residual, unscale

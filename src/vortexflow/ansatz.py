@@ -17,6 +17,9 @@ solves the three phase problems of that case with the one factor: V_d's
 and the V_{d +- delta} of the co-kernel difference.  The factor lives
 only as long as that call; `build_ansatz`, `build_ring_phase` and
 `kernel_Zd` called on their own each factor it themselves.
+
+The error of the ansatz, S[V_d] and its double-star norm, is measured
+in `diagnostics` (`error_field`), next to the corrector's norms.
 """
 
 import enum
@@ -29,7 +32,7 @@ from scipy.sparse import diags, kronsum
 from scipy.sparse.linalg import splu
 
 from .fields import (ComplexField, GridSpec, ScalarField, Symmetry,
-                     axisym_term, diff_ops, discrete_norms, symmetrize_complex)
+                     axisym_term, diff_ops, symmetrize_complex)
 from .profile import VortexProfile, eval_rho
 
 
@@ -44,8 +47,6 @@ _TAGS = {Regime.PAIR_WM: "S1", Regime.PAIR_SCH: "S2",
          Regime.RING_WM: "S3", Regime.RING_SCH: "S4"}
 
 CUTOFF_RADIUS = 6.0
-CORE_MODULUS_FLOOR = 0.1
-RHO_WEIGHT = 0.5  # decay exponent 0 < rho < 1 used in all weighted norms
 
 # phi_s cutoff band as fractions of d.  The band must stay several grid
 # cells wide at the balanced ring separation (d ~ 5-20), and its support
@@ -304,46 +305,3 @@ def build_case(params: ModelParams, spec: GridSpec, profile: VortexProfile):
     operator once for its three ansatz builds."""
     lu = _phase_lu(params, spec)
     return _ansatz(params, spec, profile, lu), _kernel_Zd(params, spec, profile, lu)
-
-
-def error_field(V: ComplexField, tag: str, params: ModelParams):
-    """Ansatz error: Etilde = -S_tag[V]/(iV) away from the cores, the raw
-    S_tag[V] where |V| < 0.1, plus its double-star weighted norm."""
-    from .solver import apply_S  # local import; solver depends on this module
-
-    S = apply_S(V, tag, params)
-    absV = np.abs(V.data)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        normalized = -S.data / (1j * V.data)
-    data = np.where(absV >= CORE_MODULUS_FLOOR, normalized, S.data)
-    data = np.where(np.isfinite(data), data, 0.0)
-    tilde = ComplexField(V.spec, np.ascontiguousarray(data))
-    return tilde, error_norm_star2(tilde, S, params)
-
-
-def error_norm_star2(tilde: ComplexField, S: ComplexField, params: ModelParams):
-    """Discrete surrogate of the double-star norm: near-core sup (pair)
-    or L^14 (ring) of the raw error, plus weighted sups of the real and
-    imaginary parts outside."""
-    spec = tilde.spec
-    centers = params.centers()
-    rho = RHO_WEIGHT
-    if params.is_ring:
-        inner = discrete_norms(S, 14, region=(centers, None, 3.0))
-    else:
-        inner = 2.0 * discrete_norms(S, np.inf, region=(centers, None, 3.0))
-    re = ScalarField(spec, np.ascontiguousarray(tilde.data.real), "odd")
-    im = ScalarField(spec, np.ascontiguousarray(tilde.data.imag), "even")
-    outer_re = discrete_norms(re, np.inf, weight=(centers, 2.0 + rho),
-                              region=(centers, 2.0, None))
-    outer_im = discrete_norms(im, np.inf, weight=(centers, 1.0 + rho),
-                              region=(centers, 2.0, None))
-    return inner + outer_re + outer_im
-
-
-def error_inner_lp(V: ComplexField, tag: str, params: ModelParams, p=14):
-    """L^p norm of the raw error over the near-core region (|z - e_j| < 3)."""
-    from .solver import apply_S
-
-    S = apply_S(V, tag, params)
-    return discrete_norms(S, p, region=(params.centers(), None, 3.0))

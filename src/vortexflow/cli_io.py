@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .ansatz import ModelParams, Regime, build_ansatz, error_field
-from .diagnostics import build_report
+from .ansatz import ModelParams, Regime, build_ansatz
+from .diagnostics import build_report, corrector_norms, error_field
 from .fields import ComplexField, GridSpec, ScalarField, Symmetry
 from .profile import solve_profile, profile_integrals
 from .reconstruct import pde_residual, sample_block, unscale
@@ -35,6 +35,8 @@ MAGIC = b"VSF1"
 # `reconstruct` samples a block 11 h / 2 wide per spatial axis; a --ds that
 # would put more than this many points in the block is refused
 RECONSTRUCT_MAX_POINTS = 10**5
+# the most samples a field file may hold, and a grid the CLI may build
+MAX_FIELD_SAMPLES = 500_000_000
 _HEADER = struct.Struct("<IIII dddd")
 
 
@@ -70,7 +72,7 @@ def load_field(path):
     kind, sym, n1, n2, h1, h2, l1, l2 = _HEADER.unpack_from(blob, 4)
     if kind not in (0, 1) or sym not in (0, 1):
         raise FieldFormatError("unknown kind/symmetry")
-    if n1 * n2 > 500_000_000:
+    if n1 * n2 > MAX_FIELD_SAMPLES:
         raise FieldFormatError("dimension overflow")
     itemsize = 16 if kind == 1 else 8
     expected = 4 + _HEADER.size + n1 * n2 * itemsize
@@ -181,15 +183,21 @@ def _params_section(p: ModelParams):
 
 def _grid(cfg, params):
     """Square quarter grid of spacing h: side l when set, else the
-    solver's default domain for the separation of `params`."""
+    solver's default domain for the separation of `params`; a grid of more
+    than MAX_FIELD_SAMPLES points is refused."""
     if not cfg.l >= 0:
         raise ConfigError(f"l must be >= 0 (0 means the default domain), got {cfg.l}")
     try:
         if cfg.l > 0:
-            return GridSpec(cfg.l, cfg.l, cfg.h, cfg.h, params.symmetry)
-        return _grid_for(params.d, cfg.h, params.symmetry)
+            spec = GridSpec(cfg.l, cfg.l, cfg.h, cfg.h, params.symmetry)
+        else:
+            spec = _grid_for(params.d, cfg.h, params.symmetry)
     except (ValueError, ArithmeticError) as exc:  # h = 0 or nan leaves no default domain
         raise ConfigError(f"grid (h = {cfg.h}, l = {cfg.l}): {exc}") from None
+    if spec.n1 * spec.n2 > MAX_FIELD_SAMPLES:
+        raise ConfigError(f"grid (h = {cfg.h}, d = {params.d}) has {spec.n1} x {spec.n2} "
+                          f"points, more than {MAX_FIELD_SAMPLES}")
+    return spec
 
 
 def _profile(cfg):
@@ -260,7 +268,7 @@ def _cmd_build(cfg, out, args):
             "field": field_path.name,
             "c_mult": res.c_mult, "newton_iters": res.newton_iters,
             "final_residual": res.final_residual,
-            "corrector_norm_star": res.corrector_norm_star,
+            "corrector_norm_star": corrector_norms(res.u, res.V_d, params)["star"],
             "d_used": res.d_used,
             **_report_entries(build_report(res.u)),
         }))
@@ -285,8 +293,12 @@ def _cmd_reduce(cfg, out, args):
     d_list = np.sort(np.geomspace(d_lo, d_hi, cfg.points))
     if not (d_list[0] > 1.0 and np.all(np.diff(d_list) > 0.0)):
         raise ConfigError(f"separations {d_list.tolist()} must be distinct and > 1")
-    # samples solve on the default domain of their d; the smallest is coarsest
-    _grid(replace(cfg, l=0.0), params.with_d(d_list[0]))
+    try:  # d_hat is linear in d, so the two ends bound every sample's
+        ends = [params.with_d(d) for d in (d_list[0], d_list[-1])]
+    except ValueError as exc:
+        raise ConfigError(f"separations {d_list[0]} to {d_list[-1]}: {exc}") from None
+    # samples solve on the default domain of their d; the largest d has the largest
+    _grid(replace(cfg, l=0.0), ends[-1])
     prof = _profile(cfg)
     curve = numeric_c_curve(params, d_list, prof, h=cfg.h, **opts)
     curve_to_csv(curve, out / "curve.csv")
@@ -373,11 +385,13 @@ def _cmd_sweep(cfg, out, args):
         raise ConfigError(f"--eps-list must be comma-separated numbers, "
                           f"got {args.eps_list!r}") from None
     opts = _solve_opts(cfg)
-    prof = _profile(cfg)
-    rows = []
+    cases = []
     for eps in eps_list:
         params = replace(cfg, eps=eps).params()
-        spec = _grid(cfg, params)
+        cases.append((eps, params, _grid(cfg, params)))
+    prof = _profile(cfg)
+    rows = []
+    for eps, params, spec in cases:
         if args.solve:
             V, Z = build_case(params, spec, prof)
         else:
@@ -386,7 +400,7 @@ def _cmd_sweep(cfg, out, args):
         row = {"eps": eps, "d": params.d, "error_norm_star2": err}
         if args.solve:
             res = solve_projected(params, V, Z, **opts)
-            row.update(corrector_norm_star=res.corrector_norm_star,
+            row.update(corrector_norm_star=corrector_norms(res.u, res.V_d, params)["star"],
                        c_mult=res.c_mult, newton_iters=res.newton_iters)
         rows.append(row)
     write_report(out / "report.txt", [("config", cfg.echo())]

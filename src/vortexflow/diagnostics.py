@@ -7,10 +7,16 @@ charge use the sphere-valued field:
 
     E = int |d1 m|^2 + |d2 m|^2,    Q = (1/4 pi) int m . (d1 m x d2 m),
 
-related by the Bogomolny bound E >= 8 pi |Q|.  Corrector norms follow
-the weighted-decay bookkeeping of the construction: the corrector phase
-psi = -i (u/V - 1) away from the cores, phi = u - V inside, with
-anisotropic weights on Re(psi) and Im(psi).
+related by the Bogomolny bound E >= 8 pi |Q|.
+
+This module is the one home of the double-star norms, the weighted-decay
+bookkeeping of the construction.  The ansatz error (`error_field`) and
+the corrector u - V (`corrector_norms`) are both measured as a near-core
+term within 3 of a core (L^14 for a ring, twice the sup for a pair)
+plus weighted sups beyond 2 with anisotropic weights on the real and
+imaginary parts; both leave out the outer Dirichlet layer.  The
+corrector's phase is psi = -i (u/V - 1) away from the cores and
+phi = u - V inside.
 """
 
 import math
@@ -18,12 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ansatz import CORE_MODULUS_FLOOR, ModelParams, RHO_WEIGHT
-from .fields import (ComplexField, ScalarField, combined_weight, diff_ops,
-                     region_mask)
+from .ansatz import ModelParams
+from .fields import ComplexField, ScalarField, diff_ops
+from .solver import apply_S
 from .stereo import unproject_array
 
 EIGHT_PI = 8.0 * math.pi
+CORE_MODULUS_FLOOR = 0.1
+RHO_WEIGHT = 0.5  # decay exponent 0 < rho < 1 used in all weighted norms
 
 
 @dataclass(frozen=True)
@@ -128,69 +136,106 @@ def energy_charge(m, h1, h2):
     return E, Q
 
 
+def _norm_regions(spec, centers):
+    """The regions and weights of the double-star norms around `centers`:
+    the near-core mask (within 3 of a core), the outer mask (beyond 2),
+    both without the outer Dirichlet layer, and `weight(power)` =
+    1 / sum_j ell_j^(-power), which behaves like min_j ell_j^power but
+    stays finite where several cores contribute."""
+    X1, X2 = spec.mesh()
+    dists = [np.hypot(X1 - c1, X2 - c2) for c1, c2 in centers]
+    dmin = np.minimum.reduce(dists)
+    near, outer = dmin < 3.0, dmin > 2.0
+    for mask in (near, outer):
+        mask[-1, :] = False
+        mask[:, -1] = False
+
+    def weight(power):
+        with np.errstate(divide="ignore"):
+            inv = sum(np.where(d > 0, d, np.inf) ** (-power) for d in dists)
+            return np.where(inv > 0, 1.0 / np.where(inv > 0, inv, 1.0), np.inf)
+
+    return near, outer, weight
+
+
+def _l14(vals, mask, spec):
+    """L^14 norm (cell quadrature) of |vals| over `mask`."""
+    cell = spec.h1 * spec.h2
+    return float((np.where(mask, np.abs(vals), 0.0) ** 14).sum() * cell) ** (1 / 14)
+
+
+def _near_core(parts, mask, params: ModelParams, spec):
+    """Near-core term of a double-star norm: the sum of the L^14 norms of
+    `parts` over `mask` for a ring, twice the sum of their sups for a
+    pair."""
+    if params.is_ring:
+        return sum(_l14(v, mask, spec) for v in parts)
+    return 2.0 * sum(float(np.where(mask, np.abs(v), 0.0).max()) for v in parts)
+
+
+def _weighted_outer(terms, mask):
+    """Outer term of a double-star norm: the sum over (vals, weight) in
+    `terms` of the sup of |vals| * weight over `mask`."""
+    return sum(float(np.where(mask, np.abs(v) * w, 0.0).max()) for v, w in terms)
+
+
+def error_field(V: ComplexField, tag: str, params: ModelParams):
+    """Ansatz error: Etilde = -S_tag[V]/(iV) away from the cores, the raw
+    S_tag[V] where |V| < CORE_MODULUS_FLOOR, plus its double-star norm:
+    the near-core term of S_tag[V] and the weighted outer sups of
+    Re Etilde (weight ell^(2+rho)) and Im Etilde (ell^(1+rho))."""
+    S = apply_S(V, tag, params).data
+    with np.errstate(divide="ignore", invalid="ignore"):
+        normalized = -S / (1j * V.data)
+    data = np.where(np.abs(V.data) >= CORE_MODULUS_FLOOR, normalized, S)
+    data = np.where(np.isfinite(data), data, 0.0)
+    near, outer, weight = _norm_regions(V.spec, params.centers())
+    star2 = (_near_core([S], near, params, V.spec)
+             + _weighted_outer([(data.real, weight(2.0 + RHO_WEIGHT))], outer)
+             + _weighted_outer([(data.imag, weight(1.0 + RHO_WEIGHT))], outer))
+    return ComplexField(V.spec, data), star2
+
+
+def error_inner_lp(V: ComplexField, tag: str, params: ModelParams):
+    """L^14 norm of the raw error S_tag[V] within 3 of a core."""
+    near, _, _ = _norm_regions(V.spec, params.centers())
+    return _l14(apply_S(V, tag, params).data, near, V.spec)
+
+
 def corrector_norms(u: ComplexField, V: ComplexField, params: ModelParams):
     """Weighted corrector norms: psi = -i (u/V - 1) where |V| > 0.1,
-    phi = u - V near the cores.  Pair regimes use sup/divided-difference
-    surrogates near the cores; ring regimes use L^14 there."""
+    phi = u - V near the cores.  The near-core term takes phi, |grad phi|
+    and |(d11 phi, d22 phi)|; the outer terms take Re psi and |grad Re psi|
+    (weights ell^rho, ell^(1+rho)) and Im psi and |grad Im psi|
+    (ell^(1+rho), ell^(2+rho))."""
     spec = u.spec
-    centers = params.centers()
-    rho = RHO_WEIGHT
-    absV = np.abs(V.data)
-    safe = absV > CORE_MODULUS_FLOOR
+    safe = np.abs(V.data) > CORE_MODULUS_FLOOR
     with np.errstate(divide="ignore", invalid="ignore"):
         psi = np.where(safe, -1j * ((u.data - V.data) / np.where(safe, V.data, 1.0)), 0.0)
     phi = ComplexField(spec, np.ascontiguousarray(u.data - V.data))
 
     # psi parity is anti-conjugate: Re odd, Im even about x2 = 0
-    psi1 = ScalarField(spec, np.ascontiguousarray(psi.real), "odd")
-    psi2 = ScalarField(spec, np.ascontiguousarray(psi.imag), "even")
-    g11, g12, _ = diff_ops(psi1)
-    g21, g22, _ = diff_ops(psi2)
-    grad1 = np.hypot(g11.data, g12.data)
-    grad2 = np.hypot(g21.data, g22.data)
-
-    outer = region_mask(spec, centers, 2.0, None)
-    outer[-1, :] = False
-    outer[:, -1] = False
-    w1 = combined_weight(spec, centers, rho)
-    w1g = w2 = combined_weight(spec, centers, 1.0 + rho)
-    w2g = combined_weight(spec, centers, 2.0 + rho)
-
-    def wsup(vals, w):
-        return float(np.where(outer, np.abs(vals) * w, 0.0).max())
-
-    outer_psi1 = wsup(psi.real, w1) + wsup(grad1, w1g)
-    outer_psi2 = wsup(psi.imag, w2) + wsup(grad2, w2g)
-
+    g11, g12, _ = diff_ops(ScalarField(spec, np.ascontiguousarray(psi.real), "odd"))
+    g21, g22, _ = diff_ops(ScalarField(spec, np.ascontiguousarray(psi.imag), "even"))
     d1p, d2p, _ = diff_ops(phi)
-    inner_mask = region_mask(spec, centers, None, 3.0)
-    inner_mask[-1, :] = False
-    inner_mask[:, -1] = False
-    grad_phi = np.hypot(np.abs(d1p.data), np.abs(d2p.data))
     d11, _, _ = diff_ops(d1p)
     _, d22, _ = diff_ops(d2p)
-    hess_phi = np.hypot(np.abs(d11.data), np.abs(d22.data))
-    if params.is_ring:
-        cell = spec.h1 * spec.h2
-        p = 14
 
-        def lp(vals):
-            return float((np.where(inner_mask, np.abs(vals), 0.0) ** p).sum() * cell) ** (1 / p)
-
-        inner = lp(phi.data) + lp(grad_phi) + lp(hess_phi)
-    else:
-        def sup(vals):
-            return float(np.where(inner_mask, np.abs(vals), 0.0).max())
-
-        inner = 2.0 * (sup(phi.data) + sup(grad_phi) + sup(hess_phi))
-
-    phi_linf = float(np.abs(u.data - V.data).max())
+    near, outer, weight = _norm_regions(spec, params.centers())
+    w_mid = weight(1.0 + RHO_WEIGHT)
+    inner = _near_core([phi.data, np.hypot(np.abs(d1p.data), np.abs(d2p.data)),
+                        np.hypot(np.abs(d11.data), np.abs(d22.data))], near, params, spec)
+    outer_psi1 = _weighted_outer([(psi.real, weight(RHO_WEIGHT)),
+                                  (np.hypot(g11.data, g12.data), w_mid)], outer)
+    outer_psi2 = _weighted_outer([(psi.imag, w_mid),
+                                  (np.hypot(g21.data, g22.data), weight(2.0 + RHO_WEIGHT))],
+                                 outer)
     return {
         "star": inner + outer_psi1 + outer_psi2,
         "inner": inner,
         "outer_psi1": outer_psi1,
         "outer_psi2": outer_psi2,
-        "phi_linf": phi_linf,
+        "phi_linf": float(np.abs(phi.data).max()),
         "psi_sup": float(np.abs(np.where(outer, psi, 0.0)).max()),
     }
 

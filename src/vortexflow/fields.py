@@ -1,4 +1,4 @@
-"""Symmetry-reduced grids, field storage, reflection, stencils, norms.
+"""Symmetry-reduced grids, field storage, reflection and stencils.
 
 Only the quarter plane x1 >= 0, x2 >= 0 is stored.  The full plane is
 recovered through the parity table
@@ -180,53 +180,3 @@ def axisym_term(u_data, spec):
     out[-1, :] = 0.0
     out[:, -1] = 0.0
     return out
-
-
-def _center_distances(spec, centers):
-    X1, X2 = spec.mesh()
-    return [np.hypot(X1 - c[0], X2 - c[1]) for c in centers]
-
-
-def combined_weight(spec, centers, power):
-    """1 / sum_j ell_j^(-power): behaves like min_j ell_j^power but stays
-    finite when several centers contribute."""
-    dists = _center_distances(spec, centers)
-    with np.errstate(divide="ignore"):
-        inv = sum(np.where(d > 0, d, np.inf) ** (-power) for d in dists)
-        return np.where(inv > 0, 1.0 / np.where(inv > 0, inv, 1.0), np.inf)
-
-
-def region_mask(spec, centers, rmin=None, rmax=None):
-    dists = _center_distances(spec, centers)
-    dmin = np.minimum.reduce(dists)
-    mask = np.ones(dmin.shape, dtype=bool)
-    if rmin is not None:
-        mask &= dmin > rmin
-    if rmax is not None:
-        mask &= dmin < rmax
-    return mask
-
-
-def discrete_norms(f, p, weight=None, region=None):
-    """L^2 / L^14 (cell quadrature) or weighted sup norm of a field.
-
-    `weight` is (centers, power): |f| is multiplied by the combined
-    weight 1/sum_j ell_j^(-power).  `region` is (rmin, rmax) bounds on
-    the minimum distance to the same centers.
-    """
-    spec = f.spec
-    vals = np.abs(f.data).astype(float)
-    if weight is not None:
-        centers, power = weight
-        vals = vals * combined_weight(spec, centers, power)
-    mask = np.ones(vals.shape, dtype=bool)
-    if region is not None:
-        centers_r, rmin, rmax = region
-        mask = region_mask(spec, centers_r, rmin, rmax)
-    vals = np.where(mask, vals, 0.0)
-    if p == np.inf or p == "inf":
-        return float(vals.max())
-    if p not in (2, 14):
-        raise ValueError("supported exponents: 2, 14, inf")
-    cell = spec.h1 * spec.h2
-    return float((vals**p).sum() * cell) ** (1.0 / p)

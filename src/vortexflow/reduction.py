@@ -16,6 +16,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .ansatz import ModelParams
+from .profile import VortexProfile
 from .solver import NonConvergenceError, balance_x, solve_at_separation
 
 
@@ -73,14 +74,10 @@ def predict_d(params: ModelParams) -> float:
     return float(brentq(lambda d: balance_x(d, True) - rhs, math.e, d_hi, xtol=1e-12))
 
 
-def numeric_c_curve(params: ModelParams, d_list, profile=None, h=0.25,
+def numeric_c_curve(params: ModelParams, d_list, profile: VortexProfile, h=0.25,
                     **opts) -> ReducedCurve:
     """Numeric multiplier c(d) from projected solves at each separation,
     next to the sign-matched leading-order curve."""
-    from .profile import solve_profile
-
-    if profile is None:
-        profile = solve_profile()
     d_arr = np.asarray(sorted(d_list), dtype=float)
     c_num = np.empty_like(d_arr)
     complete = True

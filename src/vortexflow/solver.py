@@ -54,7 +54,7 @@ spacing can double too.  So every solve factors one bordered system
 (`_bordered_lu`), on the grid whose spacing cannot double (h = 0.5): the
 cycle's coarsest level, or the solve's own grid.  Every level of the cycle runs
 in float32.  On the benchmark's ring grid (h = 0.125, 293k unknowns) the
-factor holds 1.30M entries in L + U and takes 0.08 s; the two-grid
+factor holds 1,382,756 entries in L + U and takes 0.08 s; the two-grid
 cycle's h = 0.25 factor held 6.90M and took 0.4 s, and the fine grid's
 own held 34.62M and took 2 s.  Under the forcing term a Newton step
 takes 1 to 10 cycles, so the cheap factor wins at every grid size;
@@ -128,7 +128,6 @@ import ctypes
 import math
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -140,7 +139,7 @@ from scipy.sparse.linalg import splu
 # bench/test_tracing.py looks for it
 from .ansatz import ModelParams, build_ansatz, build_case  # noqa: F401
 from .fields import MAX_SPACING, ComplexField, GridSpec, Symmetry, axisym_term, diff_ops
-from .profile import VortexProfile, solve_profile
+from .profile import VortexProfile
 from .stereo import nonlinearity_F
 
 PAIR_TAGS = ("S1", "S2")
@@ -212,9 +211,9 @@ class SolveResult:
     newton_iters: int
     final_residual: float
     d_used: float
-    # the case's ansatz and parameters, which `corrector_norm_star` reads
+    # the case's ansatz; `diagnostics.corrector_norms(u, V_d, params)`
+    # measures the corrector u - V_d
     V_d: ComplexField = field(repr=False, compare=False)
-    params: ModelParams = field(repr=False, compare=False)
     # preconditioner applies (LU solves or V-cycles) of each Newton step's
     # GMRES solve
     krylov_iters: tuple = ()
@@ -237,15 +236,6 @@ class SolveResult:
     # and the count of solves redone cold after failing on reused state
     balance_history: tuple = ()
     fallbacks: int = 0
-
-    @cached_property
-    def corrector_norm_star(self):
-        """`diagnostics.corrector_norms(u, V_d, params)["star"]`, computed
-        on the first read: a balance returns one of its solves, and most
-        callers never read it."""
-        from .diagnostics import corrector_norms
-
-        return corrector_norms(self.u, self.V_d, self.params)["star"]
 
 
 def _check_tag(u, tag, params):
@@ -894,7 +884,7 @@ def _newton(params, V_d, Z_d, precond=None, start=None, R=None, *,
 
     return SolveResult(
         u=ComplexField(spec, u), c_mult=float(c), newton_iters=iters,
-        final_residual=float(best), d_used=params.d, V_d=V_d, params=params,
+        final_residual=float(best), d_used=params.d, V_d=V_d,
         krylov_iters=tuple(krylov_iters), newton_residuals=tuple(residuals),
         lu_reused=lu_reused, warm_start=warm, lu_fill=lu_fill, lu_n1=lu_n1,
     ), precond
@@ -1026,8 +1016,8 @@ class _BalanceState:
 _BALANCE = ContextVar("vortexflow_balance", default=None)
 
 
-def solve_balanced(params: ModelParams, d_bracket, profile: VortexProfile = None,
-                   h=0.25, **opts):
+def solve_balanced(params: ModelParams, d_bracket, profile: VortexProfile, h=0.25,
+                   **opts):
     """Safeguarded secant for c_mult(d) = 0; returns (SolveResult, d_star).
 
     The secant is taken in X(d) (`balance_x`), in which the leading-order
@@ -1042,10 +1032,12 @@ def solve_balanced(params: ModelParams, d_bracket, profile: VortexProfile = None
     that reuse is redone cold.  The result carries `balance_history`, one record (d, c, n1,
     lu_reused, warm_start) per solve, and `fallbacks`, the solves redone
     cold.  Each solve is accepted only at its `newton_tol`, by default
-    NEWTON_TOL (see `solve_projected`)."""
+    NEWTON_TOL (see `solve_projected`).  The bracket must satisfy
+    0 < d_lo < d_hi < inf; any other raises ValueError before a solve."""
     check_tolerances(**opts)
-    if profile is None:
-        profile = solve_profile()
+    d_lo, d_hi = d_bracket
+    if not 0.0 < d_lo < d_hi < math.inf:
+        raise ValueError(f"need a bracket 0 < d_lo < d_hi < inf, got ({d_lo}, {d_hi})")
     ring = params.is_ring
     state = _BalanceState()
     history = []
@@ -1058,7 +1050,6 @@ def solve_balanced(params: ModelParams, d_bracket, profile: VortexProfile = None
     def done(res, d):
         return replace(res, balance_history=tuple(history), fallbacks=state.fallbacks), d
 
-    d_lo, d_hi = d_bracket
     r_lo = solve(d_lo)
     r_hi = solve(d_hi)
     c_lo, c_hi = r_lo.c_mult, r_hi.c_mult

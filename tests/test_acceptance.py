@@ -35,10 +35,9 @@ import time
 import numpy as np
 import pytest
 
-from vortexflow.ansatz import (ModelParams, Regime, build_ansatz, error_field,
-                               error_inner_lp)
-from vortexflow.diagnostics import (build_report, detect_vortices,
-                                    energy_charge)
+from vortexflow.ansatz import ModelParams, Regime, build_ansatz
+from vortexflow.diagnostics import (build_report, corrector_norms, detect_vortices,
+                                    energy_charge, error_field, error_inner_lp)
 from vortexflow.fields import GridSpec, Symmetry, reflect_full
 from vortexflow.profile import ode_residual, profile_integrals
 from vortexflow.reconstruct import pde_residual, unscale
@@ -148,7 +147,7 @@ def test_criterion_05_projected_solves(profile):
         p = ModelParams(Regime.PAIR_WM, eps, 0.0, 1.0)
         d = predict_d(p)
         res = solve_at_separation(p, d, profile, h=0.25, newton_tol=1e-11)
-        norms.append(res.corrector_norm_star)
+        norms.append(corrector_norms(res.u, res.V_d, p.with_d(d))["star"])
     ratios = [norms[i + 1] / norms[i] for i in range(len(norms) - 1)]
     ok &= all(r <= RATIO_BOUND for r in ratios)
     lines.append(f"pair corrector ratios {['%.3f' % r for r in ratios]}")
@@ -170,12 +169,9 @@ def test_criterion_05b_ring_corrector_trend(profile):
         p = ModelParams(Regime.RING_SCH, eps, 0.0, 1.0)
         d = predict_d(p)
         res = solve_at_separation(p, d, profile, h=0.25, newton_tol=1e-11)
-        norms.append(res.corrector_norm_star)
-        from vortexflow.diagnostics import corrector_norms
-
-        pb = p.with_d(d)
-        V = build_ansatz(pb, res.u.spec, profile)
-        inner.append(corrector_norms(res.u, V, pb)["inner"])
+        cn = corrector_norms(res.u, res.V_d, p.with_d(d))
+        norms.append(cn["star"])
+        inner.append(cn["inner"])
     ratio = norms[1] / norms[0]
     ok = ratio <= RATIO_BOUND
     _report(5, ok, f"ring corrector ratio {ratio:.3f} "

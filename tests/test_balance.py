@@ -31,10 +31,21 @@ def fake_solves(monkeypatch, c_of_d):
         spec = GridSpec(L, L, h, h, params.symmetry)
         u = ComplexField(spec, np.zeros((spec.n1, spec.n2), dtype=complex))
         return SolveResult(u=u, c_mult=c_of_d(d), newton_iters=0, final_residual=0.0,
-                           d_used=d, V_d=u, params=params.with_d(d))
+                           d_used=d, V_d=u)
 
     monkeypatch.setattr(_BalanceState, "solve", fake)
     return calls
+
+
+@pytest.mark.parametrize("bracket", [(26.0, 16.0), (18.0, 18.0), (0.0, 5.0), (-5.0, 5.0),
+                                     (math.nan, 5.0), (5.0, math.inf)])
+def test_bracket_out_of_order_raises_before_a_solve(monkeypatch, bracket):
+    # a reversed bracket once returned its low end with c != 0 (the width
+    # stop fired on a negative width), an empty one spent two solves
+    calls = fake_solves(monkeypatch, lambda d: d - 20.0)
+    with pytest.raises(ValueError, match="bracket"):
+        solve_balanced(PAIR, bracket, profile=object(), h=0.5)
+    assert calls == []
 
 
 def test_no_sign_change_raises(monkeypatch):

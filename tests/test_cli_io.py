@@ -192,6 +192,9 @@ def test_mutated_field_loads_or_raises_format_error(valid_vsf, tmp_path_factory,
     ("d_hi = -40", ["reduce"]),
     ("h = 0", ["pair", "--ansatz-only"]),  # no default domain at h = 0 or nan
     ("h = nan", ["ring", "--ansatz-only"]),
+    ("", ["pair", "--ansatz-only", "--eps", "1e-6"]),  # a grid too large to allocate
+    ("d_hi = 1e9", ["reduce"]),  # d_hat = eps d above 100
+    ("eps = 0.001\nd_hi = 1e5", ["reduce"]),  # its largest separation's grid is too large
 ])
 def test_cli_out_of_range_config_exit_2(tmp_path, line, command):
     cfg = tmp_path / "run.cfg"

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from vortexflow.ansatz import ModelParams, Regime, build_pair
-from vortexflow.diagnostics import (DiagnosticsReport, build_report,
-                                    corrector_norms, detect_vortices,
-                                    energy_charge)
+from vortexflow.diagnostics import (DiagnosticsReport, _near_core, _norm_regions,
+                                    _weighted_outer, build_report, corrector_norms,
+                                    detect_vortices, energy_charge)
 from vortexflow.fields import ComplexField, GridSpec, Symmetry, symmetrize_complex
 from vortexflow.stereo import unproject_array
 
@@ -107,6 +107,45 @@ def test_corrector_norms_zero_and_phase(profile):
     # O(delta^2) and stays tiny even after the decay weights
     assert norms["psi_sup"] == pytest.approx(delta, rel=1e-5)
     assert norms["outer_psi2"] <= 1e-3 * norms["outer_psi1"]
+
+
+def test_norms_leave_out_the_dirichlet_layer(profile):
+    p = ModelParams(Regime.PAIR_WM, 0.1, 0.0, 1.0)
+    spec = GridSpec(20.0, 20.0, 0.25, 0.25, Symmetry.PAIR)
+    V = build_pair(p, spec, profile)
+    data = V.data.copy()
+    data[-1, :] *= 1.5
+    data[:, -1] *= 1.5
+    norms = corrector_norms(ComplexField(spec, data), V, p)
+    # psi is nonzero on the layer alone; only the outer gradients next to
+    # it see the layer's values
+    assert norms["psi_sup"] == 0.0 and norms["inner"] == 0.0
+    assert norms["phi_linf"] > 0.1
+
+
+def test_near_core_term_is_l14_for_rings_and_twice_the_sup_for_pairs():
+    pair = ModelParams(Regime.PAIR_WM, 0.1, 0.0, 1.0)
+    ring = ModelParams(Regime.RING_WM, 0.1, 0.0, 1.0)
+    spec = GridSpec(20.0, 20.0, 0.25, 0.25, Symmetry.PAIR)
+    near, outer, _ = _norm_regions(spec, pair.centers())
+    spike = np.zeros((spec.n1, spec.n2))
+    spike[40, 1] = -1.0  # (10, 0.25): the core at d = 10
+    assert near[40, 1] and not outer[40, 1]
+    assert _near_core([spike], near, pair, spec) == 2.0
+    # a one-cell spike: L^14 = (h^2)^(1/14)
+    assert _near_core([spike], near, ring, spec) == pytest.approx(0.0625 ** (1 / 14), rel=1e-14)
+    assert _near_core([spike, spike], near, pair, spec) == 4.0
+
+
+def test_weighted_outer_sup_example():
+    # || ell * 1/(1+ell) ||_inf over ell > 2 lies in (0.66, 1)
+    spec = GridSpec(40.0, 40.0, 0.5, 0.5, Symmetry.PAIR)
+    X1, X2 = spec.mesh()
+    ell = np.hypot(X1, X2)
+    _, outer, weight = _norm_regions(spec, [(0.0, 0.0)])
+    val = _weighted_outer([(1.0 / (1.0 + ell), weight(1.0))], outer)
+    assert 0.66 < val < 1.0
+    assert not outer[-1, :].any() and not outer[:, -1].any()
 
 
 def test_build_report_pair(profile):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vortexflow.fields import (ComplexField, GridSpec, ScalarField, Symmetry,
-                               diff_ops, discrete_norms, reflect_full,
+                               diff_ops, reflect_full,
                                symmetrize_complex)
 
 
@@ -89,50 +89,3 @@ def test_refinement_order_two():
         errs.append(err)
     ratio = errs[0] / errs[1]
     assert 3.6 <= ratio <= 4.4
-
-
-def test_l2_norm_of_unit_constant():
-    spec = GridSpec(1.0, 1.0, 0.1, 0.1, Symmetry.PAIR)
-    f = ScalarField(spec, np.ones((spec.n1, spec.n2)))
-    assert abs(discrete_norms(f, 2) - 1.0) < 1e-12
-
-
-def test_norm_homogeneity():
-    spec = make_spec()
-    rng = np.random.default_rng(3)
-    data = rng.standard_normal((spec.n1, spec.n2))
-    f1 = ScalarField(spec, data)
-    f2 = ScalarField(spec, -2.5 * data)
-    for p in (2, 14, np.inf):
-        assert discrete_norms(f2, p) == pytest.approx(2.5 * discrete_norms(f1, p), rel=1e-12)
-
-
-def test_weighted_sup_example():
-    # || ell^1 * 1/(1+ell) ||_inf over ell > 2 lies in (0.66, 1)
-    spec = GridSpec(40.0, 40.0, 0.5, 0.5, Symmetry.PAIR)
-    X1, X2 = spec.mesh()
-    ell = np.hypot(X1, X2)
-    f = ScalarField(spec, 1.0 / (1.0 + ell))
-    val = discrete_norms(f, np.inf, weight=([(0.0, 0.0)], 1.0),
-                         region=([(0.0, 0.0)], 2.0, None))
-    assert 0.66 < val < 1.0
-
-
-def test_lp_versus_sup_on_spike():
-    spec = make_spec(h=0.25)
-    data = np.zeros((spec.n1, spec.n2))
-    data[5, 5] = 1.0
-    f = ScalarField(spec, data)
-    linf = discrete_norms(f, np.inf)
-    l14 = discrete_norms(f, 14)
-    assert linf == 1.0
-    # single-cell spike: L14 = (h^2)^(1/14) < 1 and depends on h
-    assert abs(l14 - (0.25 * 0.25) ** (1 / 14)) < 1e-12
-    assert l14 != linf
-
-
-def test_unsupported_exponent():
-    spec = make_spec()
-    f = ScalarField(spec, np.ones((spec.n1, spec.n2)))
-    with pytest.raises(ValueError):
-        discrete_norms(f, 3)

@@ -80,7 +80,7 @@ class ModelParams:
             raise ValueError("d_hat must lie in [1/100, 100]")
         if not (0.0 <= self.kappa < 0.5):
             raise ValueError("need 0 <= kappa and 1 - 2*kappa > 0")
-        if self.regime in (Regime.PAIR_WM, Regime.RING_WM) and self.kappa != 0.0:
+        if not self.is_schrodinger and self.kappa != 0.0:
             raise ValueError("wave-map regimes have omega = 0, so kappa = 0")
         drive = self.drive
         c = drive / math.sqrt(4.0 + drive * drive)
@@ -94,12 +94,19 @@ class ModelParams:
         return self.regime in (Regime.RING_WM, Regime.RING_SCH)
 
     @property
+    def is_schrodinger(self):
+        """Schrodinger flow, whose operators S2 and S4 carry the T2 term."""
+        return self.regime in (Regime.PAIR_SCH, Regime.RING_SCH)
+
+    @property
     def drive(self):
         """Coefficient of the Q2 term: eps for pairs, eps|log eps| for rings."""
         return self.eps if not self.is_ring else self.eps * abs(math.log(self.eps))
 
     @property
     def tag(self):
+        """The name of the regime's operator, S1..S4 (the `tag` line of a
+        report); the operators read their terms from the regime itself."""
         return _TAGS[self.regime]
 
     @property

@@ -255,7 +255,7 @@ def _cmd_build(cfg, out, args):
         V = build_ansatz(params, spec, prof)
         field_path = out / "ansatz.vsf"
         save_field(V, field_path)
-        _, err_norm = error_field(V, params.tag, params)
+        _, err_norm = error_field(V, params)
         sections.append(("ansatz", {
             "field": field_path.name, "error_norm_star2": err_norm,
             **_report_entries(build_report(V)),
@@ -396,7 +396,7 @@ def _cmd_sweep(cfg, out, args):
             V, Z = build_case(params, spec, prof)
         else:
             V = build_ansatz(params, spec, prof)
-        _, err = error_field(V, params.tag, params)
+        _, err = error_field(V, params)
         row = {"eps": eps, "d": params.d, "error_norm_star2": err}
         if args.solve:
             res = solve_projected(params, V, Z, **opts)

@@ -179,12 +179,13 @@ def _weighted_outer(terms, mask):
     return sum(float(np.where(mask, np.abs(v) * w, 0.0).max()) for v, w in terms)
 
 
-def error_field(V: ComplexField, tag: str, params: ModelParams):
-    """Ansatz error: Etilde = -S_tag[V]/(iV) away from the cores, the raw
-    S_tag[V] where |V| < CORE_MODULUS_FLOOR, plus its double-star norm:
-    the near-core term of S_tag[V] and the weighted outer sups of
-    Re Etilde (weight ell^(2+rho)) and Im Etilde (ell^(1+rho))."""
-    S = apply_S(V, tag, params).data
+def error_field(V: ComplexField, params: ModelParams):
+    """Ansatz error, S the operator of params' regime: Etilde =
+    -S[V]/(iV) away from the cores, the raw S[V] where |V| <
+    CORE_MODULUS_FLOOR, plus its double-star norm: the near-core term of
+    S[V] and the weighted outer sups of Re Etilde (weight ell^(2+rho))
+    and Im Etilde (ell^(1+rho))."""
+    S = apply_S(V, params).data
     with np.errstate(divide="ignore", invalid="ignore"):
         normalized = -S / (1j * V.data)
     data = np.where(np.abs(V.data) >= CORE_MODULUS_FLOOR, normalized, S)
@@ -196,10 +197,27 @@ def error_field(V: ComplexField, tag: str, params: ModelParams):
     return ComplexField(V.spec, data), star2
 
 
-def error_inner_lp(V: ComplexField, tag: str, params: ModelParams):
-    """L^14 norm of the raw error S_tag[V] within 3 of a core."""
+def error_inner_lp(V: ComplexField, params: ModelParams):
+    """L^14 norm of the raw error S[V] within 3 of a core, S the operator
+    of params' regime."""
     near, _, _ = _norm_regions(V.spec, params.centers())
-    return _l14(apply_S(V, tag, params).data, near, V.spec)
+    return _l14(apply_S(V, params).data, near, V.spec)
+
+
+def _second_derivatives(d1p, d2p, spec):
+    """(d11 phi, d22 phi): central differences of d1p = d1 phi along x1
+    and d2p = d2 phi along x2, the outer layer left at zero.  The axis
+    rows are closed by the parities of d1 phi and d2 phi, not phi's:
+    d1 phi is odd across x1 = 0 and d2 phi anti-conjugate across x2 = 0,
+    so the x1 = 0 row is d1p(h1) / h1 and the x2 = 0 row Re d2p(h2) / h2."""
+    h1, h2 = spec.h1, spec.h2
+    d11 = np.zeros_like(d1p)
+    d22 = np.zeros_like(d2p)
+    d11[1:-1, :] = (d1p[2:, :] - d1p[:-2, :]) / (2 * h1)
+    d11[0, :] = d1p[1, :] / h1
+    d22[:, 1:-1] = (d2p[:, 2:] - d2p[:, :-2]) / (2 * h2)
+    d22[:, 0] = d2p[:, 1].real / h2
+    return d11, d22
 
 
 def corrector_norms(u: ComplexField, V: ComplexField, params: ModelParams):
@@ -218,13 +236,12 @@ def corrector_norms(u: ComplexField, V: ComplexField, params: ModelParams):
     g11, g12, _ = diff_ops(ScalarField(spec, np.ascontiguousarray(psi.real), "odd"))
     g21, g22, _ = diff_ops(ScalarField(spec, np.ascontiguousarray(psi.imag), "even"))
     d1p, d2p, _ = diff_ops(phi)
-    d11, _, _ = diff_ops(d1p)
-    _, d22, _ = diff_ops(d2p)
+    d11, d22 = _second_derivatives(d1p.data, d2p.data, spec)
 
     near, outer, weight = _norm_regions(spec, params.centers())
     w_mid = weight(1.0 + RHO_WEIGHT)
     inner = _near_core([phi.data, np.hypot(np.abs(d1p.data), np.abs(d2p.data)),
-                        np.hypot(np.abs(d11.data), np.abs(d22.data))], near, params, spec)
+                        np.hypot(np.abs(d11), np.abs(d22))], near, params, spec)
     outer_psi1 = _weighted_outer([(psi.real, weight(RHO_WEIGHT)),
                                   (np.hypot(g11.data, g12.data), w_mid)], outer)
     outer_psi2 = _weighted_outer([(psi.imag, w_mid),

@@ -12,6 +12,15 @@ Operators on the quarter grid:
 grad u . grad u is the complex bilinear sum (d1 u)^2 + (d2 u)^2, not the
 Hermitian square.
 
+The case's regime decides its operator, so the operators take the
+case's `ModelParams` and nothing else: `apply_S(u, params)`,
+`linearize_apply(u, v, params)` and the Jacobian (`_Jacobian(u,
+params)`) add the Q2 drive (`params.drive`) to S0, T2 for Schrodinger
+flow (`params.is_schrodinger`) and H1 for a ring (`params.is_ring`), and
+raise ValueError on a grid whose symmetry is not `params.symmetry`.
+`apply_S(u, None)` and `linearize_apply(u, v, None)` apply S0 itself,
+the static operator, which no regime implies.
+
 The projected problem S[u] = c Z_d with Re<u - V_d, Z_d>_W = 0 (weight
 W = (1+|V_d|^2)^-2) is solved by damped Newton on the bordered system
 (unknowns u on the quarter grid plus the scalar c).  Inner linear
@@ -26,8 +35,7 @@ take half the memory of float64 ones (Abdelfattah et al., Int. J. High
 Perform. Comput. Appl. 35, 2021).  GMRES keeps the preconditioned
 vectors Z in the float32 the preconditioner returns and applies the
 Jacobian to them as stored, so the flexible Arnoldi relation stays
-exact; on the benchmark's ring (2 CPUs) this took the peak RSS from
-250 to 223 MiB.
+exact.
 
 Each inner solve goes only as far as its Newton step needs: step k
 stops at relative residual eta_k = max(krylov_tol, min(KRYLOV_FORCING_MAX,
@@ -40,10 +48,8 @@ the last step from oversolving: it asks only for the reduction that
 brings the residual to about half of newton_tol, so a solve ends at or
 below newton_tol rather than far below it.  `krylov_tol` is the floor,
 the tightest tolerance any inner solve is asked for.  The benchmark's
-ring solve takes 17 V-cycles (2, 5, 10) over its 3 Newton steps; with
-the two-grid cycle it took 13 (2, 5, 6), against 18 (2, 5, 11) without
-the safeguard and 39 with every step solved to krylov_tol = 1e-10.  Its
-pair balance takes 46 cycles over its 10 steps.
+ring solve takes 17 V-cycles (2, 5, 10) over its 3 Newton steps, and
+its pair balance 46 cycles over its 10 steps.
 
 Which bordered system is factored depends on the grid alone, and one
 recursion decides it (`_preconditioner`).  A grid whose spacing can
@@ -52,29 +58,11 @@ damped Jacobi sweeps on the fine rows around a coarse correction by the
 same case at 2h, which is the same cycle again wherever that grid's
 spacing can double too.  So every solve factors one bordered system
 (`_bordered_lu`), on the grid whose spacing cannot double (h = 0.5): the
-cycle's coarsest level, or the solve's own grid.  Every level of the cycle runs
-in float32.  On the benchmark's ring grid (h = 0.125, 293k unknowns) the
-factor holds 1,382,756 entries in L + U and takes 0.08 s; the two-grid
-cycle's h = 0.25 factor held 6.90M and took 0.4 s, and the fine grid's
-own held 34.62M and took 2 s.  Under the forcing term a Newton step
-takes 1 to 10 cycles, so the cheap factor wins at every grid size;
-single cold solves (2 CPUs, one BLAS thread, best of 3; the two
-smallest, best of 18), direct factor -> float64 two-grid cycle (h = 0.25
-factor) -> float32 V-cycle:
-
-    pair d 8.125 (n1 65)                            0.066 -> 0.070 -> 0.053 s
-    pair d 12 (n1 96)                               0.163 -> 0.145 -> 0.108 s
-    pair d 16 (n1 128)                              0.365 -> 0.244 -> 0.165 s
-    pair d 26 (n1 208)                              1.057 -> 0.609 -> 0.512 s
-    pair_sch eps 0.2, kappa 0.25, h 0.125 (n1 160)  0.588 -> 0.418 -> 0.331 s
-    ring d 6 (n1 48)                                0.075 -> 0.068 -> 0.059 s
-    ring d 22.75 (n1 182)                           0.899 -> 0.513 -> 0.428 s
-    ring d 24, h 0.125 (n1 384)                     4.514 -> 2.586 -> 1.944 s
-
-with c_mult within 2.1e-8 relative.  Every row takes the same Newton
-steps on all three but pair_sch, whose V-cycle solve takes 4 where the
-others take 3: its third step starts at 4.5e-5, where the forcing term
-asks for ||F_k||, and ends at 1.5e-9.
+cycle's coarsest level, or the solve's own grid.  Every level of the
+cycle runs in float32.  That factor is small (1,382,756 entries in L + U
+on the benchmark's ring grid, h = 0.125 and 293k unknowns) and a Newton
+step takes 1 to 10 cycles under the forcing term, so the cycle beats a
+factor of a finer grid at every grid size measured.
 
 A solve is accepted iff its Newton residual ends at or below
 newton_tol (default NEWTON_TOL); otherwise it raises
@@ -96,20 +84,13 @@ couples the targets of the Laplacian's two x1 arms and is added to
 their coefficients.  Newton applies the Jacobian matrix-free from the
 arm coefficients (`_Jacobian`), for every GMRES product and, from a
 complex64 copy, for the V-cycle's sweeps (Knoll & Keyes, J. Comput.
-Phys. 193, 2004).  A sparse matrix is assembled only to be factored
+Phys. 193, 2004), so no matrix of a grid finer than h = 0.5 is built
+or stored.  A sparse matrix is assembled only to be factored
 (`assemble_jacobian(J)`, one coordinate-format build from a
-`_Jacobian`): the direct factor at V_d, once per grid, or the V-cycle's
-h = 0.5 case.  The bordered
-matrix is built from that matrix's coordinates and the border's.  On
-the benchmark's ring grid a stencil product takes about 6.5 ms against
-the fine CSC matrix's 5.3 ms, and the fine matrix (34.6 MiB) and its
-build (0.47 s) are gone.
-
-A solve factors one bordered system at most once, in SuperLU's own
-column order (minimum degree on A + A^T, MMD_AT_PLUS_A) of the whole
-bordered matrix.  On the h = 0.5 grids, the only ones factored, a
-grid-point order (the border last) left fill within 7% of that order's
-either way and factored no faster.
+`_Jacobian`), and the bordered matrix is built from its coordinates and
+the border's.  A solve factors one bordered system at most once, in
+SuperLU's own column order (minimum degree on A + A^T, MMD_AT_PLUS_A)
+of the whole bordered matrix.
 
 `build_case` is the one construction of (V_d, Z_d).
 
@@ -138,13 +119,9 @@ from scipy.sparse.linalg import splu
 # build_ansatz stays importable from this module, where
 # bench/test_tracing.py looks for it
 from .ansatz import ModelParams, build_ansatz, build_case  # noqa: F401
-from .fields import MAX_SPACING, ComplexField, GridSpec, Symmetry, axisym_term, diff_ops
+from .fields import MAX_SPACING, ComplexField, GridSpec, axisym_term, diff_ops
 from .profile import VortexProfile
 from .stereo import nonlinearity_F
-
-PAIR_TAGS = ("S1", "S2")
-RING_TAGS = ("S3", "S4")
-ALL_TAGS = ("S0",) + PAIR_TAGS + RING_TAGS
 
 # default newton_tol of every solve, the one residual at which a solve is
 # accepted: the multiplier's noise floor must stay below the |c| scale at
@@ -238,43 +215,40 @@ class SolveResult:
     fallbacks: int = 0
 
 
-def _check_tag(u, tag, params):
-    if tag not in ALL_TAGS:
-        raise ValueError(f"unknown operator tag {tag!r}")
-    if tag in PAIR_TAGS and u.spec.symmetry is not Symmetry.PAIR:
-        raise ValueError(f"{tag} acts on PAIR grids only")
-    if tag in RING_TAGS and u.spec.symmetry is not Symmetry.RING:
-        raise ValueError(f"{tag} acts on RING grids only")
-    if tag in RING_TAGS and not params.is_ring:
-        raise ValueError(f"{tag} needs RING-regime parameters")
-    if tag in PAIR_TAGS and params.is_ring:
-        raise ValueError(f"{tag} needs PAIR-regime parameters")
+def _check_grid(u, params):
+    """ValueError unless u's grid has the symmetry of params' regime."""
+    if u.spec.symmetry is not params.symmetry:
+        raise ValueError(f"{params.regime.value} acts on {params.symmetry.name} grids, "
+                         f"not {u.spec.symmetry.name}")
 
 
-def apply_S(u: ComplexField, tag: str, params: ModelParams) -> ComplexField:
-    """Apply S0..S4; the outer Dirichlet layer of the result is zero."""
-    _check_tag(u, tag, params)
+def apply_S(u: ComplexField, params: ModelParams | None) -> ComplexField:
+    """Apply the operator of params' regime (S1..S4), or S0 when params is
+    None; the outer Dirichlet layer of the result is zero."""
+    if params is not None:
+        _check_grid(u, params)
     d1, d2, lap = diff_ops(u)
     ud = u.data
     r2 = ud.real**2 + ud.imag**2
     grad_sq = d1.data**2 + d2.data**2
     out = lap.data - 2.0 * np.conj(ud) / (1.0 + r2) * grad_sq + nonlinearity_F(ud)
-    if tag != "S0":
+    if params is not None:
         q = params.drive
         G = (1.0 - r2) / (1.0 + r2)
         out = out + q * 1j * G * d2.data
-        if tag in ("S2", "S4"):
+        if params.is_schrodinger:
             out = out + params.kappa * q * (-1j) * d2.data
-        if tag in RING_TAGS:
+        if params.is_ring:
             out = out + axisym_term(ud, u.spec)
     out[-1, :] = 0.0
     out[:, -1] = 0.0
     return ComplexField(u.spec, out)
 
 
-def linearize_apply(u: ComplexField, v: ComplexField, tag: str,
-                    params: ModelParams) -> ComplexField:
-    """Directional derivative (S[u + d v] - S[u - d v]) / (2 d)."""
+def linearize_apply(u: ComplexField, v: ComplexField,
+                    params: ModelParams | None) -> ComplexField:
+    """Directional derivative (S[u + d v] - S[u - d v]) / (2 d) of the
+    operator of `apply_S(., params)`."""
     vn = float(np.abs(v.data).max())
     if vn == 0.0:
         raise ValueError("zero direction")
@@ -282,7 +256,7 @@ def linearize_apply(u: ComplexField, v: ComplexField, tag: str,
     delta = 1e-6 * max(1.0, un) / max(1e-12, vn)
     up = ComplexField(u.spec, u.data + delta * v.data)
     um = ComplexField(u.spec, u.data - delta * v.data)
-    diff = (apply_S(up, tag, params).data - apply_S(um, tag, params).data) / (2.0 * delta)
+    diff = (apply_S(up, params).data - apply_S(um, params).data) / (2.0 * delta)
     return ComplexField(u.spec, diff)
 
 
@@ -322,10 +296,10 @@ _ARMS = ((+1, 0, False), (-1, 0, False), (0, +1, False), (0, -1, False),
 
 
 class _Jacobian:
-    """Real-block Jacobian of S_tag at u on the packed unknowns of u's
-    grid (`_packed`), applied matrix-free from the six arm coefficients
-    (`_arm_coefficients`); ValueError on a tag that the grid or params do
-    not admit.
+    """Real-block Jacobian at u of the operator of params' regime, on the
+    packed unknowns of u's grid (`_packed`), applied matrix-free from the
+    six arm coefficients (`_arm_coefficients`); ValueError on a grid
+    whose symmetry is not that of params.
 
     `J @ x` unpacks x onto the grid (`_on_grid`), closes the axes with
     the ghost rows of `fields.diff_ops` (even across x1 = 0, conjugated
@@ -335,9 +309,9 @@ class _Jacobian:
     is that matrix's diagonal, to the bit.  `single()` is the same
     Jacobian with complex64 coefficients, for the V-cycle's sweeps."""
 
-    def __init__(self, u: ComplexField, tag: str, params: ModelParams):
-        _check_tag(u, tag, params)
-        self.gammas = _arm_coefficients(u, tag, params)
+    def __init__(self, u: ComplexField, params: ModelParams):
+        _check_grid(u, params)
+        self.gammas = _arm_coefficients(u, params)
         self.spec = u.spec
         self._single = None
 
@@ -417,10 +391,11 @@ def assemble_jacobian(J: _Jacobian):
                       shape=(n, n))
 
 
-def _arm_coefficients(u: ComplexField, tag: str, params: ModelParams):
+def _arm_coefficients(u: ComplexField, params: ModelParams):
     """Per-point coefficients of the stencil arms of `_ARMS`, in that
-    order, at the active points of u's grid: the (n1-1) x (n2-1) block
-    [:-1, :-1] in row-major order."""
+    order, for the Jacobian of the operator of params' regime at the
+    active points of u's grid: the (n1-1) x (n2-1) block [:-1, :-1] in
+    row-major order."""
     spec = u.spec
     h1, h2 = spec.h1, spec.h2
 
@@ -438,13 +413,12 @@ def _arm_coefficients(u: ComplexField, tag: str, params: ModelParams):
     A2 = -4.0 * g * cu * d2u
     B = 2.0 * cu**2 * Wq * g2 + (G - 2.0 * r2 * g2)
     C = -2.0 * g * Wq + 2.0 * r2 * Wq * g2 - 2.0 * ud**2 * g2
-    if tag != "S0":
-        q = params.drive
-        A2 = A2 + q * 1j * G
-        B = B - 2.0 * q * 1j * g2 * cu * d2u
-        C = C - 2.0 * q * 1j * g2 * ud * d2u
-        if tag in ("S2", "S4"):
-            A2 = A2 - 1j * params.kappa * q
+    q = params.drive
+    A2 = A2 + q * 1j * G
+    B = B - 2.0 * q * 1j * g2 * cu * d2u
+    C = C - 2.0 * q * 1j * g2 * ud * d2u
+    if params.is_schrodinger:
+        A2 = A2 - 1j * params.kappa * q
 
     inv_h1sq = 1.0 / h1**2
     inv_h2sq = 1.0 / h2**2
@@ -453,7 +427,7 @@ def _arm_coefficients(u: ComplexField, tag: str, params: ModelParams):
     center = np.full(B.shape, -2.0 * (inv_h1sq + inv_h2sq), dtype=complex) + B
 
     gammas = [inv_h1sq + a1, inv_h1sq - a1, inv_h2sq + a2, inv_h2sq - a2]
-    if tag in RING_TAGS:
+    if params.is_ring:
         # H1 = (1/x1) d1 on the x1 arms; on the axis its limit
         # 2 (u(h1) - u(0)) / h1^2 (the -x1 arm folds onto the +x1 target)
         I = np.arange(spec.n1 - 1)[:, None]
@@ -594,7 +568,7 @@ def _preconditioner(J, V_d, Z_d, params):
     spec_c = _coarse_spec(spec)
     V_c = ComplexField(spec_c, np.ascontiguousarray(V_d.data[::2, ::2]))
     Z_c = ComplexField(spec_c, np.ascontiguousarray(Z_d.data[::2, ::2]))
-    J_c = _Jacobian(V_c, params.tag, params)
+    J_c = _Jacobian(V_c, params)
     coarse, fill, n1 = _preconditioner(J_c, V_c, Z_c, params)
     J_c = J_c.single()  # the coarse level's sweeps; its float64 coefficients go
     dinv = (JACOBI_OMEGA / J.diagonal()).astype(np.float32)
@@ -692,16 +666,6 @@ def gmres(A, b, *, M, rtol):
     return x, applies
 
 
-def extract_multiplier(u: ComplexField, V: ComplexField, Z: ComplexField,
-                       tag: str, params: ModelParams) -> float:
-    """Post-hoc projection c = <S[u], Z>_W / <Z, Z>_W, W = (1+|V|^2)^-2."""
-    S = apply_S(u, tag, params)
-    W = 1.0 / (1.0 + np.abs(V.data) ** 2) ** 2
-    num = float(np.sum((S.data * np.conj(Z.data)).real * W))
-    den = float(np.sum((Z.data * np.conj(Z.data)).real * W))
-    return num / den
-
-
 def _forcing_term(residual, newton_tol, krylov_tol):
     """eta_k, the relative residual that the GMRES of a Newton step
     starting at residual ||F_k|| = `residual` is asked for:
@@ -746,7 +710,7 @@ def solve_projected(params: ModelParams, V_d: ComplexField, Z_d: ComplexField,
     A solve of `solve_balanced` comes here too, and the balance runs its
     Newton instead (`_BalanceState.run`), with what the solve before it
     handed on."""
-    _check_tag(V_d, params.tag, params)
+    _check_grid(V_d, params)
     check_tolerances(newton_tol, krylov_tol, newton_max)
     opts = dict(newton_max=newton_max, newton_tol=newton_tol, krylov_tol=krylov_tol)
     balance = _BALANCE.get()
@@ -786,7 +750,7 @@ def _residual(params, V_d, Z_d):
     z_col, grad_con, W = _border(V_d, Z_d)
 
     def residual(u_arr, c_val):
-        S = apply_S(ComplexField(spec, u_arr.copy()), params.tag, params)
+        S = apply_S(ComplexField(spec, u_arr.copy()), params)
         pde = S.data - c_val * Z_d.data
         con = float(np.sum(((u_arr - V_d.data) * np.conj(Z_d.data)).real * W) * cell)
         return np.concatenate([_packed(pde[:-1, :-1]), [con]])
@@ -804,7 +768,6 @@ def _newton(params, V_d, Z_d, precond=None, start=None, R=None, *,
     None).  Newton starts from `start`, a (u array, c), or from the
     ansatz when that is None; `R` is the `_residual` of that start when
     the caller has it."""
-    tag = params.tag
     spec = V_d.spec
     residual_vec, resnorm, z_col, grad_con = _residual(params, V_d, Z_d)
     warm = start is not None
@@ -813,12 +776,12 @@ def _newton(params, V_d, Z_d, precond=None, start=None, R=None, *,
     J = None
     lu_fill = lu_n1 = 0
     if not lu_reused:
-        J = _Jacobian(V_d, tag, params)
+        J = _Jacobian(V_d, params)
         precond, lu_fill, lu_n1 = _preconditioner(J, V_d, Z_d, params)
     u, c = start if warm else (np.array(V_d.data), 0.0)
     if warm or J is None:
         J = None  # the ansatz's coefficients go before the start's are computed
-        J = _Jacobian(ComplexField(spec, u.copy()), tag, params)
+        J = _Jacobian(ComplexField(spec, u.copy()), params)
     jac = {"J": J}  # the first Newton step uses J; later steps replace it
     del J
 
@@ -843,7 +806,7 @@ def _newton(params, V_d, Z_d, precond=None, start=None, R=None, *,
     while iters < newton_max and best > newton_tol:
         if iters > 0:
             jac["J"] = None  # release the old coefficients before computing the new
-            jac["J"] = _Jacobian(ComplexField(spec, u.copy()), tag, params)
+            jac["J"] = _Jacobian(ComplexField(spec, u.copy()), params)
         applies = 0
         eta = _forcing_term(best, newton_tol, krylov_tol)
         sol, info = gmres(matvec, -R, M=apply_M, rtol=eta)
@@ -1083,9 +1046,10 @@ def solve_balanced(params: ModelParams, d_bracket, profile: VortexProfile, h=0.2
     return done(*best)
 
 
-def unprojected_residual_norm(result: SolveResult, tag: str, params: ModelParams) -> float:
-    """Discrete L2 of S_tag[u] at a solution (meaningful once c ~ 0)."""
+def unprojected_residual_norm(result: SolveResult, params: ModelParams) -> float:
+    """Discrete L2 of S[u], the operator of params' regime, at a solution
+    (meaningful once c ~ 0)."""
     p = params.with_d(result.d_used)
-    S = apply_S(result.u, tag, p)
+    S = apply_S(result.u, p)
     cell = result.u.spec.h1 * result.u.spec.h2
     return float(math.sqrt(np.sum(np.abs(S.data) ** 2) * cell))

@@ -123,6 +123,30 @@ def test_norms_leave_out_the_dirichlet_layer(profile):
     assert norms["phi_linf"] > 0.1
 
 
+@pytest.mark.parametrize("axis", ["x1", "x2"])
+def test_corrector_second_derivatives_on_the_axis_rows(axis):
+    # phi = cos(k x1) (d1 phi odd across x1 = 0) and exp(i k x2) (d2 phi
+    # anti-conjugate across x2 = 0).  A central difference maps them to
+    # -s sin(k x1) and i s exp(i k x2), s = sin(k h) / h, and twice to
+    # -s^2 phi, on the axis rows as inside.  With V = 0, psi is zero and
+    # the cores at (+-1, 0) put both axis rows in the near-core region
+    p = ModelParams(Regime.PAIR_WM, 0.1, 0.0, 0.1)
+    spec = GridSpec(8.0, 8.0, 0.25, 0.25, Symmetry.PAIR)
+    X1, X2 = spec.mesh()
+    k = 0.5
+    s = math.sin(k * spec.h1) / spec.h1
+    if axis == "x1":
+        phi, grad = 0.01 * np.cos(k * X1) + 0j, 0.01 * s * np.abs(np.sin(k * X1))
+    else:
+        phi, grad = 0.01 * np.exp(1j * k * X2), np.full(X2.shape, 0.01 * s)
+    near, _, _ = _norm_regions(spec, p.centers())
+    assert near[0, 0]
+    zero = ComplexField(spec, np.zeros((spec.n1, spec.n2), complex))
+    want = _near_core([phi, grad, s * s * np.abs(phi)], near, p, spec)
+    assert corrector_norms(ComplexField(spec, phi), zero, p)["inner"] == pytest.approx(
+        want, rel=1e-10)
+
+
 def test_near_core_term_is_l14_for_rings_and_twice_the_sup_for_pairs():
     pair = ModelParams(Regime.PAIR_WM, 0.1, 0.0, 1.0)
     ring = ModelParams(Regime.RING_WM, 0.1, 0.0, 1.0)

@@ -2,6 +2,7 @@ import math
 import platform
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from vortexflow.profile import eval_profile
 from vortexflow.solver import (_ARMS, _arm_coefficients, _border, _bordered_lu, _coarse_spec,
                                _Jacobian, _on_grid, _packed, _preconditioner, _prolong,
                                _restrict, _unknown_index, apply_S, assemble_jacobian,
-                               build_case, extract_multiplier, gmres, linearize_apply,
+                               build_case, gmres, linearize_apply,
                                solve_at_separation, solve_projected)
 
 
@@ -65,35 +66,21 @@ def single_vortex(profile, spec, center):
 def test_S0_of_unit_constant_is_zero():
     spec = GridSpec(4.0, 4.0, 0.25, 0.25, Symmetry.PAIR)
     u = ComplexField(spec, np.ones((spec.n1, spec.n2), dtype=complex))
-    p = pair_params()
-    out = apply_S(u, "S0", p)
+    out = apply_S(u, None)
     assert np.all(out.data == 0.0)
 
 
-def test_tag_grid_mismatch():
-    p = pair_params()
-    ring_spec = GridSpec(4.0, 4.0, 0.25, 0.25, Symmetry.RING)
-    u = ComplexField(ring_spec, np.ones((ring_spec.n1, ring_spec.n2), dtype=complex))
-    with pytest.raises(ValueError):
-        apply_S(u, "S1", p)
-    pair_spec = GridSpec(4.0, 4.0, 0.25, 0.25, Symmetry.PAIR)
-    v = ComplexField(pair_spec, np.ones((pair_spec.n1, pair_spec.n2), dtype=complex))
-    with pytest.raises(ValueError):
-        apply_S(v, "S4", ModelParams(Regime.RING_SCH, 0.05, 0.0, 0.3))
-    with pytest.raises(ValueError):
-        apply_S(v, "S9", p)
-
-
-def test_jacobian_rejects_a_tag_its_grid_or_params_do_not_admit():
-    pair, ring = pair_params(), ModelParams(Regime.RING_SCH, 0.05, 0.0, 0.3)
-    fields = {s: ComplexField(GridSpec(4.0, 4.0, 0.25, 0.25, s), np.ones((16, 16), complex))
-              for s in Symmetry}
-    for sym, tag, p in ((Symmetry.RING, "S1", pair), (Symmetry.PAIR, "S4", ring),
-                        (Symmetry.RING, "S3", pair), (Symmetry.PAIR, "S1", ring),
-                        (Symmetry.PAIR, "S9", pair)):
-        with pytest.raises(ValueError):
-            _Jacobian(fields[sym], tag, p)
-    assert _Jacobian(fields[Symmetry.RING], "S3", ring).spec == fields[Symmetry.RING].spec
+@pytest.mark.parametrize("params", [pair_params(), ModelParams(Regime.RING_SCH, 0.05, 0.0, 0.3)],
+                         ids=["pair", "ring"])
+@pytest.mark.parametrize("call", [apply_S, _Jacobian, diagnostics.error_field,
+                                  lambda u, p: solve_projected(p, u, u)],
+                         ids=["apply_S", "jacobian", "error_field", "solve_projected"])
+def test_a_grid_of_the_other_symmetry_is_rejected(params, call):
+    # the regime of params fixes the operator, and with it the grid's symmetry
+    other = Symmetry.PAIR if params.is_ring else Symmetry.RING
+    u = ComplexField(GridSpec(4.0, 4.0, 0.25, 0.25, other), np.ones((16, 16), complex))
+    with pytest.raises(ValueError, match="grids"):
+        call(u, params)
 
 
 def test_T2_on_plane_wave():
@@ -101,9 +88,9 @@ def test_T2_on_plane_wave():
     X1, X2 = spec.mesh()
     u = ComplexField(spec, symmetrize_complex(np.exp(1j * X2)))
     p = pair_params(sch=True, kappa=0.25)
-    # isolate T2 = -i d2: S2 - S1 = kappa*eps*T2
-    s2 = apply_S(u, "S2", p).data
-    s1 = apply_S(u, "S1", p).data
+    # isolate T2 = -i d2: S2 at kappa minus S2 at kappa = 0 is kappa*eps*T2
+    s2 = apply_S(u, p).data
+    s1 = apply_S(u, replace(p, kappa=0.0)).data
     t2 = (s2 - s1) / (p.kappa * p.eps)
     interior = (slice(2, -2), slice(2, -2))
     expected = np.sin(0.1) / 0.1 * u.data[interior]
@@ -115,7 +102,7 @@ def test_single_vortex_truncation_refines(profile):
     for h in (0.2, 0.1):
         spec = GridSpec(24.0, 12.0, h, h, Symmetry.PAIR)
         w = single_vortex(profile, spec, (12.0, 0.0))
-        S = apply_S(w, "S0", pair_params())
+        S = apply_S(w, None)
         X1, _ = spec.mesh()
         mask = np.zeros(S.data.shape, bool)
         mask[2:-2, :-2] = True
@@ -131,7 +118,7 @@ def test_apply_S_commutes_with_parity(profile):
     p = pair_params(eps=0.1, kappa=0.25, sch=True)
     spec = GridSpec(20.0, 20.0, 0.25, 0.25, Symmetry.PAIR)
     V = build_pair(p, spec, profile)
-    S = apply_S(V, "S2", p)
+    S = apply_S(V, p)
     assert np.all(S.data[:, 0].imag == 0.0)
 
 
@@ -140,8 +127,7 @@ def test_linearize_at_unit_constant():
     ones = np.ones((spec.n1, spec.n2), dtype=complex)
     u = ComplexField(spec, ones.copy())
     v = ComplexField(spec, ones.copy())
-    p = pair_params()
-    out = linearize_apply(u, v, "S0", p)
+    out = linearize_apply(u, v, None)
     # radial derivative of F at |u| = 1 equals -1
     assert np.max(np.abs(out.data[1:-1, 1:-1] + 1.0)) < 1e-5
 
@@ -155,9 +141,9 @@ def test_linearize_linearity(profile):
     vdat[:, 0] = vdat[:, 0].real
     vdat[-1, :] = 0
     vdat[:, -1] = 0
-    base = linearize_apply(V, ComplexField(spec, vdat.copy()), "S1", p).data
+    base = linearize_apply(V, ComplexField(spec, vdat.copy()), p).data
     for alpha in (2.0, -3.0):
-        scaled = linearize_apply(V, ComplexField(spec, alpha * vdat), "S1", p).data
+        scaled = linearize_apply(V, ComplexField(spec, alpha * vdat), p).data
         rel = np.abs(scaled - alpha * base).max() / np.abs(alpha * base).max()
         assert rel < 1e-6
 
@@ -167,7 +153,7 @@ def test_linearize_zero_direction_rejected(profile):
     spec = GridSpec(20.0, 20.0, 0.25, 0.25, Symmetry.PAIR)
     V = build_pair(p, spec, profile)
     with pytest.raises(ValueError):
-        linearize_apply(V, ComplexField(spec, np.zeros_like(V.data)), "S1", p)
+        linearize_apply(V, ComplexField(spec, np.zeros_like(V.data)), p)
 
 
 def test_assembled_jacobian_matches_directional(profile):
@@ -181,9 +167,9 @@ def test_assembled_jacobian_matches_directional(profile):
         vdat[-1, :] = 0
         vdat[:, -1] = 0
         dm = _DofMap(V.spec)
-        A = assemble_jacobian(_Jacobian(V, p.tag, p))
+        A = assemble_jacobian(_Jacobian(V, p))
         lhs = A @ dm.pack(vdat)
-        rhs = dm.pack(linearize_apply(V, ComplexField(spec, vdat), p.tag, p).data)
+        rhs = dm.pack(linearize_apply(V, ComplexField(spec, vdat), p).data)
         rel = np.abs(lhs - rhs).max() / np.abs(lhs).max()
         assert rel < 1e-6
 
@@ -198,9 +184,9 @@ def test_assembled_jacobian_matches_directional_ring(profile):
     vdat[-1, :] = 0
     vdat[:, -1] = 0
     dm = _DofMap(V.spec)
-    A = assemble_jacobian(_Jacobian(V, "S4", p))
+    A = assemble_jacobian(_Jacobian(V, p))
     lhs = A @ dm.pack(vdat)
-    rhs = dm.pack(linearize_apply(V, ComplexField(spec, vdat), "S4", p).data)
+    rhs = dm.pack(linearize_apply(V, ComplexField(spec, vdat), p).data)
     assert np.abs(lhs - rhs).max() / np.abs(lhs).max() < 1e-6
 
 
@@ -219,7 +205,7 @@ def test_near_kernel_of_single_vortex(profile):
                * np.sin(th)) * np.exp(1j * th)
     d1w = np.where(ell > 0, d1w, profile.slope_a)
     v = ComplexField(spec, symmetrize_complex(d1w))
-    out = linearize_apply(w, v, "S0", pair_params())
+    out = linearize_apply(w, v, None)
     mask = np.zeros(out.data.shape, bool)
     mask[2:-2, :-2] = True
     mask &= X1 >= 2 * h
@@ -241,9 +227,6 @@ def test_solve_projected_small_pair(profile):
     # Dirichlet layer untouched
     assert np.array_equal(res.u.data[-1, :], V.data[-1, :])
     assert np.array_equal(res.u.data[:, -1], V.data[:, -1])
-    # the multiplier is reproduced by post-hoc projection
-    c_hat = extract_multiplier(res.u, V, Z, p.tag, p)
-    assert abs(c_hat - res.c_mult) <= 1e-8
     # corrector is small
     assert corrector_norms(res.u, V, p)["star"] < 0.5
 
@@ -305,7 +288,7 @@ def _tag_case(tag):
     n1 != n2."""
     if tag == "rect":
         return pair_params(eps=0.1), GridSpec(20.0, 12.0, 0.25, 0.25, Symmetry.PAIR)
-    if tag in solver.RING_TAGS:
+    if tag in ("S3", "S4"):
         p = ModelParams(Regime.RING_SCH if tag == "S4" else Regime.RING_WM, 0.05,
                         0.25 if tag == "S4" else 0.0, 0.3)
         return p, GridSpec(12.0, 12.0, 0.25, 0.25, Symmetry.RING)
@@ -355,8 +338,8 @@ def test_assembly_is_the_coordinate_form_on_any_dof_map(profile, tag):
                                             + 1j * rng.standard_normal(V.data.shape)))
     dm = _DofMap(spec)
     for w in (V, u):
-        A = assemble_jacobian(_Jacobian(w, tag, p))
-        assert _same_bits(A, _coo_jacobian(_arm_coefficients(w, tag, p), dm))
+        A = assemble_jacobian(_Jacobian(w, p))
+        assert _same_bits(A, _coo_jacobian(_arm_coefficients(w, p), dm))
 
 
 @pytest.mark.parametrize("l1,l2,symmetry", [(20.0, 20.0, Symmetry.PAIR),
@@ -406,8 +389,8 @@ def test_stencil_product_matches_the_assembled_matrix(profile, tag):
     axis_rows = np.concatenate([dm.re_idx[0, :-1], dm.im_idx[0, 1:-1]])
     fold_rows = dm.re_idx[:-1, 0]
     for w in (V, u):
-        J = _Jacobian(w, p.tag, p)
-        A = _coo_jacobian(_arm_coefficients(w, p.tag, p), dm)
+        J = _Jacobian(w, p)
+        A = _coo_jacobian(_arm_coefficients(w, p), dm)
         x = rng.standard_normal(dm.n)
         got, want = J @ x, A @ x
         for rows in (slice(None), axis_rows, fold_rows):
@@ -440,7 +423,7 @@ def _bordered_case(tag, profile):
     V = build_ansatz(p, spec, profile)
     Z = kernel_Zd(p, spec, profile)
     dm = _DofMap(spec)
-    P = assemble_jacobian(_Jacobian(V, p.tag, p))
+    P = assemble_jacobian(_Jacobian(V, p))
     W = 1.0 / (1.0 + np.abs(V.data) ** 2) ** 2
     return p, V, Z, P, dm, dm.pack(Z.data), dm.pack(W * Z.data * spec.h1 * spec.h2)
 
@@ -750,7 +733,7 @@ def test_two_grid_cycle_preconditions_gmres(profile, tag):
     # the cycle as M takes `gmres` to krylov_tol = 1e-10 on the bordered
     # system; its factor is that of the 2h case, h = 0.5
     p, V, Z, P, dm, z_col, grad_con = _bordered_case(tag, profile)
-    J = _Jacobian(V, p.tag, p)
+    J = _Jacobian(V, p)
     M, fill, n1 = _preconditioner(J, V, Z, p)
     assert n1 == _coarse_spec(V.spec).n1
     A = _bordered_matvec(P, z_col, grad_con)
@@ -918,7 +901,7 @@ def test_single_precision_product_agrees_to_float32_rounding(profile, tag):
     p, spec = _tag_case(tag)
     V = build_ansatz(p, spec, profile)
     dm = _DofMap(spec)
-    J = _Jacobian(V, p.tag, p)
+    J = _Jacobian(V, p)
     S = J.single()
     assert S is J.single() and S.single() is S
     assert all(g.dtype == np.complex64 for g in S.gammas)

@@ -82,12 +82,15 @@ class ModelParams:
             raise ValueError("need 0 <= kappa and 1 - 2*kappa > 0")
         if not self.is_schrodinger and self.kappa != 0.0:
             raise ValueError("wave-map regimes have omega = 0, so kappa = 0")
+        d = self.d_hat / self.eps
+        if not math.isfinite(d):
+            raise ValueError(f"d = d_hat / eps overflows at eps = {self.eps}")
         drive = self.drive
         c = drive / math.sqrt(4.0 + drive * drive)
         omega = self.kappa * drive * math.sqrt(1.0 - c * c)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "d", self.d_hat / self.eps)
+        object.__setattr__(self, "d", d)
 
     @property
     def is_ring(self):

@@ -9,9 +9,11 @@ Config files are flat `key = value` lines with `#` comments; unknown
 keys are rejected.  Reports are deterministic `key: value` lines under
 `[section]` headers, floats rendered with 17 significant digits.
 
-Exit codes: 0 success; 2 invalid config (unreadable file, unknown key,
-out-of-range value); 3 solver failure; 4 I/O failure (including a
-malformed field file).
+Exit codes are set in one place, `main`: 0 success; 2 any value a
+command refuses (an unreadable config file, an unknown key, or a config
+or option value the library rejects with a ValueError or an arithmetic
+error); 3 solver failure; 4 I/O failure (including a malformed field
+file).
 """
 
 import argparse
@@ -24,7 +26,7 @@ import numpy as np
 
 from .ansatz import ModelParams, Regime, build_ansatz
 from .diagnostics import build_report, corrector_norms, error_field
-from .fields import ComplexField, GridSpec, ScalarField, Symmetry
+from .fields import MAX_SPACING, ComplexField, GridSpec, ScalarField, Symmetry
 from .profile import solve_profile, profile_integrals
 from .reconstruct import pde_residual, sample_block, unscale
 from .reduction import curve_to_csv, numeric_c_curve, predict_d
@@ -187,13 +189,10 @@ def _grid(cfg, params):
     than MAX_FIELD_SAMPLES points is refused."""
     if not cfg.l >= 0:
         raise ConfigError(f"l must be >= 0 (0 means the default domain), got {cfg.l}")
-    try:
-        if cfg.l > 0:
-            spec = GridSpec(cfg.l, cfg.l, cfg.h, cfg.h, params.symmetry)
-        else:
-            spec = _grid_for(params.d, cfg.h, params.symmetry)
-    except (ValueError, ArithmeticError) as exc:  # h = 0 or nan leaves no default domain
-        raise ConfigError(f"grid (h = {cfg.h}, l = {cfg.l}): {exc}") from None
+    if cfg.l > 0:
+        spec = GridSpec(cfg.l, cfg.l, cfg.h, cfg.h, params.symmetry)
+    else:
+        spec = _grid_for(params.d, cfg.h, params.symmetry)
     if spec.n1 * spec.n2 > MAX_FIELD_SAMPLES:
         raise ConfigError(f"grid (h = {cfg.h}, d = {params.d}) has {spec.n1} x {spec.n2} "
                           f"points, more than {MAX_FIELD_SAMPLES}")
@@ -203,17 +202,12 @@ def _grid(cfg, params):
 def _profile(cfg):
     try:
         return solve_profile(cfg.ell_max, cfg.step, cfg.tol)
-    except ValueError as exc:
-        raise ConfigError(f"profile: {exc}") from None
     except RuntimeError as exc:
         raise NonConvergenceError(f"profile: {exc}") from None
 
 
 def _solve_opts(cfg):
-    try:
-        check_tolerances(cfg.newton_tol, cfg.krylov_tol, cfg.newton_max)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    check_tolerances(cfg.newton_tol, cfg.krylov_tol, cfg.newton_max)
     return {"newton_max": cfg.newton_max, "newton_tol": cfg.newton_tol,
             "krylov_tol": cfg.krylov_tol}
 
@@ -242,7 +236,6 @@ def _cmd_profile(cfg, out, args):
             "ode_tol": prof.ode_tol,
         }),
     ])
-    return 0
 
 
 def _cmd_build(cfg, out, args):
@@ -273,7 +266,6 @@ def _cmd_build(cfg, out, args):
             **_report_entries(build_report(res.u)),
         }))
     write_report(out / "report.txt", sections)
-    return 0
 
 
 def _cmd_reduce(cfg, out, args):
@@ -284,19 +276,14 @@ def _cmd_reduce(cfg, out, args):
     if not (cfg.d_lo >= 0 and cfg.d_hi >= 0):
         raise ConfigError(f"d_lo and d_hi must be >= 0 (0 means the default), "
                           f"got {cfg.d_lo} and {cfg.d_hi}")
-    try:
-        d_ref = predict_d(params)
-    except ValueError as exc:
-        raise ConfigError(f"predict_d: {exc}") from None
+    d_ref = predict_d(params)
     d_lo = cfg.d_lo if cfg.d_lo > 0 else d_ref / 2
     d_hi = cfg.d_hi if cfg.d_hi > 0 else 2 * d_ref
     d_list = np.sort(np.geomspace(d_lo, d_hi, cfg.points))
     if not (d_list[0] > 1.0 and np.all(np.diff(d_list) > 0.0)):
         raise ConfigError(f"separations {d_list.tolist()} must be distinct and > 1")
-    try:  # d_hat is linear in d, so the two ends bound every sample's
-        ends = [params.with_d(d) for d in (d_list[0], d_list[-1])]
-    except ValueError as exc:
-        raise ConfigError(f"separations {d_list[0]} to {d_list[-1]}: {exc}") from None
+    # d_hat is linear in d, so the two ends bound every sample's
+    ends = [params.with_d(d) for d in (d_list[0], d_list[-1])]
     # samples solve on the default domain of their d; the largest d has the largest
     _grid(replace(cfg, l=0.0), ends[-1])
     prof = _profile(cfg)
@@ -318,7 +305,6 @@ def _cmd_reduce(cfg, out, args):
             "c_leading": list(curve.c_leading),
         }),
     ])
-    return 0
 
 
 def _cmd_verify(cfg, out, args):
@@ -329,7 +315,6 @@ def _cmd_verify(cfg, out, args):
         ("config", cfg.echo()),
         ("verify", {"field": args.field, **_report_entries(build_report(f))}),
     ])
-    return 0
 
 
 def _cmd_reconstruct(cfg, out, args):
@@ -357,11 +342,8 @@ def _cmd_reconstruct(cfg, out, args):
     else:
         axes = [np.linspace(params.d - 2, params.d + 2, 9),
                 np.linspace(-2, 2, 9)]
-    try:
-        norms = pde_residual(params, U, center, ds, nspace=nspace)
-        m = sample_block(U, params, t_axis, tau_axis, axes)
-    except ValueError as exc:
-        raise ConfigError(f"reconstruct (d = {params.d}, ds = {ds}): {exc}") from None
+    norms = pde_residual(params, U, center, ds, nspace=nspace)
+    m = sample_block(U, params, t_axis, tau_axis, axes)
     with open(out / "samples.csv", "w") as fh:
         fh.write("t,tau," + "".join(f"s{k + 1}," for k in range(len(axes))) + "m1,m2,m3\n")
         for jt, tau in enumerate(tau_axis):
@@ -375,7 +357,6 @@ def _cmd_reconstruct(cfg, out, args):
                          "residual_l2": norms["l2"], "residual_sup": norms["sup"],
                          "n_samples": norms["n_samples"]}),
     ])
-    return 0
 
 
 def _cmd_sweep(cfg, out, args):
@@ -405,7 +386,6 @@ def _cmd_sweep(cfg, out, args):
         rows.append(row)
     write_report(out / "report.txt", [("config", cfg.echo())]
                  + [(f"sweep_{k}", row) for k, row in enumerate(rows)])
-    return 0
 
 
 def _build_parser():
@@ -460,25 +440,34 @@ def _config(args):
             cfg.d_hat = args.dhat
     if args.command in ("pair", "ring", "reduce", "reconstruct"):
         cfg.params()
+    # the commands that build or sample a grid of spacing h
+    if args.command in ("pair", "ring", "reduce", "sweep", "reconstruct") \
+            and not 0.0 < cfg.h <= MAX_SPACING:
+        raise ConfigError(f"h must lie in (0, {MAX_SPACING}], got {cfg.h}")
     return cfg
 
 
 def main(argv=None) -> int:
+    """Run one command; the one place that maps its outcome to an exit
+    code.  FieldFormatError and ConfigError are both ValueErrors, so the
+    I/O clause comes first; any other ValueError or arithmetic error is a
+    value the command refuses."""
     args = _build_parser().parse_args(argv)
     try:
         cfg = _config(args)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out, args)
-    except ConfigError as exc:
+        _COMMANDS[args.command](cfg, out, args)
+    except (FieldFormatError, OSError) as exc:
+        print(f"io error: {exc}", file=sys.stderr)
+        return 4
+    except (ValueError, ArithmeticError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (NonConvergenceError, BracketError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-    except (FieldFormatError, OSError) as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 4
+    return 0
 
 
 if __name__ == "__main__":

@@ -23,6 +23,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from .ansatz import ModelParams
 from .fields import ComplexField, ScalarField, diff_ops
@@ -73,6 +76,19 @@ def plaquette_windings(values):
     return np.rint(w / (2.0 * math.pi)).astype(int)
 
 
+def _hit_clusters(hits):
+    """Clusters of the lattice points `hits` (an (n, 2) integer array),
+    joined when within Chebyshev distance 2: index arrays into `hits`,
+    each increasing, in the order of their first members."""
+    pairs = cKDTree(hits).query_pairs(2, p=np.inf, output_type="ndarray")
+    n = len(hits)
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    # labels number the components in the order of their first members
+    _, labels = connected_components(graph, directed=False)
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+
+
 def detect_vortices(f: ComplexField, full_plane=False):
     """Plaquette-winding sweep over the reflected plane; adjacent hits
     (Chebyshev distance <= 2) merge into one vortex at their centroid.
@@ -86,31 +102,14 @@ def detect_vortices(f: ComplexField, full_plane=False):
     hits = np.argwhere(w != 0)
     if hits.size == 0:
         return []
-    # cluster by Chebyshev distance <= 2 (simple union scan, few hits)
-    parent = list(range(len(hits)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a in range(len(hits)):
-        for b in range(a + 1, len(hits)):
-            if max(abs(hits[a, 0] - hits[b, 0]), abs(hits[a, 1] - hits[b, 1])) <= 2:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[rb] = ra
-    clusters = {}
-    for k in range(len(hits)):
-        clusters.setdefault(find(k), []).append(k)
     out = []
-    for members in clusters.values():
-        charge = int(sum(w[hits[k, 0], hits[k, 1]] for k in members))
+    for members in _hit_clusters(hits):
+        i, j = hits[members, 0], hits[members, 1]
+        charge = int(w[i, j].sum())
         if charge == 0:
             continue
-        cx = float(np.mean([x1[hits[k, 0]] + 0.5 * f.spec.h1 for k in members]))
-        cy = float(np.mean([x2[hits[k, 1]] + 0.5 * f.spec.h2 for k in members]))
+        cx = float(np.mean(x1[i] + 0.5 * f.spec.h1))
+        cy = float(np.mean(x2[j] + 0.5 * f.spec.h2))
         out.append(((cx, cy), charge))
     if not full_plane:
         out = [v for v in out if v[0][0] > -0.5 * f.spec.h1]

@@ -263,7 +263,7 @@ def pde_residual(params: ModelParams, U: UnscaledField, center, ds,
     h = min(U.u.spec.h1, U.u.spec.h2)
     if ds > h + 1e-12:
         raise ValueError("sample spacings must resolve the field (<= h)")
-    wave = params.omega == 0.0 and params.regime.value.endswith("wm")
+    wave = not params.is_schrodinger
     ring = len(center) == 3
     if np.ndim(nspace) == 0:
         nspace = (nspace,) * len(center)

@@ -195,6 +195,7 @@ def test_mutated_field_loads_or_raises_format_error(valid_vsf, tmp_path_factory,
     ("", ["pair", "--ansatz-only", "--eps", "1e-6"]),  # a grid too large to allocate
     ("d_hi = 1e9", ["reduce"]),  # d_hat = eps d above 100
     ("eps = 0.001\nd_hi = 1e5", ["reduce"]),  # its largest separation's grid is too large
+    ("l = 4", ["sweep", "--eps-list", "0.1"]),  # a domain too small for the vortex at d = 10
 ])
 def test_cli_out_of_range_config_exit_2(tmp_path, line, command):
     cfg = tmp_path / "run.cfg"
@@ -350,6 +351,17 @@ def test_cli_reconstruct_degenerate_block_exit_2(tmp_path, pair_ansatz_file, mon
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "reconstruct",
                  str(pair_ansatz_file)]) == 2
     assert "at least 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["pair", "reconstruct"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "1e308", "5e-324", "4"])
+@pytest.mark.parametrize("key", ["h", "l", "eps", "kappa", "d_hat"])
+def test_cli_any_config_value_exits_0_or_2(tmp_path, pair_ansatz_file, key, value, command):
+    # main maps every value a command refuses to exit 2; none may escape it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"step = 0.01\n{key} = {value}\n")
+    args = ["pair", "--ansatz-only"] if command == "pair" else [command, str(pair_ansatz_file)]
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")] + args) in (0, 2)
 
 
 @pytest.mark.parametrize("ds", ["0.0625", "0.03125"], ids=["h/4", "h/8"])

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from vortexflow.ansatz import ModelParams, Regime, build_pair
-from vortexflow.diagnostics import (DiagnosticsReport, _near_core, _norm_regions,
-                                    _weighted_outer, build_report, corrector_norms,
-                                    detect_vortices, energy_charge)
+from vortexflow.diagnostics import (DiagnosticsReport, _hit_clusters, _near_core,
+                                    _norm_regions, _weighted_outer, build_report,
+                                    corrector_norms, detect_vortices, energy_charge,
+                                    full_plane_data, plaquette_windings)
 from vortexflow.fields import ComplexField, GridSpec, Symmetry, symmetrize_complex
 from vortexflow.stereo import unproject_array
 
@@ -28,6 +29,74 @@ def test_detect_vortices_constant_field():
     spec = GridSpec(4.0, 4.0, 0.25, 0.25, Symmetry.PAIR)
     f = ComplexField(spec, np.full((spec.n1, spec.n2), 1.0 + 0.0j))
     assert detect_vortices(f) == []
+
+
+def union_find_clusters(hits):
+    """The oracle for `_hit_clusters`: a union-find over the pairs (a, b),
+    a < b, in increasing order, joining hits within Chebyshev distance 2;
+    clusters in the order of their first members.  The rows of `hits` are
+    sorted (np.argwhere's order), so b stops at the first hit more than 2
+    rows below a's, and a's candidates are measured at once."""
+    parent = list(range(len(hits)))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a in range(len(hits)):
+        stop = np.searchsorted(hits[:, 0], hits[a, 0] + 2, side="right")
+        near = np.max(np.abs(hits[a + 1:stop] - hits[a]), axis=1) <= 2
+        for b in a + 1 + np.flatnonzero(near):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[rb] = ra
+    clusters = {}
+    for k in range(len(hits)):
+        clusters.setdefault(find(k), []).append(k)
+    return list(clusters.values())
+
+
+def union_find_vortices(f, full_plane=False):
+    """detect_vortices with the clusters of `union_find_clusters`, each
+    summed and averaged hit by hit."""
+    x1, x2, ext = full_plane_data(f)
+    w = plaquette_windings(ext)
+    hits = np.argwhere(w != 0)
+    out = []
+    for members in union_find_clusters(hits):
+        charge = int(sum(w[hits[k, 0], hits[k, 1]] for k in members))
+        if charge == 0:
+            continue
+        cx = float(np.mean([x1[hits[k, 0]] + 0.5 * f.spec.h1 for k in members]))
+        cy = float(np.mean([x2[hits[k, 1]] + 0.5 * f.spec.h2 for k in members]))
+        out.append(((cx, cy), charge))
+    if not full_plane:
+        out = [v for v in out if v[0][0] > -0.5 * f.spec.h1]
+    return sorted(out, key=lambda v: (v[0][0], v[0][1]))
+
+
+def test_hit_clusters_match_union_find_on_random_hits():
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        shape = rng.integers(1, 48, size=2)
+        hits = np.argwhere(rng.random(shape) < rng.uniform(0.005, 0.7))
+        if hits.size:
+            assert [m.tolist() for m in _hit_clusters(hits)] == union_find_clusters(hits)
+
+
+def test_detect_vortices_on_a_noisy_pair_matches_union_find(profile):
+    p = ModelParams(Regime.PAIR_WM, 0.1, 0.0, 1.0)
+    spec = GridSpec(40.0, 40.0, 0.25, 0.25, Symmetry.PAIR)
+    V = build_pair(p, spec, profile)
+    rng = np.random.default_rng(11)
+    noisy = ComplexField(spec, V.data + 2.0 * (rng.standard_normal(V.data.shape)
+                                               + 1j * rng.standard_normal(V.data.shape)))
+    assert np.count_nonzero(plaquette_windings(full_plane_data(noisy)[2])) >= 20_000
+    for f in (V, noisy):
+        for full_plane in (False, True):
+            assert detect_vortices(f, full_plane) == union_find_vortices(f, full_plane)
 
 
 def brute_force_energy_charge(m, h):

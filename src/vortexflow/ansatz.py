@@ -11,12 +11,11 @@ is separable: a sine transform in x2 leaves one tridiagonal in x1 per
 mode, and SuperLU (minimum-degree ordering on A + A^T) factors their
 block-diagonal sum with fill linear in the unknowns.
 
-The phase operator depends on the grid alone, not on d.  `build_case`,
-the one construction of (V_d, Z_d), factors it once per ring case and
-solves the three phase problems of that case with the one factor: V_d's
-and the V_{d +- delta} of the co-kernel difference.  The factor lives
-only as long as that call; `build_ansatz`, `build_ring_phase` and
-`kernel_Zd` called on their own each factor it themselves.
+The phase operator depends on the grid alone, not on d, so one factor
+serves a case: `_solve_phase` factors it and solves a stack of forcings
+with it, and the factor never leaves that call.  `build_case`, the one
+construction of (V_d, Z_d), stacks the three phase problems of a ring
+case: V_d's and the V_{d +- delta} of the co-kernel difference.
 
 The error of the ansatz, S[V_d] and its double-star norm, is measured
 in `diagnostics` (`error_field`), next to the corrector's norms.
@@ -155,15 +154,13 @@ def _chi(ell1, d):
     CHI_OUTER_FRAC * d."""
     r_in, r_out = CHI_INNER_FRAC * d, CHI_OUTER_FRAC * d
     t = np.clip((ell1 - r_in) / (r_out - r_in), 0.0, 1.0)
-    return 1.0 - t * t * (3.0 - 2.0 * t), r_in, r_out
+    return 1.0 - t * t * (3.0 - 2.0 * t)
 
 
 def _phi_s_samples(spec: GridSpec, d):
     _, X2, ell1, _, ell2, _ = _core_frames(spec, d)
-    chi, _, _ = _chi(ell1, d)
     with np.errstate(divide="ignore", invalid="ignore"):
-        phi_s = np.where(ell1 > 0, chi * X2 / (4.0 * d) * np.log(ell1**2 / ell2**2), 0.0)
-    return phi_s
+        return np.where(ell1 > 0, _chi(ell1, d) * X2 / (4.0 * d) * np.log(ell1**2 / ell2**2), 0.0)
 
 
 def ring_forcing(params: ModelParams, spec: GridSpec, phi_s: ScalarField):
@@ -203,11 +200,11 @@ def ring_phase_residual(params: ModelParams, spec: GridSpec):
     return first + second
 
 
-def _phase_factor(spec: GridSpec):
-    """SuperLU factor of the phase operator [lap + H1] on `spec`, odd in
-    x2 and zero on the outer Dirichlet layer, in the sine-mode form that
-    `_solve_phase` solves; the unknowns are rows i = 0..n1-2, columns
-    j = 1..n2-2 (odd parity pins j = 0).
+def _solve_phase(spec: GridSpec, g):
+    """The stack of phi with [lap + H1] phi = g[k] on `spec`, odd in x2 and
+    zero on the outer Dirichlet layer, all solved with one factor of the
+    operator; the unknowns are rows i = 0..n1-2, columns j = 1..n2-2 (odd
+    parity pins j = 0).
 
     The x2 part is the constant 3-point Dirichlet stencil, which the
     DST-I diagonalizes with eigenvalues -(4/h2^2) sin^2(pi k / (2(n2-1))),
@@ -224,18 +221,20 @@ def _phase_factor(spec: GridSpec):
     upper = np.concatenate(([4.0 / h1**2], 1.0 / h1**2 + ch[:-1]))
     x1_op = diags([1.0 / h1**2 - ch, diag, upper], [-1, 0, 1])
     lam = -(4.0 / h2**2) * np.sin(np.pi * np.arange(1, m + 1) / (2.0 * (n2 - 1)))**2
-    return splu(kronsum(x1_op, diags(lam), format="csc"), permc_spec="MMD_AT_PLUS_A")
-
-
-def _solve_phase(spec: GridSpec, g, lu):
-    """phi with [lap + H1] phi = g on `spec`, by `lu` = `_phase_factor(spec)`."""
-    n1, n2 = spec.n1, spec.n2
-    p, m = n1 - 1, n2 - 2
-    g_hat = dst(g[:p, 1:n2 - 1], type=1, axis=1, norm="ortho")
-    sol = lu.solve(g_hat.T.ravel()).reshape(m, p).T
-    phi = np.zeros((n1, n2))
-    phi[:p, 1:n2 - 1] = dst(sol, type=1, axis=1, norm="ortho")
+    lu = splu(kronsum(x1_op, diags(lam), format="csc"), permc_spec="MMD_AT_PLUS_A")
+    phi = np.zeros((len(g), n1, n2))
+    for k, g_k in enumerate(g):
+        g_hat = dst(g_k[:p, 1:n2 - 1], type=1, axis=1, norm="ortho")
+        sol = lu.solve(g_hat.T.ravel()).reshape(m, p).T
+        phi[k, :p, 1:n2 - 1] = dst(sol, type=1, axis=1, norm="ortho")
     return phi
+
+
+def _ring_phases(cases, spec):
+    """(phi_s, phi_r) of each ring params in `cases` on `spec`."""
+    phi_s = [ScalarField(spec, _phi_s_samples(spec, p.d), x2_parity="odd") for p in cases]
+    phi_r = _solve_phase(spec, [ring_forcing(p, spec, s) for p, s in zip(cases, phi_s)])
+    return [(s, ScalarField(spec, r, x2_parity="odd")) for s, r in zip(phi_s, phi_r)]
 
 
 def build_ring_phase(params: ModelParams, spec: GridSpec):
@@ -246,14 +245,7 @@ def build_ring_phase(params: ModelParams, spec: GridSpec):
     x2-parity and homogeneous Dirichlet on the outer boundary."""
     if not params.is_ring:
         raise ValueError("ring phases only exist in RING regimes")
-    return _ring_phase(params, spec, _phase_factor(spec))
-
-
-def _ring_phase(params, spec, lu):
-    """`build_ring_phase` with the phase factor `lu` of `spec`."""
-    phi_s = ScalarField(spec, _phi_s_samples(spec, params.d), x2_parity="odd")
-    phi_r = _solve_phase(spec, ring_forcing(params, spec, phi_s), lu)
-    return phi_s, ScalarField(spec, phi_r, x2_parity="odd")
+    return _ring_phases([params], spec)[0]
 
 
 def build_ring(params: ModelParams, spec: GridSpec, profile: VortexProfile,
@@ -268,50 +260,39 @@ def build_ring(params: ModelParams, spec: GridSpec, profile: VortexProfile,
     return ComplexField(spec, symmetrize_complex(data))
 
 
-def _phase_lu(params, spec):
-    """The phase factor that builds of `params` on `spec` share; None
-    for a pair, which has no phase."""
-    return _phase_factor(spec) if params.is_ring else None
-
-
-def _ansatz(params, spec, profile, lu):
-    """`build_ansatz` with the phase factor `lu` of `spec`."""
-    if params.is_ring:
-        return build_ring(params, spec, profile, _ring_phase(params, spec, lu))
-    return build_pair(params, spec, profile)
+def _ansatzes(cases, spec, profile):
+    """Pair or ring ansatz of each params in `cases`, all of one regime."""
+    if not cases[0].is_ring:
+        return [build_pair(p, spec, profile) for p in cases]
+    return [build_ring(p, spec, profile, ph) for p, ph in zip(cases, _ring_phases(cases, spec))]
 
 
 def build_ansatz(params: ModelParams, spec: GridSpec, profile: VortexProfile) -> ComplexField:
     """Pair or improved-ring ansatz, per regime."""
-    return _ansatz(params, spec, profile, _phase_lu(params, spec))
+    return _ansatzes([params], spec, profile)[0]
 
 
 def kernel_Zd(params: ModelParams, spec: GridSpec, profile: VortexProfile) -> ComplexField:
-    """Co-kernel Z_d = dV_d/dd * [eta(ell1/R) + eta(ell2/R)].
+    """Co-kernel Z_d = dV_d/dd * [eta(ell1/R) + eta(ell2/R)], that of
+    `build_case`.
 
     The d-derivative is a central difference with step 1e-3 d,
     rebuilding the full ansatz (ring phases included) at d +- delta.
     R is 6 core widths, capped at 0.4 d so the cutoff stays inside the
     inter-vortex distance at small separations."""
-    return _kernel_Zd(params, spec, profile, _phase_lu(params, spec))
-
-
-def _kernel_Zd(params, spec, profile, lu):
-    """`kernel_Zd` with the phase factor `lu` of `spec`."""
-    d = params.d
-    cutoff_radius = min(CUTOFF_RADIUS, 0.4 * d)
-    delta = 1e-3 * d
-    plus = _ansatz(params.with_d(d + delta), spec, profile, lu)
-    minus = _ansatz(params.with_d(d - delta), spec, profile, lu)
-    dV = (plus.data - minus.data) / (2.0 * delta)
-    _, _, ell1, _, ell2, _ = _core_frames(spec, d)
-    cut = smoothstep_cutoff(ell1 / cutoff_radius) + smoothstep_cutoff(ell2 / cutoff_radius)
-    return ComplexField(spec, symmetrize_complex(dV * cut))
+    return build_case(params, spec, profile)[1]
 
 
 def build_case(params: ModelParams, spec: GridSpec, profile: VortexProfile):
-    """Ansatz V_d and co-kernel Z_d of `params` on `spec`, bitwise those of
-    `build_ansatz` and `kernel_Zd`; a ring case factors its phase
-    operator once for its three ansatz builds."""
-    lu = _phase_lu(params, spec)
-    return _ansatz(params, spec, profile, lu), _kernel_Zd(params, spec, profile, lu)
+    """Ansatz V_d and co-kernel Z_d (`kernel_Zd`) of `params` on `spec`,
+    from the three ansatz builds at d and d +- delta; a ring case solves
+    their three phase problems with one factor."""
+    d = params.d
+    delta = 1e-3 * d
+    V, plus, minus = _ansatzes([params, params.with_d(d + delta), params.with_d(d - delta)],
+                               spec, profile)
+    dV = (plus.data - minus.data) / (2.0 * delta)
+    cutoff_radius = min(CUTOFF_RADIUS, 0.4 * d)
+    _, _, ell1, _, ell2, _ = _core_frames(spec, d)
+    cut = smoothstep_cutoff(ell1 / cutoff_radius) + smoothstep_cutoff(ell2 / cutoff_radius)
+    return V, ComplexField(spec, symmetrize_complex(dV * cut))

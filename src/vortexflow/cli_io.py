@@ -6,8 +6,8 @@ l1, l2, then n1*n2 samples (f64, or f64 pairs for complex), row-major
 over (x1, x2).
 
 Config files are flat `key = value` lines with `#` comments; unknown
-keys are rejected.  Reports are deterministic `key: value` lines under
-`[section]` headers, floats rendered with 17 significant digits.
+keys are rejected.  Reports (`key: value` lines under `[section]`
+headers) and CSV files are deterministic, floats in 17 significant digits.
 
 Exit codes are set in one place, `main`: 0 success; 2 any value a
 command refuses (an unreadable config file, an unknown key, or a config
@@ -29,7 +29,7 @@ from .diagnostics import build_report, corrector_norms, error_field
 from .fields import MAX_SPACING, ComplexField, GridSpec, ScalarField, Symmetry
 from .profile import solve_profile, profile_integrals
 from .reconstruct import pde_residual, sample_block, unscale
-from .reduction import curve_to_csv, numeric_c_curve, predict_d
+from .reduction import numeric_c_curve, predict_d
 from .solver import (KRYLOV_TOL, NEWTON_MAX, NEWTON_TOL, BracketError, NonConvergenceError,
                      _grid_for, build_case, check_tolerances, solve_projected)
 
@@ -120,6 +120,13 @@ def write_report(path, sections):
         fh.write("\n".join(lines))
 
 
+def write_csv(path, columns, rows, notes=()):
+    """A header of `columns`, a line per row and a `# name = value` line per note."""
+    with open(path, "w") as fh:
+        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in [columns, *rows])
+        fh.writelines(f"# {name} = {_fmt(v)}\n" for name, v in notes)
+
+
 @dataclass
 class RunConfig:
     regime: str = "pair_wm"
@@ -189,6 +196,9 @@ def _grid(cfg, params):
     than MAX_FIELD_SAMPLES points is refused."""
     if not cfg.l >= 0:
         raise ConfigError(f"l must be >= 0 (0 means the default domain), got {cfg.l}")
+    side = float(cfg.l if cfg.l > 0 else 2 * params.d)  # at a tiny h the counts overflow
+    if not side / cfg.h < MAX_FIELD_SAMPLES:
+        raise ConfigError(f"h = {cfg.h} gives over {MAX_FIELD_SAMPLES} points per side of {side}")
     if cfg.l > 0:
         spec = GridSpec(cfg.l, cfg.l, cfg.h, cfg.h, params.symmetry)
     else:
@@ -223,11 +233,8 @@ def _report_entries(rep):
 def _cmd_profile(cfg, out, args):
     prof = _profile(cfg)
     I1, I2 = profile_integrals(prof)
-    with open(out / "profile.csv", "w") as fh:
-        fh.write("ell,rho,drho\n")
-        for e, r, dr in zip(prof.knots, prof.rho, prof.drho):
-            fh.write(f"{e:.17g},{r:.17g},{dr:.17g}\n")
-        fh.write(f"# I1 = {I1:.17g}\n# I2 = {I2:.17g}\n")
+    write_csv(out / "profile.csv", ["ell", "rho", "drho"],
+              zip(prof.knots, prof.rho, prof.drho), notes=[("I1", I1), ("I2", I2)])
     write_report(out / "report.txt", [
         ("config", cfg.echo()),
         ("profile", {
@@ -288,7 +295,8 @@ def _cmd_reduce(cfg, out, args):
     _grid(replace(cfg, l=0.0), ends[-1])
     prof = _profile(cfg)
     curve = numeric_c_curve(params, d_list, prof, h=cfg.h, **opts)
-    curve_to_csv(curve, out / "curve.csv")
+    write_csv(out / "curve.csv", ["d", "c_numeric", "c_leading"],
+              zip(curve.d_values, curve.c_values, curve.c_leading))
     try:
         d_star = curve.empirical_root()
     except ValueError as exc:
@@ -322,10 +330,10 @@ def _cmd_reconstruct(cfg, out, args):
     f = load_field(args.field)
     if not isinstance(f, ComplexField):
         raise FieldFormatError("reconstruct expects a complex field")
-    if not args.ds >= 0:
-        raise ConfigError(f"--ds must be >= 0 (0 means h/2), got {args.ds}")
-    U = unscale(f, params, mode="spline")
     ds = args.ds if args.ds else cfg.h / 2
+    if not ds > 0:
+        raise ConfigError(f"--ds must be > 0, or 0 for h/2; got {args.ds} at h = {cfg.h}")
+    U = unscale(f, params, mode="spline")
     ring = params.is_ring
     center = (params.d, 0.0, 0.0) if ring else (params.d, 0.0)
     # a fixed physical width, so a refinement keeps the block outside the
@@ -344,12 +352,11 @@ def _cmd_reconstruct(cfg, out, args):
                 np.linspace(-2, 2, 9)]
     norms = pde_residual(params, U, center, ds, nspace=nspace)
     m = sample_block(U, params, t_axis, tau_axis, axes)
-    with open(out / "samples.csv", "w") as fh:
-        fh.write("t,tau," + "".join(f"s{k + 1}," for k in range(len(axes))) + "m1,m2,m3\n")
-        for jt, tau in enumerate(tau_axis):
-            for idx in np.ndindex(*(a.size for a in axes)):
-                row = [tau, *(a[i] for a, i in zip(axes, idx)), *m[(0, jt) + idx]]
-                fh.write("0," + ",".join(f"{v:.17g}" for v in row) + "\n")
+    write_csv(out / "samples.csv",
+              ["t", "tau", *(f"s{k + 1}" for k in range(len(axes))), "m1", "m2", "m3"],
+              ([0, tau, *(a[i] for a, i in zip(axes, idx)), *m[(0, jt) + idx]]
+               for jt, tau in enumerate(tau_axis)
+               for idx in np.ndindex(*(a.size for a in axes))))
     write_report(out / "report.txt", [
         ("config", cfg.echo()),
         ("params", _params_section(params)),

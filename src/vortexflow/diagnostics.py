@@ -28,7 +28,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .ansatz import ModelParams
-from .fields import ComplexField, ScalarField, diff_ops
+from .fields import ComplexField, diff_ops
 from .solver import apply_S
 from .stereo import unproject_array
 
@@ -228,12 +228,12 @@ def corrector_norms(u: ComplexField, V: ComplexField, params: ModelParams):
     spec = u.spec
     safe = np.abs(V.data) > CORE_MODULUS_FLOOR
     with np.errstate(divide="ignore", invalid="ignore"):
-        psi = np.where(safe, -1j * ((u.data - V.data) / np.where(safe, V.data, 1.0)), 0.0)
-    phi = ComplexField(spec, np.ascontiguousarray(u.data - V.data))
+        chi = np.where(safe, (u.data - V.data) / np.where(safe, V.data, 1.0), 0.0)
+    phi = ComplexField(spec, u.data - V.data)
 
-    # psi parity is anti-conjugate: Re odd, Im even about x2 = 0
-    g11, g12, _ = diff_ops(ScalarField(spec, np.ascontiguousarray(psi.real), "odd"))
-    g21, g22, _ = diff_ops(ScalarField(spec, np.ascontiguousarray(psi.imag), "even"))
+    # psi = -i chi, chi = u/V - 1 conjugate-symmetric like u: one pass over chi
+    # differences both parts, |grad Re psi| = |Im grad chi|, |grad Im psi| = |Re grad chi|
+    g1, g2 = (g.data for g in diff_ops(ComplexField(spec, chi))[:2])
     d1p, d2p, _ = diff_ops(phi)
     d11, d22 = _second_derivatives(d1p.data, d2p.data, spec)
 
@@ -241,18 +241,17 @@ def corrector_norms(u: ComplexField, V: ComplexField, params: ModelParams):
     w_mid = weight(1.0 + RHO_WEIGHT)
     inner = _near_core([phi.data, np.hypot(np.abs(d1p.data), np.abs(d2p.data)),
                         np.hypot(np.abs(d11), np.abs(d22))], near, params, spec)
-    outer_psi1 = _weighted_outer([(psi.real, weight(RHO_WEIGHT)),
-                                  (np.hypot(g11.data, g12.data), w_mid)], outer)
-    outer_psi2 = _weighted_outer([(psi.imag, w_mid),
-                                  (np.hypot(g21.data, g22.data), weight(2.0 + RHO_WEIGHT))],
-                                 outer)
+    outer_psi1 = _weighted_outer([(chi.imag, weight(RHO_WEIGHT)),
+                                  (np.hypot(g1.imag, g2.imag), w_mid)], outer)
+    outer_psi2 = _weighted_outer([(chi.real, w_mid),
+                                  (np.hypot(g1.real, g2.real), weight(2.0 + RHO_WEIGHT))], outer)
     return {
         "star": inner + outer_psi1 + outer_psi2,
         "inner": inner,
         "outer_psi1": outer_psi1,
         "outer_psi2": outer_psi2,
         "phi_linf": float(np.abs(phi.data).max()),
-        "psi_sup": float(np.abs(np.where(outer, psi, 0.0)).max()),
+        "psi_sup": float(np.abs(np.where(outer, chi, 0.0)).max()),
     }
 
 

@@ -94,10 +94,3 @@ def numeric_c_curve(params: ModelParams, d_list, profile: VortexProfile, h=0.25,
         if math.copysign(1.0, c_num[ref]) != math.copysign(1.0, c_lead[ref]):
             c_lead = -c_lead
     return ReducedCurve(d_arr, c_num, c_lead, complete)
-
-
-def curve_to_csv(curve: ReducedCurve, path):
-    with open(path, "w") as fh:
-        fh.write("d,c_numeric,c_leading\n")
-        for d, cn, cl in zip(curve.d_values, curve.c_values, curve.c_leading):
-            fh.write(f"{d:.17g},{cn:.17g},{cl:.17g}\n")

@@ -5,7 +5,7 @@ import pytest
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import spsolve
 
-from vortexflow.ansatz import (ModelParams, Regime, build_pair, build_ring,
+from vortexflow.ansatz import (ModelParams, Regime, _solve_phase, build_pair, build_ring,
                                build_ring_phase, kernel_Zd, ring_forcing,
                                ring_phase_residual, smoothstep_cutoff)
 from vortexflow.fields import GridSpec, Symmetry, reflect_full
@@ -184,15 +184,18 @@ def _axisym_laplacian(spec):
                                   GridSpec(14.0, 9.0, 0.25, 0.2, Symmetry.RING)],
                          ids=["square", "rectangular"])
 def test_ring_phase_matches_sparse_oracle(spec):
-    p = ring_params()  # d = 6
-    phi_s, phi_r = build_ring_phase(p, spec)
-    g = ring_forcing(p, spec, phi_s)[:-1, 1:-1].ravel()
-    x = phi_r.data[:-1, 1:-1].ravel()
+    # one factor solves a stack of forcings: the phase problems at d = 6 and 4.5
+    cases = [ring_params(), ring_params(d_hat=0.225)]
+    forcings = [ring_forcing(p, spec, build_ring_phase(p, spec)[0]) for p in cases]
     A = _axisym_laplacian(spec)
-    assert np.linalg.norm(A @ x - g) <= 1e-11 * np.linalg.norm(g)
-    ref = spsolve(A, g)
-    assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
-    assert np.all(phi_r.data[-1, :] == 0.0) and np.all(phi_r.data[:, [0, -1]] == 0.0)
+    for p, g_full, phi in zip(cases, forcings, _solve_phase(spec, forcings)):
+        assert np.array_equal(phi, build_ring_phase(p, spec)[1].data)
+        g = g_full[:-1, 1:-1].ravel()
+        x = phi[:-1, 1:-1].ravel()
+        assert np.linalg.norm(A @ x - g) <= 1e-11 * np.linalg.norm(g)
+        ref = spsolve(A, g)
+        assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+        assert np.all(phi[-1, :] == 0.0) and np.all(phi[:, [0, -1]] == 0.0)
 
 
 def test_ring_requires_ring_regime(profile):

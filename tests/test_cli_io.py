@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -356,12 +357,17 @@ def test_cli_reconstruct_degenerate_block_exit_2(tmp_path, pair_ansatz_file, mon
 @pytest.mark.parametrize("command", ["pair", "reconstruct"])
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "1e308", "5e-324", "4"])
 @pytest.mark.parametrize("key", ["h", "l", "eps", "kappa", "d_hat"])
-def test_cli_any_config_value_exits_0_or_2(tmp_path, pair_ansatz_file, key, value, command):
+def test_cli_any_config_value_exits_0_or_2(tmp_path, pair_ansatz_file, key, value, command,
+                                          capsys):
     # main maps every value a command refuses to exit 2; none may escape it
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"step = 0.01\n{key} = {value}\n")
     args = ["pair", "--ansatz-only"] if command == "pair" else [command, str(pair_ansatz_file)]
-    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")] + args) in (0, 2)
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "out")] + args)
+    assert code in (0, 2)
+    if key == "h":
+        # no listed spacing is usable, and each refusal names h, a subnormal one's too
+        assert code == 2 and re.search(r"\bh\b", capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("ds", ["0.0625", "0.03125"], ids=["h/4", "h/8"])

@@ -268,8 +268,6 @@ def test_ring_solve_factors_each_system_once(profile, monkeypatch):
 def test_build_case_shares_one_factor_bitwise(profile, monkeypatch):
     p = ModelParams(Regime.RING_SCH, 0.05, 0.0, 0.3)
     spec = GridSpec(12.0, 12.0, 0.25, 0.25, Symmetry.RING)
-    V_ref = build_ansatz(p, spec, profile)
-    Z_ref = kernel_Zd(p, spec, profile)
     factors = []
 
     def counted(*args, _splu=ansatz.splu, **kwargs):
@@ -277,10 +275,23 @@ def test_build_case_shares_one_factor_bitwise(profile, monkeypatch):
         return factors[-1]
 
     monkeypatch.setattr(ansatz, "splu", counted)
+    # the oracle: three standalone ansatz builds, each with its own phase
+    # factor, and the cutoff difference formed here
+    d, delta = p.d, 1e-3 * p.d
+    V_ref, plus, minus = (build_ansatz(q, spec, profile)
+                          for q in (p, p.with_d(d + delta), p.with_d(d - delta)))
+    assert len(factors) == 3
+    X1, X2 = spec.mesh()
+    R = min(ansatz.CUTOFF_RADIUS, 0.4 * d)
+    cut = (ansatz.smoothstep_cutoff(np.hypot(X1 - d, X2) / R)
+           + ansatz.smoothstep_cutoff(np.hypot(X1 + d, X2) / R))
+    Z_ref = symmetrize_complex((plus.data - minus.data) / (2.0 * delta) * cut)
+    factors.clear()
     V, Z = build_case(p, spec, profile)
     assert len(factors) == 1
     assert V.data.tobytes() == V_ref.data.tobytes()
-    assert Z.data.tobytes() == Z_ref.data.tobytes()
+    assert Z.data.tobytes() == Z_ref.tobytes()
+    assert kernel_Zd(p, spec, profile).data.tobytes() == Z_ref.tobytes()
 
 
 def _tag_case(tag):

@@ -34,8 +34,9 @@ from .solver import (KRYLOV_TOL, NEWTON_MAX, NEWTON_TOL, BracketError, NonConver
                      _grid_for, build_case, check_tolerances, solve_projected)
 
 MAGIC = b"VSF1"
-# `reconstruct` samples a block 11 h / 2 wide per spatial axis; a --ds that
-# would put more than this many points in the block is refused
+# `reconstruct` samples a block 11 h / 2 wide per spatial axis, h the field
+# file's spacing; a --ds that would put more than this many points in the
+# block is refused
 RECONSTRUCT_MAX_POINTS = 10**5
 # the most samples a field file may hold, and a grid the CLI may build
 MAX_FIELD_SAMPLES = 500_000_000
@@ -330,15 +331,18 @@ def _cmd_reconstruct(cfg, out, args):
     f = load_field(args.field)
     if not isinstance(f, ComplexField):
         raise FieldFormatError("reconstruct expects a complex field")
-    ds = args.ds if args.ds else cfg.h / 2
+    h = f.spec.h1
+    ds = args.ds if args.ds else h / 2
     if not ds > 0:
-        raise ConfigError(f"--ds must be > 0, or 0 for h/2; got {args.ds} at h = {cfg.h}")
+        raise ConfigError(f"--ds must be > 0, or 0 for h/2; got {args.ds} at the field's "
+                          f"h = {h}")
     U = unscale(f, params, mode="spline")
     ring = params.is_ring
     center = (params.d, 0.0, 0.0) if ring else (params.d, 0.0)
-    # a fixed physical width, so a refinement keeps the block outside the
-    # excluded core disc (12 points at the default ds = h/2)
-    nspace = round(5.5 * cfg.h / ds) + 1
+    # a fixed physical width in cells of the field, so a refinement keeps
+    # the block outside the excluded core disc (12 points at the default
+    # ds = h/2)
+    nspace = round(5.5 * h / ds) + 1
     if nspace ** len(center) > RECONSTRUCT_MAX_POINTS:
         raise ConfigError(f"--ds {ds} puts {nspace} points on each axis of the residual "
                           f"block (at most {RECONSTRUCT_MAX_POINTS} points in all)")
@@ -446,11 +450,15 @@ def _config(args):
         if args.dhat is not None:
             cfg.d_hat = args.dhat
     if args.command in ("pair", "ring", "reduce", "reconstruct"):
-        cfg.params()
+        params = cfg.params()
     # the commands that build or sample a grid of spacing h
     if args.command in ("pair", "ring", "reduce", "sweep", "reconstruct") \
             and not 0.0 < cfg.h <= MAX_SPACING:
         raise ConfigError(f"h must lie in (0, {MAX_SPACING}], got {cfg.h}")
+    if args.command == "reconstruct":
+        # it samples at the field's own spacing, but its report echoes the
+        # config, whose grid must exist as for `pair`
+        _grid(cfg, params)
     return cfg
 
 

@@ -20,10 +20,13 @@ Guide to Splines, ch. XVII): the slices of a block share their a-axis
 and differ only by the shift of the traveling coordinate, so the spline
 is contracted along a once per block, and each slice is then one complex
 1-D spline evaluation along the traveling coordinate.
-pde_residual never holds a whole block: it walks the interior (t, tau)
-points and keeps only a small window of the slices their stencils read,
-sampling each slice once and dropping it after its last reader; the four
-corner slices, which no stencil reads, are never sampled.
+pde_residual never holds a whole block, nor a whole slice: it goes over
+pieces of rows of the first spatial axis, and inside each piece walks
+the interior (t, tau) points, keeping only a small window of the slice
+pieces their stencils read.  Each slice is sampled once per piece of
+rows (plus one halo row on each side) and dropped after its last reader
+in that piece; the four corner slices, which no stencil reads, are never
+sampled.
 The cross-product orientation is pinned by the operator convention of
 the planar solve (the S2/S4 drift term): a field with S2[u] = 0
 assembled as U(.., s_N - c tau - omega t) e^{i tau} satisfies exactly
@@ -42,7 +45,7 @@ from .stereo import unproject_array
 
 RESIDUAL_NT = 5              # time samples of a Schrodinger-flow residual block
 RESIDUAL_CORE_MARGIN = 2.0   # excluded core radius, in cells of max(ds, h)
-RESIDUAL_PIECE = 8192        # points of the slice interior per _slice_residual call
+RESIDUAL_PIECE = 8192        # interior points of one slice per piece of rows
 SPLINE_K = 5                 # degree of the field's spline on both axes
 
 
@@ -251,15 +254,19 @@ def pde_residual(params: ModelParams, U: UnscaledField, center, ds,
     traveling vortex core, so the excluded disc stays fixed under
     sampling refinement.
 
-    The block is never held whole.  Its interior (t, tau) points are
-    visited in C order; each reads the slices (t, tau) and (t, tau +- 1)
-    and, for a Schrodinger flow, (t +- 1, tau).  A slice is sampled
-    (one sample_block call) when a point first reads it and dropped once
-    its last reader is done, so at most about two rows of slices are
-    live, and the four corner slices, which no stencil reads, are never
-    sampled.  Each point's residual is the same elementwise arithmetic
-    a full-block stencil does, so the result does not depend on the
-    streaming."""
+    The block is never held whole.  The outer loop goes over pieces of
+    RESIDUAL_PIECE // (points per interior row) rows of the first spatial
+    axis.  Inside a piece the interior (t, tau) points are visited in C
+    order; each reads the slices (t, tau) and (t, tau +- 1) and, for a
+    Schrodinger flow, (t +- 1, tau), cut to the piece's rows plus one
+    halo row on each side.  A slice's piece is sampled (one sample_block
+    call, whose a-axis contraction all slices of the piece share) when a
+    point first reads it and dropped once its last reader in the piece
+    is done, so at most about two rows of slice pieces are live, and the
+    four corner slices, which no stencil reads, are never sampled.
+    Sampling is pointwise and each point's residual is the same
+    elementwise arithmetic a full-block stencil does, so the result does
+    not depend on the streaming."""
     h = min(U.u.spec.h1, U.u.spec.h2)
     if ds > h + 1e-12:
         raise ValueError("sample spacings must resolve the field (<= h)")
@@ -300,8 +307,11 @@ def pde_residual(params: ModelParams, U: UnscaledField, center, ds,
                      s_int[1][None, None, None, :] - shift[:, :, None, None]),
         )
     keep = dist > excl
+    del dist
     if not keep.any():
-        raise ValueError("core margin excluded every sample")
+        raise ValueError(f"core margin excluded every sample: the excluded radius {excl:g} "
+                         f"({RESIDUAL_CORE_MARGIN:g} cells of max(ds = {ds}, field spacing "
+                         f"h = {h})) covers the block")
 
     # interior points (indices into t_axis, tau_axis) and the slices each reads
     points = [(it, jt) for it in (range(1) if wave else range(1, t_axis.size - 1))
@@ -312,33 +322,32 @@ def pde_residual(params: ModelParams, U: UnscaledField, center, ds,
         return taus if wave else taus + [(it - 1, jt), (it + 1, jt)]
 
     last_reader = {key: n for n, p in enumerate(points) for key in stencil(*p)}
-    window = {}
-
-    def slice_at(key):
-        if key not in window:
-            it, jt = key
-            window[key] = sample_block(U, params, t_axis[it:it + 1],
-                                       tau_axis[jt:jt + 1], s_axes)[0, 0]
-        return window[key]
-
     rnorm = np.empty((t_int.size, tau_int.size) + tuple(ax.size for ax in s_int))
-    # |R| in pieces of whole rows of the first spatial axis, small enough
-    # that the work arrays stay in cache
+    # pieces of whole rows of the first spatial axis, small enough that the
+    # work arrays stay in cache; each piece walks every interior point
     rows = max(1, RESIDUAL_PIECE // math.prod(rnorm.shape[3:]))
     bufs = _residual_buffers((min(rows, rnorm.shape[2]),) + rnorm.shape[3:])
-    for n, (it, jt) in enumerate(points):
-        out = rnorm[divmod(n, tau_int.size)]
-        ms = [slice_at(key) for key in stencil(it, jt)]
-        for r in range(0, out.shape[0], rows):
-            _slice_residual(ds, bufs, out[r:r + rows], *(m[r:r + rows + 2] for m in ms))
-        for key in stencil(it, jt):
-            if last_reader[key] == n:
-                del window[key]
+    for r in range(0, rnorm.shape[2], rows):
+        # the piece's rows with one halo row on each side
+        piece_axes = [s_axes[0][r:r + rows + 2]] + s_axes[1:]
+        window = {}
+        for n, (it, jt) in enumerate(points):
+            keys = stencil(it, jt)
+            for kt, ktau in keys:
+                if (kt, ktau) not in window:
+                    window[kt, ktau] = sample_block(U, params, t_axis[kt:kt + 1],
+                                                   tau_axis[ktau:ktau + 1], piece_axes)[0, 0]
+            _slice_residual(ds, bufs, rnorm[divmod(n, tau_int.size)][r:r + rows],
+                            *(window[key] for key in keys))
+            for key in keys:
+                if last_reader[key] == n:
+                    del window[key]
 
     kept = rnorm[keep]
+    sup = float(kept.max())
     cell = ds * ds**sdim * (1.0 if wave else ds)
     return {
-        "l2": float(math.sqrt((kept**2).sum() * cell)),
-        "sup": float(kept.max()),
+        "l2": float(math.sqrt(np.square(kept, out=kept).sum() * cell)),
+        "sup": sup,
         "n_samples": int(kept.size),
     }

@@ -325,6 +325,21 @@ def test_cli_reconstruct(tmp_path, pair_ansatz_file):
     assert "residual_l2" in rep
 
 
+def test_cli_reconstruct_block_follows_the_field_spacing(tmp_path, pair_ansatz_file):
+    # the block's width and default ds come from the field's h = 0.25, as
+    # its excluded core disc does, so a config h below it changes nothing
+    sections = {}
+    for h in ("0.25", "0.1", "0.05"):
+        cfg = tmp_path / f"h{h}.cfg"
+        cfg.write_text(f"eps = 0.1\nregime = pair_wm\nh = {h}\n")
+        out = tmp_path / f"rec{h}"
+        assert main(["--config", str(cfg), "--out", str(out), "reconstruct",
+                     str(pair_ansatz_file)]) == 0
+        sections[h] = (out / "report.txt").read_text().split("[reconstruct]")[1]
+    assert sections["0.1"] == sections["0.05"] == sections["0.25"]
+    assert "ds: 0.125\n" in sections["0.25"]
+
+
 @pytest.mark.parametrize("config, ds", [
     ("", "0"),                             # default d = 20 leaves the l1 = 20 field
     ("eps = 0.1\n", "1.0"),                # coarser than the field's h = 0.25

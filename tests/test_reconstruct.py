@@ -459,3 +459,57 @@ def test_pde_residual_rejects_nspace_of_another_dimension(residual_fields, case,
     center = (p.d + 1.0, 0.0, 0.0) if p.is_ring else (p.d + 1.0, 0.0)
     with pytest.raises(ValueError, match=f"nspace has {len(nspace)} entries"):
         pde_residual(p, residual_fields[case], center, 0.125, nspace=nspace)
+
+
+def test_pde_residual_samples_each_slice_once_per_piece(residual_fields, monkeypatch,
+                                                       counting_bspline):
+    # a ring block of 6 interior rows in pieces of 2 rows: each of the 21
+    # slices a Schrodinger block reads is sampled once per piece, on the
+    # piece's rows and one halo row on each side, and the slices of a
+    # piece share one a-axis contraction
+    U = unscale(residual_fields["ring_sch"].u, RING_SCH)
+    calls = counting_bspline(U)
+    seen = []
+
+    def recording(U, p, t_axis, tau_axis, s_axes):
+        seen.append((float(t_axis[0]), float(tau_axis[0]), tuple(s_axes[0])))
+        return sample_block(U, p, t_axis, tau_axis, s_axes)
+
+    monkeypatch.setattr(reconstruct, "sample_block", recording)
+    monkeypatch.setattr(reconstruct, "RESIDUAL_PIECE", 2 * 6)
+    ds = 0.125
+    s1 = 6.0 + ds * (np.arange(8) - 3.5)
+    pieces = [tuple(s1[r:r + 4]) for r in (0, 2, 4)]
+    pde_residual(RING_SCH, U, (6.0, 0.0, 0.0), ds, nspace=(8, 3, 8), ntau=5)
+    times = ds * (np.arange(5) - 2.0)
+    slices = {(t, tau) for t in times for tau in times} - {
+        (t, tau) for t in (-2 * ds, 2 * ds) for tau in (-2 * ds, 2 * ds)}
+    assert len(slices) == 21
+    assert len(seen) == len(set(seen)) == 21 * 3
+    assert set(seen) == {(t, tau, piece) for t, tau in slices for piece in pieces}
+    assert [axis for axis, _ in calls] == (["a"] + ["b"] * 21) * 3
+
+
+def test_pde_residual_peak_memory_of_a_multi_piece_block(residual_fields):
+    # a ring block of 94 interior rows walked in 4 pieces of rows holds
+    # slice pieces, not whole slices (traced peak 15.5 slices when whole
+    # slices were sampled)
+    nspace = (96, 5, 96)
+    one_slice = math.prod(nspace) * 3 * 8
+    tracemalloc.start()
+    try:
+        pde_residual(RING_SCH, residual_fields["ring_sch"], (5.0, 0.0, 0.0), 0.0625,
+                     nspace=nspace, ntau=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * one_slice
+
+
+def test_pde_residual_refusal_names_the_core_disc(residual_fields):
+    # a block inside the excluded disc (radius 2 cells of the field's
+    # h = 0.25, coarser than ds) is refused with the radius and both spacings
+    p = RESIDUAL_CASES["pair_sch"][0]
+    with pytest.raises(ValueError, match=r"core margin excluded every sample: the excluded "
+                                         r"radius 0\.5 .*ds = 0\.125, field spacing h = 0\.25"):
+        pde_residual(p, residual_fields["pair_sch"], (p.d, 0.0), 0.125, nspace=4)

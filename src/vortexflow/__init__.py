@@ -10,7 +10,7 @@ from .fields import (ComplexField, GridSpec, ScalarField, Symmetry, diff_ops,
 from .profile import (VortexProfile, eval_profile, ode_residual,
                       profile_integrals, solve_profile)
 from .reconstruct import pde_residual, unscale
-from .reduction import ReducedCurve, leading_c, numeric_c_curve, predict_d
+from .reduction import leading_c, predict_d
 from .solver import (SolveResult, apply_S, linearize_apply,
                      solve_at_separation, solve_balanced, solve_projected)
 from .stereo import nonlinearity_F

@@ -29,9 +29,10 @@ from .diagnostics import build_report, corrector_norms, error_field
 from .fields import MAX_SPACING, ComplexField, GridSpec, ScalarField, Symmetry
 from .profile import solve_profile, profile_integrals
 from .reconstruct import pde_residual, sample_block, unscale
-from .reduction import numeric_c_curve, predict_d
+from .reduction import leading_c, predict_d
 from .solver import (KRYLOV_TOL, NEWTON_MAX, NEWTON_TOL, BracketError, NonConvergenceError,
-                     _grid_for, build_case, check_tolerances, solve_projected)
+                     _grid_for, build_case, check_tolerances, solve_balanced,
+                     solve_projected)
 
 MAGIC = b"VSF1"
 # `reconstruct` samples a block 11 h / 2 wide per spatial axis, h the field
@@ -144,7 +145,6 @@ class RunConfig:
     newton_max: int = NEWTON_MAX
     newton_tol: float = NEWTON_TOL
     krylov_tol: float = KRYLOV_TOL
-    points: int = 6
 
     @classmethod
     def from_file(cls, path):
@@ -279,39 +279,35 @@ def _cmd_build(cfg, out, args):
 def _cmd_reduce(cfg, out, args):
     params = cfg.params()
     opts = _solve_opts(cfg)
-    if cfg.points < 2:
-        raise ConfigError("points must be at least 2 to bracket a root")
     if not (cfg.d_lo >= 0 and cfg.d_hi >= 0):
         raise ConfigError(f"d_lo and d_hi must be >= 0 (0 means the default), "
                           f"got {cfg.d_lo} and {cfg.d_hi}")
-    d_ref = predict_d(params)
+    d_ref = None
+    if not (cfg.d_lo > 0 and cfg.d_hi > 0):
+        try:
+            d_ref = predict_d(params)
+        except ValueError as exc:
+            raise ConfigError(f"no default bracket: {exc}; set d_lo and d_hi") from None
     d_lo = cfg.d_lo if cfg.d_lo > 0 else d_ref / 2
     d_hi = cfg.d_hi if cfg.d_hi > 0 else 2 * d_ref
-    d_list = np.sort(np.geomspace(d_lo, d_hi, cfg.points))
-    if not (d_list[0] > 1.0 and np.all(np.diff(d_list) > 0.0)):
-        raise ConfigError(f"separations {d_list.tolist()} must be distinct and > 1")
-    # d_hat is linear in d, so the two ends bound every sample's
-    ends = [params.with_d(d) for d in (d_list[0], d_list[-1])]
-    # samples solve on the default domain of their d; the largest d has the largest
+    if not 1.0 < d_lo < d_hi:
+        raise ConfigError(f"need 1 < d_lo < d_hi, got d_lo = {d_lo} and d_hi = {d_hi}")
+    # d_hat is linear in d, so the two ends bound every solve's
+    ends = [params.with_d(d) for d in (d_lo, d_hi)]
+    # solves use the default domain of their d; the largest d has the largest
     _grid(replace(cfg, l=0.0), ends[-1])
-    prof = _profile(cfg)
-    curve = numeric_c_curve(params, d_list, prof, h=cfg.h, **opts)
-    write_csv(out / "curve.csv", ["d", "c_numeric", "c_leading"],
-              zip(curve.d_values, curve.c_values, curve.c_leading))
-    try:
-        d_star = curve.empirical_root()
-    except ValueError as exc:
-        raise BracketError(
-            f"{exc}; sampled c values {list(curve.c_values)}") from None
+    res, d_star = solve_balanced(params, (d_lo, d_hi), _profile(cfg), h=cfg.h, **opts)
+    field_path = out / "solution.vsf"
+    save_field(res.u, field_path)
+    write_csv(out / "curve.csv", ["d", "c", "n1", "lu_reused", "warm_start", "c_leading"],
+              ((*rec, leading_c(rec[0], params)) for rec in res.balance_history))
     write_report(out / "report.txt", [
         ("config", cfg.echo()),
         ("params", _params_section(params)),
         ("reduce", {
-            "predict_d": d_ref, "d_star": d_star,
-            "complete": curve.complete,
-            "d_values": list(curve.d_values),
-            "c_values": list(curve.c_values),
-            "c_leading": list(curve.c_leading),
+            "predict_d": "none" if d_ref is None else d_ref, "d_star": d_star,
+            "c_mult": res.c_mult, "solves": len(res.balance_history),
+            "fallbacks": res.fallbacks, "field": field_path.name,
         }),
     ])
 
@@ -413,7 +409,7 @@ def _build_parser():
         p.add_argument("--eps", type=float)
         p.add_argument("--kappa", type=float)
         p.add_argument("--dhat", type=float)
-    sub.add_parser("reduce", help="numeric c(d) curve and its root")
+    sub.add_parser("reduce", help="balanced soliton: the root of c(d)")
     pv = sub.add_parser("verify", help="diagnostics report for a field file")
     pv.add_argument("field")
     pr = sub.add_parser("reconstruct", help="space-time samples + residuals")

@@ -11,6 +11,8 @@ from vortexflow.cli_io import (ConfigError, FieldFormatError, RunConfig,
                                load_field, main, save_field)
 from vortexflow.fields import ComplexField, GridSpec, ScalarField, Symmetry
 from vortexflow.reconstruct import pde_residual
+from vortexflow.reduction import leading_c
+from vortexflow.solver import solve_balanced
 
 # VSF1 header offsets: magic, u32 kind, symmetry, n1, n2, f64 h1, h2, l1, l2
 _U32_AT = (4, 8, 12, 16)
@@ -86,7 +88,7 @@ def test_config_parsing(tmp_path):
     assert newton_max == 3 and type(newton_max) is int
 
     fractional = tmp_path / "fractional.cfg"
-    fractional.write_text("points = 2.5\n")
+    fractional.write_text("newton_max = 2.5\n")
     with pytest.raises(ConfigError):
         RunConfig.from_file(fractional)
 
@@ -168,15 +170,15 @@ def test_mutated_field_loads_or_raises_format_error(valid_vsf, tmp_path_factory,
     ("l = 10.1", ["pair", "--ansatz-only"]),
     ("h = 0.7", ["sweep", "--eps-list", "0.1"]),
     ("h = 0.7", ["reduce"]),
-    ("points = 1", ["reduce"]),
+    ("points = 1", ["reduce"]),  # a retired key is refused as unknown
     ("ell_max = 5", ["profile"]),
     ("step = 0.5", ["profile"]),
     ("tol = 0", ["profile"]),
-    ("regime = ring_wm\neps = 0.2", ["reduce"]),  # predict_d has no root
+    ("regime = ring_wm\neps = 0.2", ["reduce"]),  # predict_d has no root: no default bracket
     ("", ["sweep", "--eps-list", "abc"]),
     ("ell_max = 31", ["profile"]),
-    ("d_lo = 10\nd_hi = 10", ["reduce"]),  # separations not distinct
-    ("d_lo = 0.75\nd_hi = 1.0", ["reduce"]),  # separations not all > 1
+    ("d_lo = 10\nd_hi = 10", ["reduce"]),  # not d_lo < d_hi
+    ("d_lo = 0.75\nd_hi = 1.0", ["reduce"]),  # not 1 < d_lo
     ("newton_tol = nan", ["pair"]),
     ("newton_tol = inf", ["pair"]),
     ("krylov_tol = nan", ["ring"]),
@@ -195,13 +197,17 @@ def test_mutated_field_loads_or_raises_format_error(valid_vsf, tmp_path_factory,
     ("h = nan", ["ring", "--ansatz-only"]),
     ("", ["pair", "--ansatz-only", "--eps", "1e-6"]),  # a grid too large to allocate
     ("d_hi = 1e9", ["reduce"]),  # d_hat = eps d above 100
-    ("eps = 0.001\nd_hi = 1e5", ["reduce"]),  # its largest separation's grid is too large
+    ("eps = 0.001\nd_hi = 1e5", ["reduce"]),  # the grid of d_hi is too large
     ("l = 4", ["sweep", "--eps-list", "0.1"]),  # a domain too small for the vortex at d = 10
 ])
-def test_cli_out_of_range_config_exit_2(tmp_path, line, command):
+def test_cli_out_of_range_config_exit_2(tmp_path, line, command, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out")] + command) == 2
+    if line.startswith("regime = ring_wm"):
+        # the refusal says how to give the bracket that predict_d cannot
+        err = capsys.readouterr().err
+        assert "d_lo" in err and "d_hi" in err
 
 
 def test_cli_unreadable_config_exit_2(tmp_path):
@@ -247,12 +253,16 @@ def test_cli_pair_ansatz_verify_pipeline(tmp_path):
 
 
 def test_cli_reports_deterministic(tmp_path):
-    outs = []
-    for name in ("a", "b"):
-        out = tmp_path / name
-        assert main(["--out", str(out), "pair", "--ansatz-only", "--eps", "0.1"]) == 0
-        outs.append((out / "report.txt").read_bytes())
-    assert outs[0] == outs[1]
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("eps = 0.1\nh = 0.5\n")
+    for command in (["pair", "--ansatz-only", "--eps", "0.1"],
+                    ["--config", str(cfg), "reduce"]):
+        outs = []
+        for name in ("a", "b"):
+            out = tmp_path / command[-1] / name
+            assert main(["--out", str(out)] + command) == 0
+            outs.append((out / "report.txt").read_bytes())
+        assert outs[0] == outs[1]
 
 
 def test_cli_ring_ansatz(tmp_path):
@@ -294,8 +304,44 @@ def test_cli_sweep_solves_on_its_error_norm_grid(tmp_path, monkeypatch):
     ["pair"], ["sweep", "--eps-list", "0.1", "--solve"], ["reduce"]])
 def test_cli_newton_max_reaches_every_solve(tmp_path, command):
     cfg = tmp_path / "one_step.cfg"
-    cfg.write_text("eps = 0.1\nh = 0.5\npoints = 2\nnewton_max = 1\nnewton_tol = 1e-30\n")
+    cfg.write_text("eps = 0.1\nh = 0.5\nnewton_max = 1\nnewton_tol = 1e-30\n")
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out")] + command) == 3
+
+
+def _report_section(path, name):
+    """The `key: value` lines of one `[name]` section of a report."""
+    section = path.read_text().split(f"[{name}]\n")[1].split("\n\n")[0]
+    return dict(line.split(": ", 1) for line in section.splitlines())
+
+
+def test_cli_reduce_pair_is_solve_balanced(tmp_path, profile):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("eps = 0.1\nh = 0.5\n")
+    out = tmp_path / "reduce"
+    assert main(["--config", str(cfg), "--out", str(out), "reduce"]) == 0
+    params = RunConfig.from_file(cfg).params()
+    res, d_star = solve_balanced(params, (5.0, 20.0), profile, h=0.5)
+    section = _report_section(out / "report.txt", "reduce")
+    assert section["d_star"] == cli_io._fmt(d_star)
+    assert section["predict_d"] == "10" and section["field"] == "solution.vsf"
+    assert (out / "curve.csv").read_text().splitlines() == [
+        "d,c,n1,lu_reused,warm_start,c_leading",
+        *(",".join(map(cli_io._fmt, (*rec, leading_c(rec[0], params))))
+          for rec in res.balance_history)]
+    assert main(["--out", str(tmp_path / "verify"), "verify",
+                 str(out / "solution.vsf")]) == 0
+
+
+def test_cli_reduce_ring_needs_a_bracket_only_without_one(tmp_path):
+    # 2 eps |log eps| = 0.46 >= 1/e: the leading-order law has no root, but
+    # the numeric c(d) changes sign on (16, 32)
+    cfg = tmp_path / "ring.cfg"
+    cfg.write_text("regime = ring_sch\neps = 0.1\nd_hat = 2.4\nh = 0.5\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "none"), "reduce"]) == 2
+    cfg.write_text(cfg.read_text() + "d_lo = 16\nd_hi = 32\n")
+    out = tmp_path / "bracket"
+    assert main(["--config", str(cfg), "--out", str(out), "reduce"]) == 0
+    assert _report_section(out / "report.txt", "reduce")["predict_d"] == "none"
 
 
 def test_cli_sweep(tmp_path):

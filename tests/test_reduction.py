@@ -5,7 +5,8 @@ import pytest
 
 from vortexflow.ansatz import ModelParams, Regime
 from vortexflow.profile import profile_integrals
-from vortexflow.reduction import ReducedCurve, leading_c, predict_d
+from vortexflow.reduction import leading_c, predict_d
+from vortexflow.solver import solve_at_separation
 
 
 def test_leading_pair_root_is_exact():
@@ -60,35 +61,26 @@ def test_numeric_curve_pair(profile):
     # 6-point sweep bracketing the predicted root at eps = 0.05: exactly one
     # sign change, smooth in d, and normalized agreement with the leading
     # curve away from the root (the o(eps) gap)
-    from vortexflow.reduction import numeric_c_curve
-
     params = ModelParams(Regime.PAIR_WM, 0.05, 0.0, 1.0)
-    d_list = [10.0, 13.0, 16.0, 20.0, 26.0, 33.0]
-    curve = numeric_c_curve(params, d_list, profile, h=0.25, newton_tol=1e-11)
-    assert curve.complete
-    signs = np.sign(curve.c_values)
+    d_values = np.array([10.0, 13.0, 16.0, 20.0, 26.0, 33.0])
+    c_values = np.array([solve_at_separation(params, d, profile, h=0.25,
+                                             newton_tol=1e-11).c_mult for d in d_values])
+    c_leading = np.array([leading_c(d, params) for d in d_values])
+    signs = np.sign(c_values)
     assert np.sum(np.diff(signs) != 0) == 1
-    root = curve.empirical_root()
+    # the sign change, interpolated linearly
+    k = int(np.flatnonzero(np.diff(signs))[0])
+    root = d_values[k] - c_values[k] * (d_values[k + 1] - d_values[k]) \
+        / (c_values[k + 1] - c_values[k])
     assert 0.5 * predict_d(params) < root < 2.0 * predict_d(params)
     # continuity: adjacent samples differ by <= C * delta d
-    dc = np.abs(np.diff(curve.c_values))
-    dd = np.diff(curve.d_values)
+    dc = np.abs(np.diff(c_values))
+    dd = np.diff(d_values)
     assert np.all(dc <= 0.02 * dd)
     # normalize both curves at the first sample (d = predict_d / 2)
-    num_n = curve.c_values / curve.c_values[0]
-    lead_n = curve.c_leading / curve.c_leading[0]
+    num_n = c_values / c_values[0]
+    lead_n = c_leading / c_leading[0]
     away = np.abs(lead_n) >= 0.15
     rel = np.abs(num_n - lead_n)[away] / np.abs(lead_n)[away]
     assert np.max(rel) <= 0.30
 
-
-def test_curve_validation():
-    with pytest.raises(ValueError):
-        ReducedCurve(np.array([1.0, 1.0]), np.zeros(2), np.zeros(2))
-    c = ReducedCurve(np.array([1.0, 2.0]), np.array([-1.0, 2.0]),
-                     np.array([-1.0, 1.0]))
-    assert c.empirical_root() == pytest.approx(4.0 / 3.0)
-    flat = ReducedCurve(np.array([1.0, 2.0]), np.array([1.0, 2.0]),
-                        np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        flat.empirical_root()

@@ -28,7 +28,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .ansatz import ModelParams
-from .fields import ComplexField, diff_ops
+from .fields import ComplexField, diff_ops, full_plane_data, reflect
 from .solver import apply_S
 from .stereo import unproject_array
 
@@ -50,18 +50,6 @@ class DiagnosticsReport:
             raise ValueError(f"charge {self.charge} is not near-integer")
         if self.bogomolny_margin < -0.05 * self.energy:
             raise ValueError("Bogomolny bound violated beyond tolerance")
-
-
-def full_plane_data(f: ComplexField):
-    """Reflect the stored quarter to the full plane; returns
-    (x1 coords, x2 coords, values)."""
-    n1, n2 = f.spec.n1, f.spec.n2
-    core = f.data
-    right = np.concatenate([np.conj(core[:, :0:-1]), core], axis=1)
-    ext = np.concatenate([right[:0:-1, :], right], axis=0)
-    x1 = f.spec.h1 * np.arange(-(n1 - 1), n1)
-    x2 = f.spec.h2 * np.arange(-(n2 - 1), n2)
-    return x1, x2, ext
 
 
 def plaquette_windings(values):
@@ -206,16 +194,14 @@ def error_inner_lp(V: ComplexField, params: ModelParams):
 def _second_derivatives(d1p, d2p, spec):
     """(d11 phi, d22 phi): central differences of d1p = d1 phi along x1
     and d2p = d2 phi along x2, the outer layer left at zero.  The axis
-    rows are closed by the parities of d1 phi and d2 phi, not phi's:
-    d1 phi is odd across x1 = 0 and d2 phi anti-conjugate across x2 = 0,
-    so the x1 = 0 row is d1p(h1) / h1 and the x2 = 0 row Re d2p(h2) / h2."""
-    h1, h2 = spec.h1, spec.h2
-    d11 = np.zeros_like(d1p)
-    d22 = np.zeros_like(d2p)
-    d11[1:-1, :] = (d1p[2:, :] - d1p[:-2, :]) / (2 * h1)
-    d11[0, :] = d1p[1, :] / h1
-    d22[:, 1:-1] = (d2p[:, 2:] - d2p[:, :-2]) / (2 * h2)
-    d22[:, 0] = d2p[:, 1].real / h2
+    ghosts are those of the derivatives' parities, not phi's: d1 phi is
+    odd across x1 = 0 (`reflect` with s1 = -1) and d2 phi anti-conjugate
+    across x2 = 0 (s2 = -1)."""
+    p1 = reflect(d1p, 1, 0, s1=-1)
+    p2 = reflect(d2p, 0, 1, s2=-1)
+    d11, d22 = np.zeros_like(d1p), np.zeros_like(d2p)
+    d11[:-1, :-1] = (p1[2:, :-1] - p1[:-2, :-1]) / (2 * spec.h1)
+    d22[:-1, :-1] = (p2[:-1, 2:] - p2[:-1, :-2]) / (2 * spec.h2)
     return d11, d22
 
 

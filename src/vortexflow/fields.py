@@ -7,10 +7,17 @@ recovered through the parity table
     u2(x1, x2) = u2(-x1, x2) = -u2(x1, -x2),
 
 i.e. u(x1, -x2) = conj(u(x1, x2)) and u(-x1, x2) = u(x1, x2).  Scalar
-fields carry an explicit x2-parity flag and are always even in x1.
-Stencils close the axis rows with ghost values generated by the same
-table; the outermost stored row/column is Dirichlet data supplied by
-the caller, so no stencil is evaluated there.
+fields are real, carry an explicit x2-parity flag and are always even
+in x1.  `reflect` is the table's one home on the lattice: every
+stencil's axis ghosts and the full plane are slices of it.  The
+outermost stored row/column is Dirichlet data supplied by the caller,
+so no stencil is evaluated there.  Matrix forms keep the table folded
+in: `solver.assemble_jacobian`, the H1 axis terms of
+`solver._arm_coefficients` and the 4/h1^2 axis row of
+`ansatz._solve_phase`, tied to the stencils by the tests
+test_assembled_jacobian_matches_directional (and _ring),
+test_stencil_product_matches_the_assembled_matrix and
+test_ring_phase_axis_row_is_the_ghost_closure.
 """
 
 import enum
@@ -87,6 +94,8 @@ class ScalarField:
             raise ValueError("data shape does not match the grid")
         if not np.all(np.isfinite(self.data)):
             raise ValueError("non-finite samples")
+        if np.iscomplexobj(self.data):
+            raise ValueError("scalar data must be real")
         if self.x2_parity not in ("even", "odd"):
             raise ValueError("x2_parity must be 'even' or 'odd'")
         self.data.setflags(write=False)
@@ -102,7 +111,7 @@ def symmetrize_complex(data):
 
 def reflect_full(f, x1, x2):
     """Evaluate the full-plane extension at (x1, x2) by the parity table,
-    bilinear off-lattice."""
+    bilinear off-lattice: the tests' reference for `reflect`."""
     spec = f.spec
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
@@ -126,47 +135,52 @@ def reflect_full(f, x1, x2):
     return val[0] if scalar else val
 
 
-def _ghost_rows(f):
-    """Ghost values just outside the axes per the parity table."""
-    if isinstance(f, ComplexField):
-        g1 = f.data[1, :]            # x1 = -h1 (even)
-        g2 = np.conj(f.data[:, 1])   # x2 = -h2
-    else:
-        g1 = f.data[1, :]
-        g2 = f.data[:, 1] if f.x2_parity == "even" else -f.data[:, 1]
-    return g1, g2
+def reflect(a, w1, w2, s1=1, s2=1, out=None):
+    """`a` extended past the axes by w1 rows and w2 columns, a[i, j] at
+    [w1 + i, w2 + j]: the row at x1 = -k h1 is s1 a[k], the column at
+    x2 = -k h2 is s2 conj(a[:, k]) (a real `a` stays real).  Allocated,
+    or with `out`, whose block [w1:, w2:] holds `a`, filled in place."""
+    n1, n2 = a.shape
+    if not (0 <= w1 < n1 and 0 <= w2 < n2):
+        raise ValueError("ghost widths must lie in [0, n - 1]")
+    if out is None:
+        out = np.empty((n1 + w1, n2 + w2), dtype=a.dtype)
+        out[w1:, w2:] = a
+    cols, rows = out[w1:, :w2], out[:w1]
+    np.conjugate(a[:, w2:0:-1], out=cols)
+    if s2 < 0:
+        np.negative(cols, out=cols)
+    rows[...] = out[2 * w1:w1:-1]
+    if s1 < 0:
+        np.negative(rows, out=rows)
+    return out
+
+
+def full_plane_data(f: ComplexField):
+    """The stored quarter reflected to the full lattice; returns
+    (x1 coords, x2 coords, values)."""
+    n1, n2 = f.spec.n1, f.spec.n2
+    return (f.spec.h1 * np.arange(1 - n1, n1), f.spec.h2 * np.arange(1 - n2, n2),
+            reflect(f.data, n1 - 1, n2 - 1))
 
 
 def diff_ops(f):
-    """Second-order central d1, d2 and laplacian; axis rows closed by the
-    parity ghosts, outermost layer left at zero (Dirichlet data there
-    belongs to the caller)."""
+    """Second-order central d1, d2 and laplacian, slices of the width-1
+    `reflect` of f (its x2 parity for a scalar), so the axis rows see
+    the parity ghosts; the outermost layer is left at zero (Dirichlet
+    data there belongs to the caller)."""
     spec = f.spec
-    u = f.data
     h1, h2 = spec.h1, spec.h2
-    g1, g2 = _ghost_rows(f)
-    d1 = np.zeros_like(u)
-    d2 = np.zeros_like(u)
-    lap = np.zeros_like(u)
-
-    d1[1:-1, :] = (u[2:, :] - u[:-2, :]) / (2 * h1)
-    d1[0, :] = (u[1, :] - g1) / (2 * h1)
-    d2[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2 * h2)
-    d2[:, 0] = (u[:, 1] - g2) / (2 * h2)
-
-    lap[1:-1, :] = (u[2:, :] - 2 * u[1:-1, :] + u[:-2, :]) / h1**2
-    lap[0, :] = (u[1, :] - 2 * u[0, :] + g1) / h1**2
-    lap[:, 1:-1] += (u[:, 2:] - 2 * u[:, 1:-1] + u[:, :-2]) / h2**2
-    lap[:, 0] += (u[:, 1] - 2 * u[:, 0] + g2) / h2**2
-
-    for a in (d1, d2, lap):
-        a[-1, :] = 0.0
-        a[:, -1] = 0.0
-
-    wrap = (lambda arr: ComplexField(spec, arr)) if isinstance(f, ComplexField) else (
-        lambda arr: ScalarField(spec, arr.real.copy() if np.iscomplexobj(arr) else arr,
-                                f.x2_parity))
-    return wrap(d1), wrap(d2), wrap(lap)
+    p = reflect(f.data, 1, 1, s2=-1 if getattr(f, "x2_parity", None) == "odd" else 1)
+    mid = p[1:-1, 1:-1]
+    d1, d2, lap = (np.zeros_like(f.data) for _ in range(3))
+    d1[:-1, :-1] = (p[2:, 1:-1] - p[:-2, 1:-1]) / (2 * h1)
+    d2[:-1, :-1] = (p[1:-1, 2:] - p[1:-1, :-2]) / (2 * h2)
+    lap[:-1, :-1] = ((p[2:, 1:-1] - 2 * mid + p[:-2, 1:-1]) / h1**2
+                     + (p[1:-1, 2:] - 2 * mid + p[1:-1, :-2]) / h2**2)
+    if isinstance(f, ComplexField):
+        return ComplexField(spec, d1), ComplexField(spec, d2), ComplexField(spec, lap)
+    return tuple(ScalarField(spec, a, f.x2_parity) for a in (d1, d2, lap))
 
 
 def axisym_term(u_data, spec):

@@ -39,8 +39,7 @@ import numpy as np
 from scipy.interpolate import BSpline, RectBivariateSpline
 
 from .ansatz import ModelParams
-from .fields import ComplexField
-from .diagnostics import full_plane_data
+from .fields import ComplexField, full_plane_data
 from .stereo import unproject_array
 
 RESIDUAL_NT = 5              # time samples of a Schrodinger-flow residual block

@@ -119,7 +119,7 @@ from scipy.sparse.linalg import splu
 # build_ansatz stays importable from this module, where
 # bench/test_tracing.py looks for it
 from .ansatz import ModelParams, build_ansatz, build_case  # noqa: F401
-from .fields import MAX_SPACING, ComplexField, GridSpec, axisym_term, diff_ops
+from .fields import MAX_SPACING, ComplexField, GridSpec, axisym_term, diff_ops, reflect
 from .profile import VortexProfile
 from .stereo import nonlinearity_F
 
@@ -301,13 +301,14 @@ class _Jacobian:
     six arm coefficients (`_arm_coefficients`); ValueError on a grid
     whose symmetry is not that of params.
 
-    `J @ x` unpacks x onto the grid (`_on_grid`), closes the axes with
-    the ghost rows of `fields.diff_ops` (even across x1 = 0, conjugated
-    across x2 = 0; the Dirichlet layer is zero), applies the six-arm
-    stencil and packs the result: the product of `assemble_jacobian(J)`,
-    up to rounding, in the precision of the coefficients.  `diagonal()`
-    is that matrix's diagonal, to the bit.  `single()` is the same
-    Jacobian with complex64 coefficients, for the V-cycle's sweeps."""
+    `J @ x` unpacks x onto a grid padded by one ghost row and column
+    (`_on_grid`), fills them in place with `fields.reflect` (even across
+    x1 = 0, conjugated across x2 = 0; the Dirichlet layer is zero),
+    applies the six-arm stencil and packs the result: the product of
+    `assemble_jacobian(J)`, up to rounding, in the precision of the
+    coefficients.  `diagonal()` is that matrix's diagonal, to the bit.
+    `single()` is the same Jacobian with complex64 coefficients, for the
+    V-cycle's sweeps."""
 
     def __init__(self, u: ComplexField, params: ModelParams):
         _check_grid(u, params)
@@ -336,8 +337,7 @@ class _Jacobian:
         # the unknowns at [1:-1, 1:-1], ghost rows at 0, Dirichlet at -1
         v = np.zeros((self.spec.n1 + 1, self.spec.n2 + 1), dtype=self.gammas[0].dtype)
         _on_grid(x, v[1:-1, 1:-1])
-        v[0, 1:-1] = v[2, 1:-1]
-        v[1:-1, 0] = np.conj(v[1:-1, 2])
+        reflect(v[1:, 1:], 1, 1, out=v)
         xp, xm, yp, ym, centre, C = self._blocks()
         mid = v[1:-1, 1:-1]
         out = centre * mid

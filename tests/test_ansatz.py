@@ -8,7 +8,7 @@ from scipy.sparse.linalg import spsolve
 from vortexflow.ansatz import (ModelParams, Regime, _solve_phase, build_pair, build_ring,
                                build_ring_phase, kernel_Zd, ring_forcing,
                                ring_phase_residual, smoothstep_cutoff)
-from vortexflow.fields import GridSpec, Symmetry, reflect_full
+from vortexflow.fields import GridSpec, Symmetry, axisym_term, diff_ops, reflect_full
 from vortexflow.profile import eval_profile
 
 
@@ -196,6 +196,20 @@ def test_ring_phase_matches_sparse_oracle(spec):
         ref = spsolve(A, g)
         assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
         assert np.all(phi[-1, :] == 0.0) and np.all(phi[:, [0, -1]] == 0.0)
+
+
+@pytest.mark.parametrize("spec", [GridSpec(12.0, 12.0, 0.25, 0.25, Symmetry.RING),
+                                  GridSpec(14.0, 9.0, 0.25, 0.2, Symmetry.RING)],
+                         ids=["square", "rectangular"])
+def test_ring_phase_axis_row_is_the_ghost_closure(spec):
+    # _solve_phase writes the x1 = 0 row by hand (lap_x1 + H1 -> 4 d11); the
+    # stencils close it with the even ghost of fields.reflect, and both must
+    # give [lap + H1] phi_r = g on the unknowns
+    p = ring_params()
+    phi_s, phi_r = build_ring_phase(p, spec)
+    g = ring_forcing(p, spec, phi_s)[:-1, 1:-1]
+    got = (diff_ops(phi_r)[2].data + axisym_term(phi_r.data, spec))[:-1, 1:-1]
+    assert np.max(np.abs(got - g)) <= 1e-10 * np.max(np.abs(g))
 
 
 def test_ring_requires_ring_regime(profile):

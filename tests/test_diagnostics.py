@@ -7,8 +7,9 @@ from vortexflow.ansatz import ModelParams, Regime, build_pair
 from vortexflow.diagnostics import (DiagnosticsReport, _hit_clusters, _near_core,
                                     _norm_regions, _weighted_outer, build_report,
                                     corrector_norms, detect_vortices, energy_charge,
-                                    full_plane_data, plaquette_windings)
-from vortexflow.fields import ComplexField, GridSpec, Symmetry, symmetrize_complex
+                                    plaquette_windings)
+from vortexflow.fields import (ComplexField, GridSpec, Symmetry, full_plane_data,
+                               symmetrize_complex)
 from vortexflow.stereo import unproject_array
 
 

@@ -30,9 +30,8 @@ from .fields import MAX_SPACING, ComplexField, GridSpec, ScalarField, Symmetry
 from .profile import solve_profile, profile_integrals
 from .reconstruct import pde_residual, sample_block, unscale
 from .reduction import leading_c, predict_d
-from .solver import (KRYLOV_TOL, NEWTON_MAX, NEWTON_TOL, BracketError, NonConvergenceError,
-                     _grid_for, build_case, check_tolerances, solve_balanced,
-                     solve_projected)
+from .solver import (NEWTON_MAX, NEWTON_TOL, BracketError, NonConvergenceError, _grid_for,
+                     build_case, check_tolerances, solve_balanced, solve_projected)
 
 MAGIC = b"VSF1"
 # `reconstruct` samples a block 11 h / 2 wide per spatial axis, h the field
@@ -144,7 +143,6 @@ class RunConfig:
     tol: float = 1e-10
     newton_max: int = NEWTON_MAX
     newton_tol: float = NEWTON_TOL
-    krylov_tol: float = KRYLOV_TOL
 
     @classmethod
     def from_file(cls, path):
@@ -218,9 +216,8 @@ def _profile(cfg):
 
 
 def _solve_opts(cfg):
-    check_tolerances(cfg.newton_tol, cfg.krylov_tol, cfg.newton_max)
-    return {"newton_max": cfg.newton_max, "newton_tol": cfg.newton_tol,
-            "krylov_tol": cfg.krylov_tol}
+    check_tolerances(cfg.newton_tol, cfg.newton_max)
+    return {"newton_max": cfg.newton_max, "newton_tol": cfg.newton_tol}
 
 
 def _report_entries(rep):

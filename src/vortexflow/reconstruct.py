@@ -286,25 +286,18 @@ def pde_residual(params: ModelParams, U: UnscaledField, center, ds,
     s_axes = [c + ds * (np.arange(n) - (n - 1) / 2) for c, n in zip(center, nspace)]
     sdim = len(s_axes)
 
-    # mask out samples near the traveling core(s)
+    # mask out samples near the traveling cores, at (+-d, shift) in (a, b):
+    # a is s1 for a pair and the radius for a ring (whose -d core is never
+    # the nearer), b the last axis
     tau_int = tau_axis[1:-1]
     t_int = t_axis if wave else t_axis[1:-1]
     s_int = [ax[1:-1] for ax in s_axes]
     shift = params.c * tau_int[None, :] + params.omega * t_int[:, None]
     excl = RESIDUAL_CORE_MARGIN * max(ds, h)
-    if ring:
-        r_int = np.hypot(s_int[0][:, None], s_int[1][None, :])
-        dist = np.hypot(
-            (r_int - params.d)[None, None, :, :, None],
-            (s_int[2][None, None, None, None, :] - shift[:, :, None, None, None]),
-        )
-    else:
-        dist = np.minimum(
-            np.hypot((s_int[0] - params.d)[None, None, :, None],
-                     s_int[1][None, None, None, :] - shift[:, :, None, None]),
-            np.hypot((s_int[0] + params.d)[None, None, :, None],
-                     s_int[1][None, None, None, :] - shift[:, :, None, None]),
-        )
+    a = np.hypot(s_int[0][:, None], s_int[1][None, :]) if ring else s_int[0]
+    b = s_int[-1] - shift[..., None]
+    dist = np.hypot((np.abs(a) - params.d)[..., None],
+                    np.expand_dims(b, tuple(range(2, 2 + a.ndim))))
     keep = dist > excl
     del dist
     if not keep.any():

@@ -38,31 +38,32 @@ Jacobian to them as stored, so the flexible Arnoldi relation stays
 exact.
 
 Each inner solve goes only as far as its Newton step needs: step k
-stops at relative residual eta_k = max(krylov_tol, min(KRYLOV_FORCING_MAX,
-max(||F_k||, 0.5 newton_tol / ||F_k||))), where ||F_k|| is the Newton
-residual the step starts from (`_forcing_term`; Dembo, Eisenstat &
-Steihaug, SIAM J. Numer. Anal. 19, 1982; Eisenstat & Walker, SIAM J.
-Sci. Comput. 17, 1996).  A forcing term of order ||F_k|| keeps Newton's
-quadratic convergence.  The safeguard 0.5 newton_tol / ||F_k|| keeps
-the last step from oversolving: it asks only for the reduction that
-brings the residual to about half of newton_tol, so a solve ends at or
-below newton_tol rather than far below it.  `krylov_tol` is the floor,
-the tightest tolerance any inner solve is asked for.  The benchmark's
-ring solve takes 17 V-cycles (2, 5, 10) over its 3 Newton steps, and
-its pair balance 46 cycles over its 10 steps.
+stops at relative residual eta_k = min(KRYLOV_FORCING_MAX, max(||F_k||,
+0.5 newton_tol / ||F_k||)), where ||F_k|| is the Newton residual the
+step starts from (`_forcing_term`; Dembo, Eisenstat & Steihaug, SIAM J.
+Numer. Anal. 19, 1982; Eisenstat & Walker, SIAM J. Sci. Comput. 17,
+1996).  A forcing term of order ||F_k|| keeps Newton's quadratic
+convergence.  The safeguard 0.5 newton_tol / ||F_k|| keeps the last
+step from oversolving: it asks only for the reduction that brings the
+residual to about half of newton_tol, so a solve ends at or below
+newton_tol rather than far below it.  The two terms multiply to
+newton_tol / 2, so eta_k >= min(KRYLOV_FORCING_MAX, sqrt(newton_tol /
+2)), 2.2e-6 at NEWTON_TOL: newton_tol is a solve's one tolerance.  The
+benchmark's ring solve takes 17 V-cycles (2, 5, 10) over its 3 Newton
+steps, and its pair balance 46 cycles over its 10.
 
 Which bordered system is factored depends on the grid alone, and one
-recursion decides it (`_preconditioner`).  A grid whose spacing can
-double (2 max(h1, h2) <= MAX_SPACING) is preconditioned by a V-cycle:
-damped Jacobi sweeps on the fine rows around a coarse correction by the
-same case at 2h, which is the same cycle again wherever that grid's
-spacing can double too.  So every solve factors one bordered system
-(`_bordered_lu`), on the grid whose spacing cannot double (h = 0.5): the
-cycle's coarsest level, or the solve's own grid.  Every level of the
-cycle runs in float32.  That factor is small (1,382,756 entries in L + U
-on the benchmark's ring grid, h = 0.125 and 293k unknowns) and a Newton
-step takes 1 to 10 cycles under the forcing term, so the cycle beats a
-factor of a finer grid at every grid size measured.
+recursion decides it (`_preconditioner`).  A grid that can be coarsened
+(`_can_double`) is preconditioned by a V-cycle: damped Jacobi sweeps on
+the fine rows around a coarse correction by the same case at 2h, which
+is the same cycle again wherever that grid can be coarsened too.  So
+every solve factors one bordered system (`_bordered_lu`), on the first
+grid that cannot be coarsened (h = 0.5, or fewer than 7 points a side):
+the cycle's coarsest level, or the solve's own grid.  Every level of
+the cycle runs in float32.  That factor is small (1,382,756 entries in
+L + U on the benchmark's ring grid, h = 0.125 and 293k unknowns) and a
+Newton step takes 1 to 10 cycles under the forcing term, so the cycle
+beats a factor of a finer grid at every grid size measured.
 
 A solve is accepted iff its Newton residual ends at or below
 newton_tol (default NEWTON_TOL); otherwise it raises
@@ -84,8 +85,8 @@ couples the targets of the Laplacian's two x1 arms and is added to
 their coefficients.  Newton applies the Jacobian matrix-free from the
 arm coefficients (`_Jacobian`), for every GMRES product and, from a
 complex64 copy, for the V-cycle's sweeps (Knoll & Keyes, J. Comput.
-Phys. 193, 2004), so no matrix of a grid finer than h = 0.5 is built
-or stored.  A sparse matrix is assembled only to be factored
+Phys. 193, 2004), so no matrix of a grid that can be coarsened is
+built or stored.  A sparse matrix is assembled only to be factored
 (`assemble_jacobian(J)`, one coordinate-format build from a
 `_Jacobian`), and the bordered matrix is built from its coordinates and
 the border's.  A solve factors one bordered system at most once, in
@@ -127,8 +128,7 @@ from .stereo import nonlinearity_F
 # accepted: the multiplier's noise floor must stay below the |c| scale at
 # which solve_balanced stops (BALANCE_C_RTOL)
 NEWTON_TOL = 1e-11
-# default krylov_tol (the floor of the forcing term) and newton_max
-KRYLOV_TOL = 1e-10
+# default newton_max
 NEWTON_MAX = 50
 # restart length and restart cycles of `gmres`: its V (restart + 1
 # float64 vectors) and Z (restart vectors in the precision M returns)
@@ -205,9 +205,9 @@ class SolveResult:
     # nnz(L+U) of the bordered factor this solve made, 0 when it reused one
     lu_fill: int = 0
     # per-side point count of the grid that factor was made on, as
-    # `_preconditioner` made it: the V-cycle's coarsest grid (h = 0.5)
-    # where the solve's spacing can double, u.spec.n1 for the direct
-    # factor where it cannot, 0 when the solve reused a factor
+    # `_preconditioner` made it: the V-cycle's coarsest grid where the
+    # solve's grid can be coarsened (`_can_double`), u.spec.n1 for the
+    # direct factor where it cannot, 0 when the solve reused a factor
     lu_n1: int = 0
     # solve_balanced only: one (d, c, n1, lu_reused, warm_start) per solve,
     # and the count of solves redone cold after failing on reused state
@@ -288,11 +288,11 @@ def _unknown_index(spec):
     return idx.real.astype(np.int32), idx.imag.astype(np.int32)
 
 
-# Stencil arms (di, dj, conj_all) in emission order; `_arm_coefficients`
-# returns their coefficients in the same order.  The x1 arms also carry
-# H1 = (1/x1) d1 of the ring operators, which couples the same targets.
-_ARMS = ((+1, 0, False), (-1, 0, False), (0, +1, False), (0, -1, False),
-         (0, 0, False), (0, 0, True))
+# Stencil arms (di, dj, conj_all): the centre, its conjugate C, +-x1, +-x2;
+# `_arm_coefficients`, `_Jacobian` and `assemble_jacobian` follow this
+# order.  The x1 arms also carry H1 = (1/x1) d1 of the ring operators.
+_ARMS = ((0, 0, False), (0, 0, True), (+1, 0, False), (-1, 0, False),
+         (0, +1, False), (0, -1, False))
 
 
 class _Jacobian:
@@ -303,8 +303,8 @@ class _Jacobian:
 
     `J @ x` unpacks x onto a grid padded by one ghost row and column
     (`_on_grid`), fills them in place with `fields.reflect` (even across
-    x1 = 0, conjugated across x2 = 0; the Dirichlet layer is zero),
-    applies the six-arm stencil and packs the result: the product of
+    x1 = 0, conjugated across x2 = 0; the Dirichlet layer is zero), sums
+    the arms of `_ARMS` in order and packs the result: the product of
     `assemble_jacobian(J)`, up to rounding, in the precision of the
     coefficients.  `diagonal()` is that matrix's diagonal, to the bit.
     `single()` is the same Jacobian with complex64 coefficients, for the
@@ -335,22 +335,20 @@ class _Jacobian:
 
     def __matmul__(self, x):
         # the unknowns at [1:-1, 1:-1], ghost rows at 0, Dirichlet at -1
-        v = np.zeros((self.spec.n1 + 1, self.spec.n2 + 1), dtype=self.gammas[0].dtype)
+        m1, m2 = self.spec.n1 - 1, self.spec.n2 - 1
+        v = np.zeros((m1 + 2, m2 + 2), dtype=self.gammas[0].dtype)
         _on_grid(x, v[1:-1, 1:-1])
         reflect(v[1:, 1:], 1, 1, out=v)
-        xp, xm, yp, ym, centre, C = self._blocks()
-        mid = v[1:-1, 1:-1]
-        out = centre * mid
-        out += C * np.conj(mid)
-        out += xp * v[2:, 1:-1]
-        out += xm * v[:-2, 1:-1]
-        out += yp * v[1:-1, 2:]
-        out += ym * v[1:-1, :-2]
+        out = None
+        for g, (di, dj, conj) in zip(self._blocks(), _ARMS):
+            t = v[1 + di:m1 + 1 + di, 1 + dj:m2 + 1 + dj]
+            t = g * (np.conj(t) if conj else t)
+            out = t if out is None else np.add(out, t, out=out)  # the first arm starts it
         return _packed(out)
 
     def diagonal(self):
         """Re(centre + C) on the Re rows, Re(centre - C) on the Im rows."""
-        centre, C = self._blocks()[4:]
+        centre, C = self._blocks()[:2]
         return _packed((centre + C).real + 1j * (centre - C).real)
 
 
@@ -426,17 +424,17 @@ def _arm_coefficients(u: ComplexField, params: ModelParams):
     a2 = A2 / (2.0 * h2)
     center = np.full(B.shape, -2.0 * (inv_h1sq + inv_h2sq), dtype=complex) + B
 
-    gammas = [inv_h1sq + a1, inv_h1sq - a1, inv_h2sq + a2, inv_h2sq - a2]
+    xp, xm = inv_h1sq + a1, inv_h1sq - a1
     if params.is_ring:
         # H1 = (1/x1) d1 on the x1 arms; on the axis its limit
         # 2 (u(h1) - u(0)) / h1^2 (the -x1 arm folds onto the +x1 target)
         I = np.arange(spec.n1 - 1)[:, None]
         axis = I == 0
         h1_inv = np.where(axis, 0.0, 1.0 / (2.0 * h1 * np.where(axis, 1.0, h1 * I)))
-        gammas[0] = gammas[0] + np.where(axis, 2.0 * inv_h1sq, h1_inv)
-        gammas[1] = gammas[1] - h1_inv
+        xp = xp + np.where(axis, 2.0 * inv_h1sq, h1_inv)
+        xm = xm - h1_inv
         center = center + np.where(axis, -2.0 * inv_h1sq, 0.0)
-    return [a.ravel() for a in gammas + [center, C]]
+    return [a.ravel() for a in (center, C, xp, xm, inv_h2sq + a2, inv_h2sq - a2)]
 
 
 def _bordered_lu(P, z_col, grad_con):
@@ -521,7 +519,9 @@ def _restrict(spec, r):
 
 
 def _can_double(spec):
-    return 2.0 * max(spec.h1, spec.h2) <= MAX_SPACING
+    """Whether `spec` has a 2h grid (`_coarse_spec`): 2h <= MAX_SPACING,
+    and ceil(n/2) keeps the 4 points per side a GridSpec needs."""
+    return 2.0 * max(spec.h1, spec.h2) <= MAX_SPACING and min(spec.n1, spec.n2) >= 7
 
 
 def _border(V_d, Z_d):
@@ -540,22 +540,22 @@ def _preconditioner(J, V_d, Z_d, params):
     one factor was made on.  M(v, J) maps v to float32, for the Newton
     step whose Jacobian is J.
 
-    Where the grid's spacing cannot double (`_can_double`: 2 max(h1, h2)
-    <= MAX_SPACING fails) M is the direct `_bordered_lu` of J's matrix.
-    Elsewhere it is one level of a V-cycle: JACOBI_SWEEPS damped
-    point-Jacobi sweeps on the u rows (none on c), a correction by the
-    same case at 2h, and JACOBI_SWEEPS more sweeps (Briggs, Henson &
-    McCormick, A Multigrid Tutorial, 2000, ch. 3).  The coarse case is
-    V_d and Z_d injected onto `_coarse_spec`, preconditioned by this
-    function again, so a solve factors only the grid where the doubling
-    stops, at h = 0.5.  Each coarse level sweeps with the `_Jacobian` of
-    its injected ansatz.  The transfers act on the grid, one axis at a
-    time: the bilinear prolongation P (`_prolong`) and the restriction
-    R = P^T / 4 (`_restrict`); c maps to itself, since each border row
-    weights Z by its own grid's cell, so the two rows are the same
-    integral.  The fine sweeps take their products with the step's J and
-    their diagonal from the J given here (the ansatz's), so neither a
-    fine matrix nor a transfer matrix is ever built.
+    Where the grid cannot be coarsened (`_can_double`: its spacing
+    cannot double, or a side has fewer than 7 points) M is the direct
+    `_bordered_lu` of J's matrix.  Elsewhere it is one level of a
+    V-cycle: JACOBI_SWEEPS damped point-Jacobi sweeps on the u rows (none
+    on c), a correction by the same case at 2h, and JACOBI_SWEEPS more
+    sweeps (Briggs, Henson & McCormick, A Multigrid Tutorial, 2000, ch.
+    3).  The coarse case is V_d and Z_d injected onto `_coarse_spec`,
+    preconditioned by this function again, so a solve factors only the
+    grid where the coarsening stops.  Each coarse level sweeps with the
+    `_Jacobian` of its injected ansatz.  The transfers act on the grid,
+    one axis at a time: the bilinear prolongation P (`_prolong`) and the
+    restriction R = P^T / 4 (`_restrict`); c maps to itself, since each
+    border row weights Z by its own grid's cell, so the two rows are the
+    same integral.  The fine sweeps take their products with the step's
+    J and their diagonal from the J given here (the ansatz's), so
+    neither a fine matrix nor a transfer matrix is ever built.
 
     Every level runs in single precision: the sweeps use `J.single()`,
     and the diagonal, border and transfers are float32.  M only
@@ -666,53 +666,52 @@ def gmres(A, b, *, M, rtol):
     return x, applies
 
 
-def _forcing_term(residual, newton_tol, krylov_tol):
+def _forcing_term(residual, newton_tol):
     """eta_k, the relative residual that the GMRES of a Newton step
     starting at residual ||F_k|| = `residual` is asked for:
 
-        max(krylov_tol, min(KRYLOV_FORCING_MAX,
-                            max(||F_k||, 0.5 newton_tol / ||F_k||)))
+        min(KRYLOV_FORCING_MAX, max(||F_k||, 0.5 newton_tol / ||F_k||))
 
     ||F_k|| keeps Newton's quadratic convergence; 0.5 newton_tol / ||F_k||
     stops the last step from solving further than it takes to bring the
     residual to half of newton_tol (Eisenstat & Walker, SIAM J. Sci.
     Comput. 17, 1996; Kelley, Iterative Methods for Linear and Nonlinear
-    Equations, SIAM, 1995, sec. 6.3); krylov_tol is the floor."""
-    return max(krylov_tol, min(KRYLOV_FORCING_MAX, max(residual, 0.5 * newton_tol / residual)))
+    Equations, SIAM, 1995, sec. 6.3).  Their product is newton_tol / 2,
+    so eta_k >= min(KRYLOV_FORCING_MAX, sqrt(newton_tol / 2)) for every
+    ||F_k|| > 0, with no floor of its own."""
+    return min(KRYLOV_FORCING_MAX, max(residual, 0.5 * newton_tol / residual))
 
 
-def check_tolerances(newton_tol=NEWTON_TOL, krylov_tol=KRYLOV_TOL, newton_max=NEWTON_MAX):
-    """ValueError unless both tolerances are finite and > 0 (a nan
-    newton_tol would accept the unsolved start) and newton_max >= 1."""
-    for name, tol in (("newton_tol", newton_tol), ("krylov_tol", krylov_tol)):
-        if not 0.0 < tol < math.inf:
-            raise ValueError(f"{name} must be finite and > 0, got {tol}")
+def check_tolerances(newton_tol=NEWTON_TOL, newton_max=NEWTON_MAX):
+    """ValueError unless newton_tol is finite and > 0 (a nan newton_tol
+    would accept the unsolved start) and newton_max >= 1."""
+    if not 0.0 < newton_tol < math.inf:
+        raise ValueError(f"newton_tol must be finite and > 0, got {newton_tol}")
     if not newton_max >= 1:
         raise ValueError(f"newton_max must be >= 1, got {newton_max}")
 
 
 def solve_projected(params: ModelParams, V_d: ComplexField, Z_d: ComplexField,
-                    newton_max=NEWTON_MAX, newton_tol=NEWTON_TOL,
-                    krylov_tol=KRYLOV_TOL) -> SolveResult:
+                    newton_max=NEWTON_MAX, newton_tol=NEWTON_TOL) -> SolveResult:
     """Damped Newton on the bordered system (u, c): the cold solve.
 
     Newton starts from the ansatz, on a preconditioner built there (the
-    V-cycle, or on a grid whose spacing cannot double the bordered
+    V-cycle, or, on a grid that cannot be coarsened, the bordered
     Jacobian's factor); the solve lets it go and then gives the heap it
     freed back to the OS (`_release_freed_memory`).  Step k solves its
-    GMRES to `_forcing_term(||F_k||, newton_tol, krylov_tol)`, ||F_k||
-    being the residual it starts from.  The solve is accepted iff its
-    final residual is at most `newton_tol`; otherwise it raises
+    GMRES to `_forcing_term(||F_k||, newton_tol)`, ||F_k|| being the
+    residual it starts from.  The solve is accepted iff its final
+    residual is at most `newton_tol`; otherwise it raises
     `NonConvergenceError`, or `KrylovStagnationError` when a step's GMRES
-    stops short of its forcing term.  Both tolerances must be finite and
-    > 0, and newton_max at least 1.
+    stops short of its forcing term.  newton_tol must be finite and > 0,
+    and newton_max at least 1.
 
     A solve of `solve_balanced` comes here too, and the balance runs its
     Newton instead (`_BalanceState.run`), with what the solve before it
     handed on."""
     _check_grid(V_d, params)
-    check_tolerances(newton_tol, krylov_tol, newton_max)
-    opts = dict(newton_max=newton_max, newton_tol=newton_tol, krylov_tol=krylov_tol)
+    check_tolerances(newton_tol, newton_max)
+    opts = dict(newton_max=newton_max, newton_tol=newton_tol)
     balance = _BALANCE.get()
     if balance is not None:
         return balance.run(params, V_d, Z_d, **opts)
@@ -762,7 +761,7 @@ def _residual(params, V_d, Z_d):
 
 
 def _newton(params, V_d, Z_d, precond=None, start=None, R=None, *,
-            newton_max=NEWTON_MAX, newton_tol=NEWTON_TOL, krylov_tol=KRYLOV_TOL):
+            newton_max=NEWTON_MAX, newton_tol=NEWTON_TOL):
     """One Newton run on the grid of V_d; returns (SolveResult, the
     preconditioner it used: `precond`, or one built at V_d when that is
     None).  Newton starts from `start`, a (u array, c), or from the
@@ -808,7 +807,7 @@ def _newton(params, V_d, Z_d, precond=None, start=None, R=None, *,
             jac["J"] = None  # release the old coefficients before computing the new
             jac["J"] = _Jacobian(ComplexField(spec, u.copy()), params)
         applies = 0
-        eta = _forcing_term(best, newton_tol, krylov_tol)
+        eta = _forcing_term(best, newton_tol)
         sol, info = gmres(matvec, -R, M=apply_M, rtol=eta)
         krylov_iters.append(applies)
         if info != 0:

@@ -181,7 +181,7 @@ def test_mutated_field_loads_or_raises_format_error(valid_vsf, tmp_path_factory,
     ("d_lo = 0.75\nd_hi = 1.0", ["reduce"]),  # not 1 < d_lo
     ("newton_tol = nan", ["pair"]),
     ("newton_tol = inf", ["pair"]),
-    ("krylov_tol = nan", ["ring"]),
+    ("krylov_tol = nan", ["ring"]),  # a retired key is refused as unknown, whatever its value
     ("newton_tol = 0", ["sweep", "--eps-list", "0.1", "--solve"]),
     ("krylov_tol = -1e-10", ["reduce"]),
     ("krylov_tol = inf", ["reduce"]),
@@ -461,6 +461,6 @@ def test_cli_residual_above_newton_tol_exit_3(tmp_path):
 
 def test_cli_solver_failure_exit_3(tmp_path):
     cfg = tmp_path / "hard.cfg"
-    cfg.write_text("eps = 0.1\nnewton_max = 1\nnewton_tol = 1e-30\nkrylov_tol = 1e-1\n")
+    cfg.write_text("eps = 0.1\nnewton_max = 1\nnewton_tol = 1e-30\n")
     code = main(["--config", str(cfg), "--out", str(tmp_path / "x"), "pair"])
     assert code == 3

@@ -364,15 +364,16 @@ def residual_fields(profile):
        nspace=st.tuples(*[st.integers(3, 10)] * 3),
        ds=st.sampled_from([0.25, 0.125, 0.0625]) | st.floats(0.03, 0.25),
        offset=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
-       t0=st.floats(-1.0, 1.0), tau0=st.floats(-1.0, 1.0))
+       t0=st.floats(-1.0, 1.0), tau0=st.floats(-1.0, 1.0), sign=st.sampled_from([1.0, -1.0]))
 def test_pde_residual_matches_full_block_bitwise(residual_fields, case, ntau, nspace, ds,
-                                                 offset, t0, tau0):
+                                                 offset, t0, tau0, sign):
+    # sign = -1 puts a pair's block at its core on -d
     p = RESIDUAL_CASES[case][0]
     U = residual_fields[case]
     if p.is_ring:
-        center = (p.d + offset[0], offset[1] / 2, offset[1])
+        center = (sign * (p.d + offset[0]), offset[1] / 2, offset[1])
     else:
-        center, nspace = (p.d + offset[0], offset[1]), nspace[:2]
+        center, nspace = (sign * (p.d + offset[0]), offset[1]), nspace[:2]
     args = (p, U, center, ds, nspace, ntau, t0, tau0)
     try:
         ref = _full_block_residual(*args)

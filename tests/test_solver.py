@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse import block_diag, csc_matrix, csr_matrix, kron
 from scipy.sparse.linalg import splu
 
@@ -410,16 +411,19 @@ def test_stencil_product_matches_the_assembled_matrix(profile, tag):
 
 
 def test_short_krylov_solve_raises(profile, monkeypatch):
-    # krylov_tol = 1e-30 is out of GMRES's reach: it stops with info != 0,
-    # and a GMRES that stops short of its forcing term fails the solve.
-    # A zero forcing cap makes every step's tolerance krylov_tol itself
-    monkeypatch.setattr(solver, "KRYLOV_FORCING_MAX", 0.0)
+    # the first step's forcing term takes two V-cycles; with one restart
+    # cycle of one apply GMRES stops with info != 0, and a GMRES that
+    # stops short of its forcing term fails the solve
     p = pair_params(eps=0.1)
     opts = dict(newton_max=1, newton_tol=1e-3)
-    plain = solve_at_separation(p, 4.0, profile, h=0.5, **opts)
+    plain = solve_at_separation(p, 8.125, profile, h=0.25, **opts)
     assert plain.newton_iters == 1 and plain.final_residual <= 1e-3
-    with pytest.raises(solver.KrylovStagnationError, match="eta=1.00e-30") as err:
-        solve_at_separation(p, 4.0, profile, h=0.5, krylov_tol=1e-30, **opts)
+    assert plain.krylov_iters[0] > 1
+    monkeypatch.setattr(solver, "GMRES_MAXITER", 1)
+    monkeypatch.setattr(solver, "GMRES_RESTART", 1)
+    eta = solver._forcing_term(plain.newton_residuals[0], 1e-3)
+    with pytest.raises(solver.KrylovStagnationError, match=f"eta={eta:.2e}") as err:
+        solve_at_separation(p, 8.125, profile, h=0.25, **opts)
     assert len(err.value.krylov_iters) == 1 and err.value.krylov_iters[0] >= 1
     assert err.value.newton_residuals == (err.value.last_residual,)
     assert err.value.newton_residuals[0] == plain.newton_residuals[0]
@@ -630,9 +634,7 @@ def test_krylov_iters_count_every_lu_apply(profile, monkeypatch):
 
 
 @pytest.mark.parametrize("tols", [dict(newton_tol=math.nan), dict(newton_tol=math.inf),
-                                  dict(newton_tol=0.0), dict(krylov_tol=math.nan),
-                                  dict(krylov_tol=-1e-10), dict(krylov_tol=math.inf),
-                                  dict(newton_max=0), dict(newton_max=-3)],
+                                  dict(newton_tol=0.0), dict(newton_max=0), dict(newton_max=-3)],
                          ids=lambda tols: ",".join(f"{k}={v}" for k, v in tols.items()))
 def test_unusable_tolerances_are_rejected(profile, tols):
     # a nan or inf newton_tol used to return the unsolved ansatz as converged,
@@ -648,7 +650,7 @@ def test_unusable_tolerances_are_rejected(profile, tols):
 
 
 @pytest.mark.parametrize("tols", [dict(newton_tol=math.nan), dict(newton_tol=0.0),
-                                  dict(krylov_tol=-1e-10), dict(newton_max=0)],
+                                  dict(newton_max=0)],
                          ids=lambda tols: ",".join(f"{k}={v}" for k, v in tols.items()))
 def test_unusable_tolerances_are_rejected_before_the_case_is_built(profile, monkeypatch,
                                                                    tols):
@@ -741,8 +743,8 @@ def test_restriction_is_a_quarter_of_the_adjoint(symmetry, l1, l2):
 
 @pytest.mark.parametrize("tag", ["S1", "S4"])
 def test_two_grid_cycle_preconditions_gmres(profile, tag):
-    # the cycle as M takes `gmres` to krylov_tol = 1e-10 on the bordered
-    # system; its factor is that of the 2h case, h = 0.5
+    # the cycle as M takes `gmres` to a relative residual of 1e-10 on the
+    # bordered system; its factor is that of the 2h case, h = 0.5
     p, V, Z, P, dm, z_col, grad_con = _bordered_case(tag, profile)
     J = _Jacobian(V, p)
     M, fill, n1 = _preconditioner(J, V, Z, p)
@@ -868,6 +870,22 @@ def test_a_coarse_pair_factors_its_own_grid(profile, monkeypatch):
     assert grids == [spec] and res.lu_n1 == spec.n1
     assert factors == [_DofMap(spec).n + 1]
     assert res.lu_fill > 0 and res.final_residual <= solver.NEWTON_TOL
+
+
+@pytest.mark.parametrize("d_hat, h, n1, lu_n1", [(0.15, 0.125, 12, 6), (0.1, 0.25, 4, 4)])
+def test_a_grid_too_small_to_halve_factors_the_last_grid_that_can(profile, monkeypatch,
+                                                                  d_hat, h, n1, lu_n1):
+    # a grid is coarsened only while its 2h grid keeps the 4 points per
+    # side a GridSpec needs: 12 points halve to 6, which would halve to 3,
+    # so the 6-point grid is factored; 4 points do not halve at all
+    assert solver._can_double(GridSpec(1.75, 1.75, 0.25, 0.25, Symmetry.PAIR))  # 7 -> 4
+    assert not solver._can_double(GridSpec(1.5, 1.5, 0.25, 0.25, Symmetry.PAIR))  # 6 -> 3
+    p = pair_params(eps=0.2, d_hat=d_hat)
+    grids, factors = _factored_grids(monkeypatch)
+    res = solve_at_separation(p, p.d, profile, h=h)
+    assert res.u.spec.n1 == n1 and res.lu_n1 == lu_n1
+    assert [g.n1 for g in grids] == [lu_n1] and len(factors) == 1
+    assert res.final_residual <= solver.NEWTON_TOL
 
 
 def test_a_steps_single_precision_copy_goes_with_its_jacobian(profile, monkeypatch):
@@ -998,21 +1016,32 @@ def test_failures_carry_the_applies_of_each_step(profile, monkeypatch):
     assert len(err.value.krylov_iters) == 1 and err.value.krylov_iters[0] >= 1
 
 
-@pytest.mark.parametrize("residual, krylov_tol, eta", [
-    (0.5, 1e-10, 0.1),     # KRYLOV_FORCING_MAX caps a large residual
-    (1e-5, 1e-10, 1e-5),   # ||F_k|| keeps the convergence quadratic
-    (1e-5, 1e-4, 1e-4),    # krylov_tol is the floor
-    (6e-8, 1e-10, 0.5 * 1e-11 / 6e-8),  # the last step goes only to newton_tol / 2
-    (2e-11, 1e-10, 0.1),   # the safeguard is capped too
+@pytest.mark.parametrize("residual, eta", [
+    (0.5, 0.1),     # KRYLOV_FORCING_MAX caps a large residual
+    (1e-5, 1e-5),   # ||F_k|| keeps the convergence quadratic
+    (6e-8, 0.5 * 1e-11 / 6e-8),  # the last step goes only to newton_tol / 2
+    (2e-11, 0.1),   # the safeguard is capped too
 ])
-def test_forcing_term(residual, krylov_tol, eta):
-    assert solver._forcing_term(residual, 1e-11, krylov_tol) == eta
+def test_forcing_term(residual, eta):
+    assert solver._forcing_term(residual, 1e-11) == eta
 
 
-@pytest.mark.parametrize("krylov_tol", [1e-10, 1e-4])
-def test_each_step_is_forced_to_its_residual(profile, monkeypatch, krylov_tol):
-    # step k asks GMRES for _forcing_term(||F_k||, newton_tol, krylov_tol),
-    # ||F_k|| being the residual the step starts from
+_positive = st.floats(min_value=5e-324, max_value=1e300)
+
+
+@settings(deadline=None, max_examples=500)
+@given(residual=_positive, newton_tol=_positive)
+@example(residual=math.sqrt(0.5e-11), newton_tol=1e-11)
+def test_forcing_term_has_a_floor_of_its_own(residual, newton_tol):
+    # ||F_k|| times the safeguard is newton_tol / 2, so the larger of them
+    # is at least sqrt(newton_tol / 2): the forcing term needs no floor
+    eta = solver._forcing_term(residual, newton_tol)
+    assert eta >= min(solver.KRYLOV_FORCING_MAX, math.sqrt(newton_tol / 2))
+
+
+def test_each_step_is_forced_to_its_residual(profile, monkeypatch):
+    # step k asks GMRES for _forcing_term(||F_k||, newton_tol), ||F_k||
+    # being the residual the step starts from
     newton_tol = 1e-11
     rtols = []
 
@@ -1022,30 +1051,29 @@ def test_each_step_is_forced_to_its_residual(profile, monkeypatch, krylov_tol):
 
     monkeypatch.setattr(solver, "gmres", recorded)
     res = solve_at_separation(pair_params(eps=0.1), 10.0, profile, h=0.5,
-                              newton_tol=newton_tol, krylov_tol=krylov_tol)
+                              newton_tol=newton_tol)
     assert len(res.newton_residuals) == res.newton_iters + 1 == len(rtols) + 1
     assert res.newton_residuals[-1] == res.final_residual <= newton_tol
-    assert rtols == [solver._forcing_term(r, newton_tol, krylov_tol)
-                     for r in res.newton_residuals[:-1]]
-    assert min(rtols) >= krylov_tol
+    assert rtols == [solver._forcing_term(r, newton_tol) for r in res.newton_residuals[:-1]]
+    assert min(rtols) >= math.sqrt(newton_tol / 2)
     # the last step starts near newton_tol, where the safeguard is the
     # largest term: it solves only as far as newton_tol / 2 needs
     last = res.newton_residuals[-2]
     guard = 0.5 * newton_tol / last
-    assert guard > max(krylov_tol, last)
+    assert guard > last
     assert rtols[-1] == min(solver.KRYLOV_FORCING_MAX, guard) > rtols[-2]
 
 
 @pytest.mark.parametrize("case", ["pair", "ring-two-grid"])
 def test_forcing_cuts_applies_at_the_same_multiplier(profile, monkeypatch, case):
-    # against the fixed forcing (every step to krylov_tol), the forcing
-    # term gives the same multiplier in fewer preconditioner applies, on
-    # the direct factor and on the two-grid cycle alike
+    # against a fixed forcing (every step to 1e-10), the forcing term
+    # gives the same multiplier in fewer preconditioner applies, on the
+    # direct factor and on the two-grid cycle alike
     p, d, h = _direct_case() if case == "pair" else _small_cases()[1]
     forced = solve_at_separation(p, d, profile, h=h, newton_tol=1e-11)
     assert forced.lu_n1 == (forced.u.spec.n1 if case == "pair"
                             else math.ceil(forced.u.spec.n1 / 2))
-    monkeypatch.setattr(solver, "KRYLOV_FORCING_MAX", 0.0)
+    monkeypatch.setattr(solver, "_forcing_term", lambda residual, newton_tol: 1e-10)
     fixed = solve_at_separation(p, d, profile, h=h, newton_tol=1e-11)
     assert forced.final_residual <= 1e-11
     assert abs(forced.c_mult - fixed.c_mult) <= 1e-9 * abs(fixed.c_mult)
@@ -1062,7 +1090,7 @@ def test_failures_carry_the_residual_history(profile, monkeypatch):
         solve_at_separation(p, 8.125, profile, h=0.25)
     hist = err.value.newton_residuals
     assert len(hist) == len(err.value.krylov_iters) and hist[-1] == err.value.last_residual
-    eta = solver._forcing_term(hist[-1], solver.NEWTON_TOL, 1e-10)  # the default tolerances
+    eta = solver._forcing_term(hist[-1], solver.NEWTON_TOL)  # the default newton_tol
     assert f"eta={eta:.2e}" in str(err.value)
     monkeypatch.undo()
     with pytest.raises(solver.NonConvergenceError) as err:

@@ -6,8 +6,10 @@ l1, l2, then n1*n2 samples (f64, or f64 pairs for complex), row-major
 over (x1, x2).
 
 Config files are flat `key = value` lines with `#` comments; unknown
-keys are rejected.  Reports (`key: value` lines under `[section]`
-headers) and CSV files are deterministic, floats in 17 significant digits.
+keys are rejected.  Each case is the library's: its grid is
+`solver._grid_for`'s, and it is solved by `solver.solve_at_separation`.
+Reports (`key: value` lines under `[section]` headers) and CSV files
+are deterministic, floats in 17 significant digits.
 
 Exit codes are set in one place, `main`: 0 success; 2 any value a
 command refuses (an unreadable config file, an unknown key, or a config
@@ -26,20 +28,18 @@ import numpy as np
 
 from .ansatz import ModelParams, Regime, build_ansatz
 from .diagnostics import build_report, corrector_norms, error_field
-from .fields import MAX_SPACING, ComplexField, GridSpec, ScalarField, Symmetry
+from .fields import MAX_FIELD_SAMPLES, ComplexField, GridSpec, ScalarField, Symmetry
 from .profile import solve_profile, profile_integrals
 from .reconstruct import pde_residual, sample_block, unscale
 from .reduction import leading_c, predict_d
 from .solver import (NEWTON_MAX, NEWTON_TOL, BracketError, NonConvergenceError, _grid_for,
-                     build_case, check_tolerances, solve_balanced, solve_projected)
+                     check_tolerances, solve_at_separation, solve_balanced)
 
 MAGIC = b"VSF1"
 # `reconstruct` samples a block 11 h / 2 wide per spatial axis, h the field
 # file's spacing; a --ds that would put more than this many points in the
 # block is refused
 RECONSTRUCT_MAX_POINTS = 10**5
-# the most samples a field file may hold, and a grid the CLI may build
-MAX_FIELD_SAMPLES = 500_000_000
 _HEADER = struct.Struct("<IIII dddd")
 
 
@@ -137,10 +137,7 @@ class RunConfig:
     d_lo: float = 0.0
     d_hi: float = 0.0
     h: float = 0.25
-    l: float = 0.0
-    ell_max: float = 30.0
     step: float = 1e-3
-    tol: float = 1e-10
     newton_max: int = NEWTON_MAX
     newton_tol: float = NEWTON_TOL
 
@@ -189,28 +186,9 @@ def _params_section(p: ModelParams):
     }
 
 
-def _grid(cfg, params):
-    """Square quarter grid of spacing h: side l when set, else the
-    solver's default domain for the separation of `params`; a grid of more
-    than MAX_FIELD_SAMPLES points is refused."""
-    if not cfg.l >= 0:
-        raise ConfigError(f"l must be >= 0 (0 means the default domain), got {cfg.l}")
-    side = float(cfg.l if cfg.l > 0 else 2 * params.d)  # at a tiny h the counts overflow
-    if not side / cfg.h < MAX_FIELD_SAMPLES:
-        raise ConfigError(f"h = {cfg.h} gives over {MAX_FIELD_SAMPLES} points per side of {side}")
-    if cfg.l > 0:
-        spec = GridSpec(cfg.l, cfg.l, cfg.h, cfg.h, params.symmetry)
-    else:
-        spec = _grid_for(params.d, cfg.h, params.symmetry)
-    if spec.n1 * spec.n2 > MAX_FIELD_SAMPLES:
-        raise ConfigError(f"grid (h = {cfg.h}, d = {params.d}) has {spec.n1} x {spec.n2} "
-                          f"points, more than {MAX_FIELD_SAMPLES}")
-    return spec
-
-
 def _profile(cfg):
     try:
-        return solve_profile(cfg.ell_max, cfg.step, cfg.tol)
+        return solve_profile(step=cfg.step)
     except RuntimeError as exc:
         raise NonConvergenceError(f"profile: {exc}") from None
 
@@ -246,29 +224,28 @@ def _cmd_profile(cfg, out, args):
 def _cmd_build(cfg, out, args):
     params = cfg.params()
     opts = _solve_opts(cfg)
-    spec = _grid(cfg, params)
     prof = _profile(cfg)
     sections = [("config", cfg.echo()), ("params", _params_section(params))]
     if args.ansatz_only:
-        V = build_ansatz(params, spec, prof)
+        V = build_ansatz(params, _grid_for(params.d, cfg.h, params.symmetry), prof)
         field_path = out / "ansatz.vsf"
         save_field(V, field_path)
-        _, err_norm = error_field(V, params)
         sections.append(("ansatz", {
-            "field": field_path.name, "error_norm_star2": err_norm,
+            "field": field_path.name, "error_norm_star2": error_field(V, params)[1],
             **_report_entries(build_report(V)),
         }))
     else:
-        res = solve_projected(params, *build_case(params, spec, prof), **opts)
+        res = solve_at_separation(params, params.d, prof, h=cfg.h, **opts)
         field_path = out / "solution.vsf"
         save_field(res.u, field_path)
+        rep = build_report(res.u, params, res.V_d)
         sections.append(("solve", {
             "field": field_path.name,
             "c_mult": res.c_mult, "newton_iters": res.newton_iters,
             "final_residual": res.final_residual,
-            "corrector_norm_star": corrector_norms(res.u, res.V_d, params)["star"],
+            "corrector_norm_star": rep.weighted_norms["star"],
             "d_used": res.d_used,
-            **_report_entries(build_report(res.u)),
+            **_report_entries(rep),
         }))
     write_report(out / "report.txt", sections)
 
@@ -289,10 +266,6 @@ def _cmd_reduce(cfg, out, args):
     d_hi = cfg.d_hi if cfg.d_hi > 0 else 2 * d_ref
     if not 1.0 < d_lo < d_hi:
         raise ConfigError(f"need 1 < d_lo < d_hi, got d_lo = {d_lo} and d_hi = {d_hi}")
-    # d_hat is linear in d, so the two ends bound every solve's
-    ends = [params.with_d(d) for d in (d_lo, d_hi)]
-    # solves use the default domain of their d; the largest d has the largest
-    _grid(replace(cfg, l=0.0), ends[-1])
     res, d_star = solve_balanced(params, (d_lo, d_hi), _profile(cfg), h=cfg.h, **opts)
     field_path = out / "solution.vsf"
     save_field(res.u, field_path)
@@ -370,23 +343,19 @@ def _cmd_sweep(cfg, out, args):
         raise ConfigError(f"--eps-list must be comma-separated numbers, "
                           f"got {args.eps_list!r}") from None
     opts = _solve_opts(cfg)
-    cases = []
-    for eps in eps_list:
-        params = replace(cfg, eps=eps).params()
-        cases.append((eps, params, _grid(cfg, params)))
+    cases = [replace(cfg, eps=eps).params() for eps in eps_list]
+    specs = [_grid_for(p.d, cfg.h, p.symmetry) for p in cases]  # before the profile solve
     prof = _profile(cfg)
     rows = []
-    for eps, params, spec in cases:
+    for params, spec in zip(cases, specs):
+        row = {"eps": params.eps, "d": params.d}
         if args.solve:
-            V, Z = build_case(params, spec, prof)
-        else:
-            V = build_ansatz(params, spec, prof)
-        _, err = error_field(V, params)
-        row = {"eps": eps, "d": params.d, "error_norm_star2": err}
-        if args.solve:
-            res = solve_projected(params, V, Z, **opts)
-            row.update(corrector_norm_star=corrector_norms(res.u, res.V_d, params)["star"],
+            res = solve_at_separation(params, params.d, prof, h=cfg.h, **opts)
+            row.update(error_norm_star2=error_field(res.V_d, params)[1],
+                       corrector_norm_star=corrector_norms(res.u, res.V_d, params)["star"],
                        c_mult=res.c_mult, newton_iters=res.newton_iters)
+        else:
+            row["error_norm_star2"] = error_field(build_ansatz(params, spec, prof), params)[1]
         rows.append(row)
     write_report(out / "report.txt", [("config", cfg.echo())]
                  + [(f"sweep_{k}", row) for k, row in enumerate(rows)])
@@ -444,14 +413,9 @@ def _config(args):
             cfg.d_hat = args.dhat
     if args.command in ("pair", "ring", "reduce", "reconstruct"):
         params = cfg.params()
-    # the commands that build or sample a grid of spacing h
-    if args.command in ("pair", "ring", "reduce", "sweep", "reconstruct") \
-            and not 0.0 < cfg.h <= MAX_SPACING:
-        raise ConfigError(f"h must lie in (0, {MAX_SPACING}], got {cfg.h}")
-    if args.command == "reconstruct":
-        # it samples at the field's own spacing, but its report echoes the
-        # config, whose grid must exist as for `pair`
-        _grid(cfg, params)
+    if args.command in ("pair", "ring", "reconstruct"):
+        # before the profile solve; `reconstruct`'s report echoes the config's grid
+        _grid_for(params.d, cfg.h, params.symmetry)
     return cfg
 
 

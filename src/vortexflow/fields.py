@@ -28,6 +28,8 @@ import numpy as np
 
 # largest grid spacing a GridSpec accepts
 MAX_SPACING = 0.5
+# the most points a case's grid (`solver._grid_for`) or a field file may hold
+MAX_FIELD_SAMPLES = 500_000_000
 
 
 class Symmetry(enum.Enum):

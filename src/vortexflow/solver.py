@@ -93,7 +93,9 @@ the border's.  A solve factors one bordered system at most once, in
 SuperLU's own column order (minimum degree on A + A^T, MMD_AT_PLUS_A)
 of the whole bordered matrix.
 
-`build_case` is the one construction of (V_d, Z_d).
+`build_case` is the one construction of (V_d, Z_d), and
+`solve_at_separation` that of a solved case: grid (`_grid_for`), V_d,
+Z_d and the cold solve.
 
 `solve_projected` is the cold solve: Newton from the ansatz, on a
 preconditioner built at V_d.  `solve_balanced` takes its secant in
@@ -120,7 +122,8 @@ from scipy.sparse.linalg import splu
 # build_ansatz stays importable from this module, where
 # bench/test_tracing.py looks for it
 from .ansatz import ModelParams, build_ansatz, build_case  # noqa: F401
-from .fields import MAX_SPACING, ComplexField, GridSpec, axisym_term, diff_ops, reflect
+from .fields import (MAX_FIELD_SAMPLES, MAX_SPACING, ComplexField, GridSpec, axisym_term,
+                     diff_ops, reflect)
 from .profile import VortexProfile
 from .stereo import nonlinearity_F
 
@@ -857,7 +860,11 @@ def _domain_for(d, h):
 
 
 def _grid_for(d, h, symmetry):
-    """The grid of the case at separation d: L = ceil(2d/h) h per side."""
+    """The grid of the case at separation d: L = ceil(2d/h) h per side;
+    ValueError naming h outside (0, MAX_SPACING] or past MAX_FIELD_SAMPLES points."""
+    if not (0.0 < h <= MAX_SPACING and 2.0 * d / h - 1e-9 <= math.isqrt(MAX_FIELD_SAMPLES)):
+        raise ValueError(f"h = {h} must lie in (0, {MAX_SPACING}] and give a grid of at most "
+                         f"{MAX_FIELD_SAMPLES} points at d = {d}")
     L = _domain_for(d, h)
     return GridSpec(L, L, h, h, symmetry)
 
@@ -871,10 +878,11 @@ def balance_x(d, ring):
 
 def solve_at_separation(params: ModelParams, d: float, profile: VortexProfile,
                         h=0.25, **opts) -> SolveResult:
-    """Grid (L = 2d per side), ansatz and co-kernel at separation d, then
-    the cold projected solve (`solve_projected`).  The options are checked
-    before the case is built, and the heap the build freed is given back
-    to the OS before the solve (`_release_freed_memory`)."""
+    """Grid (`_grid_for`, L = 2d per side), ansatz and co-kernel at
+    separation d, then the cold projected solve (`solve_projected`).  The
+    options and the grid's size are checked before the case is built, and
+    the heap the build freed is given back to the OS before the solve
+    (`_release_freed_memory`)."""
     check_tolerances(**opts)
     p = params.with_d(d)
     V, Z = build_case(p, _grid_for(d, h, p.symmetry), profile)
@@ -994,12 +1002,16 @@ def solve_balanced(params: ModelParams, d_bracket, profile: VortexProfile, h=0.2
     that reuse is redone cold.  The result carries `balance_history`, one record (d, c, n1,
     lu_reused, warm_start) per solve, and `fallbacks`, the solves redone
     cold.  Each solve is accepted only at its `newton_tol`, by default
-    NEWTON_TOL (see `solve_projected`).  The bracket must satisfy
-    0 < d_lo < d_hi < inf; any other raises ValueError before a solve."""
+    NEWTON_TOL (see `solve_projected`).  A bracket that does not satisfy
+    0 < d_lo < d_hi < inf, or whose ends give a d_hat or a grid out of
+    range (both grow with d), raises ValueError before a solve."""
     check_tolerances(**opts)
     d_lo, d_hi = d_bracket
     if not 0.0 < d_lo < d_hi < math.inf:
         raise ValueError(f"need a bracket 0 < d_lo < d_hi < inf, got ({d_lo}, {d_hi})")
+    for d in (d_lo, d_hi):
+        params.with_d(d)
+    _grid_for(d_hi, h, params.symmetry)
     ring = params.is_ring
     state = _BalanceState()
     history = []

@@ -48,6 +48,25 @@ def test_bracket_out_of_order_raises_before_a_solve(monkeypatch, bracket):
     assert calls == []
 
 
+@pytest.mark.parametrize("params, bracket, match", [
+    (ModelParams(Regime.PAIR_WM, 0.001, 0.0, 1.0), (20.0, 1e5), r"\bh = "),  # 800,000^2 points
+    (PAIR, (10.0, 2000.0), "d_hat"),  # d_hat = eps d_hi = 200
+], ids=["grid", "d_hat"])
+def test_a_bracket_end_out_of_range_raises_before_a_solve(monkeypatch, params, bracket, match):
+    # d_hat and the side are linear in d, so the two ends bound every solve;
+    # d_hi was refused only once the d_lo solve had run
+    calls = []
+
+    def solve(*args, **opts):
+        calls.append(args)
+        raise RuntimeError("a solve ran")
+
+    monkeypatch.setattr(solver, "solve_at_separation", solve)
+    with pytest.raises(ValueError, match=match):
+        solve_balanced(params, bracket, profile=object(), h=0.25)
+    assert calls == []
+
+
 def test_no_sign_change_raises(monkeypatch):
     calls = fake_solves(monkeypatch, lambda d: d + 1.0)
     with pytest.raises(BracketError):

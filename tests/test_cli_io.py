@@ -165,18 +165,24 @@ def test_mutated_field_loads_or_raises_format_error(valid_vsf, tmp_path_factory,
     assert isinstance(f, (ComplexField, ScalarField))
 
 
+# config keys that no longer exist: `points` (the sampled c(d) curve),
+# `krylov_tol` (the forcing term's floor), `l` (a side other than the case's
+# 2d) and `ell_max` and `tol` (the profile solve's, always at their defaults)
+RETIRED_KEYS = {"points", "krylov_tol", "l", "ell_max", "tol"}
+
+
 @pytest.mark.parametrize("line, command", [
     ("h = 0.7", ["pair", "--ansatz-only"]),
-    ("l = 10.1", ["pair", "--ansatz-only"]),
+    ("l = 10.1", ["pair", "--ansatz-only"]),  # a retired key is refused as unknown
     ("h = 0.7", ["sweep", "--eps-list", "0.1"]),
     ("h = 0.7", ["reduce"]),
     ("points = 1", ["reduce"]),  # a retired key is refused as unknown
-    ("ell_max = 5", ["profile"]),
+    ("ell_max = 5", ["profile"]),  # a retired key is refused as unknown
     ("step = 0.5", ["profile"]),
-    ("tol = 0", ["profile"]),
+    ("tol = 0", ["profile"]),  # a retired key is refused as unknown
     ("regime = ring_wm\neps = 0.2", ["reduce"]),  # predict_d has no root: no default bracket
     ("", ["sweep", "--eps-list", "abc"]),
-    ("ell_max = 31", ["profile"]),
+    ("ell_max = 31", ["profile"]),  # a retired key is refused as unknown
     ("d_lo = 10\nd_hi = 10", ["reduce"]),  # not d_lo < d_hi
     ("d_lo = 0.75\nd_hi = 1.0", ["reduce"]),  # not 1 < d_lo
     ("newton_tol = nan", ["pair"]),
@@ -185,12 +191,12 @@ def test_mutated_field_loads_or_raises_format_error(valid_vsf, tmp_path_factory,
     ("newton_tol = 0", ["sweep", "--eps-list", "0.1", "--solve"]),
     ("krylov_tol = -1e-10", ["reduce"]),
     ("krylov_tol = inf", ["reduce"]),
-    ("tol = 1e-11", ["profile"]),  # below the rounding floor at step 1e-3
-    ("step = 2e-4\ntol = 1e-10", ["profile"]),
+    ("tol = 1e-11", ["profile"]),  # a retired key is refused as unknown
+    ("step = 2e-4\ntol = 1e-10", ["profile"]),  # a retired key is refused as unknown
     ("newton_max = 0", ["pair"]),
     ("newton_max = -3", ["reduce"]),
-    ("l = -4", ["pair"]),  # 0 means the default domain, a negative side nothing
-    ("l = -4", ["sweep", "--eps-list", "0.1"]),
+    ("l = -4", ["pair"]),  # a retired key is refused as unknown
+    ("l = -4", ["sweep", "--eps-list", "0.1"]),  # a retired key is refused as unknown
     ("d_lo = -5", ["reduce"]),
     ("d_hi = -40", ["reduce"]),
     ("h = 0", ["pair", "--ansatz-only"]),  # no default domain at h = 0 or nan
@@ -198,16 +204,18 @@ def test_mutated_field_loads_or_raises_format_error(valid_vsf, tmp_path_factory,
     ("", ["pair", "--ansatz-only", "--eps", "1e-6"]),  # a grid too large to allocate
     ("d_hi = 1e9", ["reduce"]),  # d_hat = eps d above 100
     ("eps = 0.001\nd_hi = 1e5", ["reduce"]),  # the grid of d_hi is too large
-    ("l = 4", ["sweep", "--eps-list", "0.1"]),  # a domain too small for the vortex at d = 10
+    ("l = 4", ["sweep", "--eps-list", "0.1"]),  # a retired key is refused as unknown
 ])
 def test_cli_out_of_range_config_exit_2(tmp_path, line, command, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out")] + command) == 2
+    err = capsys.readouterr().err
     if line.startswith("regime = ring_wm"):
         # the refusal says how to give the bracket that predict_d cannot
-        err = capsys.readouterr().err
         assert "d_lo" in err and "d_hi" in err
+    if {kv.split(" = ")[0] for kv in line.splitlines()} & RETIRED_KEYS:
+        assert "unknown key" in err
 
 
 def test_cli_unreadable_config_exit_2(tmp_path):
@@ -291,12 +299,12 @@ def test_cli_sweep_solves_on_its_error_norm_grid(tmp_path, monkeypatch):
         return _build(params, spec, profile)
 
     monkeypatch.setattr(ansatz, "build_pair", recorded)
-    cfg = tmp_path / "side.cfg"
-    cfg.write_text("eps = 0.1\nh = 0.5\nl = 30\n")
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text("eps = 0.1\nh = 0.5\n")
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out),
                  "sweep", "--eps-list", "0.1", "--solve"]) == 0
-    assert grids == {(60, 60)}
+    assert grids == {(40, 40)}  # d = 10: the default side 2d = 20
     assert "c_mult" in (out / "report.txt").read_text()
 
 

@@ -663,6 +663,18 @@ def test_unusable_tolerances_are_rejected_before_the_case_is_built(profile, monk
     assert not built
 
 
+@pytest.mark.parametrize("h", [5e-324, 1e-300, 1e-9, 0.0, math.nan])
+def test_an_unusable_spacing_is_refused_before_the_case_is_built(profile, monkeypatch, h):
+    # 2d/h is inf at a subnormal h, where ceil raised OverflowError, and
+    # finite but too many points per side at 1e-300 and 1e-9, where numpy
+    # was asked for the grid (at 1e-9, 149 GiB); h = 0 divided by zero
+    built = []
+    monkeypatch.setattr(solver, "build_case", lambda *args: built.append(args))
+    with pytest.raises(ValueError, match=r"\bh = "):
+        solve_at_separation(pair_params(eps=0.1), 10.0, profile, h=h)
+    assert not built
+
+
 @pytest.mark.parametrize("l1,l2", [(20.0, 20.0), (20.25, 20.25), (20.0, 12.25)],
                          ids=["even", "odd", "even-odd"])
 def test_prolongation_reproduces_bilinear_fields(l1, l2):

@@ -22,11 +22,13 @@ test_ring_phase_axis_row_is_the_ghost_closure.
 
 import enum
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 
-# largest grid spacing a GridSpec accepts
+# largest grid spacing a GridSpec accepts: every case's grid and field
+# file (only the V-cycle's own coarse grids, `solver._CycleGrid`, go past it)
 MAX_SPACING = 0.5
 # the most points a case's grid (`solver._grid_for`) or a field file may hold
 MAX_FIELD_SAMPLES = 500_000_000
@@ -46,10 +48,13 @@ class GridSpec:
     symmetry: Symmetry
     n1: int = field(init=False)
     n2: int = field(init=False)
+    # the largest spacing this class accepts
+    _max_spacing: ClassVar[float] = MAX_SPACING
 
     def __post_init__(self):
-        if not (0.0 < self.h1 <= MAX_SPACING and 0.0 < self.h2 <= MAX_SPACING):
-            raise ValueError(f"spacings must lie in (0, {MAX_SPACING}]")
+        cap = self._max_spacing
+        if not (0.0 < self.h1 <= cap and 0.0 < self.h2 <= cap):
+            raise ValueError(f"spacings must lie in (0, {cap}]")
         r1, r2 = self.l1 / self.h1, self.l2 / self.h2
         if not (np.isfinite(r1) and np.isfinite(r2)):
             raise ValueError("extents must be finite multiples of the spacings")

@@ -38,32 +38,39 @@ Jacobian to them as stored, so the flexible Arnoldi relation stays
 exact.
 
 Each inner solve goes only as far as its Newton step needs: step k
-stops at relative residual eta_k = min(KRYLOV_FORCING_MAX, max(||F_k||,
-0.5 newton_tol / ||F_k||)), where ||F_k|| is the Newton residual the
-step starts from (`_forcing_term`; Dembo, Eisenstat & Steihaug, SIAM J.
-Numer. Anal. 19, 1982; Eisenstat & Walker, SIAM J. Sci. Comput. 17,
-1996).  A forcing term of order ||F_k|| keeps Newton's quadratic
-convergence.  The safeguard 0.5 newton_tol / ||F_k|| keeps the last
-step from oversolving: it asks only for the reduction that brings the
-residual to about half of newton_tol, so a solve ends at or below
-newton_tol rather than far below it.  The two terms multiply to
+stops at relative residual eta_k = min(KRYLOV_FORCING_MAX, ||F_k||),
+where ||F_k|| is the Newton residual the step starts from, until
+||F_k||^2 <= 10 newton_tol; from there on at eta_k =
+min(KRYLOV_FORCING_MAX, 0.5 newton_tol / ||F_k||) (`_forcing_term`;
+Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982; Eisenstat &
+Walker, SIAM J. Sci. Comput. 17, 1996).  A forcing term of order
+||F_k|| keeps Newton's quadratic convergence.  The safeguard 0.5
+newton_tol / ||F_k|| makes the last step aim at half of newton_tol: it
+asks only for that reduction, so a solve ends at or below newton_tol
+rather than far below it, and a step that starts within a factor
+sqrt(10) of sqrt(newton_tol), where ||F_k|| alone would leave it just
+above newton_tol, ends in that step.  The two terms multiply to
 newton_tol / 2, so eta_k >= min(KRYLOV_FORCING_MAX, sqrt(newton_tol /
-2)), 2.2e-6 at NEWTON_TOL: newton_tol is a solve's one tolerance.  The
-benchmark's ring solve takes 17 V-cycles (2, 5, 10) over its 3 Newton
-steps, and its pair balance 46 cycles over its 10.
+40)), 5e-7 at NEWTON_TOL: newton_tol is a solve's one tolerance.  The
+benchmark's ring solve takes 17 V-cycles (2, 6, 9) over its 3 Newton
+steps, and its pair balance 51 cycles over its 10.
 
 Which bordered system is factored depends on the grid alone, and one
 recursion decides it (`_preconditioner`).  A grid that can be coarsened
 (`_can_double`) is preconditioned by a V-cycle: damped Jacobi sweeps on
 the fine rows around a coarse correction by the same case at 2h, which
-is the same cycle again wherever that grid can be coarsened too.  So
-every solve factors one bordered system (`_bordered_lu`), on the first
-grid that cannot be coarsened (h = 0.5, or fewer than 7 points a side):
-the cycle's coarsest level, or the solve's own grid.  Every level of
-the cycle runs in float32.  That factor is small (1,382,756 entries in
-L + U on the benchmark's ring grid, h = 0.125 and 293k unknowns) and a
-Newton step takes 1 to 10 cycles under the forcing term, so the cycle
-beats a factor of a finer grid at every grid size measured.
+is the same cycle again, with twice the sweeps, wherever that grid can
+be coarsened too (a variable V-cycle: Bramble & Pasciak, Math. Comp.
+49, 1987).  So every solve factors one bordered system (`_bordered_lu`),
+on the first grid that cannot be coarsened (h = COARSEST_SPACING = 1.0,
+about one core width, or fewer than 7 points a side): the cycle's
+coarsest level, or the solve's own grid.  The cycle's coarse grids are
+the only grids past MAX_SPACING (`_CycleGrid`).  Every level of the
+cycle runs in float32.  That factor is small (277,611 entries in L + U
+on the benchmark's ring grid, h = 0.125 and 293k unknowns; an h = 0.5
+bottom held 1,382,756) and a Newton step takes 1 to 10 cycles under the
+forcing term, so the cycle beats a factor of a finer grid at every grid
+size measured.
 
 A solve is accepted iff its Newton residual ends at or below
 newton_tol (default NEWTON_TOL); otherwise it raises
@@ -143,10 +150,15 @@ GMRES_MAXITER = 16
 # ceiling of the forcing term `_forcing_term`, the relative residual a
 # Newton step's GMRES is asked for
 KRYLOV_FORCING_MAX = 0.1
-# damping and sweeps on each side of the V-cycle's point-Jacobi smoother
-# (`_preconditioner`), at every level
+# damping of the V-cycle's point-Jacobi smoother (`_preconditioner`), and
+# its sweeps on each side of the finest level's coarse correction; each
+# coarser level sweeps twice as often as the one above it
 JACOBI_OMEGA = 0.9
 JACOBI_SWEEPS = 2
+# largest spacing of the V-cycle's grids (`_can_double`), about one core
+# width; the cycle's own grids (`_CycleGrid`) are the only ones past
+# MAX_SPACING
+COARSEST_SPACING = 1.0
 # glibc's malloc_trim (see `_release_freed_memory`), None where the C
 # library has none
 try:
@@ -208,9 +220,10 @@ class SolveResult:
     # nnz(L+U) of the bordered factor this solve made, 0 when it reused one
     lu_fill: int = 0
     # per-side point count of the grid that factor was made on, as
-    # `_preconditioner` made it: the V-cycle's coarsest grid where the
-    # solve's grid can be coarsened (`_can_double`), u.spec.n1 for the
-    # direct factor where it cannot, 0 when the solve reused a factor
+    # `_preconditioner` made it: the V-cycle's coarsest grid (h = 1.0 on
+    # the benchmark's grids) where the solve's grid can be coarsened
+    # (`_can_double`), u.spec.n1 for the direct factor where it cannot, 0
+    # when the solve reused a factor
     lu_n1: int = 0
     # solve_balanced only: one (d, c, n1, lu_reused, warm_start) per solve,
     # and the count of solves redone cold after failing on reused state
@@ -471,13 +484,21 @@ def _bordered_lu(P, z_col, grad_con):
     return apply, lu.nnz
 
 
+class _CycleGrid(GridSpec):
+    """A coarse grid of the V-cycle (`_coarse_spec`): a GridSpec whose
+    spacings may reach COARSEST_SPACING.  No case's grid or field file is
+    one, so they stay capped at MAX_SPACING."""
+    _max_spacing = COARSEST_SPACING
+
+
 def _coarse_spec(spec):
-    """The 2h grid of the V-cycle: every other point of `spec` from the
-    axes, ceil(n/2) points per side.  For odd n its Dirichlet layer is
-    the fine one; for even n it lies one fine cell inside."""
+    """The 2h grid of the V-cycle, a `_CycleGrid`: every other point of
+    `spec` from the axes, ceil(n/2) points per side.  For odd n its
+    Dirichlet layer is the fine one; for even n it lies one fine cell
+    inside."""
     n1, n2 = -(-spec.n1 // 2), -(-spec.n2 // 2)
     h1, h2 = 2.0 * spec.h1, 2.0 * spec.h2
-    return GridSpec(n1 * h1, n2 * h2, h1, h2, spec.symmetry)
+    return _CycleGrid(n1 * h1, n2 * h2, h1, h2, spec.symmetry)
 
 
 def _interpolate_rows(c, m):
@@ -522,9 +543,9 @@ def _restrict(spec, r):
 
 
 def _can_double(spec):
-    """Whether `spec` has a 2h grid (`_coarse_spec`): 2h <= MAX_SPACING,
+    """Whether `spec` has a 2h grid (`_coarse_spec`): 2h <= COARSEST_SPACING,
     and ceil(n/2) keeps the 4 points per side a GridSpec needs."""
-    return 2.0 * max(spec.h1, spec.h2) <= MAX_SPACING and min(spec.n1, spec.n2) >= 7
+    return 2.0 * max(spec.h1, spec.h2) <= COARSEST_SPACING and min(spec.n1, spec.n2) >= 7
 
 
 def _border(V_d, Z_d):
@@ -537,22 +558,26 @@ def _border(V_d, Z_d):
     return _packed(Z), _packed(W[:-1, :-1] * Z * (spec.h1 * spec.h2)), W
 
 
-def _preconditioner(J, V_d, Z_d, params):
+def _preconditioner(J, V_d, Z_d, params, sweeps=JACOBI_SWEEPS):
     """(M, nnz(L+U), n1) for the bordered system B = [[J, -z], [g^T, 0]]
     of the case (V_d, Z_d), whose Jacobian at V_d is J; n1 is the grid the
     one factor was made on.  M(v, J) maps v to float32, for the Newton
     step whose Jacobian is J.
 
     Where the grid cannot be coarsened (`_can_double`: its spacing
-    cannot double, or a side has fewer than 7 points) M is the direct
-    `_bordered_lu` of J's matrix.  Elsewhere it is one level of a
-    V-cycle: JACOBI_SWEEPS damped point-Jacobi sweeps on the u rows (none
-    on c), a correction by the same case at 2h, and JACOBI_SWEEPS more
-    sweeps (Briggs, Henson & McCormick, A Multigrid Tutorial, 2000, ch.
-    3).  The coarse case is V_d and Z_d injected onto `_coarse_spec`,
-    preconditioned by this function again, so a solve factors only the
-    grid where the coarsening stops.  Each coarse level sweeps with the
-    `_Jacobian` of its injected ansatz.  The transfers act on the grid,
+    cannot double within COARSEST_SPACING, or a side has fewer than 7
+    points) M is the direct `_bordered_lu` of J's matrix.  Elsewhere it
+    is one level of a V-cycle: `sweeps` damped point-Jacobi sweeps on
+    the u rows (none on c), a correction by the same case at 2h, and
+    `sweeps` more (Briggs, Henson & McCormick, A Multigrid Tutorial,
+    2000, ch. 3).  The coarse case is V_d and Z_d injected onto
+    `_coarse_spec`, preconditioned by this function again with twice the
+    sweeps, so a solve factors only the grid where the coarsening stops,
+    and the levels sweep 2, 4, 8, ... times from the finest down: the
+    variable V-cycle of Bramble & Pasciak (Math. Comp. 49, 1987), whose
+    extra sweeps on the cheap coarse levels keep the h = 1.0 bottom
+    within a few cycles per solve of an h = 0.5 one.  Each coarse level
+    sweeps with the `_Jacobian` of its injected ansatz.  The transfers act on the grid,
     one axis at a time: the bilinear prolongation P (`_prolong`) and the
     restriction R = P^T / 4 (`_restrict`); c maps to itself, since each
     border row weights Z by its own grid's cell, so the two rows are the
@@ -572,7 +597,7 @@ def _preconditioner(J, V_d, Z_d, params):
     V_c = ComplexField(spec_c, np.ascontiguousarray(V_d.data[::2, ::2]))
     Z_c = ComplexField(spec_c, np.ascontiguousarray(Z_d.data[::2, ::2]))
     J_c = _Jacobian(V_c, params)
-    coarse, fill, n1 = _preconditioner(J_c, V_c, Z_c, params)
+    coarse, fill, n1 = _preconditioner(J_c, V_c, Z_c, params, 2 * sweeps)
     J_c = J_c.single()  # the coarse level's sweeps; its float64 coefficients go
     dinv = (JACOBI_OMEGA / J.diagonal()).astype(np.float32)
     z_col, grad_con = (a.astype(np.float32) for a in _border(V_d, Z_d)[:2])
@@ -581,12 +606,12 @@ def _preconditioner(J, V_d, Z_d, params):
         J = J.single()
         b = v[:-1].astype(np.float32)
         u = dinv * b  # the first sweep, from u = 0
-        for _ in range(JACOBI_SWEEPS - 1):
+        for _ in range(sweeps - 1):
             u += dinv * (b - J @ u)
         e = coarse(np.append(_restrict(spec, b - J @ u), np.float32(v[-1]) - grad_con @ u), J_c)
         u += _prolong(spec, e[:-1])
         c = e[-1]
-        for _ in range(JACOBI_SWEEPS):
+        for _ in range(sweeps):
             u += dinv * (b - J @ u + c * z_col)
         return np.append(u, c)
 
@@ -673,16 +698,21 @@ def _forcing_term(residual, newton_tol):
     """eta_k, the relative residual that the GMRES of a Newton step
     starting at residual ||F_k|| = `residual` is asked for:
 
-        min(KRYLOV_FORCING_MAX, max(||F_k||, 0.5 newton_tol / ||F_k||))
+        min(KRYLOV_FORCING_MAX, ||F_k||)                 ||F_k||^2 > 10 newton_tol
+        min(KRYLOV_FORCING_MAX, 0.5 newton_tol / ||F_k||)  otherwise
 
     ||F_k|| keeps Newton's quadratic convergence; 0.5 newton_tol / ||F_k||
-    stops the last step from solving further than it takes to bring the
-    residual to half of newton_tol (Eisenstat & Walker, SIAM J. Sci.
-    Comput. 17, 1996; Kelley, Iterative Methods for Linear and Nonlinear
-    Equations, SIAM, 1995, sec. 6.3).  Their product is newton_tol / 2,
-    so eta_k >= min(KRYLOV_FORCING_MAX, sqrt(newton_tol / 2)) for every
-    ||F_k|| > 0, with no floor of its own."""
-    return min(KRYLOV_FORCING_MAX, max(residual, 0.5 * newton_tol / residual))
+    aims the last step at half of newton_tol and solves no further
+    (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996; Kelley,
+    Iterative Methods for Linear and Nonlinear Equations, SIAM, 1995,
+    sec. 6.3).  It takes over at ||F_k||^2 = 10 newton_tol, below which
+    ||F_k|| alone leaves a step ending near ||F_k||^2, just above
+    newton_tol, and one more step to take.  Their product is newton_tol /
+    2, so eta_k >= min(KRYLOV_FORCING_MAX, sqrt(newton_tol / 40)) for
+    every ||F_k|| > 0, with no floor of its own."""
+    if residual * residual <= 10.0 * newton_tol:
+        return min(KRYLOV_FORCING_MAX, 0.5 * newton_tol / residual)
+    return min(KRYLOV_FORCING_MAX, residual)
 
 
 def check_tolerances(newton_tol=NEWTON_TOL, newton_max=NEWTON_MAX):

@@ -12,6 +12,7 @@ from scipy.sparse.linalg import splu
 
 from vortexflow import ansatz, diagnostics, solver
 from vortexflow.ansatz import ModelParams, Regime, build_ansatz, build_pair, kernel_Zd
+from vortexflow.cli_io import FieldFormatError, load_field, save_field
 from vortexflow.diagnostics import corrector_norms
 from vortexflow.fields import ComplexField, GridSpec, Symmetry, symmetrize_complex
 from vortexflow.profile import eval_profile
@@ -753,14 +754,22 @@ def test_restriction_is_a_quarter_of_the_adjoint(symmetry, l1, l2):
     assert abs(R32 @ e32 - 0.25 * (f32 @ P32)) <= np.finfo(np.float32).eps * np.abs(f).sum()
 
 
+def _two_levels_down(n):
+    """Points per side of the 4h grid of a grid with n: the coarsest level
+    of an h = 0.25 grid's cycle, h = 1.0."""
+    return math.ceil(math.ceil(n / 2) / 2)
+
+
 @pytest.mark.parametrize("tag", ["S1", "S4"])
 def test_two_grid_cycle_preconditions_gmres(profile, tag):
     # the cycle as M takes `gmres` to a relative residual of 1e-10 on the
-    # bordered system; its factor is that of the 2h case, h = 0.5
+    # bordered system; its factor is that of the 4h case, h = 1.0, below
+    # the h = 0.5 level
     p, V, Z, P, dm, z_col, grad_con = _bordered_case(tag, profile)
     J = _Jacobian(V, p)
     M, fill, n1 = _preconditioner(J, V, Z, p)
-    assert n1 == _coarse_spec(V.spec).n1
+    coarsest = _coarse_spec(_coarse_spec(V.spec))
+    assert coarsest.h1 == solver.COARSEST_SPACING and n1 == coarsest.n1
     A = _bordered_matvec(P, z_col, grad_con)
     b = np.random.default_rng(23).standard_normal(dm.n + 1)
     applies = []
@@ -790,10 +799,10 @@ def test_two_grid_solve_matches_direct(profile, monkeypatch, case):
     cycled = solve_at_separation(p, d, profile, h=h, newton_tol=1e-11)
     n1 = cycled.u.spec.n1
     assert n1 % 2 == (1 if case == 0 else 0)
-    assert cycled.lu_n1 == math.ceil(n1 / 2)
-    # the reference takes the direct factor: with the cap at h, the grid
-    # has no 2h grid
-    monkeypatch.setattr(solver, "MAX_SPACING", h)
+    assert cycled.lu_n1 == _two_levels_down(n1)
+    # the reference takes the direct factor: with the cycle's cap at h,
+    # the grid has no 2h grid
+    monkeypatch.setattr(solver, "COARSEST_SPACING", h)
     direct = solve_at_separation(p, d, profile, h=h, newton_tol=1e-11)
     assert direct.lu_n1 == n1
     assert 0 < cycled.lu_fill < direct.lu_fill
@@ -804,15 +813,16 @@ def test_two_grid_solve_matches_direct(profile, monkeypatch, case):
 @pytest.mark.parametrize("case", [0, 1, 2], ids=["pair-odd", "ring-even", "pair-small"])
 def test_a_cold_solve_is_cycled_wherever_the_spacing_can_double(profile, case):
     # the preconditioner depends on the grid alone: every h = 0.25 grid,
-    # however few its unknowns, factors only its 2h grid
+    # however few its unknowns, factors only its 4h grid, h = 1.0
     p, d, h = (_small_cases() + [(pair_params(eps=0.1), 4.0, 0.25)])[case]
     res = solve_at_separation(p, d, profile, h=h)
-    assert res.lu_n1 == math.ceil(res.u.spec.n1 / 2)
+    assert res.lu_n1 == _two_levels_down(res.u.spec.n1)
 
 
-def _direct_case():
-    # a pair on h = 0.5, whose spacing cannot double (GridSpec caps h at
-    # MAX_SPACING): the direct factor
+def _direct_case(monkeypatch):
+    # a pair on h = 0.5 with the cycle's grids capped at h = 0.5 too, so
+    # its spacing cannot double: the direct factor
+    monkeypatch.setattr(solver, "COARSEST_SPACING", solver.MAX_SPACING)
     return pair_params(eps=0.1), 10.0, 0.5
 
 
@@ -820,8 +830,8 @@ def _direct_case():
 def test_a_cold_solve_assembles_only_the_grid_it_factors(profile, monkeypatch, case):
     # Newton's products and the smoother's diagonal come from `_Jacobian`;
     # a matrix is assembled once, for the factor: the solve's own grid on
-    # the direct path, the 2h grid in the two-grid cycle
-    p, d, h = _direct_case() if case == "pair-direct" else _small_cases()[1]
+    # the direct path, the 4h grid in the three-level cycle
+    p, d, h = _direct_case(monkeypatch) if case == "pair-direct" else _small_cases()[1]
     grids = []
     assemble = solver.assemble_jacobian
 
@@ -834,7 +844,7 @@ def test_a_cold_solve_assembles_only_the_grid_it_factors(profile, monkeypatch, c
     assert res.newton_iters >= 2
     assert grids == [res.lu_n1]
     assert res.lu_n1 == (res.u.spec.n1 if case == "pair-direct"
-                         else math.ceil(res.u.spec.n1 / 2))
+                         else _two_levels_down(res.u.spec.n1))
 
 
 def _factored_grids(monkeypatch):
@@ -857,24 +867,24 @@ def _factored_grids(monkeypatch):
 
 
 def test_a_fine_ring_factors_only_its_coarsest_grid(profile, monkeypatch):
-    # on an h = 0.125 grid the V-cycle has three levels, and the one
-    # matrix assembled and factored is that of its h = 0.5 grid, the grid
+    # on an h = 0.125 grid the V-cycle has four levels, and the one
+    # matrix assembled and factored is that of its h = 1.0 grid, the grid
     # lu_n1 names
     p = ModelParams(Regime.RING_SCH, 0.05, 0.0, 0.3)
     grids, factors = _factored_grids(monkeypatch)
     res = solve_at_separation(p, p.d, profile, h=0.125)
     spec = res.u.spec
-    coarsest = _coarse_spec(_coarse_spec(spec))
-    assert (spec.h1, coarsest.h1) == (0.125, 0.5)
+    coarsest = _coarse_spec(_coarse_spec(_coarse_spec(spec)))
+    assert (spec.h1, coarsest.h1) == (0.125, 1.0)
     assert grids == [coarsest] and res.lu_n1 == coarsest.n1
     assert factors == [_DofMap(coarsest).n + 1]
     assert res.lu_fill > 0 and res.final_residual <= solver.NEWTON_TOL
 
 
 def test_a_coarse_pair_factors_its_own_grid(profile, monkeypatch):
-    # on an h = 0.5 grid there is no cycle: the one matrix assembled and
-    # factored is the solve's own, the grid lu_n1 names
-    p, d, h = _direct_case()
+    # on a grid at the cycle's cap there is no cycle: the one matrix
+    # assembled and factored is the solve's own, the grid lu_n1 names
+    p, d, h = _direct_case(monkeypatch)
     grids, factors = _factored_grids(monkeypatch)
     res = solve_at_separation(p, d, profile, h=h)
     spec = res.u.spec
@@ -898,6 +908,47 @@ def test_a_grid_too_small_to_halve_factors_the_last_grid_that_can(profile, monke
     assert res.u.spec.n1 == n1 and res.lu_n1 == lu_n1
     assert [g.n1 for g in grids] == [lu_n1] and len(factors) == 1
     assert res.final_residual <= solver.NEWTON_TOL
+
+
+def test_only_the_cycles_own_grids_reach_h_1(tmp_path):
+    # an h = 0.5 grid halves to an h = 1.0 grid, the cycle's coarsest;
+    # every grid a case or a field file can name stays capped at h = 0.5
+    spec = GridSpec(20.0, 20.0, 0.5, 0.5, Symmetry.PAIR)
+    assert solver._can_double(spec)
+    coarse = _coarse_spec(spec)
+    assert (coarse.h1, coarse.h2, coarse.n1, coarse.n2) == (1.0, 1.0, 20, 20)
+    assert not solver._can_double(coarse)
+    for h in (0.6, 1.0):
+        with pytest.raises(ValueError, match=r"\(0, 0\.5\]"):
+            GridSpec(20.0, 20.0, h, h, Symmetry.PAIR)
+    with pytest.raises(ValueError, match=r"\bh = 1\.0\b"):
+        solver._grid_for(10.0, 1.0, Symmetry.PAIR)
+    path = tmp_path / "coarse.vsf"
+    save_field(ComplexField(coarse, np.ones((20, 20), complex)), path)
+    with pytest.raises(FieldFormatError, match=r"\(0, 0\.5\]"):
+        load_field(path)
+
+
+def test_each_coarser_level_sweeps_twice_as_often(profile, monkeypatch):
+    # one apply of the h = 0.25 grid's cycle: 2 sweeps on each side of its
+    # coarse correction there, 4 on the h = 0.5 level, then the h = 1.0
+    # factor.  A level of s sweeps makes 2s stencil products: s - 1
+    # before its restriction (the first sweep starts from zero), one for
+    # the residual it restricts, and s after the correction
+    p, V, Z, _, dm, _, _ = _bordered_case("S1", profile)
+    J = _Jacobian(V, p)
+    M, _, n1 = _preconditioner(J, V, Z, p)
+    products = {}
+    matmul = _Jacobian.__matmul__
+
+    def counted(self, x):
+        products[self.spec.n1] = products.get(self.spec.n1, 0) + 1
+        return matmul(self, x)
+
+    monkeypatch.setattr(_Jacobian, "__matmul__", counted)
+    M(np.random.default_rng(37).standard_normal(dm.n + 1), J)
+    assert (V.spec.n1, n1) == (80, 20)
+    assert products == {80: 2 * solver.JACOBI_SWEEPS, 40: 4 * solver.JACOBI_SWEEPS}
 
 
 def test_a_steps_single_precision_copy_goes_with_its_jacobian(profile, monkeypatch):
@@ -962,7 +1013,7 @@ def test_a_solve_computes_corrector_norms_only_when_read(profile, monkeypatch):
     norms = diagnostics.corrector_norms
     monkeypatch.setattr(diagnostics, "corrector_norms",
                         lambda *args: calls.append(args) or norms(*args))
-    p, d, h = _direct_case()
+    p, d, h = _direct_case(monkeypatch)
     res = solve_at_separation(p, d, profile, h=h)
     assert calls == []
     pd = p.with_d(d)
@@ -971,8 +1022,8 @@ def test_a_solve_computes_corrector_norms_only_when_read(profile, monkeypatch):
     assert norms(res.u, res.V_d, pd)["star"] == norms(res.u, V, pd)["star"]
 
 
-def test_spacing_cap_keeps_the_direct_factor(profile):
-    p, d, h = _direct_case()
+def test_spacing_cap_keeps_the_direct_factor(profile, monkeypatch):
+    p, d, h = _direct_case(monkeypatch)
     res = solve_at_separation(p, d, profile, h=h)
     assert res.lu_n1 == res.u.spec.n1
 
@@ -980,8 +1031,8 @@ def test_spacing_cap_keeps_the_direct_factor(profile):
 def test_a_cold_solve_trims_the_heap_once_its_state_is_gone(profile, monkeypatch):
     # a solve at a separation trims once its case is built, before any
     # preconditioner; the cold solve trims again once its preconditioner,
-    # the cycle or (h = 0.5) the direct factor, is freed; a balance's
-    # solve, whose state keeps the preconditioner for the next, does not
+    # the cycle and its factor, is freed; a balance's solve, whose state
+    # keeps the preconditioner for the next, does not
     if platform.libc_ver()[0] == "glibc":
         assert solver._MALLOC_TRIM is not None
     preconds, live_at_trim = [], []
@@ -1000,14 +1051,16 @@ def test_a_cold_solve_trims_the_heap_once_its_state_is_gone(profile, monkeypatch
     p, d, _ = _small_cases()[0]
     for h in (0.25, 0.5):
         solve_at_separation(p, d, profile, h=h)
-    # the cycle's coarse level is a `_preconditioner` of its own, whose M
-    # is its `_bordered_lu`; on h = 0.5 the one level is that factor
+    # each coarse level of the cycle is a `_preconditioner` of its own, and
+    # the coarsest one's M is its `_bordered_lu`: h = 0.25 cycles through
+    # h = 0.5 to the h = 1.0 factor, h = 0.5 straight to it
     assert [name for name, _ in preconds] == ["_bordered_lu", "_preconditioner",
-                                              "_preconditioner", "_bordered_lu",
+                                              "_preconditioner", "_preconditioner",
+                                              "_bordered_lu", "_preconditioner",
                                               "_preconditioner"]
     assert live_at_trim == [0, 0, 0, 0]
     solver._BalanceState().solve(p, d, profile, 0.25)
-    assert len(preconds) == 8 and live_at_trim == [0, 0, 0, 0, 0]
+    assert len(preconds) == 11 and live_at_trim == [0, 0, 0, 0, 0]
 
 
 def test_failures_carry_the_applies_of_each_step(profile, monkeypatch):
@@ -1030,8 +1083,11 @@ def test_failures_carry_the_applies_of_each_step(profile, monkeypatch):
 
 @pytest.mark.parametrize("residual, eta", [
     (0.5, 0.1),     # KRYLOV_FORCING_MAX caps a large residual
-    (1e-5, 1e-5),   # ||F_k|| keeps the convergence quadratic
-    (6e-8, 0.5 * 1e-11 / 6e-8),  # the last step goes only to newton_tol / 2
+    (1e-4, 1e-4),   # ||F_k|| keeps the convergence quadratic
+    # from ||F_k||^2 <= 10 newton_tol on, a step aims at newton_tol / 2,
+    # so it does not end just above newton_tol
+    (5e-6, 0.5 * 1e-11 / 5e-6),
+    (6e-8, 0.5 * 1e-11 / 6e-8),
     (2e-11, 0.1),   # the safeguard is capped too
 ])
 def test_forcing_term(residual, eta):
@@ -1044,11 +1100,14 @@ _positive = st.floats(min_value=5e-324, max_value=1e300)
 @settings(deadline=None, max_examples=500)
 @given(residual=_positive, newton_tol=_positive)
 @example(residual=math.sqrt(0.5e-11), newton_tol=1e-11)
+@example(residual=math.sqrt(1e-10), newton_tol=1e-11)
+@example(residual=5e-6, newton_tol=1e-11)
 def test_forcing_term_has_a_floor_of_its_own(residual, newton_tol):
-    # ||F_k|| times the safeguard is newton_tol / 2, so the larger of them
-    # is at least sqrt(newton_tol / 2): the forcing term needs no floor
+    # ||F_k|| times the safeguard is newton_tol / 2, and the safeguard is
+    # taken only up to ||F_k|| = sqrt(10 newton_tol), where it is
+    # sqrt(newton_tol / 40): the forcing term needs no floor
     eta = solver._forcing_term(residual, newton_tol)
-    assert eta >= min(solver.KRYLOV_FORCING_MAX, math.sqrt(newton_tol / 2))
+    assert eta >= min(solver.KRYLOV_FORCING_MAX, math.sqrt(newton_tol / 40))
 
 
 def test_each_step_is_forced_to_its_residual(profile, monkeypatch):
@@ -1080,11 +1139,11 @@ def test_each_step_is_forced_to_its_residual(profile, monkeypatch):
 def test_forcing_cuts_applies_at_the_same_multiplier(profile, monkeypatch, case):
     # against a fixed forcing (every step to 1e-10), the forcing term
     # gives the same multiplier in fewer preconditioner applies, on the
-    # direct factor and on the two-grid cycle alike
-    p, d, h = _direct_case() if case == "pair" else _small_cases()[1]
+    # direct factor and on the cycle alike
+    p, d, h = _direct_case(monkeypatch) if case == "pair" else _small_cases()[1]
     forced = solve_at_separation(p, d, profile, h=h, newton_tol=1e-11)
     assert forced.lu_n1 == (forced.u.spec.n1 if case == "pair"
-                            else math.ceil(forced.u.spec.n1 / 2))
+                            else _two_levels_down(forced.u.spec.n1))
     monkeypatch.setattr(solver, "_forcing_term", lambda residual, newton_tol: 1e-10)
     fixed = solve_at_separation(p, d, profile, h=h, newton_tol=1e-11)
     assert forced.final_residual <= 1e-11

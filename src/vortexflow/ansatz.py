@@ -142,19 +142,23 @@ def build_pair(params: ModelParams, spec: GridSpec, profile: VortexProfile) -> C
     return ComplexField(spec, symmetrize_complex(data))
 
 
+def _smooth_fall(t):
+    """1 - t^2 (3 - 2t), the C^1 cubic from 1 at t = 0 to 0 at t = 1 of
+    both cutoffs; t is clipped to [0, 1] by the caller."""
+    return 1.0 - t * t * (3.0 - 2.0 * t)
+
+
 def smoothstep_cutoff(s):
     """C^1 plateau cutoff: 1 on [0, 1], 0 on [2, inf), cubic in between."""
     s = np.asarray(s, dtype=float)
-    t = np.clip(s - 1.0, 0.0, 1.0)
-    return 1.0 - t * t * (3.0 - 2.0 * t)
+    return _smooth_fall(np.clip(s - 1.0, 0.0, 1.0))
 
 
 def _chi(ell1, d):
     """Radial cutoff around e1: 1 inside CHI_INNER_FRAC * d, 0 outside
     CHI_OUTER_FRAC * d."""
     r_in, r_out = CHI_INNER_FRAC * d, CHI_OUTER_FRAC * d
-    t = np.clip((ell1 - r_in) / (r_out - r_in), 0.0, 1.0)
-    return 1.0 - t * t * (3.0 - 2.0 * t)
+    return _smooth_fall(np.clip((ell1 - r_in) / (r_out - r_in), 0.0, 1.0))
 
 
 def _phi_s_samples(spec: GridSpec, d):

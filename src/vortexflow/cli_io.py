@@ -29,11 +29,11 @@ import numpy as np
 from .ansatz import ModelParams, Regime, build_ansatz
 from .diagnostics import build_report, corrector_norms, error_field
 from .fields import MAX_FIELD_SAMPLES, ComplexField, GridSpec, ScalarField, Symmetry
-from .profile import solve_profile, profile_integrals
+from .profile import ODE_TOL, solve_profile, profile_integrals
 from .reconstruct import pde_residual, sample_block, unscale
 from .reduction import leading_c, predict_d
-from .solver import (NEWTON_MAX, NEWTON_TOL, BracketError, NonConvergenceError, _grid_for,
-                     check_tolerances, solve_at_separation, solve_balanced)
+from .solver import (NEWTON_TOL, BracketError, NonConvergenceError, _grid_for, check_tolerances,
+                     solve_at_separation, solve_balanced)
 
 MAGIC = b"VSF1"
 # `reconstruct` samples a block 11 h / 2 wide per spatial axis, h the field
@@ -137,8 +137,6 @@ class RunConfig:
     d_lo: float = 0.0
     d_hi: float = 0.0
     h: float = 0.25
-    step: float = 1e-3
-    newton_max: int = NEWTON_MAX
     newton_tol: float = NEWTON_TOL
 
     @classmethod
@@ -186,16 +184,11 @@ def _params_section(p: ModelParams):
     }
 
 
-def _profile(cfg):
+def _profile():
     try:
-        return solve_profile(step=cfg.step)
+        return solve_profile()
     except RuntimeError as exc:
         raise NonConvergenceError(f"profile: {exc}") from None
-
-
-def _solve_opts(cfg):
-    check_tolerances(cfg.newton_tol, cfg.newton_max)
-    return {"newton_max": cfg.newton_max, "newton_tol": cfg.newton_tol}
 
 
 def _report_entries(rep):
@@ -207,7 +200,7 @@ def _report_entries(rep):
 
 
 def _cmd_profile(cfg, out, args):
-    prof = _profile(cfg)
+    prof = _profile()
     I1, I2 = profile_integrals(prof)
     write_csv(out / "profile.csv", ["ell", "rho", "drho"],
               zip(prof.knots, prof.rho, prof.drho), notes=[("I1", I1), ("I2", I2)])
@@ -216,15 +209,15 @@ def _cmd_profile(cfg, out, args):
         ("profile", {
             "slope_a": prof.slope_a, "tail_c0": prof.tail_c0,
             "knots": len(prof.knots), "I1": I1, "I2": I2,
-            "ode_tol": prof.ode_tol,
+            "ode_tol": ODE_TOL,
         }),
     ])
 
 
 def _cmd_build(cfg, out, args):
     params = cfg.params()
-    opts = _solve_opts(cfg)
-    prof = _profile(cfg)
+    check_tolerances(cfg.newton_tol)
+    prof = _profile()
     sections = [("config", cfg.echo()), ("params", _params_section(params))]
     if args.ansatz_only:
         V = build_ansatz(params, _grid_for(params.d, cfg.h, params.symmetry), prof)
@@ -235,7 +228,7 @@ def _cmd_build(cfg, out, args):
             **_report_entries(build_report(V)),
         }))
     else:
-        res = solve_at_separation(params, params.d, prof, h=cfg.h, **opts)
+        res = solve_at_separation(params, params.d, prof, h=cfg.h, newton_tol=cfg.newton_tol)
         field_path = out / "solution.vsf"
         save_field(res.u, field_path)
         rep = build_report(res.u, params, res.V_d)
@@ -252,7 +245,7 @@ def _cmd_build(cfg, out, args):
 
 def _cmd_reduce(cfg, out, args):
     params = cfg.params()
-    opts = _solve_opts(cfg)
+    check_tolerances(cfg.newton_tol)
     if not (cfg.d_lo >= 0 and cfg.d_hi >= 0):
         raise ConfigError(f"d_lo and d_hi must be >= 0 (0 means the default), "
                           f"got {cfg.d_lo} and {cfg.d_hi}")
@@ -266,7 +259,8 @@ def _cmd_reduce(cfg, out, args):
     d_hi = cfg.d_hi if cfg.d_hi > 0 else 2 * d_ref
     if not 1.0 < d_lo < d_hi:
         raise ConfigError(f"need 1 < d_lo < d_hi, got d_lo = {d_lo} and d_hi = {d_hi}")
-    res, d_star = solve_balanced(params, (d_lo, d_hi), _profile(cfg), h=cfg.h, **opts)
+    res, d_star = solve_balanced(params, (d_lo, d_hi), _profile(), h=cfg.h,
+                                 newton_tol=cfg.newton_tol)
     field_path = out / "solution.vsf"
     save_field(res.u, field_path)
     write_csv(out / "curve.csv", ["d", "c", "n1", "lu_reused", "warm_start", "c_leading"],
@@ -342,15 +336,15 @@ def _cmd_sweep(cfg, out, args):
     except ValueError:
         raise ConfigError(f"--eps-list must be comma-separated numbers, "
                           f"got {args.eps_list!r}") from None
-    opts = _solve_opts(cfg)
+    check_tolerances(cfg.newton_tol)
     cases = [replace(cfg, eps=eps).params() for eps in eps_list]
     specs = [_grid_for(p.d, cfg.h, p.symmetry) for p in cases]  # before the profile solve
-    prof = _profile(cfg)
+    prof = _profile()
     rows = []
     for params, spec in zip(cases, specs):
         row = {"eps": params.eps, "d": params.d}
         if args.solve:
-            res = solve_at_separation(params, params.d, prof, h=cfg.h, **opts)
+            res = solve_at_separation(params, params.d, prof, h=cfg.h, newton_tol=cfg.newton_tol)
             row.update(error_norm_star2=error_field(res.V_d, params)[1],
                        corrector_norm_star=corrector_norms(res.u, res.V_d, params)["star"],
                        c_mult=res.c_mult, newton_iters=res.newton_iters)

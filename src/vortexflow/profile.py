@@ -18,13 +18,16 @@ Problems for ODEs, SIAM 1995).  The start does not change the discrete
 solution Newton reaches: against Newton started from a shot of an RK4
 bisection on the origin slope (ell_max in {20, 25, 30}, step 1e-2 to
 2e-4, tol 1e-11 to 1e-10), the knots agree to max |d rho| = 3.4e-12
-(1.1e-16 at the defaults).  Newton aims at NEWTON_TARGET whatever `tol`
-is (a looser target leaves the far tail, where 1 - rho ~ 1e-13,
-unconverged and above 1), and stops early only where it stalls at the
-evaluation-noise floor; `tol` bounds the accepted residual (10 tol).  That floor, the rounding
-of the second difference, is about 2e-16 / step^2 (2e-10 at step 1e-3),
-so a `tol` below a tenth of it, TOL_FLOOR / step^2, cannot be met and is
-rejected up front.
+(1.1e-16 at the constants below).  Newton aims at NEWTON_TARGET (a
+looser target leaves the far tail, where 1 - rho ~ 1e-13, unconverged
+and above 1), and stops early only where it stalls at the
+evaluation-noise floor, the rounding of the second difference, about
+2e-16 / STEP^2 (2e-10); ODE_TOL bounds the accepted residual (10
+ODE_TOL).
+
+Every soliton is built from this one profile, so its domain, knot
+spacing and tolerance are constants (ELL_MAX, STEP, ODE_TOL), read when
+`solve_profile` is called.
 """
 
 import math
@@ -38,8 +41,11 @@ from scipy.sparse.linalg import splu
 ELL0 = 1e-3
 NEWTON_TARGET = 1e-12  # max-norm collocation residual, near the noise floor
 TAIL_FIT_WINDOW = (8.0, 14.0)
-# tol * step^2 below this is under the rounding floor of the residual
-TOL_FLOOR = 2e-17
+# the knot range [ELL0, ELL_MAX]: past ell ~ 30, 1 - rho(ELL_MAX) is ~100
+# ulps and the (0, 1) check of `solve_profile` passes or fails by rounding
+ELL_MAX = 30.0
+STEP = 1e-3  # knot spacing
+ODE_TOL = 1e-10  # the accepted residual is at most 10 ODE_TOL
 
 
 @dataclass(frozen=True)
@@ -49,7 +55,6 @@ class VortexProfile:
     drho: np.ndarray
     slope_a: float
     tail_c0: float
-    ode_tol: float
     _rho_spline: CubicSpline = field(repr=False, compare=False, default=None)
     _drho_spline: CubicSpline = field(repr=False, compare=False, default=None)
 
@@ -119,20 +124,9 @@ def _tail_fit(ell, rho):
     return float(slope), float(math.exp(intercept))
 
 
-def solve_profile(ell_max=30.0, step=1e-3, tol=1e-10) -> VortexProfile:
-    """Solve the core profile ODE on [ELL0, ell_max] with knot spacing `step`."""
-    # past ell ~ 30, 1 - rho(ell_max) is ~100 ulps and the (0, 1) check below
-    # passes or fails by rounding
-    if not (20.0 <= ell_max <= 30.0):
-        raise ValueError("ell_max must lie in [20, 30]")
-    if not (0.0 < step <= 1e-2):
-        raise ValueError("step must lie in (0, 1e-2]")
-    if not (1e-11 <= tol <= 1e-8):
-        raise ValueError("tol must lie in [1e-11, 1e-8]")
-    if tol < TOL_FLOOR / step**2:
-        raise ValueError(f"tol {tol:g} is below the rounding floor of the residual "
-                         f"at step {step:g} ({TOL_FLOOR:g} / step^2 = {TOL_FLOOR / step**2:.1e})")
-
+def solve_profile() -> VortexProfile:
+    """Solve the core profile ODE on [ELL0, ELL_MAX] with knot spacing STEP."""
+    ell_max, step = ELL_MAX, STEP
     n = int(round((ell_max - ELL0) / step)) + 1
     ell = ELL0 + step * np.arange(n)
 
@@ -169,11 +163,11 @@ def solve_profile(ell_max=30.0, step=1e-3, tol=1e-10) -> VortexProfile:
     slope_fit, c0 = _tail_fit(ell, rho)
     prof = VortexProfile(
         knots=ell, rho=rho.copy(), drho=drho, slope_a=float(rho[0] / ELL0),
-        tail_c0=c0, ode_tol=tol,
+        tail_c0=c0,
     )
     resid = np.max(np.abs(ode_residual(prof)))
-    if resid > 10.0 * tol:
-        raise RuntimeError(f"collocation residual {resid:.3e} exceeds 10*tol")
+    if resid > 10.0 * ODE_TOL:
+        raise RuntimeError(f"collocation residual {resid:.3e} exceeds 10 ODE_TOL")
     if not (np.all(prof.rho > 0.0) and np.all(prof.rho < 1.0) and np.all(prof.drho > 0.0)):
         raise RuntimeError("profile is not strictly monotone inside (0, 1)")
     return prof

@@ -138,7 +138,7 @@ from .stereo import nonlinearity_F
 # accepted: the multiplier's noise floor must stay below the |c| scale at
 # which solve_balanced stops (BALANCE_C_RTOL)
 NEWTON_TOL = 1e-11
-# default newton_max
+# most Newton steps of one solve, read when the solve runs
 NEWTON_MAX = 50
 # restart length and restart cycles of `gmres`: its V (restart + 1
 # float64 vectors) and Z (restart vectors in the precision M returns)
@@ -635,7 +635,9 @@ def gmres(A, b, *, M, rtol):
     Each restart cycle (GMRES_RESTART steps, at most GMRES_MAXITER
     cycles) ends on the true residual b - A x.  Returns (x, info): info
     is 0 when ||b - A x|| <= rtol ||b||, else the number of M applies
-    made."""
+    made.  A non-finite Hessenberg column, which a non-finite M output
+    or an overflowing product makes, stops it there unconverged, with x
+    as the last restart cycle left it."""
     n, restart = b.size, GMRES_RESTART
     x = np.zeros(n)
     beta = bnorm = float(np.linalg.norm(b))
@@ -654,20 +656,24 @@ def gmres(A, b, *, M, rtol):
         np.divide(r, beta, out=V[0])
         k = 0
         while k < restart:
-            z = M(V[k])
-            if Z is None:
-                Z = np.empty((restart, n), dtype=z.dtype)
-            Z[k] = z
-            del z
-            applies += 1
-            w = A(Z[k])
-            # classical Gram-Schmidt, done twice to keep V orthogonal
-            h = V[: k + 1] @ w
-            w -= h @ V[: k + 1]
-            h2 = V[: k + 1] @ w
-            w -= h2 @ V[: k + 1]
-            hk = float(np.linalg.norm(w))
-            col = np.append(h + h2, hk)
+            # a diverging M overflows; its column is refused below
+            with np.errstate(over="ignore", invalid="ignore"):
+                z = M(V[k])
+                if Z is None:
+                    Z = np.empty((restart, n), dtype=z.dtype)
+                Z[k] = z
+                del z
+                applies += 1
+                w = A(Z[k])
+                # classical Gram-Schmidt, done twice to keep V orthogonal
+                h = V[: k + 1] @ w
+                w -= h @ V[: k + 1]
+                h2 = V[: k + 1] @ w
+                w -= h2 @ V[: k + 1]
+                hk = float(np.linalg.norm(w))
+                col = np.append(h + h2, hk)
+            if not np.isfinite(col).all():
+                return x, applies
             for i in range(k):  # earlier rotations on the new column
                 col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
                                       cs[i] * col[i + 1] - sn[i] * col[i])
@@ -715,17 +721,15 @@ def _forcing_term(residual, newton_tol):
     return min(KRYLOV_FORCING_MAX, residual)
 
 
-def check_tolerances(newton_tol=NEWTON_TOL, newton_max=NEWTON_MAX):
+def check_tolerances(newton_tol):
     """ValueError unless newton_tol is finite and > 0 (a nan newton_tol
-    would accept the unsolved start) and newton_max >= 1."""
+    would accept the unsolved start)."""
     if not 0.0 < newton_tol < math.inf:
         raise ValueError(f"newton_tol must be finite and > 0, got {newton_tol}")
-    if not newton_max >= 1:
-        raise ValueError(f"newton_max must be >= 1, got {newton_max}")
 
 
 def solve_projected(params: ModelParams, V_d: ComplexField, Z_d: ComplexField,
-                    newton_max=NEWTON_MAX, newton_tol=NEWTON_TOL) -> SolveResult:
+                    newton_tol=NEWTON_TOL) -> SolveResult:
     """Damped Newton on the bordered system (u, c): the cold solve.
 
     Newton starts from the ansatz, on a preconditioner built there (the
@@ -733,23 +737,21 @@ def solve_projected(params: ModelParams, V_d: ComplexField, Z_d: ComplexField,
     Jacobian's factor); the solve lets it go and then gives the heap it
     freed back to the OS (`_release_freed_memory`).  Step k solves its
     GMRES to `_forcing_term(||F_k||, newton_tol)`, ||F_k|| being the
-    residual it starts from.  The solve is accepted iff its final
-    residual is at most `newton_tol`; otherwise it raises
+    residual it starts from.  The solve is accepted iff its residual
+    reaches `newton_tol` within NEWTON_MAX steps; otherwise it raises
     `NonConvergenceError`, or `KrylovStagnationError` when a step's GMRES
-    stops short of its forcing term.  newton_tol must be finite and > 0,
-    and newton_max at least 1.
+    stops short of its forcing term.  newton_tol must be finite and > 0.
 
     A solve of `solve_balanced` comes here too, and the balance runs its
     Newton instead (`_BalanceState.run`), with what the solve before it
     handed on."""
     _check_grid(V_d, params)
-    check_tolerances(newton_tol, newton_max)
-    opts = dict(newton_max=newton_max, newton_tol=newton_tol)
+    check_tolerances(newton_tol)
     balance = _BALANCE.get()
     if balance is not None:
-        return balance.run(params, V_d, Z_d, **opts)
+        return balance.run(params, V_d, Z_d, newton_tol=newton_tol)
     # indexed, so no name holds the preconditioner past this line
-    res = _newton(params, V_d, Z_d, **opts)[0]
+    res = _newton(params, V_d, Z_d, newton_tol=newton_tol)[0]
     _release_freed_memory()
     return res
 
@@ -793,8 +795,7 @@ def _residual(params, V_d, Z_d):
     return residual, norm, z_col, grad_con
 
 
-def _newton(params, V_d, Z_d, precond=None, start=None, R=None, *,
-            newton_max=NEWTON_MAX, newton_tol=NEWTON_TOL):
+def _newton(params, V_d, Z_d, precond=None, start=None, R=None, *, newton_tol=NEWTON_TOL):
     """One Newton run on the grid of V_d; returns (SolveResult, the
     preconditioner it used: `precond`, or one built at V_d when that is
     None).  Newton starts from `start`, a (u array, c), or from the
@@ -814,18 +815,17 @@ def _newton(params, V_d, Z_d, precond=None, start=None, R=None, *,
     if warm or J is None:
         J = None  # the ansatz's coefficients go before the start's are computed
         J = _Jacobian(ComplexField(spec, u.copy()), params)
-    jac = {"J": J}  # the first Newton step uses J; later steps replace it
-    del J
 
     applies = 0
 
+    # apply_M and matvec read J, the Jacobian of the step in progress
     def apply_M(v):
         nonlocal applies
         applies += 1
-        return precond(v, jac["J"])
+        return precond(v, J)
 
     def matvec(x):
-        top = jac["J"] @ x[:-1] - x[-1] * z_col
+        top = J @ x[:-1] - x[-1] * z_col
         bot = float(np.dot(grad_con, x[:-1]))
         return np.concatenate([top, [bot]])
 
@@ -835,10 +835,10 @@ def _newton(params, V_d, Z_d, precond=None, start=None, R=None, *,
     residuals = [best]
     iters = 0
     krylov_iters = []
-    while iters < newton_max and best > newton_tol:
+    while iters < NEWTON_MAX and best > newton_tol:
         if iters > 0:
-            jac["J"] = None  # release the old coefficients before computing the new
-            jac["J"] = _Jacobian(ComplexField(spec, u.copy()), params)
+            J = None  # release the old coefficients before computing the new
+            J = _Jacobian(ComplexField(spec, u.copy()), params)
         applies = 0
         eta = _forcing_term(best, newton_tol)
         sol, info = gmres(matvec, -R, M=apply_M, rtol=eta)
@@ -907,17 +907,17 @@ def balance_x(d, ring):
 
 
 def solve_at_separation(params: ModelParams, d: float, profile: VortexProfile,
-                        h=0.25, **opts) -> SolveResult:
+                        h=0.25, newton_tol=NEWTON_TOL) -> SolveResult:
     """Grid (`_grid_for`, L = 2d per side), ansatz and co-kernel at
-    separation d, then the cold projected solve (`solve_projected`).  The
-    options and the grid's size are checked before the case is built, and
+    separation d, then the cold projected solve (`solve_projected`).
+    newton_tol and the grid's size are checked before the case is built, and
     the heap the build freed is given back to the OS before the solve
     (`_release_freed_memory`)."""
-    check_tolerances(**opts)
+    check_tolerances(newton_tol)
     p = params.with_d(d)
     V, Z = build_case(p, _grid_for(d, h, p.symmetry), profile)
     _release_freed_memory()
-    return solve_projected(p, V, Z, **opts)
+    return solve_projected(p, V, Z, newton_tol=newton_tol)
 
 
 def _secant_d(d_prev, c_prev, d_cur, c_cur, d_lo, d_hi, ring):
@@ -953,7 +953,7 @@ class _BalanceState:
         self.c = 0.0
         self.fallbacks = 0       # solves redone cold after failing on reused state
 
-    def solve(self, params, d, profile, h, **opts):
+    def solve(self, params, d, profile, h, newton_tol=NEWTON_TOL):
         """The solve at separation d: `solve_at_separation`, whose
         `solve_projected` hands its Newton run to `run` while this state
         is the balance in progress.  A change of grid drops the held
@@ -964,17 +964,18 @@ class _BalanceState:
             self.spec = spec
         token = _BALANCE.set(self)
         try:
-            return solve_at_separation(params, d, profile, h, **opts)
+            return solve_at_separation(params, d, profile, h, newton_tol=newton_tol)
         finally:
             _BALANCE.reset(token)
 
-    def run(self, params, V, Z, **opts):
+    def run(self, params, V, Z, newton_tol=NEWTON_TOL):
         """Newton on the case (V, Z) of the held grid, with the held
         preconditioner and from the last corrector when that start has
         the smaller residual.  A run that fails on either is redone cold."""
         start, R = self._warm_start(params, V, Z)
         try:
-            res, self.precond = _newton(params, V, Z, self.precond, start, R, **opts)
+            res, self.precond = _newton(params, V, Z, self.precond, start, R,
+                                        newton_tol=newton_tol)
         except NonConvergenceError:
             if self.precond is None and start is None:
                 raise  # the run was already the cold one
@@ -983,7 +984,7 @@ class _BalanceState:
             start = R = None
             self.fallbacks += 1
             self.precond = self.corrector = None
-            res, self.precond = _newton(params, V, Z, **opts)
+            res, self.precond = _newton(params, V, Z, newton_tol=newton_tol)
         self.corrector = ComplexField(V.spec, res.u.data - V.data)
         self.c = res.c_mult
         return res
@@ -1017,7 +1018,7 @@ _BALANCE = ContextVar("vortexflow_balance", default=None)
 
 
 def solve_balanced(params: ModelParams, d_bracket, profile: VortexProfile, h=0.25,
-                   **opts):
+                   newton_tol=NEWTON_TOL):
     """Safeguarded secant for c_mult(d) = 0; returns (SolveResult, d_star).
 
     The secant is taken in X(d) (`balance_x`), in which the leading-order
@@ -1035,7 +1036,7 @@ def solve_balanced(params: ModelParams, d_bracket, profile: VortexProfile, h=0.2
     NEWTON_TOL (see `solve_projected`).  A bracket that does not satisfy
     0 < d_lo < d_hi < inf, or whose ends give a d_hat or a grid out of
     range (both grow with d), raises ValueError before a solve."""
-    check_tolerances(**opts)
+    check_tolerances(newton_tol)
     d_lo, d_hi = d_bracket
     if not 0.0 < d_lo < d_hi < math.inf:
         raise ValueError(f"need a bracket 0 < d_lo < d_hi < inf, got ({d_lo}, {d_hi})")
@@ -1047,7 +1048,7 @@ def solve_balanced(params: ModelParams, d_bracket, profile: VortexProfile, h=0.2
     history = []
 
     def solve(d):
-        r = state.solve(params, d, profile, h, **opts)
+        r = state.solve(params, d, profile, h, newton_tol=newton_tol)
         history.append((d, r.c_mult, r.u.spec.n1, r.lu_reused, r.warm_start))
         return r
 

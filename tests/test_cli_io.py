@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vortexflow import ansatz, cli_io
+from vortexflow import ansatz, cli_io, solver
 from vortexflow.cli_io import (ConfigError, FieldFormatError, RunConfig,
                                load_field, main, save_field)
 from vortexflow.fields import ComplexField, GridSpec, ScalarField, Symmetry
@@ -83,14 +83,14 @@ def test_config_parsing(tmp_path):
         RunConfig.from_file(invalid).params()
 
     typed = tmp_path / "typed.cfg"
-    typed.write_text("newton_max = 3\n")
-    newton_max = RunConfig.from_file(typed).newton_max
-    assert newton_max == 3 and type(newton_max) is int
+    typed.write_text("h = 1\n")
+    h = RunConfig.from_file(typed).h
+    assert h == 1.0 and type(h) is float
 
-    fractional = tmp_path / "fractional.cfg"
-    fractional.write_text("newton_max = 2.5\n")
+    malformed = tmp_path / "malformed.cfg"
+    malformed.write_text("h = 0.5.5\n")
     with pytest.raises(ConfigError):
-        RunConfig.from_file(fractional)
+        RunConfig.from_file(malformed)
 
 
 def test_cli_invalid_config_exit_2(tmp_path):
@@ -167,8 +167,9 @@ def test_mutated_field_loads_or_raises_format_error(valid_vsf, tmp_path_factory,
 
 # config keys that no longer exist: `points` (the sampled c(d) curve),
 # `krylov_tol` (the forcing term's floor), `l` (a side other than the case's
-# 2d) and `ell_max` and `tol` (the profile solve's, always at their defaults)
-RETIRED_KEYS = {"points", "krylov_tol", "l", "ell_max", "tol"}
+# 2d), `ell_max`, `tol` and `step` (the profile solve's, now the constants
+# of `profile`) and `newton_max` (now `solver.NEWTON_MAX`)
+RETIRED_KEYS = {"points", "krylov_tol", "l", "ell_max", "tol", "step", "newton_max"}
 
 
 @pytest.mark.parametrize("line, command", [
@@ -178,7 +179,7 @@ RETIRED_KEYS = {"points", "krylov_tol", "l", "ell_max", "tol"}
     ("h = 0.7", ["reduce"]),
     ("points = 1", ["reduce"]),  # a retired key is refused as unknown
     ("ell_max = 5", ["profile"]),  # a retired key is refused as unknown
-    ("step = 0.5", ["profile"]),
+    ("step = 0.5", ["profile"]),  # a retired key is refused as unknown
     ("tol = 0", ["profile"]),  # a retired key is refused as unknown
     ("regime = ring_wm\neps = 0.2", ["reduce"]),  # predict_d has no root: no default bracket
     ("", ["sweep", "--eps-list", "abc"]),
@@ -193,8 +194,8 @@ RETIRED_KEYS = {"points", "krylov_tol", "l", "ell_max", "tol"}
     ("krylov_tol = inf", ["reduce"]),
     ("tol = 1e-11", ["profile"]),  # a retired key is refused as unknown
     ("step = 2e-4\ntol = 1e-10", ["profile"]),  # a retired key is refused as unknown
-    ("newton_max = 0", ["pair"]),
-    ("newton_max = -3", ["reduce"]),
+    ("newton_max = 0", ["pair"]),  # a retired key is refused as unknown
+    ("newton_max = -3", ["reduce"]),  # a retired key is refused as unknown
     ("l = -4", ["pair"]),  # a retired key is refused as unknown
     ("l = -4", ["sweep", "--eps-list", "0.1"]),  # a retired key is refused as unknown
     ("d_lo = -5", ["reduce"]),
@@ -310,9 +311,11 @@ def test_cli_sweep_solves_on_its_error_norm_grid(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", [
     ["pair"], ["sweep", "--eps-list", "0.1", "--solve"], ["reduce"]])
-def test_cli_newton_max_reaches_every_solve(tmp_path, command):
+def test_cli_newton_max_reaches_every_solve(tmp_path, monkeypatch, command):
+    # every command's solves read solver.NEWTON_MAX when they run
+    monkeypatch.setattr(solver, "NEWTON_MAX", 1)
     cfg = tmp_path / "one_step.cfg"
-    cfg.write_text("eps = 0.1\nh = 0.5\nnewton_max = 1\nnewton_tol = 1e-30\n")
+    cfg.write_text("eps = 0.1\nh = 0.5\nnewton_tol = 1e-30\n")
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out")] + command) == 3
 
 
@@ -430,7 +433,7 @@ def test_cli_any_config_value_exits_0_or_2(tmp_path, pair_ansatz_file, key, valu
                                           capsys):
     # main maps every value a command refuses to exit 2; none may escape it
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"step = 0.01\n{key} = {value}\n")
+    cfg.write_text(f"{key} = {value}\n")
     args = ["pair", "--ansatz-only"] if command == "pair" else [command, str(pair_ansatz_file)]
     code = main(["--config", str(cfg), "--out", str(tmp_path / "out")] + args)
     assert code in (0, 2)
@@ -460,15 +463,34 @@ def test_cli_pair_full_solve(tmp_path):
     assert "c_mult" in rep and "newton_iters" in rep and "corrector_norm_star" in rep
 
 
-def test_cli_residual_above_newton_tol_exit_3(tmp_path):
+def test_cli_residual_above_newton_tol_exit_3(tmp_path, monkeypatch):
     # two Newton steps end near 2e-10, above newton_tol: a solver failure
+    monkeypatch.setattr(solver, "NEWTON_MAX", 2)
     cfg = tmp_path / "two_steps.cfg"
-    cfg.write_text("h = 0.5\nnewton_max = 2\nnewton_tol = 1e-11\n")
+    cfg.write_text("h = 0.5\nnewton_tol = 1e-11\n")
     assert main(["--config", str(cfg), "--out", str(tmp_path / "x"), "pair", "--eps", "0.1"]) == 3
 
 
-def test_cli_solver_failure_exit_3(tmp_path):
+def test_cli_solver_failure_exit_3(tmp_path, monkeypatch):
+    monkeypatch.setattr(solver, "NEWTON_MAX", 1)
     cfg = tmp_path / "hard.cfg"
-    cfg.write_text("eps = 0.1\nnewton_max = 1\nnewton_tol = 1e-30\n")
+    cfg.write_text("eps = 0.1\nnewton_tol = 1e-30\n")
     code = main(["--config", str(cfg), "--out", str(tmp_path / "x"), "pair"])
     assert code == 3
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_cli_non_finite_preconditioner_exit_3(tmp_path, monkeypatch, capsys, value):
+    # a preconditioner that returns a non-finite vector fails GMRES's first
+    # apply as a stagnated step, a solver failure, not a refused value
+    real = solver._preconditioner
+
+    def poisoned(*args, **kwargs):
+        M, fill, n1 = real(*args, **kwargs)
+        return (lambda v, J: np.full_like(M(v, J), value)), fill, n1
+
+    monkeypatch.setattr(solver, "_preconditioner", poisoned)
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text("h = 0.5\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "x"), "pair", "--eps", "0.1"]) == 3
+    assert "GMRES stagnated at Newton step 1" in capsys.readouterr().err

@@ -4,23 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from vortexflow.profile import eval_profile, ode_residual, profile_integrals, solve_profile
-
-
-def test_argument_validation():
-    with pytest.raises(ValueError):
-        solve_profile(ell_max=10.0)
-    with pytest.raises(ValueError):
-        solve_profile(ell_max=31.0)
-    with pytest.raises(ValueError):
-        solve_profile(step=0.05)
-    with pytest.raises(ValueError):
-        solve_profile(tol=1e-6)
-    # in [1e-11, 1e-8] but below the rounding floor 2e-17 / step^2
-    with pytest.raises(ValueError, match="rounding floor"):
-        solve_profile(step=1e-3, tol=1e-11)
-    with pytest.raises(ValueError, match="rounding floor"):
-        solve_profile(step=2e-4, tol=1e-10)
+from vortexflow import profile as profile_mod
+from vortexflow.profile import (ODE_TOL, eval_profile, ode_residual, profile_integrals,
+                                solve_profile)
 
 
 def test_default_solution_pinned(profile):
@@ -40,10 +26,12 @@ def test_default_solution_pinned(profile):
         assert close(profile.rho[k], rho), k
 
 
-def test_loose_tol_still_converges_the_far_tail():
-    # a loose tol on a fine grid: Newton still runs to its own target, so
-    # the tail, where 1 - rho ~ 1e-13, stays below 1
-    p = solve_profile(30.0, 2e-4, 1e-8)
+def test_loose_tol_still_converges_the_far_tail(monkeypatch):
+    # a loose ODE_TOL on a fine grid: Newton still runs to its own target,
+    # so the tail, where 1 - rho ~ 1e-13, stays below 1
+    monkeypatch.setattr(profile_mod, "STEP", 2e-4)
+    monkeypatch.setattr(profile_mod, "ODE_TOL", 1e-8)
+    p = solve_profile()
     assert np.all(p.rho > 0.0) and np.all(p.rho < 1.0) and np.all(p.drho > 0.0)
     assert np.max(np.abs(ode_residual(p))) <= 1e-7
 
@@ -52,7 +40,7 @@ def test_profile_shape_invariants(profile):
     assert np.all(profile.rho > 0.0) and np.all(profile.rho < 1.0)
     assert np.all(profile.drho > 0.0)
     assert profile.rho[-1] >= 1.0 - 1e-5
-    assert abs(profile.rho[0] - profile.slope_a * profile.knots[0]) < profile.ode_tol
+    assert abs(profile.rho[0] - profile.slope_a * profile.knots[0]) < ODE_TOL
 
 
 def test_ode_residual_small(profile):
@@ -99,8 +87,10 @@ def test_truncated_integrals_close(profile):
     assert abs(I1 - J1) < 1e-4 and abs(I2 - J2) < 1e-4
 
 
-def test_step_halving_stability(profile):
-    coarse = solve_profile(step=2e-3)
+def test_step_halving_stability(profile, monkeypatch):
+    monkeypatch.setattr(profile_mod, "STEP", 2e-3)
+    coarse = solve_profile()
+    assert coarse.knots[1] - coarse.knots[0] == pytest.approx(2e-3)
     r_fine, _ = eval_profile(profile, 5.0)
     r_coarse, _ = eval_profile(coarse, 5.0)
     assert abs(r_fine - r_coarse) <= (2e-3) ** 2 * 10

@@ -240,12 +240,12 @@ def test_loose_newton_tol_is_honoured(profile):
     assert 1e-8 < res.final_residual <= 1e-4
 
 
-def test_residual_above_newton_tol_is_not_accepted(profile):
+def test_residual_above_newton_tol_is_not_accepted(profile, monkeypatch):
     # two steps end near 2e-10: above newton_tol, so the solve fails
     # rather than being accepted at a looser floor
+    monkeypatch.setattr(solver, "NEWTON_MAX", 2)
     with pytest.raises(solver.NonConvergenceError) as err:
-        solve_at_separation(pair_params(eps=0.1), 10.0, profile, h=0.5,
-                            newton_tol=1e-11, newton_max=2)
+        solve_at_separation(pair_params(eps=0.1), 10.0, profile, h=0.5, newton_tol=1e-11)
     assert err.value.last_residual > 1e-11
     assert len(err.value.krylov_iters) == 2
 
@@ -416,15 +416,15 @@ def test_short_krylov_solve_raises(profile, monkeypatch):
     # cycle of one apply GMRES stops with info != 0, and a GMRES that
     # stops short of its forcing term fails the solve
     p = pair_params(eps=0.1)
-    opts = dict(newton_max=1, newton_tol=1e-3)
-    plain = solve_at_separation(p, 8.125, profile, h=0.25, **opts)
+    monkeypatch.setattr(solver, "NEWTON_MAX", 1)
+    plain = solve_at_separation(p, 8.125, profile, h=0.25, newton_tol=1e-3)
     assert plain.newton_iters == 1 and plain.final_residual <= 1e-3
     assert plain.krylov_iters[0] > 1
     monkeypatch.setattr(solver, "GMRES_MAXITER", 1)
     monkeypatch.setattr(solver, "GMRES_RESTART", 1)
     eta = solver._forcing_term(plain.newton_residuals[0], 1e-3)
     with pytest.raises(solver.KrylovStagnationError, match=f"eta={eta:.2e}") as err:
-        solve_at_separation(p, 8.125, profile, h=0.25, **opts)
+        solve_at_separation(p, 8.125, profile, h=0.25, newton_tol=1e-3)
     assert len(err.value.krylov_iters) == 1 and err.value.krylov_iters[0] >= 1
     assert err.value.newton_residuals == (err.value.last_residual,)
     assert err.value.newton_residuals[0] == plain.newton_residuals[0]
@@ -575,6 +575,18 @@ def test_gmres_keeps_a_float32_preconditioners_vectors_in_float32():
     assert basis <= peak <= basis + 8 * 8 * n
 
 
+@pytest.mark.parametrize("A, M", [
+    (lambda v: 2.0 * v, lambda v: np.full_like(v, math.nan)),
+    (lambda v: 2.0 * v, lambda v: np.full_like(v, math.inf, dtype=np.float32)),
+    (lambda v: 1e308 * v, lambda v: 1e10 * v),  # a finite M whose product overflows
+], ids=["M-nan", "M-inf", "A-overflow"])
+def test_gmres_stops_unconverged_on_a_non_finite_column(A, M):
+    # the first apply's Hessenberg column is not finite: GMRES stops there,
+    # with no floating-point warning, and reports the apply as unconverged
+    x, info = gmres(A, np.ones(8), M=M, rtol=1e-10)
+    assert info == 1 and x.tobytes() == np.zeros(8).tobytes()
+
+
 def test_gmres_with_a_float32_preconditioner_matches_its_float64_cast(profile, monkeypatch):
     # A is applied to the stored float32 vector, so keeping M's float32
     # output as it is makes the same applies and the same Hessenberg as
@@ -635,13 +647,12 @@ def test_krylov_iters_count_every_lu_apply(profile, monkeypatch):
 
 
 @pytest.mark.parametrize("tols", [dict(newton_tol=math.nan), dict(newton_tol=math.inf),
-                                  dict(newton_tol=0.0), dict(newton_max=0), dict(newton_max=-3)],
+                                  dict(newton_tol=0.0)],
                          ids=lambda tols: ",".join(f"{k}={v}" for k, v in tols.items()))
 def test_unusable_tolerances_are_rejected(profile, tols):
-    # a nan or inf newton_tol used to return the unsolved ansatz as converged,
-    # and newton_max < 1 made no Newton step and failed as non-convergence
+    # a nan or inf newton_tol used to return the unsolved ansatz as converged
     p = pair_params(eps=0.1)
-    match = "newton_max must be >= 1" if "newton_max" in tols else "finite and > 0"
+    match = "finite and > 0"
     with pytest.raises(ValueError, match=match):
         solve_at_separation(p, 10.0, profile, h=0.5, **tols)
     spec = GridSpec(20.0, 20.0, 0.5, 0.5, Symmetry.PAIR)
@@ -650,8 +661,7 @@ def test_unusable_tolerances_are_rejected(profile, tols):
         solve_projected(p.with_d(10.0), V, Z, **tols)
 
 
-@pytest.mark.parametrize("tols", [dict(newton_tol=math.nan), dict(newton_tol=0.0),
-                                  dict(newton_max=0)],
+@pytest.mark.parametrize("tols", [dict(newton_tol=math.nan), dict(newton_tol=0.0)],
                          ids=lambda tols: ",".join(f"{k}={v}" for k, v in tols.items()))
 def test_unusable_tolerances_are_rejected_before_the_case_is_built(profile, monkeypatch,
                                                                    tols):
@@ -1075,8 +1085,9 @@ def test_failures_carry_the_applies_of_each_step(profile, monkeypatch):
     assert err.value.krylov_iters == (2, 2)
     monkeypatch.undo()
     # Newton stopped after one step, above its tolerance
+    monkeypatch.setattr(solver, "NEWTON_MAX", 1)
     with pytest.raises(solver.NonConvergenceError) as err:
-        solve_at_separation(p, 8.125, profile, h=0.25, newton_max=1, newton_tol=1e-11)
+        solve_at_separation(p, 8.125, profile, h=0.25, newton_tol=1e-11)
     assert not isinstance(err.value, solver.KrylovStagnationError)
     assert len(err.value.krylov_iters) == 1 and err.value.krylov_iters[0] >= 1
 
@@ -1164,7 +1175,8 @@ def test_failures_carry_the_residual_history(profile, monkeypatch):
     eta = solver._forcing_term(hist[-1], solver.NEWTON_TOL)  # the default newton_tol
     assert f"eta={eta:.2e}" in str(err.value)
     monkeypatch.undo()
+    monkeypatch.setattr(solver, "NEWTON_MAX", 1)
     with pytest.raises(solver.NonConvergenceError) as err:
-        solve_at_separation(p, 8.125, profile, h=0.25, newton_max=1, newton_tol=1e-11)
+        solve_at_separation(p, 8.125, profile, h=0.25, newton_tol=1e-11)
     hist = err.value.newton_residuals
     assert len(hist) == 2 and hist[1] < hist[0] and hist[1] == err.value.last_residual

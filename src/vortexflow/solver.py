@@ -57,20 +57,20 @@ steps, and its pair balance 51 cycles over its 10.
 
 Which bordered system is factored depends on the grid alone, and one
 recursion decides it (`_preconditioner`).  A grid that can be coarsened
-(`_can_double`) is preconditioned by a V-cycle: damped Jacobi sweeps on
-the fine rows around a coarse correction by the same case at 2h, which
-is the same cycle again, with twice the sweeps, wherever that grid can
-be coarsened too (a variable V-cycle: Bramble & Pasciak, Math. Comp.
-49, 1987).  So every solve factors one bordered system (`_bordered_lu`),
-on the first grid that cannot be coarsened (h = COARSEST_SPACING = 1.0,
-about one core width, or fewer than 7 points a side): the cycle's
-coarsest level, or the solve's own grid.  The cycle's coarse grids are
-the only grids past MAX_SPACING (`_CycleGrid`).  Every level of the
-cycle runs in float32.  That factor is small (277,611 entries in L + U
-on the benchmark's ring grid, h = 0.125 and 293k unknowns; an h = 0.5
-bottom held 1,382,756) and a Newton step takes 1 to 10 cycles under the
-forcing term, so the cycle beats a factor of a finer grid at every grid
-size measured.
+(`_can_double`) is preconditioned by a V-cycle: a red-black Gauss-Seidel
+sweep on the fine rows on each side of a coarse correction by the same
+case at 2h, which is the same cycle again, with twice the sweeps,
+wherever that grid can be coarsened too (a variable V-cycle: Bramble &
+Pasciak, Math. Comp. 49, 1987).  So every solve factors one bordered
+system (`_bordered_lu`), on the first grid that cannot be coarsened (h =
+COARSEST_SPACING = 1.0, about one core width, or fewer than 7 points a
+side): the cycle's coarsest level, or the solve's own grid.  The cycle's
+coarse grids are the only grids past MAX_SPACING (`_CycleGrid`).  Every
+level of the cycle runs in float32.  That factor is small (277,611
+entries in L + U on the benchmark's ring grid, h = 0.125 and 293k
+unknowns; an h = 0.5 bottom held 1,382,756) and a Newton step takes 1 to
+10 cycles under the forcing term, so the cycle beats a factor of a finer
+grid at every grid size measured.
 
 A solve is accepted iff its Newton residual ends at or below
 newton_tol (default NEWTON_TOL); otherwise it raises
@@ -88,17 +88,19 @@ border of the bordered system, Z_d and W Z_d h1 h2 with W = (1 +
 |V_d|^2)^-2, has one construction too (`_border`), on every grid.
 
 Pair and ring operators share one stencil of six arms: the ring's H1
-couples the targets of the Laplacian's two x1 arms and is added to
-their coefficients.  Newton applies the Jacobian matrix-free from the
-arm coefficients (`_Jacobian`), for every GMRES product and, from a
-complex64 copy, for the V-cycle's sweeps (Knoll & Keyes, J. Comput.
-Phys. 193, 2004), so no matrix of a grid that can be coarsened is
-built or stored.  A sparse matrix is assembled only to be factored
-(`assemble_jacobian(J)`, one coordinate-format build from a
-`_Jacobian`), and the bordered matrix is built from its coordinates and
-the border's.  A solve factors one bordered system at most once, in
-SuperLU's own column order (minimum degree on A + A^T, MMD_AT_PLUS_A)
-of the whole bordered matrix.
+couples the targets of the Laplacian's two x1 arms and is added to their
+coefficients.  Newton applies the Jacobian matrix-free from the arm
+coefficients (`_Jacobian`), stored split by colour, for every GMRES
+product and, from a complex64 copy, for the V-cycle's sweeps (Knoll &
+Keyes, J. Comput. Phys. 193, 2004), so no matrix of a grid that can be
+coarsened is built or stored.  Each level of the cycle
+keeps its iterate on its own grid, as four padded sub-lattices, from
+entry to exit, and packs only what it returns.  A sparse matrix is
+assembled only to be factored (`assemble_jacobian(J)`, one
+coordinate-format build from a `_Jacobian`), and the bordered matrix is
+built from its coordinates and the border's.  A solve factors one
+bordered system at most once, in SuperLU's own column order (minimum
+degree on A + A^T, MMD_AT_PLUS_A) of the whole bordered matrix.
 
 `build_case` is the one construction of (V_d, Z_d), and
 `solve_at_separation` that of a solved case: grid (`_grid_for`), V_d,
@@ -110,7 +112,8 @@ X(d) = 1/d (pair) or (log d)/d (ring), in which the leading-order
 multiplier is affine, so its solves reach the root's grid early.  Its
 `_BalanceState` is the one place a solve hands anything on: a solve on
 the grid of the one before it reuses that solve's preconditioner, and
-Newton starts from the last corrector when that lowers the residual.
+Newton starts from the last corrector when that lowers the residual,
+and takes one step at least from it.
 Each of its solves still enters `solve_at_separation` and
 `solve_projected`, which hands the Newton run to the balance in progress.
 """
@@ -130,7 +133,7 @@ from scipy.sparse.linalg import splu
 # bench/test_tracing.py looks for it
 from .ansatz import ModelParams, build_ansatz, build_case  # noqa: F401
 from .fields import (MAX_FIELD_SAMPLES, MAX_SPACING, ComplexField, GridSpec, axisym_term,
-                     diff_ops, reflect)
+                     diff_ops)
 from .profile import VortexProfile
 from .stereo import nonlinearity_F
 
@@ -150,11 +153,10 @@ GMRES_MAXITER = 16
 # ceiling of the forcing term `_forcing_term`, the relative residual a
 # Newton step's GMRES is asked for
 KRYLOV_FORCING_MAX = 0.1
-# damping of the V-cycle's point-Jacobi smoother (`_preconditioner`), and
-# its sweeps on each side of the finest level's coarse correction; each
-# coarser level sweeps twice as often as the one above it
-JACOBI_OMEGA = 0.9
-JACOBI_SWEEPS = 2
+# red-black Gauss-Seidel sweeps of the V-cycle (`_preconditioner`) on each
+# side of the finest level's coarse correction; each coarser level sweeps
+# twice as often as the one above it
+SMOOTHING_SWEEPS = 1
 # largest spacing of the V-cycle's grids (`_can_double`), about one core
 # width; the cycle's own grids (`_CycleGrid`) are the only ones past
 # MAX_SPACING
@@ -311,25 +313,116 @@ _ARMS = ((0, 0, False), (0, 0, True), (+1, 0, False), (-1, 0, False),
          (0, +1, False), (0, -1, False))
 
 
+# The colour-split layout of the Jacobian's coefficients and of the
+# V-cycle's iterates.  The m1 x m2 active points of a grid are four
+# sub-lattices (i mod 2, j mod 2), in the order of `_SUBLATTICES`, each a
+# k1 x k2 block with k = ceil(m / 2) (`_split`).  The colour of a point is
+# (i + j) mod 2: red (0) is sub-lattices 0 and 3, black (1) sub-lattices 1
+# and 2 (`_COLOURS`).  An iterate's sub-lattices are padded by one row and
+# column on each side: index 0 holds the ghosts i = -1 and j = -1, mirrors
+# of i = 1 and j = 1 (the second conjugated), and the Dirichlet layer and
+# every entry past it stay zero.  The ghosts lie on the odd sub-lattices,
+# so every arm of `_ARMS` but the centre's lands on the other colour, as a
+# shifted contiguous slice of a neighbouring sub-lattice.
+_SUBLATTICES = ((0, 0), (0, 1), (1, 0), (1, 1))
+_COLOURS = ((0, 3), (1, 2))
+
+
+def _split(g, pad=0):
+    """The four sub-lattices of the m1 x m2 grid g, a (4, k1 + 2 pad,
+    k2 + 2 pad) array of g's dtype with k = ceil(m / 2): point (i, j) at
+    [pad + i // 2, pad + j // 2] of sub-lattice 2 (i % 2) + j % 2, every
+    other entry zero.  `_joined` inverts it."""
+    m1, m2 = g.shape
+    out = np.zeros((4, (m1 + 1) // 2 + 2 * pad, (m2 + 1) // 2 + 2 * pad), g.dtype)
+    for k, (a, b) in enumerate(_SUBLATTICES):
+        s = g[a::2, b::2]
+        out[k, pad:pad + s.shape[0], pad:pad + s.shape[1]] = s
+    return out
+
+
+def _joined(U, m1, m2):
+    """The m1 x m2 grid whose `_split` is U."""
+    g = np.empty((m1, m2), U.dtype)
+    for k, (a, b) in enumerate(_SUBLATTICES):
+        s = g[a::2, b::2]
+        s[...] = U[k, :s.shape[0], :s.shape[1]]
+    return g
+
+
+def _unknown_blocks(spec, x):
+    """Views of the packed unknowns x of `spec` by sub-lattice, in the
+    order of `_SUBLATTICES`: (re, im), the Re unknowns of sub-lattice
+    (a, b) and the Im unknowns of its points off the x2 = 0 row, its
+    columns from 1 - b on."""
+    m1, m2 = spec.n1 - 1, spec.n2 - 1
+    re, im = x[:m1 * m2].reshape(m1, m2), x[m1 * m2:].reshape(m1, m2 - 1)
+    return [(re[a::2, b::2], im[a::2, 1 - b::2]) for a, b in _SUBLATTICES]
+
+
+def _split_unknowns(spec, x, pad=0):
+    """The packed unknowns x of `spec` on its sub-lattices, as
+    `_split(., pad)` lays out the grid `_on_grid` writes them on, in
+    complex64 or complex128 as x is float32 or float64."""
+    m1, m2 = spec.n1 - 1, spec.n2 - 1
+    out = np.zeros((4, (m1 + 1) // 2 + 2 * pad, (m2 + 1) // 2 + 2 * pad),
+                   np.result_type(x, np.complex64))
+    for k, (re, im) in enumerate(_unknown_blocks(spec, x)):
+        s = out[k, pad:pad + re.shape[0], pad:pad + re.shape[1]]
+        s.real = re
+        s.imag[:, s.shape[1] - im.shape[1]:] = im
+    return out
+
+
+def _packed_split(spec, U, pad=0):
+    """The packed unknowns of the sub-lattices U of `spec`, padded by
+    `pad` or a list of four blocks: `_split_unknowns` inverted."""
+    m1, m2 = spec.n1 - 1, spec.n2 - 1
+    x = np.empty(m1 * (2 * m2 - 1), U[0].real.dtype)
+    for k, (re, im) in enumerate(_unknown_blocks(spec, x)):
+        s = U[k][pad:pad + re.shape[0], pad:pad + re.shape[1]]
+        re[...] = s.real
+        im[...] = s.imag[:, s.shape[1] - im.shape[1]:]
+    return x
+
+
+def _refresh_ghosts(U, colour):
+    """Refill the ghosts of the padded sub-lattices U of `colour` from
+    their points: a row copy (i = -1 mirrors i = 1) on a sub-lattice of
+    odd i, a conjugated column copy (j = -1 mirrors j = 1) on one of
+    odd j."""
+    for k in _COLOURS[colour]:
+        a, b = _SUBLATTICES[k]
+        if b:
+            np.conjugate(U[k, :, 1], out=U[k, :, 0])
+        if a:
+            U[k, 0] = U[k, 1]
+
+
 class _Jacobian:
     """Real-block Jacobian at u of the operator of params' regime, on the
     packed unknowns of u's grid (`_packed`), applied matrix-free from the
-    six arm coefficients (`_arm_coefficients`); ValueError on a grid
-    whose symmetry is not that of params.
+    six arm coefficients (`_arm_coefficients`), stored split by colour:
+    `gammas[arm][k]` is the coefficient of arm `_ARMS[arm]` on sub-lattice
+    k (`_split`), zero where that sub-lattice has no point.  ValueError on
+    a grid whose symmetry is not that of params.
 
-    `J @ x` unpacks x onto a grid padded by one ghost row and column
-    (`_on_grid`), fills them in place with `fields.reflect` (even across
-    x1 = 0, conjugated across x2 = 0; the Dirichlet layer is zero), sums
-    the arms of `_ARMS` in order and packs the result: the product of
-    `assemble_jacobian(J)`, up to rounding, in the precision of the
-    coefficients.  `diagonal()` is that matrix's diagonal, to the bit.
-    `single()` is the same Jacobian with complex64 coefficients, for the
-    V-cycle's sweeps."""
+    `half(U, colour)` is the product on the points of one colour, from
+    the padded sub-lattices U of a vector with their ghosts current (even
+    across x1 = 0, conjugated across x2 = 0; the Dirichlet layer is zero).
+    `J @ x` is the two colours' products of x, packed: the product of
+    `assemble_jacobian(J)`, up to rounding.  `diagonal()` is that
+    matrix's diagonal, to the bit.  `single()` is the same Jacobian in
+    complex64, for the V-cycle's sweeps."""
 
     def __init__(self, u: ComplexField, params: ModelParams):
         _check_grid(u, params)
-        self.gammas = _arm_coefficients(u, params)
         self.spec = u.spec
+        m1, m2 = u.spec.n1 - 1, u.spec.n2 - 1
+        # one array an arm: a single block of all six, freed at every
+        # Newton step, raises glibc's dynamic mmap threshold above the
+        # cycle's arrays, which then fragment the heap
+        self.gammas = [_split(g.reshape(m1, m2)) for g in _arm_coefficients(u, params)]
         self._single = None
 
     def single(self):
@@ -345,27 +438,60 @@ class _Jacobian:
             self._single = J
         return self._single
 
-    def _blocks(self):
-        m1, m2 = self.spec.n1 - 1, self.spec.n2 - 1
-        return [g.reshape(m1, m2) for g in self.gammas]
+    def half(self, U, colour):
+        """J u on the sub-lattices of `colour`, one k1 x k2 block each,
+        from the padded sub-lattices U of u with their ghosts current; zero
+        where a sub-lattice has no point.  Each arm of `_ARMS` reads a
+        slice of the sub-lattice it lands on: arm (di, dj) of sub-lattice
+        (a, b) reads ((a + di) mod 2, (b + dj) mod 2) from row
+        1 + floor((a + di) / 2) and column 1 + floor((b + dj) / 2)."""
+        k1, k2 = self.gammas[0].shape[1:]
+        out = []
+        for k in _COLOURS[colour]:
+            a, b = _SUBLATTICES[k]
+            acc = tmp = None
+            for g, (di, dj, conj) in zip(self.gammas, _ARMS):
+                g = g[k]
+                r, c = 1 + (a + di) // 2, 1 + (b + dj) // 2
+                t = U[2 * ((a + di) % 2) + (b + dj) % 2, r:r + k1, c:c + k2]
+                if conj:
+                    t = tmp = np.conjugate(t, out=tmp)
+                if acc is None:
+                    acc = g * t  # the first arm starts it
+                else:
+                    acc += np.multiply(g, t, out=tmp)
+            out.append(acc)
+        return out
 
     def __matmul__(self, x):
-        # the unknowns at [1:-1, 1:-1], ghost rows at 0, Dirichlet at -1
-        m1, m2 = self.spec.n1 - 1, self.spec.n2 - 1
-        v = np.zeros((m1 + 2, m2 + 2), dtype=self.gammas[0].dtype)
-        _on_grid(x, v[1:-1, 1:-1])
-        reflect(v[1:, 1:], 1, 1, out=v)
-        out = None
-        for g, (di, dj, conj) in zip(self._blocks(), _ARMS):
-            t = v[1 + di:m1 + 1 + di, 1 + dj:m2 + 1 + dj]
-            t = g * (np.conj(t) if conj else t)
-            out = t if out is None else np.add(out, t, out=out)  # the first arm starts it
-        return _packed(out)
+        U = _split_unknowns(self.spec, x.astype(self.gammas[0].real.dtype, copy=False), 1)
+        _refresh_ghosts(U, 0)
+        _refresh_ghosts(U, 1)
+        out = [None] * 4
+        for colour in (0, 1):
+            for k, r in zip(_COLOURS[colour], self.half(U, colour)):
+                out[k] = r
+        return _packed_split(self.spec, out)
 
     def diagonal(self):
         """Re(centre + C) on the Re rows, Re(centre - C) on the Im rows."""
-        centre, C = self._blocks()[:2]
+        centre, C = (_joined(self.gammas[arm], self.spec.n1 - 1, self.spec.n2 - 1)
+                     for arm in (0, 1))
         return _packed((centre + C).real + 1j * (centre - C).real)
+
+
+def _half_sweep(S, U, B, dinv, colour):
+    """One half-sweep of red-black Gauss-Seidel on `colour` (0 red, 1
+    black) of the padded sub-lattices U (`_split(., 1)`), for J u = b
+    with J the complex64 `_Jacobian` S and b the sub-lattices B: u +=
+    D^-1 (b - J u) at the points of that colour, then their ghosts
+    refreshed (`_refresh_ghosts`).  `dinv` is D^-1 on the sub-lattices as
+    float32 pairs, 1 / D of each point's Re unknown then of its Im, zero
+    where there is no unknown."""
+    for k, r in zip(_COLOURS[colour], S.half(U, colour)):
+        r = np.subtract(B[k], r, out=r).view(np.float32)
+        U[k, 1:-1, 1:-1].view(np.float32)[...] += np.multiply(dinv[k], r, out=r)
+    _refresh_ghosts(U, colour)
 
 
 def assemble_jacobian(J: _Jacobian):
@@ -388,7 +514,8 @@ def assemble_jacobian(J: _Jacobian):
     I1, I2 = np.nonzero(re_idx >= 0)
     r_re, r_im = re_idx[I1, I2], im_idx[I1, I2]
     rows, cols, vals = [], [], []
-    for g, (di, dj, conj_all) in zip(J.gammas, _ARMS):
+    for arm, (di, dj, conj_all) in enumerate(_ARMS):
+        g = _joined(J.gammas[arm], J.spec.n1 - 1, J.spec.n2 - 1)[I1, I2]
         t1, t2 = np.abs(I1 + di), I2 + dj
         conj = conj_all | (t2 < 0)  # folding across x2 = 0 conjugates
         t2 = np.abs(t2)
@@ -501,45 +628,42 @@ def _coarse_spec(spec):
     return _CycleGrid(n1 * h1, n2 * h2, h1, h2, spec.symmetry)
 
 
-def _interpolate_rows(c, m):
-    """Rows 0..m-1 of the linear interpolation f of c's rows (spacing 2h,
-    from the axis) at spacing h: f[2i] = c[i], f[2i+1] = (c[i] + c[i+1]) / 2,
-    where c[len(c)], the Dirichlet layer, counts as zero; m is 2 len(c) or
-    2 len(c) + 1."""
-    c = np.concatenate([c, np.zeros_like(c[:1])])
-    f = np.empty((m,) + c.shape[1:], c.dtype)
-    f[0::2] = c[: (m + 1) // 2]
-    f[1::2] = 0.5 * (c[:-1] + c[1:])
-    return f
-
-
-def _restrict_rows(f):
-    """The adjoint of `_interpolate_rows` onto len(f) // 2 rows:
-    c[i] = f[2i] + (f[2i-1] + f[2i+1]) / 2, without the terms that fall
-    outside f."""
-    odd = f[1::2]
-    s = odd.copy()
-    s[1:] += odd[:-1]
-    return f[: 2 * len(odd) : 2] + 0.5 * s
-
-
-def _prolong(spec, e):
-    """Bilinear interpolation P e from the packed unknowns e of the 2h grid
-    of `spec` (`_coarse_spec`, without the border unknown) to those of
-    `spec`, along x1 and then x2.  Re and Im are interpolated alike; the Im
-    of the x2 = 0 row is zero (odd parity), and so is the coarse Dirichlet
-    layer.  A coarse grid has m // 2 active points per side where `spec`
-    has m."""
+def _prolong(spec, e, U):
+    """Add the bilinear interpolation P e of the packed unknowns e of the
+    2h grid of `spec` (`_coarse_spec`, without the border unknown) to U,
+    the padded sub-lattices of `spec`'s points (`_split(., 1)`), and
+    return U.  Along x1 and then x2, fine point 2I takes coarse point I
+    and fine point 2I + 1 the mean of I and I + 1.  Re and Im are
+    interpolated alike; the Im of the x2 = 0 row is zero (odd parity), and
+    so is the coarse Dirichlet layer.  A coarse grid has m // 2 active
+    points per side where `spec` has m."""
     m1, m2 = spec.n1 - 1, spec.n2 - 1
-    g = _on_grid(e, np.zeros((m1 // 2, m2 // 2), np.result_type(e, np.complex64)))
-    return _packed(_interpolate_rows(_interpolate_rows(g, m1).T, m2).T)
+    k1, k2 = U.shape[1] - 2, U.shape[2] - 2
+    c = np.zeros((k1 + 1, k2 + 1), U.dtype)
+    _on_grid(e, c[:m1 // 2, :m2 // 2])
+    for a, rows in enumerate((c[:k1], 0.5 * (c[:k1] + c[1:]))):
+        for b, f in enumerate((rows[:, :k2], 0.5 * (rows[:, :k2] + rows[:, 1:]))):
+            U[2 * a + b, 1:-1, 1:-1] += f
+    return U
 
 
-def _restrict(spec, r):
-    """The restriction R r = P^T r / 4 of the packed unknowns r of `spec`
-    to those of its 2h grid (`_prolong`'s P), along x1 and then x2."""
-    g = _on_grid(r, np.zeros((spec.n1 - 1, spec.n2 - 1), np.result_type(r, np.complex64)))
-    return 0.25 * _packed(_restrict_rows(_restrict_rows(g).T).T)
+def _restrict(spec, R):
+    """The restriction R r = P^T r / 4 (`_prolong`'s P) of r, given on
+    the sub-lattices R of `spec`'s points (four blocks as `_split` makes
+    them), as the packed unknowns of its 2h grid.  Along x1 and then x2,
+    coarse point I takes fine point 2I and half of 2I - 1 and 2I + 1,
+    without the terms that fall outside the grid.  The x2 = 0 row
+    restricts to the coarse x2 = 0 row alone, whose Im is no unknown, so
+    R's Im there drops out when that row is packed."""
+    m1, m2 = spec.n1 - 1, spec.n2 - 1
+
+    def fold(even, odd, n):  # the n coarse rows of fine rows even and odd
+        s = odd[:n].copy()
+        s[1:] += odd[:n - 1]
+        return even[:n] + 0.5 * s
+
+    rows = [fold(R[b], R[2 + b], m1 // 2) for b in (0, 1)]  # sub-lattices (0, b), (1, b)
+    return 0.25 * _packed(fold(rows[0].T, rows[1].T, m2 // 2).T)
 
 
 def _can_double(spec):
@@ -558,7 +682,7 @@ def _border(V_d, Z_d):
     return _packed(Z), _packed(W[:-1, :-1] * Z * (spec.h1 * spec.h2)), W
 
 
-def _preconditioner(J, V_d, Z_d, params, sweeps=JACOBI_SWEEPS):
+def _preconditioner(J, V_d, Z_d, params, sweeps=SMOOTHING_SWEEPS):
     """(M, nnz(L+U), n1) for the bordered system B = [[J, -z], [g^T, 0]]
     of the case (V_d, Z_d), whose Jacobian at V_d is J; n1 is the grid the
     one factor was made on.  M(v, J) maps v to float32, for the Newton
@@ -567,17 +691,19 @@ def _preconditioner(J, V_d, Z_d, params, sweeps=JACOBI_SWEEPS):
     Where the grid cannot be coarsened (`_can_double`: its spacing
     cannot double within COARSEST_SPACING, or a side has fewer than 7
     points) M is the direct `_bordered_lu` of J's matrix.  Elsewhere it
-    is one level of a V-cycle: `sweeps` damped point-Jacobi sweeps on
+    is one level of a V-cycle: `sweeps` red-black Gauss-Seidel sweeps on
     the u rows (none on c), a correction by the same case at 2h, and
-    `sweeps` more (Briggs, Henson & McCormick, A Multigrid Tutorial,
-    2000, ch. 3).  The coarse case is V_d and Z_d injected onto
-    `_coarse_spec`, preconditioned by this function again with twice the
-    sweeps, so a solve factors only the grid where the coarsening stops,
-    and the levels sweep 2, 4, 8, ... times from the finest down: the
-    variable V-cycle of Bramble & Pasciak (Math. Comp. 49, 1987), whose
-    extra sweeps on the cheap coarse levels keep the h = 1.0 bottom
-    within a few cycles per solve of an h = 0.5 one.  Each coarse level
-    sweeps with the `_Jacobian` of its injected ansatz.  The transfers act on the grid,
+    `sweeps` more, each sweep red then black (Trottenberg, Oosterlee &
+    Schuller, Multigrid, 2001, ch. 2 and 4; Briggs, Henson & McCormick,
+    A Multigrid Tutorial, 2000, ch. 3).  A half-sweep updates the points
+    of one colour, u += D^-1 (b - J u), with D the scalar diagonal of
+    each Re and Im unknown (`_Jacobian.diagonal()`, undamped).  The coarse
+    case is V_d and Z_d injected onto `_coarse_spec`, preconditioned by
+    this function again with twice the sweeps, so a solve factors only
+    the grid where the coarsening stops, and the levels sweep 1, 2, 4,
+    ... times from the finest down: the variable V-cycle of Bramble &
+    Pasciak (Math. Comp. 49, 1987).  Each coarse level sweeps with the
+    `_Jacobian` of its injected ansatz.  The transfers act on the grid,
     one axis at a time: the bilinear prolongation P (`_prolong`) and the
     restriction R = P^T / 4 (`_restrict`); c maps to itself, since each
     border row weights Z by its own grid's cell, so the two rows are the
@@ -585,8 +711,15 @@ def _preconditioner(J, V_d, Z_d, params, sweeps=JACOBI_SWEEPS):
     J and their diagonal from the J given here (the ansatz's), so
     neither a fine matrix nor a transfer matrix is ever built.
 
+    A level keeps its iterate on its own grid, colour-split (`_split`),
+    from entry to exit: it unpacks the right-hand side once, sweeps with
+    the products of one colour at a time (`_Jacobian.half`),
+    restricts the residual of the two colours' products, and packs only
+    the result.  The first half-sweep starts from u = 0, so it is
+    D^-1 b and takes no product.
+
     Every level runs in single precision: the sweeps use `J.single()`,
-    and the diagonal, border and transfers are float32.  M only
+    and the diagonal, border and transfers are complex64.  M only
     preconditions `gmres`, whose products, basis V and true residual are
     float64; gmres keeps M's float32 vectors as they are."""
     spec = V_d.spec
@@ -599,21 +732,40 @@ def _preconditioner(J, V_d, Z_d, params, sweeps=JACOBI_SWEEPS):
     J_c = _Jacobian(V_c, params)
     coarse, fill, n1 = _preconditioner(J_c, V_c, Z_c, params, 2 * sweeps)
     J_c = J_c.single()  # the coarse level's sweeps; its float64 coefficients go
-    dinv = (JACOBI_OMEGA / J.diagonal()).astype(np.float32)
-    z_col, grad_con = (a.astype(np.float32) for a in _border(V_d, Z_d)[:2])
+    # D^-1 as float32 pairs: 1 / D of each point's Re unknown, then of its
+    # Im; zero on the pinned Im of the x2 = 0 row and off the grid
+    dinv = _split_unknowns(spec, (1.0 / J.diagonal()).astype(np.float32)).view(np.float32)
+    z_col, grad_con, _ = _border(V_d, Z_d)
+    z_col = _split_unknowns(spec, z_col.astype(np.float32))
+    grad_con = _split_unknowns(spec, grad_con.astype(np.float32), 1)
 
     def apply(v, J):
-        J = J.single()
-        b = v[:-1].astype(np.float32)
-        u = dinv * b  # the first sweep, from u = 0
+        S = J.single()
+        B = _split_unknowns(spec, v[:-1].astype(np.float32))
+        U = np.zeros_like(grad_con)  # padded, as the border row is
+        for k in _COLOURS[0]:  # the first half-sweep, from u = 0
+            np.multiply(dinv[k], B[k].view(np.float32), out=U[k, 1:-1, 1:-1].view(np.float32))
+        _refresh_ghosts(U, 0)
+        _half_sweep(S, U, B, dinv, 1)
         for _ in range(sweeps - 1):
-            u += dinv * (b - J @ u)
-        e = coarse(np.append(_restrict(spec, b - J @ u), np.float32(v[-1]) - grad_con @ u), J_c)
-        u += _prolong(spec, e[:-1])
+            _half_sweep(S, U, B, dinv, 0)
+            _half_sweep(S, U, B, dinv, 1)
+        R = [None] * 4
+        for colour in (0, 1):
+            for k, r in zip(_COLOURS[colour], S.half(U, colour)):
+                R[k] = np.subtract(B[k], r, out=r)
+        # g^T u over the whole padded U: the border row is zero off the grid
+        e = coarse(np.append(_restrict(spec, R), np.float32(v[-1]) - np.vdot(grad_con, U).real),
+                   J_c)
+        _prolong(spec, e[:-1], U)
+        _refresh_ghosts(U, 0)
+        _refresh_ghosts(U, 1)
         c = e[-1]
+        B += c * z_col
         for _ in range(sweeps):
-            u += dinv * (b - J @ u + c * z_col)
-        return np.append(u, c)
+            _half_sweep(S, U, B, dinv, 0)
+            _half_sweep(S, U, B, dinv, 1)
+        return np.append(_packed_split(spec, U, 1), c)
 
     return apply, fill, n1
 
@@ -800,7 +952,9 @@ def _newton(params, V_d, Z_d, precond=None, start=None, R=None, *, newton_tol=NE
     preconditioner it used: `precond`, or one built at V_d when that is
     None).  Newton starts from `start`, a (u array, c), or from the
     ansatz when that is None; `R` is the `_residual` of that start when
-    the caller has it."""
+    the caller has it.  A run from `start` takes one step at least, even
+    from a start already within newton_tol, where the step is taken whole
+    while its residual stays within newton_tol, so its c is its own d's."""
     spec = V_d.spec
     residual_vec, resnorm, z_col, grad_con = _residual(params, V_d, Z_d)
     warm = start is not None
@@ -835,7 +989,12 @@ def _newton(params, V_d, Z_d, precond=None, start=None, R=None, *, newton_tol=NE
     residuals = [best]
     iters = 0
     krylov_iters = []
-    while iters < NEWTON_MAX and best > newton_tol:
+    # a warm start takes one step at least: until a step moves it, its c is
+    # that of the solve it came from, at another d.  From a start within
+    # newton_tol that step is taken whole if it stays within newton_tol,
+    # since at the residual's rounding floor no step need lower it
+    while iters < NEWTON_MAX and (best > newton_tol or (warm and iters == 0)):
+        forced = best <= newton_tol
         if iters > 0:
             J = None  # release the old coefficients before computing the new
             J = _Jacobian(ComplexField(spec, u.copy()), params)
@@ -858,7 +1017,7 @@ def _newton(params, V_d, Z_d, precond=None, start=None, R=None, *, newton_tol=NE
             c_try = c + lam * sol[-1]
             R_try = residual_vec(u_try, c_try)
             n_try = resnorm(R_try)
-            if n_try < best:
+            if n_try < best or (forced and n_try <= newton_tol):
                 accepted = True
                 break
             lam *= 0.5

@@ -333,3 +333,29 @@ def test_a_failed_cold_run_on_a_new_grid_is_not_redone(profile, monkeypatch):
     with pytest.raises(KrylovStagnationError):
         state.solve(PAIR, 6.5, profile, H)
     assert len(runs) == 1 and state.fallbacks == 0
+
+
+def test_a_warm_start_within_newton_tol_takes_a_step(profile):
+    # a separation 1e-10 away on the same grid: the last solution is a
+    # start already within newton_tol, but its c is that of 5.9.  Solved
+    # with no step, the two solves had one c, and the secant through them
+    # none (`_secant_d`)
+    state = _BalanceState()
+    first = state.solve(PAIR, 5.9, profile, H, **TOL)
+    d = 5.9 + 1e-10
+    again = state.solve(PAIR, d, profile, H, **TOL)
+    assert again.warm_start and again.newton_residuals[0] <= TOL["newton_tol"]
+    assert again.newton_iters >= 1 and again.c_mult != first.c_mult
+    cold = solve_at_separation(PAIR, d, profile, H, **TOL)
+    assert abs(again.c_mult - cold.c_mult) < abs(first.c_mult - cold.c_mult)
+    # a d solved again from its own solution: the start sits at the
+    # residual's rounding floor, where a step need not lower it, so the
+    # step is taken whole while it stays within newton_tol (the line
+    # search alone handed back the third run's start at 6.0)
+    state = _BalanceState()
+    state.solve(PAIR, 6.0, profile, H, **TOL)
+    for _ in range(4):
+        res = state.solve(PAIR, 6.0, profile, H, **TOL)
+        start, end = res.newton_residuals
+        assert res.newton_iters == 1 and end <= TOL["newton_tol"]
+        assert end != start  # the step's residual, not the start's

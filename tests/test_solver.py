@@ -16,10 +16,11 @@ from vortexflow.cli_io import FieldFormatError, load_field, save_field
 from vortexflow.diagnostics import corrector_norms
 from vortexflow.fields import ComplexField, GridSpec, Symmetry, symmetrize_complex
 from vortexflow.profile import eval_profile
-from vortexflow.solver import (_ARMS, _arm_coefficients, _border, _bordered_lu, _coarse_spec,
-                               _Jacobian, _on_grid, _packed, _preconditioner, _prolong,
-                               _restrict, _unknown_index, apply_S, assemble_jacobian,
-                               build_case, gmres, linearize_apply,
+from vortexflow.solver import (_ARMS, _COLOURS, _arm_coefficients, _border, _bordered_lu,
+                               _coarse_spec, _half_sweep, _Jacobian, _joined, _on_grid, _packed,
+                               _packed_split, _preconditioner, _prolong, _refresh_ghosts,
+                               _restrict, _split, _split_unknowns, _unknown_index, apply_S,
+                               assemble_jacobian, build_case, gmres, linearize_apply,
                                solve_at_separation, solve_projected)
 
 
@@ -688,6 +689,34 @@ def test_an_unusable_spacing_is_refused_before_the_case_is_built(profile, monkey
 
 @pytest.mark.parametrize("l1,l2", [(20.0, 20.0), (20.25, 20.25), (20.0, 12.25)],
                          ids=["even", "odd", "even-odd"])
+def test_unknowns_split_as_their_grid_does(l1, l2):
+    # `_split_unknowns` lays the packed unknowns out as `_split` lays out
+    # the grid `_on_grid` writes them on, in either precision, and
+    # `_packed_split` inverts it, padded or not
+    spec = GridSpec(l1, l2, 0.25, 0.25, Symmetry.PAIR)
+    m1, m2 = spec.n1 - 1, spec.n2 - 1
+    x64 = np.random.default_rng(47).standard_normal(_DofMap(spec).n)
+    for x in (x64, x64.astype(np.float32)):
+        for pad in (0, 1):
+            want = _split(_on_grid(x, np.zeros((m1, m2), np.result_type(x, np.complex64))), pad)
+            U = _split_unknowns(spec, x, pad)
+            assert U.dtype == want.dtype and np.array_equal(U, want)
+            assert _packed_split(spec, U, pad).tobytes() == x.tobytes()
+
+
+def _prolonged(spec, e):
+    """`_prolong` of the packed coarse unknowns e onto zero, packed."""
+    U = _split_unknowns(spec, np.zeros(_DofMap(spec).n, e.dtype), 1)
+    return _packed_split(spec, _prolong(spec, e, U), 1)
+
+
+def _restricted(spec, r):
+    """`_restrict` of the packed unknowns r."""
+    return _restrict(spec, _split_unknowns(spec, r))
+
+
+@pytest.mark.parametrize("l1,l2", [(20.0, 20.0), (20.25, 20.25), (20.0, 12.25)],
+                         ids=["even", "odd", "even-odd"])
 def test_prolongation_reproduces_bilinear_fields(l1, l2):
     # bilinear fields on the 2h grid, zero on its Dirichlet layer where
     # they are unknowns, come out exact at the fine points; Im stays an
@@ -704,7 +733,7 @@ def test_prolongation_reproduces_bilinear_fields(l1, l2):
         return (edge1 - X1) * (edge2 - X2) + 1j * X2 * (edge1 - X1)
 
     e = dm_c.pack(field(spec_c))
-    got = dm.unpack(_prolong(spec, e))
+    got = dm.unpack(_prolonged(spec, e))
     want = field(spec)
     assert np.all(got[:, 0].imag == 0.0)
     assert np.allclose(got.real[dm.re_mask], want.real[dm.re_mask], rtol=0, atol=1e-12)
@@ -717,7 +746,7 @@ def test_prolongation_reproduces_bilinear_fields(l1, l2):
     P = _kron_prolongation(dm, dm_c)
     for x in (e, np.random.default_rng(29).standard_normal(dm_c.n)):
         want = P @ x
-        assert np.abs(_prolong(spec, x) - want).max() <= 1e-15 * np.abs(want).max()
+        assert np.abs(_prolonged(spec, x) - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def _interpolation_1d(m_fine, m_coarse):
@@ -753,14 +782,19 @@ def test_restriction_is_a_quarter_of_the_adjoint(symmetry, l1, l2):
     dm, dm_c = _DofMap(spec), _DofMap(_coarse_spec(spec))
     rng = np.random.default_rng(31)
     f, e = rng.standard_normal(dm.n), rng.standard_normal(dm_c.n)
-    Rf, Pe = _restrict(spec, f), _prolong(spec, e)
+    Rf, Pe = _restricted(spec, f), _prolonged(spec, e)
     assert Rf.shape == (dm_c.n,) and Pe.shape == (dm.n,)
     assert abs(Rf @ e - 0.25 * (f @ Pe)) <= 1e-13 * np.abs(f).sum()
     want = 0.25 * (_kron_prolongation(dm, dm_c).T @ f)
     assert np.abs(Rf - want).max() <= 1e-15 * np.abs(want).max()
+    # the x2 = 0 row's Im, no unknown, does not reach the restriction
+    R = _split_unknowns(spec, f)
+    R[[0, 2], :, 0] += 1j * rng.standard_normal(R[[0, 2], :, 0].shape)
+    assert _restrict(spec, R).tobytes() == Rf.tobytes()
     f32, e32 = f.astype(np.float32), e.astype(np.float32)
-    assert _restrict(spec, f32).dtype == _prolong(spec, e32).dtype == np.float32
-    R32, P32 = _restrict(spec, f32).astype(np.float64), _prolong(spec, e32).astype(np.float64)
+    assert _restricted(spec, f32).dtype == _prolonged(spec, e32).dtype == np.float32
+    R32 = _restricted(spec, f32).astype(np.float64)
+    P32 = _prolonged(spec, e32).astype(np.float64)
     assert abs(R32 @ e32 - 0.25 * (f32 @ P32)) <= np.finfo(np.float32).eps * np.abs(f).sum()
 
 
@@ -940,31 +974,37 @@ def test_only_the_cycles_own_grids_reach_h_1(tmp_path):
 
 
 def test_each_coarser_level_sweeps_twice_as_often(profile, monkeypatch):
-    # one apply of the h = 0.25 grid's cycle: 2 sweeps on each side of its
-    # coarse correction there, 4 on the h = 0.5 level, then the h = 1.0
-    # factor.  A level of s sweeps makes 2s stencil products: s - 1
-    # before its restriction (the first sweep starts from zero), one for
-    # the residual it restricts, and s after the correction
+    # one apply of the h = 0.25 grid's cycle: 1 red-black sweep on each
+    # side of its coarse correction there, 2 on the h = 0.5 level, then
+    # the h = 1.0 factor.  A level of s sweeps makes 4s + 1 products on
+    # one colour (`_Jacobian.half`): 2s - 1 before its restriction
+    # (the first half-sweep starts from zero), two for the residual it
+    # restricts, and 2s after the correction; no full product
     p, V, Z, _, dm, _, _ = _bordered_case("S1", profile)
     J = _Jacobian(V, p)
     M, _, n1 = _preconditioner(J, V, Z, p)
     products = {}
-    matmul = _Jacobian.__matmul__
+    half = _Jacobian.half
 
-    def counted(self, x):
+    def counted(self, U, colour):
         products[self.spec.n1] = products.get(self.spec.n1, 0) + 1
-        return matmul(self, x)
+        return half(self, U, colour)
 
-    monkeypatch.setattr(_Jacobian, "__matmul__", counted)
+    def full(self, x):
+        raise AssertionError("a full product in the cycle")
+
+    monkeypatch.setattr(_Jacobian, "half", counted)
+    monkeypatch.setattr(_Jacobian, "__matmul__", full)
     M(np.random.default_rng(37).standard_normal(dm.n + 1), J)
     assert (V.spec.n1, n1) == (80, 20)
-    assert products == {80: 2 * solver.JACOBI_SWEEPS, 40: 4 * solver.JACOBI_SWEEPS}
+    s = solver.SMOOTHING_SWEEPS
+    assert products == {80: 4 * s + 1, 40: 8 * s + 1}
 
 
 def test_a_steps_single_precision_copy_goes_with_its_jacobian(profile, monkeypatch):
-    # each Newton step makes one float32 copy of its Jacobian for the
-    # cycle's sweeps, and that copy is gone once the next step's Jacobian
-    # replaces the step's own
+    # each Newton step makes one colour-split complex64 copy of its
+    # Jacobian for the cycle's sweeps, and that copy is gone once the
+    # next step's Jacobian replaces the step's own
     p, d, h = _small_cases()[1]
     copies, dead_at_new = [], []
     init, single = _Jacobian.__init__, _Jacobian.single
@@ -996,24 +1036,112 @@ def test_a_steps_single_precision_copy_goes_with_its_jacobian(profile, monkeypat
     assert all(all(dead) for dead in later)
 
 
+def _colour_case(profile, tag, l=None):
+    """The parameters, the layout oracle and the Jacobian of
+    `_tag_case(tag)`, on a side of l when given, at a perturbed ansatz."""
+    p, spec = _tag_case(tag)
+    if l is not None:
+        spec = GridSpec(l, l, spec.h1, spec.h2, spec.symmetry)
+    V = build_ansatz(p, spec, profile)
+    rng = np.random.default_rng(41)
+    u = V.data + 0.05 * (rng.standard_normal(V.data.shape)
+                         + 1j * rng.standard_normal(V.data.shape))
+    return p, _DofMap(spec), _Jacobian(ComplexField(spec, u), p)
+
+
+def _colour_of_unknowns(dm):
+    """(i + j) mod 2 of the point of each packed unknown: 0 red, 1 black."""
+    colour = np.add.outer(np.arange(dm.spec.n1), np.arange(dm.spec.n2)) % 2
+    return dm.pack(colour + 1j * colour).astype(int)
+
+
+def _ghosted(spec, x):
+    """The padded sub-lattices of the packed unknowns x in complex64, with
+    their ghosts filled."""
+    U = _split_unknowns(spec, x.astype(np.float32), 1)
+    for colour in (0, 1):
+        _refresh_ghosts(U, colour)
+    return U
+
+
 @pytest.mark.parametrize("tag", ["S1", "S4"])
 def test_single_precision_product_agrees_to_float32_rounding(profile, tag):
-    # one stencil code serves both precisions: the complex64 Jacobian's
-    # product is the complex128 one's up to float32 rounding of its terms
+    # one stencil code (`_Jacobian.half`) serves both precisions: the
+    # complex64 Jacobian's products on the two colours, joined, are the
+    # complex128 product J @ x up to float32 rounding of its terms, and
+    # zero off the grid
     p, spec = _tag_case(tag)
     V = build_ansatz(p, spec, profile)
     dm = _DofMap(spec)
     J = _Jacobian(V, p)
     S = J.single()
     assert S is J.single() and S.single() is S
-    assert all(g.dtype == np.complex64 for g in S.gammas)
+    m1, m2 = spec.n1 - 1, spec.n2 - 1
+    # its coefficients are stored once, an array an arm split by colour,
+    # not beside a row-major copy, and so are J's
+    assert len(S.gammas) == len(J.gammas) == len(_ARMS)
+    for T, dtype in ((S, np.complex64), (J, np.complex128)):
+        assert [k for k, a in vars(T).items() if isinstance(a, (np.ndarray, list))] == ["gammas"]
+        for g in T.gammas:
+            assert g.dtype == dtype and g.shape == (4, math.ceil(m1 / 2), math.ceil(m2 / 2))
     x = np.random.default_rng(31).standard_normal(dm.n)
-    want, got = J @ x, S @ x.astype(np.float32)
+    U = _ghosted(spec, x)
+    Ju = np.empty(S.gammas[0].shape, np.complex64)
+    for colour in (0, 1):
+        for k, r in zip(_COLOURS[colour], S.half(U, colour)):
+            Ju[k] = r
+    assert np.array_equal(_split(_joined(Ju, m1, m2)), Ju)
+    want, got = J @ x, _packed_split(spec, Ju)
     assert got.dtype == np.float32 and want.dtype == np.float64
     scale = sum(np.abs(g) for g in J.gammas).max() * np.abs(x).max()
     err = np.abs(got - want).max()
     assert err <= 8 * np.finfo(np.float32).eps * scale
     assert err > np.finfo(np.float64).eps * scale  # computed in single precision
+
+
+@pytest.mark.parametrize("tag, l", [("S1", None), ("S4", None), ("S4", 12.25)],
+                         ids=["S1", "S4", "S4-even"])
+def test_a_red_black_sweep_is_the_float64_update_by_colour(profile, tag, l):
+    # a red half-sweep, then a black one, on the colour-split grid is
+    # u += D^-1 (b - J u) on the unknowns of one colour and then the
+    # other, from the float64 `_Jacobian` product, up to float32 rounding:
+    # on the axis rows (the ring's x1 = 0 fold), the x2 = 0 row (whose Im
+    # stays pinned at zero) and beside the Dirichlet layer (which stays
+    # zero) as elsewhere.  S1 and S4 have an odd count of unknowns a side,
+    # S4-even an even one
+    p, dm, J = _colour_case(profile, tag, l)
+    spec = dm.spec
+    m1, m2 = spec.n1 - 1, spec.n2 - 1
+    assert (m1 % 2 == 0) == (l is not None)
+    rng = np.random.default_rng(43)
+    x, b = rng.standard_normal(dm.n), rng.standard_normal(dm.n)
+    d = J.diagonal()
+    colour = _colour_of_unknowns(dm)
+    want = x.copy()
+    for c in (0, 1):
+        on = colour == c
+        want[on] += ((b - J @ want) / d)[on]
+    U = _ghosted(spec, x)
+    B = _split_unknowns(spec, b.astype(np.float32))
+    dinv = _split_unknowns(spec, (1.0 / d).astype(np.float32)).view(np.float32)
+    S = J.single()
+    _half_sweep(S, U, B, dinv, 0)
+    _half_sweep(S, U, B, dinv, 1)
+    assert np.all(U[[0, 2], :, 1].imag == 0.0)  # the x2 = 0 row's Im
+    # every entry is a point of the grid or a ghost of one: the Dirichlet
+    # layer and the entries past it are zero
+    got = _packed_split(spec, U, 1)
+    assert np.array_equal(U, _ghosted(spec, got))
+    gamma = sum(np.abs(g) for g in J.gammas).max()
+    scale = np.abs(want).max() + np.abs(1.0 / d).max() * (np.abs(b).max()
+                                                          + gamma * np.abs(want).max())
+    axis_rows = np.concatenate([dm.re_idx[0, :-1], dm.im_idx[0, 1:-1]])
+    fold_rows = dm.re_idx[:-1, 0]
+    edge_rows = np.concatenate([dm.re_idx[-2, :-1], dm.re_idx[:-1, -2], dm.im_idx[-2, 1:-1],
+                                dm.im_idx[1:-1, -2]])
+    for rows in (slice(None), axis_rows, fold_rows, edge_rows):
+        assert np.abs(got[rows] - want[rows]).max() <= 8 * np.finfo(np.float32).eps * scale
+    assert np.abs(got - want).max() > np.finfo(np.float64).eps * scale
 
 
 def test_a_solve_computes_corrector_norms_only_when_read(profile, monkeypatch):
@@ -1132,7 +1260,10 @@ def test_each_step_is_forced_to_its_residual(profile, monkeypatch):
         return gmres(A, b, M=M, rtol=rtol)
 
     monkeypatch.setattr(solver, "gmres", recorded)
-    res = solve_at_separation(pair_params(eps=0.1), 10.0, profile, h=0.5,
+    # here the last step starts near 4e-9, so its safeguard, about 1e-3,
+    # is above the term of the step before; a case whose last step starts
+    # higher need not show that (at h = 0.5 this pair's starts at 2e-8)
+    res = solve_at_separation(pair_params(eps=0.1), 10.0, profile, h=0.4,
                               newton_tol=newton_tol)
     assert len(res.newton_residuals) == res.newton_iters + 1 == len(rtols) + 1
     assert res.newton_residuals[-1] == res.final_residual <= newton_tol

@@ -5,14 +5,13 @@ from .ansatz import (ModelParams, Regime, build_ansatz, build_case, build_pair,
                      build_ring, build_ring_phase, kernel_Zd)
 from .diagnostics import (DiagnosticsReport, build_report, corrector_norms,
                           detect_vortices, energy_charge, error_field)
-from .fields import (ComplexField, GridSpec, ScalarField, Symmetry, diff_ops,
-                     reflect_full)
+from .fields import ComplexField, GridSpec, ScalarField, Symmetry, diff_ops
 from .profile import (VortexProfile, eval_profile, ode_residual,
                       profile_integrals, solve_profile)
 from .reconstruct import pde_residual, unscale
 from .reduction import leading_c, predict_d
-from .solver import (SolveResult, apply_S, linearize_apply,
-                     solve_at_separation, solve_balanced, solve_projected)
+from .solver import (SolveResult, apply_S, solve_at_separation, solve_balanced,
+                     solve_projected)
 from .stereo import nonlinearity_F
 
 __all__ = [name for name in dir() if not name.startswith("_")]

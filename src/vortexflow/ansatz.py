@@ -190,20 +190,6 @@ def ring_forcing(params: ModelParams, spec: GridSpec, phi_s: ScalarField):
     return np.where(np.isfinite(g), g, 0.0)
 
 
-def ring_phase_residual(params: ModelParams, spec: GridSpec):
-    """Closed-form [lap + H1](theta_1 - theta_2 + phi_s), valid where
-    chi == 1 (within CHI_INNER_FRAC * d of e1); the O(eps^2) smallness
-    check of the phase construction lives here."""
-    d = params.d
-    X1, X2, ell1, _, ell2, _ = _core_frames(spec, d)
-    l1sq = np.where(ell1 > 0, ell1**2, np.inf)
-    l2sq = ell2**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        first = 4.0 * X2 * (X1 - d) / (l1sq * l2sq)
-        second = np.where(X1 > 0, X2 * (X1**2 - X2**2 - d**2) / (X1 * l1sq * l2sq), 0.0)
-    return first + second
-
-
 def _solve_phase(spec: GridSpec, g):
     """The stack of phi with [lap + H1] phi = g[k] on `spec`, odd in x2 and
     zero on the outer Dirichlet layer, all solved with one factor of the

@@ -9,7 +9,8 @@ Config files are flat `key = value` lines with `#` comments; unknown
 keys are rejected.  Each case is the library's: its grid is
 `solver._grid_for`'s, and it is solved by `solver.solve_at_separation`.
 Reports (`key: value` lines under `[section]` headers) and CSV files
-are deterministic, floats in 17 significant digits.
+are deterministic, floats in the shortest form that reads back to the
+same float (`float.__repr__`, which numpy scalars share).
 
 Exit codes are set in one place, `main`: 0 success; 2 any value a
 command refuses (an unreadable config file, an unknown key, or a config
@@ -102,7 +103,7 @@ def load_field(path):
 
 def _fmt(v):
     if isinstance(v, float):
-        return format(v, ".17g")
+        return float.__repr__(v)
     if isinstance(v, (list, tuple)):
         return "[" + ", ".join(_fmt(x) for x in v) + "]"
     return str(v)

@@ -184,13 +184,6 @@ def error_field(V: ComplexField, params: ModelParams):
     return ComplexField(V.spec, data), star2
 
 
-def error_inner_lp(V: ComplexField, params: ModelParams):
-    """L^14 norm of the raw error S[V] within 3 of a core, S the operator
-    of params' regime."""
-    near, _, _ = _norm_regions(V.spec, params.centers())
-    return _l14(apply_S(V, params).data, near, V.spec)
-
-
 def _second_derivatives(d1p, d2p, spec):
     """(d11 phi, d22 phi): central differences of d1p = d1 phi along x1
     and d2p = d2 phi along x2, the outer layer left at zero.  The axis

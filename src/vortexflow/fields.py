@@ -8,11 +8,15 @@ recovered through the parity table
 
 i.e. u(x1, -x2) = conj(u(x1, x2)) and u(-x1, x2) = u(x1, x2).  Scalar
 fields are real, carry an explicit x2-parity flag and are always even
-in x1.  `reflect` is the table's one home on the lattice: every
-stencil's axis ghosts and the full plane are slices of it.  The
-outermost stored row/column is Dirichlet data supplied by the caller,
-so no stencil is evaluated there.  Matrix forms keep the table folded
-in: `solver.assemble_jacobian`, the H1 axis terms of
+in x1.  `reflect` keeps the table on a stored field's lattice: the
+stencils' axis ghosts and the full plane are slices of it.  The
+V-cycle's colour-split lattice keeps it in `solver._refresh_ghosts`,
+tied to the table by the tests
+test_stencil_product_matches_the_assembled_matrix and
+test_a_red_black_sweep_is_the_float64_update_by_colour.  The outermost
+stored row/column is Dirichlet data supplied by the caller, so no
+stencil is evaluated there.  Matrix forms keep the table folded in:
+`solver.assemble_jacobian`, the H1 axis terms of
 `solver._arm_coefficients` and the 4/h1^2 axis row of
 `ansatz._solve_phase`, tied to the stencils by the tests
 test_assembled_jacobian_matches_directional (and _ring),
@@ -116,43 +120,15 @@ def symmetrize_complex(data):
     return out
 
 
-def reflect_full(f, x1, x2):
-    """Evaluate the full-plane extension at (x1, x2) by the parity table,
-    bilinear off-lattice: the tests' reference for `reflect`."""
-    spec = f.spec
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    scalar = x1.ndim == 0 and x2.ndim == 0
-    x1, x2 = np.atleast_1d(x1), np.atleast_1d(x2)
-    if np.any(np.abs(x1) > spec.l1 + 1e-12) or np.any(np.abs(x2) > spec.l2 + 1e-12):
-        raise ValueError("query outside the covered domain")
-    a1, a2 = np.abs(x1), np.abs(x2)
-    i = np.clip((a1 / spec.h1).astype(int), 0, spec.n1 - 2)
-    j = np.clip((a2 / spec.h2).astype(int), 0, spec.n2 - 2)
-    t = a1 / spec.h1 - i
-    s = a2 / spec.h2 - j
-    d = f.data
-    val = ((1 - t) * (1 - s) * d[i, j] + t * (1 - s) * d[i + 1, j]
-           + (1 - t) * s * d[i, j + 1] + t * s * d[i + 1, j + 1])
-    if isinstance(f, ComplexField):
-        flip = x2 < 0
-        val = np.where(flip, np.conj(val), val)
-    elif f.x2_parity == "odd":
-        val = np.where(x2 < 0, -val, val)
-    return val[0] if scalar else val
-
-
-def reflect(a, w1, w2, s1=1, s2=1, out=None):
+def reflect(a, w1, w2, s1=1, s2=1):
     """`a` extended past the axes by w1 rows and w2 columns, a[i, j] at
     [w1 + i, w2 + j]: the row at x1 = -k h1 is s1 a[k], the column at
-    x2 = -k h2 is s2 conj(a[:, k]) (a real `a` stays real).  Allocated,
-    or with `out`, whose block [w1:, w2:] holds `a`, filled in place."""
+    x2 = -k h2 is s2 conj(a[:, k]) (a real `a` stays real)."""
     n1, n2 = a.shape
     if not (0 <= w1 < n1 and 0 <= w2 < n2):
         raise ValueError("ghost widths must lie in [0, n - 1]")
-    if out is None:
-        out = np.empty((n1 + w1, n2 + w2), dtype=a.dtype)
-        out[w1:, w2:] = a
+    out = np.empty((n1 + w1, n2 + w2), dtype=a.dtype)
+    out[w1:, w2:] = a
     cols, rows = out[w1:, :w2], out[:w1]
     np.conjugate(a[:, w2:0:-1], out=cols)
     if s2 < 0:

@@ -49,8 +49,9 @@ SPLINE_K = 5                 # degree of the field's spline on both axes
 
 
 class UnscaledField:
-    """Evaluator U(s~) = u(s^), with the traveling coordinate stretched
-    by 1/sqrt(1-c^2) before sampling the stored quarter-grid field.
+    """Evaluator U(s~) = u(s^) on tensor grids (`on_grid`), with the
+    traveling coordinate stretched by 1/sqrt(1-c^2) before sampling the
+    stored quarter-grid field.
 
     The field is interpolated by a quintic spline built on the reflected
     plane, which gives the C^4 smoothness that finite-difference residual
@@ -88,23 +89,6 @@ class UnscaledField:
         shape (n_b coefficients, len(a_axis))."""
         rows = BSpline.construct_fast(self._ta, self._coef, SPLINE_K)(a_axis)
         return np.ascontiguousarray(rows.T)
-
-    def __call__(self, a, b):
-        """Evaluate at s~ = (a, b); b is the traveling coordinate.  The
-        same two contractions as on_grid (one column per distinct a), with
-        the traveling coordinate's taps summed in BSpline's order, so a
-        point has the bits of its on_grid value."""
-        a, bh = np.broadcast_arrays(*self._stretched(a, b))
-        a_axis, a_inv = np.unique(a, return_inverse=True)
-        coef_b = self._contract_a(a_axis)
-        basis = BSpline.design_matrix(bh.ravel(), self._tb, SPLINE_K)
-        taps = basis.indices.reshape(-1, SPLINE_K + 1)
-        weights = basis.data.reshape(-1, SPLINE_K + 1)
-        cols = a_inv.ravel()
-        out = np.zeros(bh.size, dtype=complex)
-        for k in range(SPLINE_K + 1):
-            out = out + coef_b[taps[:, k], cols] * weights[:, k]
-        return out.reshape(a.shape)
 
     def on_grid(self, a_axis, b_axis):
         """U on the tensor product of two increasing axes, shape

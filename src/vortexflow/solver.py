@@ -13,13 +13,12 @@ grad u . grad u is the complex bilinear sum (d1 u)^2 + (d2 u)^2, not the
 Hermitian square.
 
 The case's regime decides its operator, so the operators take the
-case's `ModelParams` and nothing else: `apply_S(u, params)`,
-`linearize_apply(u, v, params)` and the Jacobian (`_Jacobian(u,
-params)`) add the Q2 drive (`params.drive`) to S0, T2 for Schrodinger
-flow (`params.is_schrodinger`) and H1 for a ring (`params.is_ring`), and
-raise ValueError on a grid whose symmetry is not `params.symmetry`.
-`apply_S(u, None)` and `linearize_apply(u, v, None)` apply S0 itself,
-the static operator, which no regime implies.
+case's `ModelParams` and nothing else: `apply_S(u, params)` and the
+Jacobian (`_Jacobian(u, params)`) add the Q2 drive (`params.drive`) to
+S0, T2 for Schrodinger flow (`params.is_schrodinger`) and H1 for a ring
+(`params.is_ring`), and raise ValueError on a grid whose symmetry is not
+`params.symmetry`.  `apply_S(u, None)` applies S0 itself, the static
+operator, which no regime implies.
 
 The projected problem S[u] = c Z_d with Re<u - V_d, Z_d>_W = 0 (weight
 W = (1+|V_d|^2)^-2) is solved by damped Newton on the bordered system
@@ -261,21 +260,6 @@ def apply_S(u: ComplexField, params: ModelParams | None) -> ComplexField:
     out[-1, :] = 0.0
     out[:, -1] = 0.0
     return ComplexField(u.spec, out)
-
-
-def linearize_apply(u: ComplexField, v: ComplexField,
-                    params: ModelParams | None) -> ComplexField:
-    """Directional derivative (S[u + d v] - S[u - d v]) / (2 d) of the
-    operator of `apply_S(., params)`."""
-    vn = float(np.abs(v.data).max())
-    if vn == 0.0:
-        raise ValueError("zero direction")
-    un = float(np.abs(u.data).max())
-    delta = 1e-6 * max(1.0, un) / max(1e-12, vn)
-    up = ComplexField(u.spec, u.data + delta * v.data)
-    um = ComplexField(u.spec, u.data - delta * v.data)
-    diff = (apply_S(up, params).data - apply_S(um, params).data) / (2.0 * delta)
-    return ComplexField(u.spec, diff)
 
 
 def _on_grid(x, g):
@@ -1246,11 +1230,3 @@ def solve_balanced(params: ModelParams, d_bracket, profile: VortexProfile, h=0.2
         d_cur, c_cur = d_new, c_new
     return done(*best)
 
-
-def unprojected_residual_norm(result: SolveResult, params: ModelParams) -> float:
-    """Discrete L2 of S[u], the operator of params' regime, at a solution
-    (meaningful once c ~ 0)."""
-    p = params.with_d(result.d_used)
-    S = apply_S(result.u, p)
-    cell = result.u.spec.h1 * result.u.spec.h2
-    return float(math.sqrt(np.sum(np.abs(S.data) ** 2) * cell))

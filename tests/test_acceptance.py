@@ -35,15 +35,15 @@ import time
 import numpy as np
 import pytest
 
+from references import linearize_apply, reflect_full
 from vortexflow.ansatz import ModelParams, Regime, build_ansatz
-from vortexflow.diagnostics import (build_report, corrector_norms, detect_vortices,
-                                    energy_charge, error_field, error_inner_lp)
-from vortexflow.fields import GridSpec, Symmetry, reflect_full
-from vortexflow.profile import ode_residual, profile_integrals
+from vortexflow.diagnostics import (_l14, _norm_regions, build_report, corrector_norms,
+                                    detect_vortices, energy_charge, error_field)
+from vortexflow.fields import ComplexField, GridSpec, Symmetry, symmetrize_complex
+from vortexflow.profile import eval_profile, ode_residual, profile_integrals
 from vortexflow.reconstruct import pde_residual, unscale
 from vortexflow.reduction import predict_d
-from vortexflow.solver import (solve_at_separation, solve_balanced,
-                               unprojected_residual_norm, _domain_for)
+from vortexflow.solver import _domain_for, apply_S, solve_at_separation, solve_balanced
 from vortexflow.stereo import unproject_array
 
 RATIO_BOUND = 1.5 / math.sqrt(2.0)  # eps-halving bound for eps^(1/2) laws
@@ -118,7 +118,8 @@ def test_criterion_04_ansatz_error_scaling(profile):
         L = _domain_for(p.d, 0.25)
         spec = GridSpec(L, L, 0.25, 0.25, Symmetry.RING)
         V = build_ansatz(p, spec, profile)
-        c_vals.append(error_inner_lp(V, p) / p.drive)
+        near, _, _ = _norm_regions(spec, p.centers())
+        c_vals.append(_l14(apply_S(V, p).data, near, spec) / p.drive)
     ok &= max(c_vals) <= 1.5 * c_vals[0] + 1e-12
     lines.append(f"S4 inner L14 / (eps|log eps|) = {['%.3f' % c for c in c_vals]}")
     _report(4, ok, "; ".join(lines))
@@ -185,9 +186,9 @@ def test_criterion_06_pair_force_balance(balanced_pair_eps005):
         target = (1.0 - 2.0 * kappa) * params.eps
         dev = abs(1.0 / d_star - target)
         good = dev <= 0.25 * target
-        # unprojected residual at the balanced solution
-        pb = params.with_d(d_star)
-        rnorm = unprojected_residual_norm(res, pb)
+        # discrete L2 of the unprojected residual S[u] at the balanced solution
+        S = apply_S(res.u, params.with_d(d_star)).data
+        rnorm = math.sqrt(np.sum(np.abs(S) ** 2) * (res.u.spec.h1 * res.u.spec.h2))
         good &= rnorm <= 1e-7
         ok &= good
         lines.append(f"k={kappa}: d* = {d_star:.3f} (predict {1 / target:.1f}), "
@@ -278,10 +279,6 @@ def test_criterion_09_spacetime_residuals(profile, balanced_pair_wm,
 
 
 def test_criterion_10_near_kernel(profile):
-    from vortexflow.fields import ComplexField, symmetrize_complex
-    from vortexflow.profile import eval_profile
-    from vortexflow.solver import linearize_apply
-
     h = 0.1
     spec = GridSpec(30.0, 15.0, h, h, Symmetry.PAIR)
     center = (15.0, 0.0)

@@ -5,10 +5,11 @@ import pytest
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import spsolve
 
-from vortexflow.ansatz import (ModelParams, Regime, _solve_phase, build_pair, build_ring,
-                               build_ring_phase, kernel_Zd, ring_forcing,
-                               ring_phase_residual, smoothstep_cutoff)
-from vortexflow.fields import GridSpec, Symmetry, axisym_term, diff_ops, reflect_full
+from references import reflect_full
+from vortexflow.ansatz import (ModelParams, Regime, _core_frames, _solve_phase, build_pair,
+                               build_ring, build_ring_phase, kernel_Zd, ring_forcing,
+                               smoothstep_cutoff)
+from vortexflow.fields import GridSpec, Symmetry, axisym_term, diff_ops
 from vortexflow.profile import eval_profile
 
 
@@ -117,12 +118,19 @@ def test_phi_s_vanishes_on_axis(profile):
 
 
 def test_ring_phase_residual_order_eps_squared(profile):
+    # the closed form of [lap + H1](theta_1 - theta_2 + phi_s) where chi == 1
+    # (within CHI_INNER_FRAC * d of e1) is O(eps^2)
     eps = 0.05
     p = ring_params(eps=eps, d_hat=1.0)  # d = 20
     spec = GridSpec(40.0, 40.0, 0.25, 0.25, Symmetry.RING)
-    X1, X2 = spec.mesh()
-    ell1 = np.hypot(X1 - p.d, X2)
-    res = ring_phase_residual(p, spec)
+    d = p.d
+    X1, X2, ell1, _, ell2, _ = _core_frames(spec, d)
+    l1sq = np.where(ell1 > 0, ell1**2, np.inf)
+    l2sq = ell2**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        first = 4.0 * X2 * (X1 - d) / (l1sq * l2sq)
+        second = np.where(X1 > 0, X2 * (X1**2 - X2**2 - d**2) / (X1 * l1sq * l2sq), 0.0)
+    res = first + second
     zone = (ell1 > 1.0) & (ell1 < p.d / 10.0)
     assert np.max(np.abs(np.where(zone, res, 0.0))) <= 10 * eps**2
 

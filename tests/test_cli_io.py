@@ -253,6 +253,9 @@ def test_cli_pair_ansatz_verify_pipeline(tmp_path):
     assert (out / "ansatz.vsf").exists()
     rep = (out / "report.txt").read_text()
     assert ":+1" in rep.replace(" ", "")
+    # each float in its shortest round-trip form
+    config = _report_section(out / "report.txt", "config")
+    assert (config["eps"], config["kappa"], config["newton_tol"]) == ("0.1", "0.0", "1e-11")
 
     out2 = tmp_path / "verify"
     code = main(["--out", str(out2), "verify", str(out / "ansatz.vsf")])
@@ -272,6 +275,13 @@ def test_cli_reports_deterministic(tmp_path):
             assert main(["--out", str(out)] + command) == 0
             outs.append((out / "report.txt").read_bytes())
         assert outs[0] == outs[1]
+
+
+@given(x=st.floats(allow_nan=False, allow_infinity=False), as_numpy=st.booleans())
+def test_report_floats_are_their_shortest_round_trip(x, as_numpy):
+    v = np.float64(x) if as_numpy else x
+    text = cli_io._fmt(v)
+    assert float(text) == x and text == float.__repr__(float(v))
 
 
 def test_cli_ring_ansatz(tmp_path):
@@ -334,7 +344,7 @@ def test_cli_reduce_pair_is_solve_balanced(tmp_path, profile):
     res, d_star = solve_balanced(params, (5.0, 20.0), profile, h=0.5)
     section = _report_section(out / "report.txt", "reduce")
     assert section["d_star"] == cli_io._fmt(d_star)
-    assert section["predict_d"] == "10" and section["field"] == "solution.vsf"
+    assert section["predict_d"] == "10.0" and section["field"] == "solution.vsf"
     assert (out / "curve.csv").read_text().splitlines() == [
         "d,c,n1,lu_reused,warm_start,c_leading",
         *(",".join(map(cli_io._fmt, (*rec, leading_c(rec[0], params))))

@@ -1,12 +1,15 @@
 """The package's modules form one import order: each module imports, at
-module level only, modules below it in LAYERS."""
+module level only, modules below it in LAYERS.  And the package holds
+only what the pipeline runs: every public module-level name has a
+caller outside the tests."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "vortexflow"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "vortexflow"
 
 LAYERS = {
     "fields": 0, "stereo": 0, "profile": 0,
@@ -54,3 +57,64 @@ def _violations(path):
 def test_module_imports_only_modules_below_it_at_module_level(path):
     assert path.stem in LAYERS, f"{path.stem} has no place in LAYERS"
     assert _violations(path) == []
+
+
+# Public names that only tests call, each kept for a reason: eval_profile
+# gives rho and rho' at any ell (criterion 10's translation mode), and an
+# exact dV/dd of the ansatz, in place of its central difference, would
+# build on it.
+TEST_ONLY = {"eval_profile"}
+
+
+def _defined(tree):
+    """(name, statement) of each public name a module defines at module
+    level."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((name, stmt) for name in names if not name.startswith("_"))
+
+
+def _loads(tree):
+    """(name, top-level statement) of each name or attribute the module
+    loads: code, not docstrings.  The strings of the benchmark tracer's
+    LAYERS and FOREIGN tables name the functions it wraps, so they count."""
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                yield node.id, stmt
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                yield node.attr, stmt
+            elif isinstance(node, ast.ClassDef) and node.name == "Instrumentation":
+                for assign in node.body:
+                    if isinstance(assign, ast.Assign) and any(
+                            getattr(t, "id", None) in ("LAYERS", "FOREIGN")
+                            for t in assign.targets):
+                        yield from ((c.value, stmt) for c in ast.walk(assign.value)
+                                    if isinstance(c, ast.Constant)
+                                    and isinstance(c.value, str))
+
+
+def _uncalled():
+    """Public names of the package that no code outside the tests loads,
+    other than inside their own definitions: the package's modules and
+    the benchmark's non-test files are searched."""
+    files = sorted(SRC.glob("*.py")) + [p for p in sorted((ROOT / "bench").glob("*.py"))
+                                         if not p.name.startswith("test_")]
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in files]
+    defined = {}
+    for path, tree in zip(files, trees):
+        if path.parent == SRC:
+            defined.update(_defined(tree))
+    called = {name for tree in trees for name, stmt in _loads(tree)
+              if defined.get(name) is not stmt}
+    return set(defined) - called
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    assert _uncalled() == TEST_ONLY

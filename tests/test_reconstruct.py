@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.interpolate import BSpline
 
+from references import unscaled_at
 from vortexflow import reconstruct
 from vortexflow.ansatz import ModelParams, Regime, build_ansatz, build_pair
 from vortexflow.fields import ComplexField, GridSpec, Symmetry
@@ -22,7 +23,7 @@ def test_unscale_identity_at_zero_speed(profile):
     V = build_pair(p, spec, profile)
     U = unscale(V, p)
     x = spec.x1()[::7]
-    assert np.max(np.abs(U(x, np.zeros_like(x)) - V.data[::7, 0])) <= 1e-12
+    assert np.max(np.abs(unscaled_at(U, x, np.zeros_like(x)) - V.data[::7, 0])) <= 1e-12
 
 
 def test_unscale_lattice_alignment(profile):
@@ -33,7 +34,7 @@ def test_unscale_lattice_alignment(profile):
     root = math.sqrt(1.0 - p.c**2)
     j = np.arange(spec.n2)[::5]
     s2 = j * spec.h2 * root  # stretches back onto lattice nodes
-    vals = U(np.full(j.size, 2.0), s2)
+    vals = unscaled_at(U, np.full(j.size, 2.0), s2)
     expect = V.data[8, ::5]
     assert np.max(np.abs(vals - expect)) < 1e-12
 
@@ -51,7 +52,8 @@ def test_unscale_chain_rule(profile):
     i, j = 28, 12
     s2 = j * spec.h2 * root
     delta = spec.h2 * root
-    dU = (U(i * spec.h1, s2 + delta) - U(i * spec.h1, s2 - delta)) / (2 * delta)
+    dU = (unscaled_at(U, i * spec.h1, s2 + delta)
+          - unscaled_at(U, i * spec.h1, s2 - delta)) / (2 * delta)
     _, d2, _ = diff_ops(V)
     assert abs(dU - d2.data[i, j] / root) < 1e-12
 
@@ -78,7 +80,7 @@ def test_spacetime_at_origin_slice(profile):
     U = unscale(V, p)
     s = (5.0, 0.75)
     m = sample_block(U, p, 0.0, 0.0, [[s[0]], [s[1]]])
-    assert np.max(np.abs(m[0, 0, 0, 0] - unproject_array(U(*s)))) <= 1e-15
+    assert np.max(np.abs(m[0, 0, 0, 0] - unproject_array(unscaled_at(U, *s)))) <= 1e-15
 
 
 def test_vortex_drift_with_time(profile, balanced_pair_sch):
@@ -92,7 +94,7 @@ def test_vortex_drift_with_time(profile, balanced_pair_sch):
         g2 = np.linspace(s2 - 0.4, s2 + 0.4, 81)
         A, B = np.meshgrid(g1, g2, indexing="ij")
         shift = pb.omega * t
-        vals = np.abs(U(A.ravel(), B.ravel() - shift)).reshape(A.shape)
+        vals = np.abs(unscaled_at(U, A.ravel(), B.ravel() - shift)).reshape(A.shape)
         i, j = np.unravel_index(vals.argmin(), vals.shape)
         return g1[i], g2[j]
 
@@ -169,7 +171,7 @@ def _pointwise_block(U, p, t_axis, tau_axis, s_axes):
         for jt, tau in enumerate(tau_axis):
             b = (grids[-1] - (p.c * tau + p.omega * t)).ravel()
             phase = complex(math.cos(tau), math.sin(tau))
-            psi[it, jt] = (U(a, b) * phase).reshape(grids[0].shape)
+            psi[it, jt] = (unscaled_at(U, a, b) * phase).reshape(grids[0].shape)
     return unproject_array(psi)
 
 

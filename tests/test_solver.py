@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.sparse import block_diag, csc_matrix, csr_matrix, kron
 from scipy.sparse.linalg import splu
 
+from references import linearize_apply
 from vortexflow import ansatz, diagnostics, solver
 from vortexflow.ansatz import ModelParams, Regime, build_ansatz, build_pair, kernel_Zd
 from vortexflow.cli_io import FieldFormatError, load_field, save_field
@@ -20,8 +21,8 @@ from vortexflow.solver import (_ARMS, _COLOURS, _arm_coefficients, _border, _bor
                                _coarse_spec, _half_sweep, _Jacobian, _joined, _on_grid, _packed,
                                _packed_split, _preconditioner, _prolong, _refresh_ghosts,
                                _restrict, _split, _split_unknowns, _unknown_index, apply_S,
-                               assemble_jacobian, build_case, gmres, linearize_apply,
-                               solve_at_separation, solve_projected)
+                               assemble_jacobian, build_case, gmres, solve_at_separation,
+                               solve_projected)
 
 
 class _DofMap:
@@ -191,30 +192,6 @@ def test_assembled_jacobian_matches_directional_ring(profile):
     lhs = A @ dm.pack(vdat)
     rhs = dm.pack(linearize_apply(V, ComplexField(spec, vdat), p).data)
     assert np.abs(lhs - rhs).max() / np.abs(lhs).max() < 1e-6
-
-
-def test_near_kernel_of_single_vortex(profile):
-    # discrete realization of the translation-mode kernel at h = 0.1
-    h = 0.1
-    spec = GridSpec(30.0, 15.0, h, h, Symmetry.PAIR)
-    center = (15.0, 0.0)
-    w = single_vortex(profile, spec, center)
-    X1, X2 = spec.mesh()
-    ell = np.hypot(X1 - center[0], X2 - center[1])
-    th = np.arctan2(X2, X1 - center[0])
-    rho, drho = eval_profile(profile, ell)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        d1w = (drho * np.cos(th) - 1j * np.where(ell > 0, rho / ell, 0.0)
-               * np.sin(th)) * np.exp(1j * th)
-    d1w = np.where(ell > 0, d1w, profile.slope_a)
-    v = ComplexField(spec, symmetrize_complex(d1w))
-    out = linearize_apply(w, v, None)
-    mask = np.zeros(out.data.shape, bool)
-    mask[2:-2, :-2] = True
-    mask &= X1 >= 2 * h
-    num = np.sqrt(np.sum(np.abs(np.where(mask, out.data, 0)) ** 2))
-    den = np.sqrt(np.sum(np.abs(np.where(mask, v.data, 0)) ** 2))
-    assert num / den <= 5e-3
 
 
 def test_solve_projected_small_pair(profile):

@@ -1,9 +1,10 @@
 """Config parsing, bit-exact field serialization, reports, and the CLI.
 
-Field files ("VSF1"): magic, then little-endian u32 kind (0 scalar /
-1 complex), u32 symmetry (0 PAIR / 1 RING), u32 n1, u32 n2, f64 h1, h2,
-l1, l2, then n1*n2 samples (f64, or f64 pairs for complex), row-major
-over (x1, x2).
+Field files ("VSF1"): magic, then little-endian u32 kind (1, complex:
+the one kind), u32 symmetry (0 PAIR / 1 RING), u32 n1, u32 n2, f64 h1,
+h2, l1, l2, then n1*n2 samples (f64 pairs), row-major over (x1, x2).
+`load_field` refuses any other kind, and a spacing outside (0,
+MAX_SPACING], with FieldFormatError.
 
 Config files are flat `key = value` lines with `#` comments; unknown
 keys are rejected.  Each case is the library's: its grid is
@@ -13,10 +14,10 @@ are deterministic, floats in the shortest form that reads back to the
 same float (`float.__repr__`, which numpy scalars share).
 
 Exit codes are set in one place, `main`: 0 success; 2 any value a
-command refuses (an unreadable config file, an unknown key, or a config
+command refuses (an unreadable config file, an unknown key, a config
 or option value the library rejects with a ValueError or an arithmetic
-error); 3 solver failure; 4 I/O failure (including a malformed field
-file).
+error, or a case too large for the memory available, a MemoryError); 3
+solver failure; 4 I/O failure (including a malformed field file).
 """
 
 import argparse
@@ -29,7 +30,7 @@ import numpy as np
 
 from .ansatz import ModelParams, Regime, build_ansatz
 from .diagnostics import build_report, corrector_norms, error_field
-from .fields import MAX_FIELD_SAMPLES, ComplexField, GridSpec, ScalarField, Symmetry
+from .fields import MAX_FIELD_SAMPLES, MAX_SPACING, ComplexField, GridSpec, Symmetry
 from .profile import ODE_TOL, solve_profile, profile_integrals
 from .reconstruct import pde_residual, sample_block, unscale
 from .reduction import leading_c, predict_d
@@ -52,15 +53,11 @@ class ConfigError(ValueError):
     pass
 
 
-def save_field(f, path):
-    kind = 1 if isinstance(f, ComplexField) else 0
+def save_field(f: ComplexField, path):
     spec = f.spec
-    header = MAGIC + _HEADER.pack(kind, spec.symmetry.value, spec.n1, spec.n2,
+    header = MAGIC + _HEADER.pack(1, spec.symmetry.value, spec.n1, spec.n2,
                                   spec.h1, spec.h2, spec.l1, spec.l2)
-    if kind == 1:
-        payload = np.ascontiguousarray(f.data, dtype="<c16").tobytes()
-    else:
-        payload = np.ascontiguousarray(f.data, dtype="<f8").tobytes()
+    payload = np.ascontiguousarray(f.data, dtype="<c16").tobytes()
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)
@@ -74,24 +71,20 @@ def load_field(path):
     if len(blob) < 4 + _HEADER.size:
         raise FieldFormatError("truncated header")
     kind, sym, n1, n2, h1, h2, l1, l2 = _HEADER.unpack_from(blob, 4)
-    if kind not in (0, 1) or sym not in (0, 1):
-        raise FieldFormatError("unknown kind/symmetry")
+    if kind != 1 or sym not in (0, 1):
+        raise FieldFormatError(f"kind {kind} or symmetry {sym} unknown: a field file holds "
+                               f"kind 1 (complex) and symmetry 0 or 1")
     if n1 * n2 > MAX_FIELD_SAMPLES:
         raise FieldFormatError("dimension overflow")
-    itemsize = 16 if kind == 1 else 8
-    expected = 4 + _HEADER.size + n1 * n2 * itemsize
+    expected = 4 + _HEADER.size + n1 * n2 * 16
     if len(blob) != expected:
         raise FieldFormatError(
             f"payload size {len(blob)} does not match header ({expected})")
-    raw = blob[4 + _HEADER.size:]
+    if not (0.0 < h1 <= MAX_SPACING and 0.0 < h2 <= MAX_SPACING):
+        raise FieldFormatError(f"spacings must lie in (0, {MAX_SPACING}]")
     try:
-        spec = GridSpec(l1, l2, h1, h2, Symmetry(sym))
-        if kind == 1:
-            data = np.frombuffer(raw, dtype="<c16").reshape(n1, n2).copy()
-            field = ComplexField(spec, data)
-        else:
-            data = np.frombuffer(raw, dtype="<f8").reshape(n1, n2).copy()
-            field = ScalarField(spec, data)
+        data = np.frombuffer(blob, dtype="<c16", offset=4 + _HEADER.size).reshape(n1, n2)
+        field = ComplexField(GridSpec(l1, l2, h1, h2, Symmetry(sym)), data.copy())
     except ValueError as exc:
         raise FieldFormatError(str(exc)) from None
     # finite samples whose squares overflow would turn |u|^2 and every norm
@@ -217,7 +210,6 @@ def _cmd_profile(cfg, out, args):
 
 def _cmd_build(cfg, out, args):
     params = cfg.params()
-    check_tolerances(cfg.newton_tol)
     prof = _profile()
     sections = [("config", cfg.echo()), ("params", _params_section(params))]
     if args.ansatz_only:
@@ -246,7 +238,6 @@ def _cmd_build(cfg, out, args):
 
 def _cmd_reduce(cfg, out, args):
     params = cfg.params()
-    check_tolerances(cfg.newton_tol)
     if not (cfg.d_lo >= 0 and cfg.d_hi >= 0):
         raise ConfigError(f"d_lo and d_hi must be >= 0 (0 means the default), "
                           f"got {cfg.d_lo} and {cfg.d_hi}")
@@ -279,8 +270,6 @@ def _cmd_reduce(cfg, out, args):
 
 def _cmd_verify(cfg, out, args):
     f = load_field(args.field)
-    if not isinstance(f, ComplexField):
-        raise FieldFormatError("verify expects a complex field")
     write_report(out / "report.txt", [
         ("config", cfg.echo()),
         ("verify", {"field": args.field, **_report_entries(build_report(f))}),
@@ -290,8 +279,6 @@ def _cmd_verify(cfg, out, args):
 def _cmd_reconstruct(cfg, out, args):
     params = cfg.params()
     f = load_field(args.field)
-    if not isinstance(f, ComplexField):
-        raise FieldFormatError("reconstruct expects a complex field")
     h = f.spec.h1
     ds = args.ds if args.ds else h / 2
     if not ds > 0:
@@ -337,7 +324,6 @@ def _cmd_sweep(cfg, out, args):
     except ValueError:
         raise ConfigError(f"--eps-list must be comma-separated numbers, "
                           f"got {args.eps_list!r}") from None
-    check_tolerances(cfg.newton_tol)
     cases = [replace(cfg, eps=eps).params() for eps in eps_list]
     specs = [_grid_for(p.d, cfg.h, p.symmetry) for p in cases]  # before the profile solve
     prof = _profile()
@@ -395,6 +381,7 @@ _COMMANDS = {
 
 def _config(args):
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
+    check_tolerances(cfg.newton_tol)  # every report echoes it
     if args.command in ("pair", "ring"):
         if not cfg.regime.startswith(args.command):
             cfg.regime = f"{args.command}_wm"
@@ -430,6 +417,9 @@ def main(argv=None) -> int:
         return 4
     except (ValueError, ArithmeticError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a case's arrays: its grid is too large to hold
+        print(f"config error: not enough memory for this case: {exc}", file=sys.stderr)
         return 2
     except (NonConvergenceError, BracketError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

@@ -77,14 +77,11 @@ def _hit_clusters(hits):
     return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
-def detect_vortices(f: ComplexField, full_plane=False):
+def detect_vortices(f: ComplexField):
     """Plaquette-winding sweep over the reflected plane; adjacent hits
     (Chebyshev distance <= 2) merge into one vortex at their centroid.
-
-    By default only representatives with center x1 > 0 or on the x1 = 0
-    axis are reported (the mirror partners are implied by symmetry);
-    full_plane=True returns every cluster, whose charges sum to the
-    boundary winding of the extension."""
+    Only representatives with center x1 > 0 or on the x1 = 0 axis are
+    reported: the mirror partners are implied by symmetry."""
     x1, x2, ext = full_plane_data(f)
     w = plaquette_windings(ext)
     hits = np.argwhere(w != 0)
@@ -98,9 +95,8 @@ def detect_vortices(f: ComplexField, full_plane=False):
             continue
         cx = float(np.mean(x1[i] + 0.5 * f.spec.h1))
         cy = float(np.mean(x2[j] + 0.5 * f.spec.h2))
-        out.append(((cx, cy), charge))
-    if not full_plane:
-        out = [v for v in out if v[0][0] > -0.5 * f.spec.h1]
+        if cx > -0.5 * f.spec.h1:
+            out.append(((cx, cy), charge))
     return sorted(out, key=lambda v: (v[0][0], v[0][1]))
 
 

@@ -233,18 +233,13 @@ def eval_profile(p: VortexProfile, ell):
     return rho, drho
 
 
-def profile_integrals(p: VortexProfile, ell_cut=None):
+def profile_integrals(p: VortexProfile):
     """Radial integrals I1 = int rho rho'/(1+rho^2)^2 and
     I2 = int (1-rho^2) rho rho'/(1+rho^2)^3 over (0, inf).
 
     Composite trapezoid over the knots plus closed-form head/tail
-    remainders obtained from the t = rho^2 antiderivatives; `ell_cut`
-    truncates the quadrature (and drops the tail term) for convergence
-    studies."""
+    remainders obtained from the t = rho^2 antiderivatives."""
     ell, rho, drho = p.knots, p.rho, p.drho
-    if ell_cut is not None:
-        keep = ell <= ell_cut
-        ell, rho, drho = ell[keep], rho[keep], drho[keep]
     onep = 1.0 + rho * rho
     f1 = rho * drho / onep**2
     f2 = (1.0 - rho * rho) * rho * drho / onep**3
@@ -257,11 +252,9 @@ def profile_integrals(p: VortexProfile, ell_cut=None):
     def head2(t):
         return 0.5 * t / (1.0 + t) ** 2
 
-    t0 = rho[0] ** 2
+    t0, tL = rho[0] ** 2, rho[-1] ** 2
     I1 += head1(t0) - head1(0.0)
     I2 += head2(t0) - head2(0.0)
-    if ell_cut is None:
-        tL = rho[-1] ** 2
-        I1 += head1(1.0) - head1(tL)
-        I2 += head2(1.0) - head2(tL)
+    I1 += head1(1.0) - head1(tL)
+    I2 += head2(1.0) - head2(tL)
     return I1, I2

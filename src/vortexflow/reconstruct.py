@@ -91,11 +91,11 @@ class UnscaledField:
         return np.ascontiguousarray(rows.T)
 
     def on_grid(self, a_axis, b_axis):
-        """U on the tensor product of two increasing axes, shape
-        (len(a_axis), len(b_axis)).  The a-axis contraction is kept, so
-        the slices of a block, which share their a-axis, contract it
-        once; each call is one complex 1-D spline evaluation along the
-        traveling coordinate."""
+        """U on the tensor product of an increasing a-axis and any
+        traveling axis, shape (len(a_axis), len(b_axis)).  The a-axis
+        contraction is kept, so the slices of a block, which share their
+        a-axis, contract it once; each call is one complex 1-D spline
+        evaluation along the traveling coordinate."""
         a, bh = self._stretched(a_axis, b_axis)
         if self._kept is None or not np.array_equal(self._kept[0], a):
             self._kept = (a.copy(), self._contract_a(a))
@@ -115,9 +115,9 @@ def sample_block(U: UnscaledField, params: ModelParams, t_axis, tau_axis, s_axes
 
     Each (t, tau) slice is one tensor-grid evaluation of U over the
     distinct values of a (s1 for a pair, the radius hypot(s1, s2) for a
-    ring) and of the traveling coordinate; the pointwise sphere map is
-    applied on that grid, and m is gathered back onto the block along
-    each axis whose values are not already sorted and distinct.
+    ring) and the traveling coordinate's values as given; the pointwise
+    sphere map is applied on that grid, and m is gathered back onto the
+    block along a where its values are not already sorted and distinct.
 
     Returns m with shape (nt, ntau, *spatial, 3)."""
     t_axis = np.atleast_1d(np.asarray(t_axis, dtype=float))
@@ -137,10 +137,7 @@ def sample_block(U: UnscaledField, params: ModelParams, t_axis, tau_axis, s_axes
             shift = params.c * tau + params.omega * t
             phase = complex(math.cos(tau), math.sin(tau))
             b = s_axes[-1] - shift
-            b_axis, b_inv = np.unique(b, return_inverse=True)
-            m_grid = unproject_array(U.on_grid(a_axis, b_axis) * phase)
-            if not np.array_equal(b_axis, b):
-                m_grid = m_grid.take(b_inv, axis=1)
+            m_grid = unproject_array(U.on_grid(a_axis, b) * phase)
             if m is None:
                 m = np.empty(shape)
             m_slice = m[it, jt].reshape(a.size, b.size, 3)

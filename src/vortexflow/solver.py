@@ -50,9 +50,7 @@ rather than far below it, and a step that starts within a factor
 sqrt(10) of sqrt(newton_tol), where ||F_k|| alone would leave it just
 above newton_tol, ends in that step.  The two terms multiply to
 newton_tol / 2, so eta_k >= min(KRYLOV_FORCING_MAX, sqrt(newton_tol /
-40)), 5e-7 at NEWTON_TOL: newton_tol is a solve's one tolerance.  The
-benchmark's ring solve takes 17 V-cycles (2, 6, 9) over its 3 Newton
-steps, and its pair balance 51 cycles over its 10.
+40)), 5e-7 at NEWTON_TOL: newton_tol is a solve's one tolerance.
 
 Which bordered system is factored depends on the grid alone, and one
 recursion decides it (`_preconditioner`).  A grid that can be coarsened
@@ -64,12 +62,12 @@ Pasciak, Math. Comp. 49, 1987).  So every solve factors one bordered
 system (`_bordered_lu`), on the first grid that cannot be coarsened (h =
 COARSEST_SPACING = 1.0, about one core width, or fewer than 7 points a
 side): the cycle's coarsest level, or the solve's own grid.  The cycle's
-coarse grids are the only grids past MAX_SPACING (`_CycleGrid`).  Every
+coarse grids are the only grids past MAX_SPACING, which only the entry
+points of a grid (`_grid_for`, `cli_io.load_field`) enforce.  Every
 level of the cycle runs in float32.  That factor is small (277,611
 entries in L + U on the benchmark's ring grid, h = 0.125 and 293k
-unknowns; an h = 0.5 bottom held 1,382,756) and a Newton step takes 1 to
-10 cycles under the forcing term, so the cycle beats a factor of a finer
-grid at every grid size measured.
+unknowns) and a Newton step takes 1 to 10 cycles under the forcing term,
+so the cycle beats a factor of a finer grid at every grid size measured.
 
 A solve is accepted iff its Newton residual ends at or below
 newton_tol (default NEWTON_TOL); otherwise it raises
@@ -157,8 +155,7 @@ KRYLOV_FORCING_MAX = 0.1
 # twice as often as the one above it
 SMOOTHING_SWEEPS = 1
 # largest spacing of the V-cycle's grids (`_can_double`), about one core
-# width; the cycle's own grids (`_CycleGrid`) are the only ones past
-# MAX_SPACING
+# width; the cycle's own grids are the only ones past MAX_SPACING
 COARSEST_SPACING = 1.0
 # glibc's malloc_trim (see `_release_freed_memory`), None where the C
 # library has none
@@ -595,21 +592,13 @@ def _bordered_lu(P, z_col, grad_con):
     return apply, lu.nnz
 
 
-class _CycleGrid(GridSpec):
-    """A coarse grid of the V-cycle (`_coarse_spec`): a GridSpec whose
-    spacings may reach COARSEST_SPACING.  No case's grid or field file is
-    one, so they stay capped at MAX_SPACING."""
-    _max_spacing = COARSEST_SPACING
-
-
 def _coarse_spec(spec):
-    """The 2h grid of the V-cycle, a `_CycleGrid`: every other point of
-    `spec` from the axes, ceil(n/2) points per side.  For odd n its
-    Dirichlet layer is the fine one; for even n it lies one fine cell
-    inside."""
+    """The 2h grid of the V-cycle: every other point of `spec` from the
+    axes, ceil(n/2) points per side.  For odd n its Dirichlet layer is
+    the fine one; for even n it lies one fine cell inside."""
     n1, n2 = -(-spec.n1 // 2), -(-spec.n2 // 2)
     h1, h2 = 2.0 * spec.h1, 2.0 * spec.h2
-    return _CycleGrid(n1 * h1, n2 * h2, h1, h2, spec.symmetry)
+    return GridSpec(n1 * h1, n2 * h2, h1, h2, spec.symmetry)
 
 
 def _prolong(spec, e, U):

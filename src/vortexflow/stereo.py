@@ -29,7 +29,4 @@ def nonlinearity_F(u):
     """F(u) = (1 - |u|^2)/(1 + |u|^2) * u; exact zero on the unit circle."""
     u = np.asarray(u, dtype=complex)
     r2 = u.real * u.real + u.imag * u.imag
-    out = (1.0 - r2) / (1.0 + r2) * u
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    return (1.0 - r2) / (1.0 + r2) * u

@@ -9,7 +9,7 @@ from references import reflect_full
 from vortexflow.ansatz import (ModelParams, Regime, _core_frames, _solve_phase, build_pair,
                                build_ring, build_ring_phase, kernel_Zd, ring_forcing,
                                smoothstep_cutoff)
-from vortexflow.fields import GridSpec, Symmetry, axisym_term, diff_ops
+from vortexflow.fields import GridSpec, Symmetry, axisym_term, diff_ops, full_plane_data
 from vortexflow.profile import eval_profile
 
 
@@ -61,17 +61,22 @@ def test_pair_core_and_parity(profile):
 
 
 def test_pair_winding_signs(profile):
-    # brute-force plaquette sums around each core on the reflected plane
-    from vortexflow.diagnostics import detect_vortices
+    # plaquette sums around each core on the reflected plane
+    from vortexflow.diagnostics import plaquette_windings
 
     p = pair_params()
     spec = GridSpec(20.0, 20.0, 0.25, 0.25, Symmetry.PAIR)
     V = build_pair(p, spec, profile)
-    allv = detect_vortices(V, full_plane=True)
-    charges = {round(pos[0], 1): q for pos, q in allv}
-    assert any(abs(k - p.d) < 0.5 and charges[k] == 1 for k in charges)
-    assert any(abs(k + p.d) < 0.5 and charges[k] == -1 for k in charges)
-    assert sum(q for _, q in allv) == 0
+    x1, x2, ext = full_plane_data(V)
+    w = plaquette_windings(ext)
+    c1, c2 = x1[:-1] + 0.5 * spec.h1, x2[:-1] + 0.5 * spec.h2  # plaquette centres
+    near_axis = np.abs(c2) < 1.0
+
+    def charge_near(x):
+        return w[np.abs(c1 - x) < 1.0][:, near_axis].sum()
+
+    assert charge_near(p.d) == 1 and charge_near(-p.d) == -1
+    assert w.sum() == 0
 
 
 def test_pair_far_modulus(profile):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from vortexflow import ansatz, cli_io, solver
 from vortexflow.cli_io import (ConfigError, FieldFormatError, RunConfig,
                                load_field, main, save_field)
-from vortexflow.fields import ComplexField, GridSpec, ScalarField, Symmetry
+from vortexflow.fields import ComplexField, GridSpec, Symmetry
 from vortexflow.reconstruct import pde_residual
 from vortexflow.reduction import leading_c
 from vortexflow.solver import solve_balanced
@@ -35,12 +35,6 @@ def test_roundtrip_bitwise(tmp_path, rng):
     assert isinstance(g, ComplexField)
     assert g.spec == f.spec
     assert g.data.tobytes() == f.data.tobytes()
-
-    s = ScalarField(f.spec, np.ascontiguousarray(f.data.real), "even")
-    save_field(s, path)
-    t = load_field(path)
-    assert isinstance(t, ScalarField)
-    assert t.data.tobytes() == s.data.tobytes()
 
 
 def test_bad_magic(tmp_path, rng):
@@ -115,12 +109,15 @@ def _malformed(blob, case):
         struct.pack_into("<d", blob, _PAYLOAD_AT, float("nan"))
     elif case == "huge":  # finite, but |u|^2 overflows
         struct.pack_into("<d", blob, _PAYLOAD_AT, 1e200)
+    elif case == "scalar":  # the retired kind 0: one f64 a sample, no x2 parity
+        struct.pack_into("<I", blob, _U32_AT[0], 0)
+        del blob[_PAYLOAD_AT + 8 * n1 * n2:]
     else:
         struct.pack_into("<d", blob, _F64_AT[2], n1 * h1 + 1.0)
     return bytes(blob)
 
 
-@pytest.mark.parametrize("case", ["spacing", "nan", "extent", "huge"])
+@pytest.mark.parametrize("case", ["spacing", "nan", "extent", "huge", "scalar"])
 def test_malformed_field_exit_4(tmp_path, rng, case):
     path = tmp_path / "f.vsf"
     save_field(random_complex_field(rng), path)
@@ -162,7 +159,7 @@ def test_mutated_field_loads_or_raises_format_error(valid_vsf, tmp_path_factory,
         f = load_field(path)
     except FieldFormatError:
         return
-    assert isinstance(f, (ComplexField, ScalarField))
+    assert isinstance(f, ComplexField)
 
 
 # config keys that no longer exist: `points` (the sampled c(d) curve),
@@ -217,6 +214,28 @@ def test_cli_out_of_range_config_exit_2(tmp_path, line, command, capsys):
         assert "d_lo" in err and "d_hi" in err
     if {kv.split(" = ")[0] for kv in line.splitlines()} & RETIRED_KEYS:
         assert "unknown key" in err
+
+
+@pytest.mark.parametrize("command", ["profile", "verify", "reconstruct"])
+def test_cli_newton_tol_is_refused_by_every_command(tmp_path, pair_ansatz_file, command,
+                                                    capsys):
+    # every report echoes newton_tol, so no command accepts one it cannot use
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eps = 0.1\nnewton_tol = -1\n")
+    args = [command] if command == "profile" else [command, str(pair_ansatz_file)]
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")] + args) == 2
+    assert "newton_tol" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_memory_error_exit_2(tmp_path, monkeypatch, capsys):
+    # a case whose arrays do not fit in memory is a grid the command refuses
+    def oversized(*args):
+        raise MemoryError("Unable to allocate the case's grid")
+
+    monkeypatch.setattr(cli_io, "build_ansatz", oversized)
+    assert main(["--out", str(tmp_path / "out"), "pair", "--ansatz-only"]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_cli_unreadable_config_exit_2(tmp_path):

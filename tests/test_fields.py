@@ -17,8 +17,13 @@ def sample_complex(spec, fn):
 
 
 def test_gridspec_validation():
-    with pytest.raises(ValueError):
-        GridSpec(4.0, 4.0, 0.6, 0.25, Symmetry.PAIR)  # spacing > 0.5
+    # any positive spacing: the V-cycle's coarsest grids have h = 1.0, and
+    # the cap MAX_SPACING belongs to the entry points (test_solver.py's
+    # test_only_the_cycles_own_grids_reach_h_1)
+    assert GridSpec(4.0, 4.0, 1.0, 1.0, Symmetry.PAIR).n1 == 4
+    for h in (0.0, -0.25, float("nan")):
+        with pytest.raises(ValueError, match="> 0"):
+            GridSpec(4.0, 4.0, h, 0.25, Symmetry.PAIR)
     with pytest.raises(ValueError):
         GridSpec(4.0, 4.0, 0.3, 0.25, Symmetry.PAIR)  # 4/0.3 not integral
     spec = make_spec()

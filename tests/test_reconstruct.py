@@ -184,7 +184,7 @@ _time = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3)
 
 @settings(deadline=None, max_examples=60)
 @given(t_axis=_time, tau_axis=_time, s_axes=st.lists(_axis, min_size=2, max_size=3))
-# an unsorted traveling axis of distinct values, which still needs its gather
+# an unsorted traveling axis of distinct values, evaluated in its own order
 @example(t_axis=[0.0], tau_axis=[0.0], s_axes=[[-3.0], [-2.75, -3.0]])
 def test_sample_block_matches_pointwise_bitwise(small_field, t_axis, tau_axis, s_axes):
     U = small_field

@@ -932,18 +932,19 @@ def test_a_grid_too_small_to_halve_factors_the_last_grid_that_can(profile, monke
 
 
 def test_only_the_cycles_own_grids_reach_h_1(tmp_path):
-    # an h = 0.5 grid halves to an h = 1.0 grid, the cycle's coarsest;
-    # every grid a case or a field file can name stays capped at h = 0.5
+    # an h = 0.5 grid halves to an h = 1.0 grid, the cycle's coarsest, and
+    # no further; the two entry points of a grid, a case's (`_grid_for`)
+    # and a field file's (`load_field`), stay capped at h = 0.5, on
+    # extents that are whole multiples of h too
     spec = GridSpec(20.0, 20.0, 0.5, 0.5, Symmetry.PAIR)
     assert solver._can_double(spec)
     coarse = _coarse_spec(spec)
+    assert type(coarse) is GridSpec
     assert (coarse.h1, coarse.h2, coarse.n1, coarse.n2) == (1.0, 1.0, 20, 20)
     assert not solver._can_double(coarse)
-    for h in (0.6, 1.0):
-        with pytest.raises(ValueError, match=r"\(0, 0\.5\]"):
-            GridSpec(20.0, 20.0, h, h, Symmetry.PAIR)
-    with pytest.raises(ValueError, match=r"\bh = 1\.0\b"):
-        solver._grid_for(10.0, 1.0, Symmetry.PAIR)
+    for d, h in ((10.0, 1.0), (3.0, 0.75)):  # 2d/h = 20 and 8
+        with pytest.raises(ValueError, match=rf"\bh = {h}\b.*\(0, 0\.5\]"):
+            solver._grid_for(d, h, Symmetry.PAIR)
     path = tmp_path / "coarse.vsf"
     save_field(ComplexField(coarse, np.ones((20, 20), complex)), path)
     with pytest.raises(FieldFormatError, match=r"\(0, 0\.5\]"):

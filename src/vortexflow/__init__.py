@@ -5,7 +5,7 @@ from .ansatz import (ModelParams, Regime, build_ansatz, build_case, build_pair,
                      build_ring, build_ring_phase, kernel_Zd)
 from .diagnostics import (DiagnosticsReport, build_report, corrector_norms,
                           detect_vortices, energy_charge, error_field)
-from .fields import ComplexField, GridSpec, ScalarField, Symmetry, diff_ops
+from .fields import ComplexField, GridSpec, Symmetry, diff_ops
 from .profile import (VortexProfile, eval_profile, ode_residual,
                       profile_integrals, solve_profile)
 from .reconstruct import pde_residual, unscale

@@ -3,13 +3,19 @@ improved ring ansatz, and the cutoff-localized co-kernel field.
 
 The pair ansatz is V_d(z) = w+(z - e1) w-(z - e2) with cores at
 e1 = (d, 0), e2 = (-d, 0) and w± = rho(ell) e^{±i theta}.  The ring
-ansatz multiplies in a phase correction e^{i phi_d}, phi_d = phi_s +
-phi_r, that cancels the 1/x1-induced singular forcing near the core;
-phi_s is an explicit cutoff-localized expression and phi_r solves a
-linear axisymmetric Poisson problem on the quarter grid.  That problem
-is separable: a sine transform in x2 leaves one tridiagonal in x1 per
-mode, and SuperLU (minimum-degree ordering on A + A^T) factors their
-block-diagonal sum with fill linear in the unknowns.
+ansatz multiplies in a phase correction e^{i phi_d} that cancels the
+1/x1-induced singular forcing near the core: phi_d solves the linear
+axisymmetric Poisson problem [lap + H1] phi_d = -[lap + H1](theta_1 -
+theta_2) on the quarter grid, whose right side is closed-form.  The
+paper splits phi_d into an explicit cutoff-localized singular part
+phi_s and a regular remainder phi_r.  On the grid that split cancels
+exactly: with phi_r solving A phi_r = -a - A phi_s, A = lap_h + H1_h
+the one discrete operator, a the closed-form angle term and phi_s zero
+on the Dirichlet layer, phi_s + phi_r = -A^{-1} a, so one solve gives
+phi_d.  That problem is separable: a sine transform in x2 leaves one
+tridiagonal in x1 per mode, and SuperLU (minimum-degree ordering on
+A + A^T) factors their block-diagonal sum with fill linear in the
+unknowns.
 
 The phase operator depends on the grid alone, not on d, so one factor
 serves a case: `_solve_phase` factors it and solves a stack of forcings
@@ -30,8 +36,7 @@ from scipy.fft import dst
 from scipy.sparse import diags, kronsum
 from scipy.sparse.linalg import splu
 
-from .fields import (ComplexField, GridSpec, ScalarField, Symmetry,
-                     axisym_term, diff_ops, symmetrize_complex)
+from .fields import ComplexField, GridSpec, Symmetry, symmetrize_complex
 from .profile import VortexProfile, eval_rho
 
 
@@ -46,14 +51,6 @@ _TAGS = {Regime.PAIR_WM: "S1", Regime.PAIR_SCH: "S2",
          Regime.RING_WM: "S3", Regime.RING_SCH: "S4"}
 
 CUTOFF_RADIUS = 6.0
-
-# phi_s cutoff band as fractions of d.  The band must stay several grid
-# cells wide at the balanced ring separation (d ~ 5-20), and its support
-# must end before the symmetry axis and the mirror core; narrower
-# asymptotic choices like (d/10, d/5) fall below grid resolution there
-# and spike the ansatz error at the band edge.
-CHI_INNER_FRAC = 0.25
-CHI_OUTER_FRAC = 0.75
 
 
 @dataclass(frozen=True)
@@ -142,52 +139,20 @@ def build_pair(params: ModelParams, spec: GridSpec, profile: VortexProfile) -> C
     return ComplexField(spec, symmetrize_complex(data))
 
 
-def _smooth_fall(t):
-    """1 - t^2 (3 - 2t), the C^1 cubic from 1 at t = 0 to 0 at t = 1 of
-    both cutoffs; t is clipped to [0, 1] by the caller."""
+def smoothstep_cutoff(s):
+    """C^1 plateau cutoff: 1 on [0, 1], 0 on [2, inf), cubic in between."""
+    t = np.clip(np.asarray(s, dtype=float) - 1.0, 0.0, 1.0)
     return 1.0 - t * t * (3.0 - 2.0 * t)
 
 
-def smoothstep_cutoff(s):
-    """C^1 plateau cutoff: 1 on [0, 1], 0 on [2, inf), cubic in between."""
-    s = np.asarray(s, dtype=float)
-    return _smooth_fall(np.clip(s - 1.0, 0.0, 1.0))
-
-
-def _chi(ell1, d):
-    """Radial cutoff around e1: 1 inside CHI_INNER_FRAC * d, 0 outside
-    CHI_OUTER_FRAC * d."""
-    r_in, r_out = CHI_INNER_FRAC * d, CHI_OUTER_FRAC * d
-    return _smooth_fall(np.clip((ell1 - r_in) / (r_out - r_in), 0.0, 1.0))
-
-
-def _phi_s_samples(spec: GridSpec, d):
+def _angle_forcing(spec: GridSpec, d):
+    """-[lap + (1/x1) d1](theta_1 - theta_2) = 4 d x2/(ell1^2 ell2^2) in
+    closed form (the angle difference is harmonic, so only its
+    axisymmetric term is left, and no finite difference of a multivalued
+    angle is taken); 0 at the core e1.  `_solve_phase` reads it on the
+    unknowns alone."""
     _, X2, ell1, _, ell2, _ = _core_frames(spec, d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(ell1 > 0, _chi(ell1, d) * X2 / (4.0 * d) * np.log(ell1**2 / ell2**2), 0.0)
-
-
-def ring_forcing(params: ModelParams, spec: GridSpec, phi_s: ScalarField):
-    """Source -[lap + (1/x1) d1](theta_1 - theta_2 + phi_s) for phi_r,
-    given the phi_s samples of `build_ring_phase`.
-
-    The angle part is closed-form (the angle difference is harmonic and
-    its axisymmetric part combines to -4 d x2/(ell1^2 ell2^2), with no
-    finite differences of multivalued angles); the phi_s part is applied
-    with the same discrete stencils used everywhere else, so the grid
-    identity [lap_h + H1_h](phi_s + phi_r) = -(angle part) holds exactly
-    and no cutoff-kink mismatch survives into the far-field error."""
-    d = params.d
-    _, X2, ell1, _, ell2, _ = _core_frames(spec, d)
-    l1sq = np.where(ell1 > 0, ell1**2, np.inf)
-    h1_angles = -4.0 * d * X2 / (l1sq * ell2**2)
-
-    _, _, lap_s = diff_ops(phi_s)
-    h1_s = axisym_term(phi_s.data, spec)
-    g = -(h1_angles + lap_s.data + h1_s)
-    g[-1, :] = 0.0
-    g[:, -1] = 0.0
-    return np.where(np.isfinite(g), g, 0.0)
+    return 4.0 * d * X2 / (np.where(ell1 > 0, ell1**2, np.inf) * ell2**2)
 
 
 def _solve_phase(spec: GridSpec, g):
@@ -220,41 +185,31 @@ def _solve_phase(spec: GridSpec, g):
     return phi
 
 
-def _ring_phases(cases, spec):
-    """(phi_s, phi_r) of each ring params in `cases` on `spec`."""
-    phi_s = [ScalarField(spec, _phi_s_samples(spec, p.d), x2_parity="odd") for p in cases]
-    phi_r = _solve_phase(spec, [ring_forcing(p, spec, s) for p, s in zip(cases, phi_s)])
-    return [(s, ScalarField(spec, r, x2_parity="odd")) for s, r in zip(phi_s, phi_r)]
-
-
 def build_ring_phase(params: ModelParams, spec: GridSpec):
-    """Singular phase correction phi_s and regular part phi_r.
-
-    phi_s = chi(ell1) * x2 log(ell1^2/ell2^2)/(4 d); phi_r solves
-    [lap + H1] phi_r = -[lap + H1](theta_1 - theta_2 + phi_s) with odd
-    x2-parity and homogeneous Dirichlet on the outer boundary."""
+    """Ring phase correction phi_d: [lap + H1] phi_d = -[lap + H1](theta_1 -
+    theta_2) with odd x2-parity and homogeneous Dirichlet on the outer
+    boundary."""
     if not params.is_ring:
         raise ValueError("ring phases only exist in RING regimes")
-    return _ring_phases([params], spec)[0]
+    return _solve_phase(spec, [_angle_forcing(spec, params.d)])[0]
 
 
 def build_ring(params: ModelParams, spec: GridSpec, profile: VortexProfile,
-               phases) -> ComplexField:
-    """Improved ring ansatz V_d = w+ w- e^{i phi_d}, phi_d = phi_s + phi_r."""
+               phi_d) -> ComplexField:
+    """Improved ring ansatz V_d = w+ w- e^{i phi_d}, phi_d the samples of
+    `build_ring_phase`."""
     if not params.is_ring:
         raise ValueError("build_ring requires a RING regime")
     pair = build_pair(params, spec, profile)
-    phi_s, phi_r = phases
-    phi_d = phi_s.data + phi_r.data
-    data = pair.data * np.exp(1j * phi_d)
-    return ComplexField(spec, symmetrize_complex(data))
+    return ComplexField(spec, symmetrize_complex(pair.data * np.exp(1j * phi_d)))
 
 
 def _ansatzes(cases, spec, profile):
     """Pair or ring ansatz of each params in `cases`, all of one regime."""
     if not cases[0].is_ring:
         return [build_pair(p, spec, profile) for p in cases]
-    return [build_ring(p, spec, profile, ph) for p, ph in zip(cases, _ring_phases(cases, spec))]
+    phases = _solve_phase(spec, [_angle_forcing(spec, p.d) for p in cases])
+    return [build_ring(p, spec, profile, phi) for p, phi in zip(cases, phases)]
 
 
 def build_ansatz(params: ModelParams, spec: GridSpec, profile: VortexProfile) -> ComplexField:

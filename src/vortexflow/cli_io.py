@@ -7,8 +7,10 @@ h2, l1, l2, then n1*n2 samples (f64 pairs), row-major over (x1, x2).
 MAX_SPACING], with FieldFormatError.
 
 Config files are flat `key = value` lines with `#` comments; unknown
-keys are rejected.  Each case is the library's: its grid is
-`solver._grid_for`'s, and it is solved by `solver.solve_at_separation`.
+keys and regimes are rejected.  `pair` and `ring` set the geometry of
+the config's regime and keep its flow.  Each case is the library's: its
+grid is `solver._grid_for`'s, and it is solved by
+`solver.solve_at_separation`.
 Reports (`key: value` lines under `[section]` headers) and CSV files
 are deterministic, floats in the shortest form that reads back to the
 same float (`float.__repr__`, which numpy scalars share).
@@ -156,13 +158,15 @@ class RunConfig:
                 raise ConfigError(f"line {lineno}: {exc}") from None
         return cfg
 
-    def params(self) -> ModelParams:
+    def regime_value(self) -> Regime:
         try:
-            regime = Regime(self.regime)
+            return Regime(self.regime)
         except ValueError:
             raise ConfigError(f"unknown regime {self.regime!r}") from None
+
+    def params(self) -> ModelParams:
         try:
-            return ModelParams(regime, self.eps, self.kappa, self.d_hat)
+            return ModelParams(self.regime_value(), self.eps, self.kappa, self.d_hat)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -382,17 +386,18 @@ _COMMANDS = {
 def _config(args):
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
     check_tolerances(cfg.newton_tol)  # every report echoes it
+    _, flow = cfg.regime_value().value.split("_")  # and the regime
     if args.command in ("pair", "ring"):
-        if not cfg.regime.startswith(args.command):
-            cfg.regime = f"{args.command}_wm"
         if args.eps is not None:
             cfg.eps = args.eps
         if args.kappa is not None:
             cfg.kappa = args.kappa
-            if cfg.kappa > 0 and cfg.regime.endswith("wm"):
-                cfg.regime = cfg.regime.replace("wm", "sch")
+            if cfg.kappa > 0:
+                flow = "sch"
         if args.dhat is not None:
             cfg.d_hat = args.dhat
+        # the command sets the geometry; the config (or --kappa) the flow
+        cfg.regime = f"{args.command}_{flow}"
     if args.command in ("pair", "ring", "reduce", "reconstruct"):
         params = cfg.params()
     if args.command in ("pair", "ring", "reconstruct"):

@@ -6,12 +6,15 @@ recovered through the parity table
     u1(x1, x2) = u1(-x1, x2) = u1(x1, -x2),
     u2(x1, x2) = u2(-x1, x2) = -u2(x1, -x2),
 
-i.e. u(x1, -x2) = conj(u(x1, x2)) and u(-x1, x2) = u(x1, x2).  Scalar
-fields are real, carry an explicit x2-parity flag and are always even
-in x1.  `reflect` keeps the table on a stored field's lattice: the
-stencils' axis ghosts and the full plane are slices of it.  The
-V-cycle's colour-split lattice keeps it in `solver._refresh_ghosts`,
-tied to the table by the tests
+i.e. u(x1, -x2) = conj(u(x1, x2)) and u(-x1, x2) = u(x1, x2).  The one
+table covers real scalars too: a scalar even in x2 is the real part of a
+`ComplexField`, one odd in x2 its imaginary part.  The ring phase phi_d
+of `ansatz`, odd in x2, is one; the paper's split of it into phi_s and
+phi_r, which a scalar type served, cancels on the grid, so `ansatz`
+solves for phi_d alone and stores it as a plain array.  `reflect` keeps
+the table on a stored field's lattice: the stencils' axis ghosts and the
+full plane are slices of it.  The V-cycle's colour-split lattice keeps
+it in `solver._refresh_ghosts`, tied to the table by the tests
 test_stencil_product_matches_the_assembled_matrix and
 test_a_red_black_sweep_is_the_float64_update_by_colour.  The outermost
 stored row/column is Dirichlet data supplied by the caller, so no
@@ -90,24 +93,6 @@ class ComplexField:
         self.data.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class ScalarField:
-    spec: GridSpec
-    data: np.ndarray
-    x2_parity: str = "even"  # 'even' or 'odd' about the x2 = 0 axis
-
-    def __post_init__(self):
-        if self.data.shape != (self.spec.n1, self.spec.n2):
-            raise ValueError("data shape does not match the grid")
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("non-finite samples")
-        if np.iscomplexobj(self.data):
-            raise ValueError("scalar data must be real")
-        if self.x2_parity not in ("even", "odd"):
-            raise ValueError("x2_parity must be 'even' or 'odd'")
-        self.data.setflags(write=False)
-
-
 def symmetrize_complex(data):
     """Zero the imaginary part on the x2 = 0 row so the parity extension
     is single-valued on the axis."""
@@ -143,23 +128,21 @@ def full_plane_data(f: ComplexField):
             reflect(f.data, n1 - 1, n2 - 1))
 
 
-def diff_ops(f):
+def diff_ops(f: ComplexField):
     """Second-order central d1, d2 and laplacian, slices of the width-1
-    `reflect` of f (its x2 parity for a scalar), so the axis rows see
-    the parity ghosts; the outermost layer is left at zero (Dirichlet
-    data there belongs to the caller)."""
+    `reflect` of f, so the axis rows see the parity ghosts; the
+    outermost layer is left at zero (Dirichlet data there belongs to the
+    caller)."""
     spec = f.spec
     h1, h2 = spec.h1, spec.h2
-    p = reflect(f.data, 1, 1, s2=-1 if getattr(f, "x2_parity", None) == "odd" else 1)
+    p = reflect(f.data, 1, 1)
     mid = p[1:-1, 1:-1]
     d1, d2, lap = (np.zeros_like(f.data) for _ in range(3))
     d1[:-1, :-1] = (p[2:, 1:-1] - p[:-2, 1:-1]) / (2 * h1)
     d2[:-1, :-1] = (p[1:-1, 2:] - p[1:-1, :-2]) / (2 * h2)
     lap[:-1, :-1] = ((p[2:, 1:-1] - 2 * mid + p[:-2, 1:-1]) / h1**2
                      + (p[1:-1, 2:] - 2 * mid + p[1:-1, :-2]) / h2**2)
-    if isinstance(f, ComplexField):
-        return ComplexField(spec, d1), ComplexField(spec, d2), ComplexField(spec, lap)
-    return tuple(ScalarField(spec, a, f.x2_parity) for a in (d1, d2, lap))
+    return ComplexField(spec, d1), ComplexField(spec, d2), ComplexField(spec, lap)
 
 
 def axisym_term(u_data, spec):

@@ -40,6 +40,7 @@ from scipy.interpolate import BSpline, RectBivariateSpline
 
 from .ansatz import ModelParams
 from .fields import ComplexField, full_plane_data
+from .solver import _check_grid
 from .stereo import unproject_array
 
 RESIDUAL_NT = 5              # time samples of a Schrodinger-flow residual block
@@ -59,9 +60,12 @@ class UnscaledField:
     knots; the evaluator keeps their coefficients as one complex array C
     and evaluates the tensor product in two contractions with
     scipy.interpolate.BSpline: C along the a-axis (the first argument),
-    then the result along the stretched traveling coordinate."""
+    then the result along the stretched traveling coordinate.  A field
+    whose grid has the other symmetry than params' regime is refused
+    with a ValueError."""
 
     def __init__(self, u: ComplexField, params: ModelParams):
+        _check_grid(u, params)
         c = params.c
         self.u = u
         self.stretch = 1.0 / math.sqrt(1.0 - c * c)

@@ -44,10 +44,7 @@ def reflect_full(f, x1, x2):
     d = f.data
     val = ((1 - t) * (1 - s) * d[i, j] + t * (1 - s) * d[i + 1, j]
            + (1 - t) * s * d[i, j + 1] + t * s * d[i + 1, j + 1])
-    if isinstance(f, ComplexField):
-        val = np.where(x2 < 0, np.conj(val), val)
-    elif f.x2_parity == "odd":
-        val = np.where(x2 < 0, -val, val)
+    val = np.where(x2 < 0, np.conj(val), val)
     return val[0] if scalar else val
 
 

@@ -312,6 +312,47 @@ def test_cli_ring_ansatz(tmp_path):
     assert "ring_wm" in rep and "error_norm_star2" in rep
 
 
+@pytest.mark.parametrize("config, command, regime", [
+    ("regime = pair_sch\nkappa = 0.25\n", "ring", "ring_sch"),
+    ("regime = pair_sch\n", "ring", "ring_sch"),
+    ("regime = ring_sch\n", "pair", "pair_sch"),
+    ("regime = ring_wm\n", "pair", "pair_wm"),
+], ids=["pair_sch-kappa-as-ring", "pair_sch-as-ring", "ring_sch-as-pair", "ring_wm-as-pair"])
+def test_cli_build_command_sets_the_geometry_and_keeps_the_flow(tmp_path, config, command,
+                                                                regime):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config + "eps = 0.1\nd_hat = 2.4\nh = 0.5\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), command, "--ansatz-only"]) == 0
+    assert _report_section(out / "report.txt", "params")["regime"] == regime
+    assert _report_section(out / "report.txt", "config")["regime"] == regime
+
+
+@pytest.mark.parametrize("command", [["pair", "--ansatz-only"], ["ring", "--ansatz-only"],
+                                     ["profile"]])
+def test_cli_unknown_regime_exit_2(tmp_path, command, capsys):
+    # a mistyped regime is named in the refusal, not replaced by the command's
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("regime = pear_wm\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")] + command) == 2
+    assert "pear_wm" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, regime", [("ring", "pair_wm"), ("pair", "ring_wm")])
+def test_cli_reconstruct_refuses_a_field_of_the_other_symmetry(tmp_path, field, regime,
+                                                               capsys):
+    made = tmp_path / field
+    assert main(["--out", str(made), field, "--ansatz-only", "--eps", "0.1",
+                 "--dhat", "2.4"]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"regime = {regime}\neps = 0.1\nd_hat = 2.4\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "rec"), "reconstruct",
+                 str(made / "ansatz.vsf")]) == 2
+    assert "config error: " in capsys.readouterr().err
+    assert not (tmp_path / "rec" / "report.txt").exists()
+
+
 def test_cli_ring_solve_factors_laplacian_once(tmp_path):
     reports = []
     for run in ("a", "b"):

@@ -3,8 +3,8 @@ import pytest
 
 from references import reflect_full
 from vortexflow.diagnostics import _second_derivatives
-from vortexflow.fields import (ComplexField, GridSpec, ScalarField, Symmetry, diff_ops,
-                               full_plane_data, reflect, symmetrize_complex)
+from vortexflow.fields import (ComplexField, GridSpec, Symmetry, diff_ops, full_plane_data,
+                               reflect, symmetrize_complex)
 
 
 def make_spec(l=4.0, h=0.25, sym=Symmetry.PAIR):
@@ -58,10 +58,15 @@ def test_out_of_domain_rejected():
         reflect_full(f, 5.0, 0.0)
 
 
+def real_field(spec, data):
+    """A real scalar even in x2: the real part of a ComplexField."""
+    return ComplexField(spec, data.astype(complex))
+
+
 def test_laplacian_exact_on_quadratic():
     spec = make_spec(l=4.0, h=0.2)
     X1, X2 = spec.mesh()
-    f = ScalarField(spec, X1**2 + X2**2)
+    f = real_field(spec, X1**2 + X2**2)
     _, _, lap = diff_ops(f)
     interior = lap.data[1:-1, 1:-1]
     assert np.max(np.abs(interior - 4.0)) < 1e-10
@@ -70,14 +75,14 @@ def test_laplacian_exact_on_quadratic():
 def test_d2_vanishes_on_axis_for_even_field():
     spec = make_spec()
     X1, X2 = spec.mesh()
-    f = ScalarField(spec, np.cos(X2) * X1, x2_parity="even")
+    f = real_field(spec, np.cos(X2) * X1)
     _, d2, _ = diff_ops(f)
     assert np.all(d2.data[:, 0] == 0.0)
 
 
 def test_diff_ops_annihilate_constants():
     spec = make_spec()
-    f = ScalarField(spec, np.full((spec.n1, spec.n2), 3.7))
+    f = real_field(spec, np.full((spec.n1, spec.n2), 3.7))
     d1, d2, lap = diff_ops(f)
     for g in (d1, d2, lap):
         assert np.all(g.data == 0.0)
@@ -88,7 +93,7 @@ def test_refinement_order_two():
     for h in (0.25, 0.125):
         spec = GridSpec(4.0, 4.0, h, h, Symmetry.PAIR)
         X1, X2 = spec.mesh()
-        f = ScalarField(spec, np.sin(X1) * np.cos(X2), x2_parity="even")
+        f = real_field(spec, np.sin(X1) * np.cos(X2))
         _, _, lap = diff_ops(f)
         exact = -2.0 * np.sin(X1) * np.cos(X2)
         err = np.abs(lap.data - exact)[1:-1, 1:-1].max()
@@ -103,17 +108,15 @@ RECT = GridSpec(14.0, 9.0, 0.25, 0.2, Symmetry.RING)
 
 
 def rect_fields():
-    """A complex field and an even and an odd scalar on the h1 != h2 grid
-    RECT, each nonzero on its outer layer too."""
+    """A complex field and an even and an odd real scalar on the h1 != h2
+    grid RECT, each nonzero on its outer layer too; the even scalar is the
+    real part of a ComplexField and the odd one its imaginary part, so the
+    one conjugate parity table covers both."""
     X1, X2 = RECT.mesh()
     u = sample_complex(RECT, lambda x, y: np.exp(0.3j * y + 0.2 * x) * (1.0 + 0.1 * x * y))
-    even = ScalarField(RECT, np.cos(0.4 * X1) * np.cosh(0.3 * X2) + 0.05 * X1**3, "even")
-    odd = ScalarField(RECT, np.cos(0.4 * X1) * np.sinh(0.3 * X2) + 0.05 * X2**3, "odd")
+    even = real_field(RECT, np.cos(0.4 * X1) * np.cosh(0.3 * X2) + 0.05 * X1**3)
+    odd = ComplexField(RECT, 1j * (np.cos(0.4 * X1) * np.sinh(0.3 * X2) + 0.05 * X2**3))
     return [u, even, odd]
-
-
-def _sign2(f):
-    return -1 if isinstance(f, ScalarField) and f.x2_parity == "odd" else 1
 
 
 @pytest.mark.parametrize("f", rect_fields(), ids=["complex", "even", "odd"])
@@ -121,7 +124,7 @@ def _sign2(f):
                          ids=["w1", "w2", "w21", "full"])
 def test_reflect_is_the_parity_table_on_the_lattice(f, w):
     w1, w2 = w
-    ext = reflect(f.data, w1, w2, s2=_sign2(f))
+    ext = reflect(f.data, w1, w2)
     assert ext.shape == (RECT.n1 + w1, RECT.n2 + w2) and ext.dtype == f.data.dtype
     assert np.array_equal(ext[w1:, w2:], f.data)
     x1 = RECT.h1 * np.arange(-w1, RECT.n1)
@@ -169,7 +172,7 @@ def _central(P, h1, h2):
 @pytest.mark.parametrize("f", rect_fields(), ids=["complex", "even", "odd"])
 def test_diff_ops_are_central_differences_of_the_full_plane(f):
     n1, n2 = RECT.n1, RECT.n2
-    full = reflect(f.data, n1 - 1, n2 - 1, s2=_sign2(f))
+    full = reflect(f.data, n1 - 1, n2 - 1)
     # the full plane's interior point (n1-1+i, n2-1+j) - 1 is stored point (i, j)
     want = [g[n1 - 2:, n2 - 2:] for g in _central(full, RECT.h1, RECT.h2)]
     for got, ref in zip(diff_ops(f), want):
@@ -194,7 +197,3 @@ def test_second_derivatives_are_central_differences_of_the_full_plane():
     for d in (d11, d22):
         assert np.all(d[-1, :] == 0.0) and np.all(d[:, -1] == 0.0)
 
-
-def test_scalar_field_refuses_complex_data():
-    with pytest.raises(ValueError, match="real"):
-        ScalarField(RECT, np.zeros((RECT.n1, RECT.n2), complex))

@@ -23,10 +23,14 @@ is contracted along a once per block, and each slice is then one complex
 pde_residual never holds a whole block, nor a whole slice: it goes over
 pieces of rows of the first spatial axis, and inside each piece walks
 the interior (t, tau) points, keeping only a small window of the slice
-pieces their stencils read.  Each slice is sampled once per piece of
-rows (plus one halo row on each side) and dropped after its last reader
-in that piece; the four corner slices, which no stencil reads, are never
-sampled.
+pieces their stencils read.  A slice is keyed by the exact values it is
+sampled from, its shift c tau + omega t and its tau, so each distinct
+slice is sampled once per piece of rows (plus one halo row on each
+side) and dropped after its last reader in that piece; the four corner
+slices, which no stencil reads, are never sampled.  Points whose
+stencils read the same keys share |R|.  At omega = 0 (a Schrodinger
+flow at kappa = 0) the block does not change in t, so a 5 x 5 block
+samples its 5 tau slices and computes |R| at 3 of its 9 interior points.
 The cross-product orientation is pinned by the operator convention of
 the planar solve (the S2/S4 drift term): a field with S2[u] = 0
 assembled as U(.., s_N - c tau - omega t) e^{i tau} satisfies exactly
@@ -243,14 +247,23 @@ def pde_residual(params: ModelParams, U: UnscaledField, center, ds,
     axis.  Inside a piece the interior (t, tau) points are visited in C
     order; each reads the slices (t, tau) and (t, tau +- 1) and, for a
     Schrodinger flow, (t +- 1, tau), cut to the piece's rows plus one
-    halo row on each side.  A slice's piece is sampled (one sample_block
-    call, whose a-axis contraction all slices of the piece share) when a
-    point first reads it and dropped once its last reader in the piece
-    is done, so at most about two rows of slice pieces are live, and the
-    four corner slices, which no stencil reads, are never sampled.
+    halo row on each side.  A slice is keyed by the bits of the values
+    sample_block computes it from, its shift c tau + omega t (by the same
+    expression) and tau, so slices with equal keys are one slice.  A
+    key's piece is sampled (one sample_block call, whose a-axis
+    contraction all slices of the piece share) when a point first reads
+    it and dropped once its last reader in the piece is done, so at most
+    about two rows of slice pieces are live, and the four corner slices,
+    which no stencil reads, are never sampled.  A point whose stencil
+    reads the same keys as an earlier point has its |R| bit for bit: only
+    the first is computed, and its |R| is copied before the core mask and
+    the sums.  At omega = 0 every t row repeats the first; otherwise
+    keys collide only where those values round to the same bits.
     Sampling is pointwise and each point's residual is the same
     elementwise arithmetic a full-block stencil does, so the result does
     not depend on the streaming."""
+    if not (math.isfinite(ds) and ds > 0):
+        raise ValueError(f"sample spacing ds must be finite and > 0, got {ds}")
     h = min(U.u.spec.h1, U.u.spec.h2)
     if ds > h + 1e-12:
         raise ValueError("sample spacings must resolve the field (<= h)")
@@ -298,27 +311,46 @@ def pde_residual(params: ModelParams, U: UnscaledField, center, ds,
         taus = [(it, jt - 1), (it, jt), (it, jt + 1)]
         return taus if wave else taus + [(it - 1, jt), (it + 1, jt)]
 
-    last_reader = {key: n for n, p in enumerate(points) for key in stencil(*p)}
+    def key(it, jt):
+        # the exact bits sample_block computes slice (it, jt) from: its
+        # shift, by sample_block's expression, and tau (so 0.0 != -0.0)
+        t, tau = t_axis[it], tau_axis[jt]
+        return (params.c * tau + params.omega * t).hex(), tau.hex()
+
+    # a point whose stencil reads the keys of an earlier one has its |R|
+    # bit for bit, so only the first is computed (n indexes rnorm's
+    # (t, tau) points in C order)
+    computed, copies, first = [], [], {}
+    for n, point in enumerate(points):
+        idx = stencil(*point)
+        keys = tuple(key(*i) for i in idx)
+        if keys in first:
+            copies.append((n, first[keys]))
+        else:
+            first[keys] = n
+            computed.append((n, idx, keys))
+    last_reader = {k: n for n, _, keys in computed for k in keys}
     rnorm = np.empty((t_int.size, tau_int.size) + tuple(ax.size for ax in s_int))
+    rflat = rnorm.reshape((-1,) + rnorm.shape[2:])
     # pieces of whole rows of the first spatial axis, small enough that the
-    # work arrays stay in cache; each piece walks every interior point
+    # work arrays stay in cache; each piece walks every computed point
     rows = max(1, RESIDUAL_PIECE // math.prod(rnorm.shape[3:]))
     bufs = _residual_buffers((min(rows, rnorm.shape[2]),) + rnorm.shape[3:])
     for r in range(0, rnorm.shape[2], rows):
         # the piece's rows with one halo row on each side
         piece_axes = [s_axes[0][r:r + rows + 2]] + s_axes[1:]
         window = {}
-        for n, (it, jt) in enumerate(points):
-            keys = stencil(it, jt)
-            for kt, ktau in keys:
-                if (kt, ktau) not in window:
-                    window[kt, ktau] = sample_block(U, params, t_axis[kt:kt + 1],
-                                                   tau_axis[ktau:ktau + 1], piece_axes)[0, 0]
-            _slice_residual(ds, bufs, rnorm[divmod(n, tau_int.size)][r:r + rows],
-                            *(window[key] for key in keys))
-            for key in keys:
-                if last_reader[key] == n:
-                    del window[key]
+        for n, idx, keys in computed:
+            for (kt, ktau), k in zip(idx, keys):
+                if k not in window:
+                    window[k] = sample_block(U, params, t_axis[kt:kt + 1],
+                                             tau_axis[ktau:ktau + 1], piece_axes)[0, 0]
+            _slice_residual(ds, bufs, rflat[n, r:r + rows], *(window[k] for k in keys))
+            for k in set(keys):
+                if last_reader[k] == n:
+                    del window[k]
+    for n, src in copies:
+        rflat[n] = rflat[src]
 
     kept = rnorm[keep]
     sup = float(kept.max())

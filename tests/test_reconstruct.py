@@ -289,11 +289,10 @@ def _shifted(m, axes, axis, k=0):
     return m[tuple(sl)]
 
 
-def _full_block_residual(params, U, center, ds, nspace, ntau, t0=0.0, tau0=0.0):
-    """Reference: pde_residual as it was before streaming, sampling the
-    whole (t, tau, space) block at once and differencing it along each
-    axis."""
-    h = min(U.u.spec.h1, U.u.spec.h2)
+def _full_block_rnorm(params, U, center, ds, nspace, ntau, t0=0.0, tau0=0.0):
+    """Reference: |R| on the interior of the whole (t, tau, space) block,
+    sampled at once and differenced along each axis, and each interior
+    point's distance from the nearer traveling core."""
     wave = params.omega == 0.0 and params.regime.value.endswith("wm")
     ring = len(center) == 3
     tau_axis = tau0 + ds * (np.arange(ntau) - (ntau - 1) / 2)
@@ -326,7 +325,6 @@ def _full_block_residual(params, U, center, ds, nspace, ntau, t0=0.0, tau0=0.0):
     t_int = t_axis if wave else t_axis[1:-1]
     s_int = [ax[1:-1] for ax in s_axes]
     shift = params.c * tau_int[None, :] + params.omega * t_int[:, None]
-    excl = RESIDUAL_CORE_MARGIN * max(ds, h)
     if ring:
         r_int = np.hypot(s_int[0][:, None], s_int[1][None, :])
         dist = np.hypot((r_int - params.d)[None, None, :, :, None],
@@ -337,10 +335,19 @@ def _full_block_residual(params, U, center, ds, nspace, ntau, t0=0.0, tau0=0.0):
                      s_int[1][None, None, None, :] - shift[:, :, None, None]),
             np.hypot((s_int[0] + params.d)[None, None, :, None],
                      s_int[1][None, None, None, :] - shift[:, :, None, None]))
-    kept = np.sqrt((R**2).sum(-1))[dist > excl]
+    return np.sqrt((R**2).sum(-1)), dist
+
+
+def _full_block_residual(params, U, center, ds, nspace, ntau, t0=0.0, tau0=0.0):
+    """Reference: pde_residual as it was before streaming, from the whole
+    block's |R|."""
+    h = min(U.u.spec.h1, U.u.spec.h2)
+    rnorm, dist = _full_block_rnorm(params, U, center, ds, nspace, ntau, t0, tau0)
+    kept = rnorm[dist > RESIDUAL_CORE_MARGIN * max(ds, h)]
     if kept.size == 0:
         raise ValueError("core margin excluded every sample")
-    cell = ds * ds**sdim * (1.0 if wave else ds)
+    wave = params.omega == 0.0 and params.regime.value.endswith("wm")
+    cell = ds * ds**len(center) * (1.0 if wave else ds)
     return {"l2": float(math.sqrt((kept**2).sum() * cell)), "sup": float(kept.max()),
             "n_samples": int(kept.size)}
 
@@ -351,8 +358,13 @@ RESIDUAL_CASES = {
     "pair_sch": (SMALL_SCH, 8.0),
     "ring_wm": (ModelParams(Regime.RING_WM, 0.2, 0.0, 1.0), 10.0),      # d = 5
     "ring_sch": (ModelParams(Regime.RING_SCH, 0.2, 0.0, 1.0), 10.0),
+    # kappa = 0 makes omega = 0: a Schrodinger block that does not change in t
+    "pair_sch_k0": (ModelParams(Regime.PAIR_SCH, 0.2, 0.0, 0.8), 8.0),
+    # kappa > 0: every (t, tau) slice of a ring block differs
+    "ring_sch_k25": (ModelParams(Regime.RING_SCH, 0.2, 0.25, 1.0), 10.0),
 }
 RING_SCH = RESIDUAL_CASES["ring_sch"][0]
+RING_DRIFT = RESIDUAL_CASES["ring_sch_k25"][0]
 
 
 @pytest.fixture(scope="module")
@@ -404,7 +416,8 @@ def test_pde_residual_pieces_keep_the_bits(residual_fields, monkeypatch, case):
 
 
 def test_pde_residual_samples_no_corner_slice(residual_fields, monkeypatch):
-    # a Schrodinger block reads 21 of its 5 x 5 (t, tau) slices, each once
+    # a Schrodinger block that changes in t reads 21 of its 5 x 5 (t, tau)
+    # slices, each once
     seen = []
 
     def recording(U, p, t_axis, tau_axis, s_axes):
@@ -413,7 +426,7 @@ def test_pde_residual_samples_no_corner_slice(residual_fields, monkeypatch):
 
     monkeypatch.setattr(reconstruct, "sample_block", recording)
     ds = 0.125
-    pde_residual(RING_SCH, residual_fields["ring_sch"], (6.0, 0.0, 0.0), ds,
+    pde_residual(RING_DRIFT, residual_fields["ring_sch_k25"], (6.0, 0.0, 0.0), ds,
                  nspace=(8, 3, 8), ntau=5)
     corners = {(t, tau) for t in (-2 * ds, 2 * ds) for tau in (-2 * ds, 2 * ds)}
     assert len(seen) == len(set(seen)) == 21 and not corners & set(seen)
@@ -421,9 +434,9 @@ def test_pde_residual_samples_no_corner_slice(residual_fields, monkeypatch):
 
 def test_pde_residual_contracts_its_a_axis_once(residual_fields, counting_bspline):
     # the 21 slices of a Schrodinger block share one a-axis contraction
-    U = unscale(residual_fields["ring_sch"].u, RING_SCH)
+    U = unscale(residual_fields["ring_sch_k25"].u, RING_DRIFT)
     calls = counting_bspline(U)
-    pde_residual(RING_SCH, U, (6.0, 0.0, 0.0), 0.125, nspace=(8, 3, 8), ntau=5)
+    pde_residual(RING_DRIFT, U, (6.0, 0.0, 0.0), 0.125, nspace=(8, 3, 8), ntau=5)
     assert [axis for axis, _ in calls] == ["a"] + ["b"] * 21
 
 
@@ -473,7 +486,7 @@ def test_pde_residual_samples_each_slice_once_per_piece(residual_fields, monkeyp
     # slices a Schrodinger block reads is sampled once per piece, on the
     # piece's rows and one halo row on each side, and the slices of a
     # piece share one a-axis contraction
-    U = unscale(residual_fields["ring_sch"].u, RING_SCH)
+    U = unscale(residual_fields["ring_sch_k25"].u, RING_DRIFT)
     calls = counting_bspline(U)
     seen = []
 
@@ -486,7 +499,7 @@ def test_pde_residual_samples_each_slice_once_per_piece(residual_fields, monkeyp
     ds = 0.125
     s1 = 6.0 + ds * (np.arange(8) - 3.5)
     pieces = [tuple(s1[r:r + 4]) for r in (0, 2, 4)]
-    pde_residual(RING_SCH, U, (6.0, 0.0, 0.0), ds, nspace=(8, 3, 8), ntau=5)
+    pde_residual(RING_DRIFT, U, (6.0, 0.0, 0.0), ds, nspace=(8, 3, 8), ntau=5)
     times = ds * (np.arange(5) - 2.0)
     slices = {(t, tau) for t in times for tau in times} - {
         (t, tau) for t in (-2 * ds, 2 * ds) for tau in (-2 * ds, 2 * ds)}
@@ -494,6 +507,63 @@ def test_pde_residual_samples_each_slice_once_per_piece(residual_fields, monkeyp
     assert len(seen) == len(set(seen)) == 21 * 3
     assert set(seen) == {(t, tau, piece) for t, tau in slices for piece in pieces}
     assert [axis for axis, _ in calls] == (["a"] + ["b"] * 21) * 3
+
+
+@pytest.mark.parametrize("case", ["pair_sch_k0", "ring_sch"])
+def test_pde_residual_samples_each_tau_once_when_still(residual_fields, monkeypatch, case):
+    # at kappa = 0 a Schrodinger block does not change in t: the 21 slices
+    # it reads are 5 distinct ones, one per tau, each sampled once per piece
+    # (3 pieces of 2 rows here), and the 9 interior points read 3 distinct
+    # stencils, one per tau, so |R| is computed for 3 of them
+    p = RESIDUAL_CASES[case][0]
+    center, nspace = ((6.0, 0.0, 0.0), (8, 3, 8)) if p.is_ring else ((p.d + 1.0, 0.0), (8, 8))
+    seen, computed = [], []
+
+    def recording(U, p, t_axis, tau_axis, s_axes):
+        seen.append((float(tau_axis[0]), tuple(s_axes[0])))
+        return sample_block(U, p, t_axis, tau_axis, s_axes)
+
+    def counting(*args):
+        computed.append(args[2].shape)
+        return slice_residual(*args)
+
+    slice_residual = reconstruct._slice_residual
+    monkeypatch.setattr(reconstruct, "sample_block", recording)
+    monkeypatch.setattr(reconstruct, "_slice_residual", counting)
+    monkeypatch.setattr(reconstruct, "RESIDUAL_PIECE", 2 * 6)
+    ds = 0.125
+    pde_residual(p, residual_fields[case], center, ds, nspace=nspace, ntau=5)
+    assert len(seen) == len(set(seen)) == 5 * 3
+    assert sorted({tau for tau, _ in seen}) == list(ds * (np.arange(5) - 2.0))
+    assert len(computed) == 3 * 3
+
+
+@pytest.mark.parametrize("case", ["pair_sch_k0", "ring_sch"])
+def test_still_block_has_equal_t_rows(residual_fields, case):
+    # the copies pde_residual makes are exact: at kappa = 0 the three t rows
+    # of the whole block's |R| are bitwise equal (dm/dt is exactly 0)
+    p = RESIDUAL_CASES[case][0]
+    assert p.omega == 0.0 and p.is_schrodinger
+    center, nspace = ((6.0, 0.0, 0.0), (8, 3, 8)) if p.is_ring else ((p.d + 1.0, 0.0), (8, 8))
+    args = (p, residual_fields[case], center, 0.125, nspace, 5, 0.3, -0.2)
+    rnorm = _full_block_rnorm(*args)[0]
+    assert rnorm.shape[0] == 3
+    assert np.array_equal(rnorm[0], rnorm[1]) and np.array_equal(rnorm[1], rnorm[2])
+    assert pde_residual(*args) == _full_block_residual(*args)
+
+
+@pytest.mark.parametrize("case", ["pair_wm", "pair_sch", "ring_sch"])
+@pytest.mark.parametrize("ds", [0.0, -0.125, math.nan, -math.inf])
+def test_pde_residual_refuses_a_spacing_not_finite_and_positive(residual_fields, monkeypatch,
+                                                                case, ds):
+    # refused before anything is sampled; 0 used to give nan norms, nan the
+    # core-margin refusal, and a negative spacing a math domain error or
+    # (for the Schrodinger pair, whose cell ds**4 is positive) finite norms
+    p = RESIDUAL_CASES[case][0]
+    center = (p.d + 1.0, 0.0, 0.0) if p.is_ring else (p.d + 1.0, 0.0)
+    monkeypatch.setattr(reconstruct, "sample_block", None)
+    with pytest.raises(ValueError, match=r"sample spacing ds must be finite and > 0, got"):
+        pde_residual(p, residual_fields[case], center, ds, nspace=8)
 
 
 def test_pde_residual_peak_memory_of_a_multi_piece_block(residual_fields):
